@@ -54,8 +54,13 @@ class ConeDegenerateError(ConeguardError):
     """Effective half-angle is undefined (arccos argument out of range)."""
 
 
-class ConfigError(ConeguardError):
-    """Scenario configuration is malformed or violates an invariant."""
+class ConfigError(ConeguardError, ValueError):
+    """Scenario configuration is malformed or violates an invariant.
+
+    Also a ValueError, since it reports a bad value, so a caller that
+    catches ValueError from a validator (class-K and HO-CBF gains) still
+    catches it.
+    """
 
 
 class SimulationAbort(ConeguardError):

@@ -33,7 +33,7 @@ from .cone import (
     thrust_acceleration_map,
 )
 from .dynamics import QuadrotorParams, QuadrotorState, rotation_matrix
-from .errors import ConeDegenerateError, DegenerateGradientError
+from .errors import ConeDegenerateError, ConfigError, DegenerateGradientError
 from .qp import AffineSafetyConstraint, ClassKappa
 
 _DEFAULT_PARAMS = QuadrotorParams()
@@ -62,13 +62,17 @@ class HocbfConfig:
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma_penalty) and self.gamma_penalty > 0.0):
-            raise ValueError("gamma_penalty must be finite and > 0")
+            raise ConfigError(
+                f"hocbf gamma must be finite and > 0, got {self.gamma_penalty!r}"
+            )
         if self.p is None:
             object.__setattr__(self, "p", 2.0 * self.gamma_penalty)
         if not (np.isfinite(self.p) and self.p > 0.0):
-            raise ValueError("p must be finite and > 0")
+            raise ConfigError(f"hocbf p must be finite and > 0, got {self.p!r}")
         if not (np.isfinite(self.alpha2_gain) and self.alpha2_gain > 0.0):
-            raise ValueError("alpha2_gain must be finite and > 0")
+            raise ConfigError(
+                f"hocbf alpha2_gain must be finite and > 0, got {self.alpha2_gain!r}"
+            )
 
 
 def encompassing_radius(obstacle: Obstacle) -> float:

@@ -2,34 +2,61 @@
 
     minimize ||u - u_des||^2
     subject to a_i . u + b_i >= 0   (one affine row per obstacle)
-              lo <= u <= hi         (optional box)
 
 Solved exactly with a dense primal active-set iteration; u has 4 components,
 so every subproblem is tiny closed-form linear algebra. Multipliers follow
 the convention u* - u_des = sum_i lambda_i a_i^T (lambda_i >= 0), which is the
 KKT stationarity of the objective 0.5 ||u - u_des||^2.
 
-If u_des is infeasible, a feasible start is found by exact enumeration: for
-each subset S of at most 4 constraint rows, project u_des onto the affine set
-{A_S u = -b_S}. If the problem is feasible, the optimum's linearly
+If u_des is infeasible, the loop starts from the closest feasible candidate
+among the projections of u_des onto the affine sets {A_S u = -b_S}, one per
+subset S of at most 4 rows, each computed by ``lstsq`` on the Gram system and
+visited in ``itertools.combinations`` order with a strict ``dist <
+best_dist`` rule. If the problem is feasible, the optimum's linearly
 independent active subset yields exactly the optimum under this projection,
-so taking the closest feasible candidate both certifies feasibility and
-starts the active-set loop at (or next to) the solution. If no candidate is
-feasible the problem is infeasible and the most-violated labels are reported.
+so the winner both certifies feasibility and starts the active-set loop at
+(or next to) the solution. If no candidate is feasible the problem is
+infeasible and the most-violated labels are reported.
+
+With three or more rows that search is done as a screen and an exact
+re-check. The screen solves the Gram systems of all subsets of one size in
+a single batched SVD, truncated where ``lstsq`` truncates, and bounds, from
+each subset's conditioning, how far its candidate's slack and distance can
+lie from the ``lstsq`` values. Only the finalists, subsets that may be
+feasible and may be closest within those bounds, are solved again with
+``lstsq``, in the original order and with the same strict rule. The winner
+of the full search is always a finalist, and no finalist before it in the
+order has a smaller or equal distance (or it would have won), so the
+re-check returns the very same array: the start, and every trace byte after
+it, do not depend on the screen. With one or two rows (at most three
+subsets) every subset is a finalist and nothing is screened.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGradientError, InfeasibleQpError, IterationLimitError
+from .errors import (
+    ConfigError,
+    DegenerateGradientError,
+    InfeasibleQpError,
+    IterationLimitError,
+)
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
 FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
 MAX_ITER = 100
+MAX_SUBSET = 4  # rows per feasible-start subset; u has 4 components
+EPS = float(np.finfo(float).eps)
+# Relative half-width of the band around lstsq's rank cut-off in which the
+# screen leaves the rank decision to lstsq. Bidiagonal QR computes each
+# singular value to a relative error near 90 k^2 eps (LAPACK dbdsqr), so the
+# ratios s_j / s_1 of two runs on the same Gram agree to well inside 1e-12.
+RANK_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,7 +67,7 @@ class ClassKappa:
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError("gamma must be finite and > 0")
+            raise ConfigError(f"kappa gamma must be finite and > 0, got {self.gamma!r}")
 
     def __call__(self, h: float) -> float:
         return self.gamma * h
@@ -75,18 +102,12 @@ class AffineSafetyConstraint:
 class QpProblem:
     u_des: np.ndarray
     constraints: tuple[AffineSafetyConstraint, ...] = ()
-    bounds: tuple[float, float] | None = None  # per-component [lo, hi]
 
     def __post_init__(self):
         u = np.asarray(self.u_des, dtype=float).reshape(4).copy()
         u.setflags(write=False)
         object.__setattr__(self, "u_des", u)
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError("bounds must be finite with lo <= hi")
-            object.__setattr__(self, "bounds", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ def solve_single(u_des: np.ndarray, constraint: AffineSafetyConstraint) -> QpSol
 
 
 def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """All rows a.u + b >= 0 including bounds expressed as affine rows."""
+    """The rows a.u + b >= 0 of the problem as (A, b, labels)."""
     rows_a, rows_b, labels = [], [], []
     for c in problem.constraints:
         if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
@@ -133,17 +154,6 @@ def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:
         rows_a.append(c.gradient_row)
         rows_b.append(c.offset)
         labels.append(c.label)
-    if problem.bounds is not None:
-        lo, hi = problem.bounds
-        eye = np.eye(4)
-        for i in range(4):
-            rows_a.append(eye[i])
-            rows_b.append(-lo)
-            labels.append(f"bound_lo_{i + 1}")
-        for i in range(4):
-            rows_a.append(-eye[i])
-            rows_b.append(hi)
-            labels.append(f"bound_hi_{i + 1}")
     if rows_a:
         return np.vstack(rows_a), np.asarray(rows_b, dtype=float), labels
     return np.zeros((0, 4)), np.zeros(0), labels
@@ -158,21 +168,130 @@ def _project_equalities(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.n
     return u_des + A.T @ mu
 
 
+@lru_cache(maxsize=None)
+def _subsets(m: int, k: int) -> np.ndarray:
+    """Row indices of every k-row subset of m rows, in combinations order."""
+    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def _screen(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Finalists of the feasible-start search (index rows, in search order).
+
+    Solve. For each size k, the Gram systems G mu = -(A_S u_des + b_S) of all
+    C(m, k) subsets are solved in one batched SVD, G = U diag(s) V^T, keeping
+    the s_j > k eps s_1: the cut-off of lstsq with rcond=None. The candidate
+    is u_des + d with d = A_S^T mu. The Gram entries are taken from A A^T, the
+    same row products lstsq is handed (bit-identical in practice).
+
+    Error bound. lstsq solves the same Gram with another backward-stable
+    factorisation. To first order the two displacements d differ by at most
+
+        du = (e_G ||mu|| + e_rhs) / sqrt(s_r) + e_G t / s_r^1.5 + rounding,
+
+    s_r being the smallest kept singular value and t the norm of the
+    right-hand side along the dropped ones. e_G = 10 k eps s_1 bounds the
+    Gram's rounding in both paths (4-term dot products) and both
+    factorisations' backward errors; e_rhs bounds the right-hand side's
+    rounding. The first term is the perturbation of G^+ seen through A_S^T,
+    whose norm on the kept range is 1/sqrt(s_r); the second is the turn of
+    the kept subspace, by up to e_G / s_r, that leaks the dropped part t in.
+    ||mu|| is doubled to stand for the lstsq solution. The minimum slack over
+    all rows then moves by at most max ||a_i|| du and the distance by du,
+    each plus the rounding of evaluating it. du grows with the subset's
+    conditioning s_1 / s_r; a subset with s_r <= 4 e_G, where first order
+    fails, gets no bound and is always a finalist.
+
+    Rank-deficient subsets. Rows sharing a 3-D range (every barrier row
+    -M^T R^T w does) make every 4-row Gram singular up to rounding, and lstsq
+    drops its smallest singular value. The screen drops the same one: both
+    bidiagonalise the same Gram, and the singular values of a bidiagonal
+    come out to high relative accuracy, so the two runs' ratios s_j / s_1
+    agree to a relative RANK_BAND however small s_j is. Both then solve the
+    same truncated system, which the bound covers, t holding the
+    inconsistent part both drop. Only where a ratio lies within RANK_BAND of
+    the cut-off could lstsq keep a direction the screen drops, or drop one
+    it keeps; its candidate can then be anywhere, so the subset is a
+    finalist and lstsq decides. No rank decision can thus hide a winner.
+
+    Finalists. D is the smallest screened distance plus bound among the
+    surely feasible subsets (slack - bound >= -FEAS_TOL). A subset is a
+    finalist if slack + bound >= -FEAS_TOL and distance - bound <= D. The
+    winner of the exhaustive search is feasible, so it passes the first
+    test, and is no further than any feasible candidate, so the second.
+    """
+    m = A.shape[0]
+    gram = A @ A.T
+    resid = A @ u_des + b  # row slacks at u_des
+    a_max = float(np.sqrt(np.max(np.diag(gram))))
+    b_max = float(np.max(np.abs(b)))
+    u_norm = float(np.linalg.norm(u_des))
+    tables, slacks, dists, bounds = [], [], [], []
+    for k in range(1, min(MAX_SUBSET, m) + 1):
+        idx = _subsets(m, k)
+        U, s, Vt = np.linalg.svd(gram[idx[:, :, None], idx[:, None, :]])
+        rhs = -resid[idx]
+        s1 = s[:, 0]
+        ratio = s / s1[:, None]
+        keep = ratio > k * EPS
+        proj = np.einsum("nji,nj->ni", U, rhs)  # U^T rhs
+        coef = np.where(keep, proj / np.where(keep, s, 1.0), 0.0)
+        mu = np.einsum("nji,nj->ni", Vt, coef)
+        d = np.einsum("nk,nkj->nj", mu, A[idx])
+        d_norm = np.sqrt(np.einsum("ni,ni->n", d, d))
+        s_r = np.min(np.where(keep, s, np.inf), axis=1)
+        t = np.sqrt(np.sum(np.where(keep, 0.0, proj) ** 2, axis=1))
+        mu_norm = 2.0 * np.sqrt(np.einsum("ni,ni->n", mu, mu))
+        e_G = 10.0 * k * EPS * s1
+        b_norm = np.linalg.norm(b[idx], axis=1)
+        e_rhs = 10.0 * EPS * (np.sqrt(k) * a_max * u_norm + b_norm)
+        du = (
+            (e_G * mu_norm + e_rhs) / np.sqrt(s_r)
+            + e_G * t / s_r**1.5
+            + 2.0 * k * EPS * np.sqrt(k * s1) * mu_norm  # forming A_S^T mu
+            + 4.0 * EPS * (u_norm + d_norm)  # u_des + d, and back
+        )
+        undecided = np.any(np.abs(ratio - k * EPS) <= RANK_BAND * k * EPS, axis=1)
+        du[undecided | (s_r <= 4.0 * e_G)] = np.inf
+        tables.append(idx)
+        slacks.append(np.min(resid + d @ A.T, axis=1))
+        dists.append(d_norm)
+        bounds.append(du)
+    slack, dist, bound = map(np.concatenate, (slacks, dists, bounds))
+    slack_bound = a_max * bound + 12.0 * EPS * (a_max * (u_norm + dist) + b_max)
+    sure = slack - slack_bound >= -FEAS_TOL
+    best = np.min(dist[sure] + bound[sure], initial=np.inf)
+    finalist = (slack + slack_bound >= -FEAS_TOL) & (dist - bound <= best)
+    finalists, start = [], 0
+    for idx in tables:
+        finalists.extend(idx[finalist[start : start + len(idx)]])
+        start += len(idx)
+    return finalists
+
+
 def _feasible_start(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, labels: list[str]
 ) -> np.ndarray:
-    """Exact feasibility search over equality-projections of row subsets."""
+    """Closest feasible equality-projection of u_des over row subsets.
+
+    Every subset of at most MAX_SUBSET rows is a candidate (module
+    docstring). With three or more rows only the screen's finalists are
+    solved, which returns the same array as solving every subset.
+    """
     m = A.shape[0]
+    if m <= 2:  # at most three subsets: solving them all costs less than a screen
+        finalists = [idx for k in range(1, m + 1) for idx in _subsets(m, k)]
+    else:
+        finalists = _screen(u_des, A, b)
     best = None
     best_dist = np.inf
-    for size in range(1, min(4, m) + 1):
-        for subset in itertools.combinations(range(m), size):
-            idx = list(subset)
-            cand = _project_equalities(u_des, A[idx], b[idx])
-            if np.min(A @ cand + b) >= -FEAS_TOL:
-                dist = float(np.linalg.norm(cand - u_des))
-                if dist < best_dist:
-                    best, best_dist = cand, dist
+    for idx in finalists:
+        cand = _project_equalities(u_des, A[idx], b[idx])
+        if np.min(A @ cand + b) >= -FEAS_TOL:
+            dist = float(np.linalg.norm(cand - u_des))
+            if dist < best_dist:
+                best, best_dist = cand, dist
     if best is None:
         slack = A @ u_des + b
         order = np.argsort(slack)

@@ -6,10 +6,14 @@ matrices are rebuilt from the ZYX definition (the rate transform is inverted
 numerically rather than via the closed-form inverse), the rigid-body
 derivative is reassembled from Newton-Euler, barrier values are recomputed
 from their defining formulas, and the safety QP is solved by projected
-gradient on the dual. Agreement is then evidence, not circularity.
+gradient on the dual. Agreement is then evidence, not circularity. The one
+exception is ``feasible_start_exhaustive``: the QP's feasible-start search
+must match it bit for bit, so it keeps that search's own numpy calls.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -156,3 +160,37 @@ def qp_dual_single(u_des, rows, offsets, iters=50_000):
         iters=iters,
     )
     return u[0]
+
+
+def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
+    """The safety QP's feasible start by solving every subset of <= 4 rows.
+
+    This is the search ``qp._feasible_start`` screens: each subset's
+    projection of u_des onto {A_S u = -b_S} by lstsq on the Gram system,
+    visited in combinations order, keeping the closest feasible one under a
+    strict ``<``. The numpy calls are the search's own, so a correct screen
+    reproduces the returned array bit for bit. Returns (start, None), or
+    (None, blocking labels most violated first) when no candidate is feasible.
+    """
+    A = np.asarray(rows, dtype=float)
+    b = np.asarray(offsets, dtype=float)
+    m = A.shape[0]
+    best = None
+    best_dist = np.inf
+    for size in range(1, min(4, m) + 1):
+        for subset in itertools.combinations(range(m), size):
+            idx = list(subset)
+            A_s, b_s = A[idx], b[idx]
+            gram = A_s @ A_s.T
+            rhs = -(A_s @ u_des + b_s)
+            mu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            cand = u_des + A_s.T @ mu
+            if np.min(A @ cand + b) >= -feas_tol:
+                dist = float(np.linalg.norm(cand - u_des))
+                if dist < best_dist:
+                    best, best_dist = cand, dist
+    if best is not None:
+        return best, None
+    slack = A @ u_des + b
+    order = np.argsort(slack)
+    return None, [labels[i] for i in order if slack[i] < 0.0]

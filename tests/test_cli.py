@@ -232,3 +232,18 @@ def test_compare_gamma_sweep(tmp_path, capsys):
         assert (out / f"trace_hocbf_gamma{tag}.csv").is_file()
         assert (out / f"phi_ratio_gamma{tag}.csv").is_file()
     assert capsys.readouterr().out.count("hocbf_gamma:") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--scenario", "moving-head-on", "--hocbf-gamma", "0"],
+        ["run", "--scenario", "static-overtake", "--filter", "hocbf",
+         "--hocbf-gamma", "-1"],
+    ],
+)
+def test_invalid_hocbf_gamma_exits_1(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "gamma" in err

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from coneguard.cone import thrust_acceleration_map
+from coneguard.dynamics import QuadrotorParams, rotation_matrix
 from coneguard.errors import DegenerateGradientError, InfeasibleQpError
 from coneguard.qp import (
+    FEAS_TOL,
     AffineSafetyConstraint,
     ClassKappa,
     QpProblem,
+    _feasible_start,
     kappa,
     solve,
     solve_single,
@@ -115,24 +119,6 @@ def test_solution_no_further_from_u_des_than_certificate(rng):
         assert np.linalg.norm(sol.u_star - u_des) <= np.linalg.norm(z - u_des) + 1e-9
 
 
-def test_bounds_respected(rng):
-    for _ in range(100):
-        u_des = rng.normal(size=4) * 3.0
-        sol = solve(QpProblem(u_des=u_des, bounds=(-1.0, 1.0)))
-        assert np.all(sol.u_star >= -1.0 - 1e-12)
-        assert np.all(sol.u_star <= 1.0 + 1e-12)
-        # box projection is separable, so clipping is the exact answer
-        assert np.max(np.abs(sol.u_star - np.clip(u_des, -1.0, 1.0))) <= 1e-9
-
-
-def test_bounds_and_row_together():
-    # sum u >= 3 with u <= 0.5 forces every component to the upper bound... not
-    # quite: 4 * 0.5 = 2 < 3, so this instance is infeasible
-    con = AffineSafetyConstraint(np.ones(4), -3.0, label="sum")
-    with pytest.raises(InfeasibleQpError):
-        solve(QpProblem(u_des=np.zeros(4), constraints=(con,), bounds=(-0.5, 0.5)))
-
-
 def test_infeasible_reports_blocking_labels():
     up = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0, label="up")
     down = AffineSafetyConstraint(np.array([-1.0, 0, 0, 0]), -1.0, label="down")
@@ -163,3 +149,93 @@ def test_solution_feasible_and_certified(seed, m):
     assert np.min(A @ sol.u_star + b) >= -1e-9
     assert all(lam >= 0.0 for lam in sol.multipliers)
     assert sol.kkt_residual <= 1e-8
+
+
+def _shared_range_rows(rng, m):
+    """Rows -M^T R^T w, built as the cone barriers build them: all lie in the
+    3-D range of M^T, so every 4-row Gram is singular up to rounding."""
+    M = thrust_acceleration_map(QuadrotorParams())
+    R = rotation_matrix(rng.uniform(-0.5, 0.5, 3))
+    return -(M.T @ (R.T @ rng.normal(size=(m, 3)).T)).T
+
+
+def _rows(rng, m):
+    return _shared_range_rows(rng, m) if rng.random() < 0.5 else rng.normal(size=(m, 4))
+
+
+def _offsets_for(rng, A):
+    """Offsets on the scale of the rows, so that u_des is often infeasible."""
+    return rng.normal(size=A.shape[0]) * 0.05 * np.linalg.norm(A, axis=1)
+
+
+def shared_range(rng, m):
+    A = _shared_range_rows(rng, m)
+    return rng.normal(size=4) * 0.05, A, _offsets_for(rng, A)
+
+
+def generic(rng, m):
+    A = rng.normal(size=(m, 4))
+    return rng.normal(size=4), A, rng.normal(size=m)
+
+
+def duplicated(rng, m):
+    """One or two rows repeated, with the same or another offset."""
+    A = _rows(rng, m)
+    b = _offsets_for(rng, A)
+    for _ in range(int(rng.integers(1, 3))):
+        i, j = rng.choice(m, 2, replace=False)
+        A[j] = A[i]
+        if rng.random() < 0.5:
+            b[j] = b[i]
+    return rng.normal(size=4) * 0.05, A, b
+
+
+def near_parallel(rng, m):
+    """Two rows (and offsets) equal to within a relative 1e-12 to 1e-6."""
+    A = _rows(rng, m)
+    b = _offsets_for(rng, A)
+    i, j = rng.choice(m, 2, replace=False)
+    scale = 10.0 ** rng.uniform(-12, -6)
+    jitter = scale * np.abs(A[i]).max() * rng.normal(size=4)
+    A[j] = A[i] * (1.0 + scale * rng.normal()) + jitter
+    b[j] = b[i] + scale * abs(b[i]) * rng.normal()
+    return rng.normal(size=4) * 0.05, A, b
+
+
+def weak_ties(rng, m):
+    """The optimum u* is active on 2-4 rows, some with a zero multiplier, so
+    several subsets project onto u* and tie up to rounding."""
+    A = _rows(rng, m)
+    u_star = rng.normal(size=4) * 0.05
+    active = rng.choice(m, int(rng.integers(2, min(m, 4) + 1)), replace=False)
+    b = rng.uniform(0.1, 1.0, m) * np.linalg.norm(A, axis=1) * 0.05 - A @ u_star
+    b[active] = -(A[active] @ u_star)
+    lam = rng.uniform(0.1, 1.0, active.size) * (rng.random(active.size) < 0.5)
+    lam[0] = 0.5
+    return u_star - A[active].T @ lam * 0.01, A, b
+
+
+def test_feasible_start_matches_exhaustive_oracle():
+    """The screened search returns the exhaustive search's start bit for bit,
+    and the same blocking labels when no subset is feasible."""
+    rng = np.random.default_rng(20261018)
+    infeasible = 0
+    for family in (shared_range, generic, duplicated, near_parallel, weak_ties):
+        drawn = 0
+        while drawn < 80:
+            m = int(rng.integers(3, 9))
+            u_des, A, b = family(rng, m)
+            if np.min(A @ u_des + b) >= -FEAS_TOL:
+                continue  # solve() starts from u_des itself
+            drawn += 1
+            labels = [f"c{i}" for i in range(m)]
+            want, blocking = oracles.feasible_start_exhaustive(u_des, A, b, labels)
+            if want is None:
+                infeasible += 1
+                with pytest.raises(InfeasibleQpError) as exc_info:
+                    _feasible_start(u_des, A, b, labels)
+                assert exc_info.value.blocking_labels == tuple(blocking)
+            else:
+                got = _feasible_start(u_des, A, b, labels)
+                assert np.array_equal(got, want), (family.__name__, m)
+    assert infeasible > 0
