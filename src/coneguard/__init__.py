@@ -5,32 +5,14 @@ minimally modifies them so that every obstacle's collision-cone barrier
 condition holds, keeping the relative velocity out of the cone of directions
 that lead to impact. A higher-order CBF baseline is included for
 conservativeness comparisons.
+
+The package root exports the run-level surface; the layers (``dynamics``,
+``tracking``, ``cone``, ``hocbf``, ``qp``, ``traceio``) are imported as
+submodules.
 """
 
-from .cone import (
-    BarrierEvaluation,
-    InflatedRadius,
-    Obstacle,
-    RelativeState,
-    barrier_3d,
-    barrier_projection,
-    constraint_rows,
-    h_cone,
-    inflated_radius,
-    projection_operator,
-    relative_state_sphere,
-)
-from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
-from .errors import (
-    ConeguardError,
-    ConfigError,
-    DegenerateGradientError,
-    InfeasibleQpError,
-    SimulationAbort,
-)
+from .errors import ConeguardError
 from .harness import (
-    AgentSpec,
-    ComparisonReport,
     Metrics,
     ScenarioConfig,
     SimTrace,
@@ -39,78 +21,21 @@ from .harness import (
     run,
     run_pair,
 )
-from .hocbf import (
-    HocbfConfig,
-    b_distance,
-    barrier_ho,
-    effective_half_angle,
-    h_ho,
-)
-from .qp import (
-    AffineSafetyConstraint,
-    ClassKappa,
-    QpProblem,
-    QpSolution,
-    kappa,
-    solve,
-    solve_single,
-)
-from .reference import HoverReference, LineReference, WaypointReference
 from .scenarios import builtin_scenarios, get_scenario
-from .tracking import ControllerGains, track
-from .traceio import load_scenario, metrics_text, parse_trace, write_trace
+from .traceio import load_scenario, parse_trace, write_trace
 
 __all__ = [
-    "AffineSafetyConstraint",
-    "AgentSpec",
-    "BarrierEvaluation",
-    "ClassKappa",
-    "ComparisonReport",
     "ConeguardError",
-    "ConfigError",
-    "ControlInput",
-    "ControllerGains",
-    "DegenerateGradientError",
-    "HocbfConfig",
-    "HoverReference",
-    "InfeasibleQpError",
-    "InflatedRadius",
-    "LineReference",
     "Metrics",
-    "Obstacle",
-    "QpProblem",
-    "QpSolution",
-    "QuadrotorParams",
-    "QuadrotorState",
-    "RelativeState",
     "ScenarioConfig",
     "SimTrace",
-    "SimulationAbort",
-    "WaypointReference",
-    "b_distance",
-    "barrier_3d",
-    "barrier_ho",
-    "barrier_projection",
     "builtin_scenarios",
     "compare",
     "compute_metrics",
-    "constraint_rows",
-    "effective_half_angle",
     "get_scenario",
-    "h_cone",
-    "h_ho",
-    "inflated_radius",
-    "kappa",
     "load_scenario",
-    "metrics_text",
     "parse_trace",
-    "projection_operator",
-    "relative_state_sphere",
     "run",
     "run_pair",
-    "solve",
-    "solve_single",
-    "step",
-    "track",
     "write_trace",
 ]

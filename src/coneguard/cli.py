@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--scenario", help="built-in scenario name")
         p.add_argument("--config", help="scenario YAML file")
         p.add_argument("--dt", type=float, help="override integration step (s)")
-        p.add_argument("--seed", type=int, help="override scenario seed")
         p.add_argument("--out", default="out", help="output directory")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
@@ -80,8 +79,6 @@ def _resolve_config(args) -> ScenarioConfig:
         config = load_scenario(args.config)
     if args.dt is not None:
         config = replace(config, dt=args.dt)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     return config
 
 

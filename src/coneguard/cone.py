@@ -1,36 +1,44 @@
-"""Collision-cone barrier functions for spherical and cylindrical obstacles.
+"""Collision-cone barrier: one formula with two knobs, one QP row per obstacle.
 
-The barrier for a sphere of inflated radius r centered at c(t) is
+Every barrier in the package is
 
-    h(x,t) = <p_rel, v_rel> + ||v_rel|| sqrt(||p_rel||^2 - r^2)
+    h = <p, v> + weight * s,    s = sqrt(max(||p||^2 - r^2, 0)),
 
-with p_rel = c(t) - (position + R e3 l) the vector from the quadrotor's body
-center to the obstacle center and v_rel its time derivative. h >= 0 exactly
-when v_rel points outside the cone of half-angle phi subtended by the
-obstacle (cos phi = sqrt(||p_rel||^2 - r^2)/||p_rel||), so keeping h >= 0
-keeps the relative velocity off every collision course.
+on the position p and velocity v of an obstacle center relative to the
+quadrotor's body center (position + R e3 l), for a radius r. Two knobs pick
+the variant:
 
-Time differentiation along the closed loop gives the affine-in-thrust form
+- the projector: none for a sphere, or P = I - n n^T for a cylinder with
+  axis n, applied to p and v so that nothing along the axis enters;
+- the weight: ||v|| for the collision cone, or a constant gamma for the
+  higher-order baseline in ``hocbf``. With weight ||v||, h >= 0 exactly when
+  v points outside the cone of half-angle phi, cos(phi) = s/||p||, so keeping
+  h >= 0 keeps the relative velocity off every collision course.
 
-    dh/dt = drift_term + input_row . f,
-    w = p_rel + v_rel sqrt(||p_rel||^2 - r^2) / ||v_rel||,
-    drift_term = ||v_rel||^2 + ||v_rel|| <p_rel, v_rel> / sqrt(...) + <w, a_d>,
-    input_row[k] = <w, -R m_k>,
+``cone_terms`` evaluates the formula on (p, v, r, weight) alone. Along the
+closed loop its time derivative is affine in the rotor thrusts f,
 
-where a_d collects gravity and the rate-dependent acceleration of the offset
-body center, and m_k maps rotor k's thrust to body-frame acceleration of that
-point (thrust channel e3/m plus the lever term from the induced angular
-acceleration). Constant-velocity obstacles enter only through p_rel, v_rel.
+    dh/dt = rate + <w, a_d> + input_row . f,    input_row = -M^T (R^T w),
 
-Cylinders use the same cone formula on p_rel, v_rel projected onto the plane
-perpendicular to the cylinder axis; the projector is constant, and the
-projected vectors live in its range, so the input row contracts the projected
-combination with the unprojected thrust-to-acceleration map.
+with w = dh/dv (p + v s/||v|| for the cone, p for a constant weight), rate
+the derivative at zero relative acceleration (||v||^2 + weight <p, v>/s),
+a_d the thrust-independent part of -d(v_rel)/dt, and M the map from rotor
+thrust to body-frame acceleration of the body center. R, the body center,
+a_d and M depend on the vehicle only, so ``BodyFrame`` computes them once
+per control step and ``contract`` turns a frame and the cone terms into the
+row. A constant projector commutes with d/dt and w lies in its range, so
+cylinders contract with the same unprojected maps. Constant-velocity
+obstacles enter through p and v only.
+
+``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
+the inflated radius, no projector or the axis projector, and weight ||v||.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +55,12 @@ EPS_SQRT = 1e-9  # guard for the ||p_rel|| division in cos(phi)
 # ~2 microns before contact, where it bounds the constraint offset instead
 # of letting it diverge.
 S_FLOOR = 1e-3
+# Same surface-singularity guard for the constant weight, but an order of
+# magnitude wider: the baseline exists to show failure cases, and when it
+# does cross the inflated surface the run has to stay integrable so the
+# penetration depth can be reported. The cone filter never crosses, so it
+# keeps the tight floor.
+S_FLOOR_HO = 5e-2
 GRADIENT_MIN = 1e-10
 
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -122,22 +136,6 @@ def inflated_radius(obstacle: Obstacle, body_width: float) -> InflatedRadius:
 
 
 @dataclass(frozen=True)
-class RelativeState:
-    """Obstacle-center position/velocity relative to the quadrotor body center."""
-
-    p_rel: np.ndarray
-    v_rel: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p_rel, dtype=float).reshape(3).copy()
-        v = np.asarray(self.v_rel, dtype=float).reshape(3).copy()
-        p.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "p_rel", p)
-        object.__setattr__(self, "v_rel", v)
-
-
-@dataclass(frozen=True)
 class BarrierEvaluation:
     """Barrier value plus the pieces of its affine-in-input derivative."""
 
@@ -145,42 +143,6 @@ class BarrierEvaluation:
     drift_term: float  # dh/dt contribution independent of the rotor thrusts
     input_row: np.ndarray  # dh/dt = drift_term + input_row . f
     cone_half_angle: float  # phi (rad); pi/2 when inside the inflated radius
-
-
-def relative_state_sphere(
-    state: QuadrotorState, obstacle: Obstacle, params: QuadrotorParams, t: float
-) -> RelativeState:
-    """Relative position/velocity of the obstacle center w.r.t. the body center.
-
-    The body center sits at position + R e3 l, so its velocity picks up the
-    attitude rate through d/dt (R e3) = R (omega x e3).
-
-    Args:
-        state: quadrotor state.
-        obstacle: sphere or cylinder (the center/velocity are shape-agnostic).
-        params: vehicle parameters (supplies the offset l).
-        t: simulation time (moves the obstacle center).
-    """
-    R = rotation_matrix(state.attitude)
-    l = params.center_offset
-    body_center = state.position + R @ _E3 * l
-    body_center_vel = state.velocity + R @ np.cross(state.body_rates, _E3) * l
-    return RelativeState(
-        p_rel=obstacle.center_at(t) - body_center,
-        v_rel=obstacle.velocity - body_center_vel,
-    )
-
-
-def h_cone(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> float:
-    """Collision-cone barrier <p_rel, v_rel> + ||v_rel|| sqrt(||p_rel||^2 - r^2).
-
-    Inside the inflated radius the sqrt argument is clamped to zero, which
-    leaves the plain approach-speed term; callers flag the violation.
-    """
-    p_rel = np.asarray(p_rel, dtype=float)
-    v_rel = np.asarray(v_rel, dtype=float)
-    s = np.sqrt(max(float(p_rel @ p_rel) - r * r, 0.0))
-    return float(p_rel @ v_rel) + float(np.linalg.norm(v_rel)) * s
 
 
 def thrust_acceleration_map(params: QuadrotorParams) -> np.ndarray:
@@ -202,54 +164,165 @@ def thrust_acceleration_map(params: QuadrotorParams) -> np.ndarray:
     )
 
 
-def drift_acceleration(state: QuadrotorState, params: QuadrotorParams) -> np.ndarray:
-    """Thrust-independent part of -d(v_rel)/dt, i.e. of the body-center accel.
+class BodyFrame:
+    """The vehicle terms of one control step, shared by every obstacle.
 
-    a_d = (0,0,g) - l R [omega x (omega x e3) + (I^-1 (-omega x I omega)) x e3]
+    R: body-to-inertial rotation.
+    position, velocity: the body center position + R e3 l and its rate;
+        d/dt (R e3) = R (omega x e3).
+    a_d: thrust-independent part of -d(v_rel)/dt,
+        (0, 0, g) - l R [omega x (omega x e3) + (I^-1 (-omega x I omega)) x e3],
+        so that d(v_rel)/dt = a_d - R M f (a constant obstacle velocity
+        contributes nothing).
+    M: thrust_acceleration_map(params).
 
-    v_rel_dot = a_d - R M f with M from thrust_acceleration_map (constant
-    obstacle velocity contributes nothing).
+    a_d is computed on first use, so a frame that only places obstacles
+    (the geometric phi of a recorded state) never pays for it.
     """
-    R = rotation_matrix(state.attitude)
-    omega = state.body_rates
-    inertia = np.asarray(params.inertia_diag)
-    omega_dot_drift = -np.cross(omega, inertia * omega) / inertia
-    spin = np.cross(omega, np.cross(omega, _E3)) + np.cross(omega_dot_drift, _E3)
-    return (
-        np.array([0.0, 0.0, params.gravity]) - params.center_offset * (R @ spin)
+
+    def __init__(self, state: QuadrotorState, params: QuadrotorParams):
+        self._state, self._params = state, params
+        self.R = R = rotation_matrix(state.attitude)
+        l = params.center_offset
+        self.position = state.position + R @ _E3 * l
+        self.velocity = state.velocity + R @ np.cross(state.body_rates, _E3) * l
+        self.M = thrust_acceleration_map(params)
+
+    @cached_property
+    def a_d(self) -> np.ndarray:
+        omega, params = self._state.body_rates, self._params
+        inertia = np.asarray(params.inertia_diag)
+        omega_dot_drift = -np.cross(omega, inertia * omega) / inertia
+        spin = np.cross(omega, np.cross(omega, _E3)) + np.cross(omega_dot_drift, _E3)
+        return np.array([0.0, 0.0, params.gravity]) - params.center_offset * (
+            self.R @ spin
+        )
+
+    def relative(self, obstacle: Obstacle, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(p_rel, v_rel): the obstacle center at time t minus the body center."""
+        return obstacle.center_at(t) - self.position, obstacle.velocity - self.velocity
+
+
+class ConeTerms(NamedTuple):
+    """The barrier formula evaluated on one (p, v, r, weight)."""
+
+    h: float  # <p, v> + weight s
+    s: float  # sqrt(max(||p||^2 - r^2, 0))
+    w: np.ndarray  # dh/dv
+    phi: float  # half angle of the cone h >= 0 keeps v out of (rad)
+    rate: float  # dh/dt at zero relative acceleration
+
+
+def cone_terms(
+    p: np.ndarray, v: np.ndarray, r: float, gamma: float | None = None
+) -> ConeTerms:
+    """Evaluate h = <p, v> + weight sqrt(max(||p||^2 - r^2, 0)); raises nothing.
+
+    gamma=None is the collision cone: weight ||v||, floor S_FLOOR, and phi
+    with cos(phi) = s/||p||. A float gamma is the higher-order baseline:
+    weight gamma, floor S_FLOOR_HO, and the effective half angle with
+    cos(phi') = (gamma/||v||) cos(phi). Inside the radius s is clamped to 0,
+    which leaves the plain closing-speed term and phi = pi/2; the floor
+    bounds the 1/s in rate there. The cone squares ||p|| and the baseline
+    takes <p, p>, as each has always rounded.
+    """
+    pv = float(p @ v)
+    norm_v = float(np.linalg.norm(v))
+    p_norm = float(np.linalg.norm(p))
+    if gamma is None:
+        weight, floor = norm_v, S_FLOOR
+        s = np.sqrt(max(p_norm * p_norm - r * r, 0.0))
+        w = p + v * (s / max(norm_v, EPS_V))
+        cos_phi = s / max(p_norm, EPS_SQRT)
+    else:
+        weight, floor = gamma, S_FLOOR_HO
+        s = np.sqrt(max(float(p @ p) - r * r, 0.0))
+        w = p
+        cos_phi = gamma * (s / max(p_norm, EPS_SQRT)) / max(norm_v, EPS_V)
+    return ConeTerms(
+        h=pv + weight * s,
+        s=s,
+        w=w,
+        phi=float(np.arccos(np.clip(cos_phi, 0.0, 1.0))),
+        rate=norm_v * norm_v + weight * pv / max(s, floor),
     )
 
 
-def _cone_pieces(
-    p: np.ndarray, v: np.ndarray, r: float
-) -> tuple[float, float, float, np.ndarray, float]:
-    """Shared h/w computation: returns (h, norm_v, radial_rate, w, phi)."""
-    p_norm = float(np.linalg.norm(p))
-    norm_v = float(np.linalg.norm(v))
-    s = np.sqrt(max(p_norm * p_norm - r * r, 0.0))
-    h = float(p @ v) + norm_v * s
-    denom_v = max(norm_v, EPS_V)
-    w = p + v * (s / denom_v)
-    radial_rate = norm_v * float(p @ v) / max(s, S_FLOOR)
-    phi = float(np.arccos(np.clip(s / max(p_norm, EPS_SQRT), 0.0, 1.0)))
-    return h, norm_v, radial_rate, w, phi
+def contract(
+    frame: BodyFrame, terms: ConeTerms, label: str
+) -> tuple[float, np.ndarray]:
+    """(drift, input_row) with dh/dt = drift + input_row . f.
+
+    Raises:
+        DegenerateGradientError: ||input_row|| <= 1e-10.
+    """
+    input_row = -frame.M.T @ (frame.R.T @ terms.w)
+    if float(np.linalg.norm(input_row)) <= GRADIENT_MIN:
+        raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
+    return terms.rate + float(terms.w @ frame.a_d), input_row
+
+
+def barrier_row(
+    frame: BodyFrame, terms: ConeTerms, kappa: ClassKappa, label: str
+) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
+    """The evaluation and the QP row input_row . f + drift + kappa(h) >= 0."""
+    drift, input_row = contract(frame, terms, label)
+    return (
+        BarrierEvaluation(terms.h, drift, input_row, terms.phi),
+        AffineSafetyConstraint(input_row, drift + kappa(terms.h), label=label),
+    )
+
+
+def projection_operator(axis: np.ndarray) -> np.ndarray:
+    """P = I - n n^T: projects onto the plane perpendicular to the unit axis n."""
+    n = np.asarray(axis, dtype=float).reshape(3)
+    return np.eye(3) - np.outer(n, n)
+
+
+def cone_geometry(
+    frame: BodyFrame, obstacle: Obstacle, params: QuadrotorParams, t: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p, v, r) as the collision cone sees the obstacle.
+
+    r is the inflated radius; a cylinder's p_rel and v_rel are projected
+    onto the plane perpendicular to its axis (infinite-cylinder model).
+    """
+    p, v = frame.relative(obstacle, t)
+    r = inflated_radius(obstacle, params.body_width).r
+    if obstacle.kind == "cylinder":
+        P = projection_operator(obstacle.axis)
+        return P @ p, P @ v, r
+    return p, v, r
+
+
+def h_cone(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> float:
+    """Collision-cone barrier <p_rel, v_rel> + ||v_rel|| sqrt(||p_rel||^2 - r^2).
+
+    Inside the inflated radius the sqrt argument is clamped to zero, which
+    leaves the plain approach-speed term; callers flag the violation.
+    """
+    p = np.asarray(p_rel, dtype=float)
+    v = np.asarray(v_rel, dtype=float)
+    return float(cone_terms(p, v, r).h)
 
 
 def barrier_3d(
-    state: QuadrotorState,
+    frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
     kappa: ClassKappa,
     t: float,
+    label: str = "",
 ) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
     """Spherical-obstacle barrier row for the safety QP.
 
     Args:
-        state: quadrotor state.
+        frame: the vehicle terms of this control step.
         obstacle: sphere (cylinders go through barrier_projection).
-        params: vehicle parameters.
+        params: vehicle parameters (the body width inflates the radius).
         kappa: class-K function; the row offset is drift_term + kappa(h).
         t: simulation time.
+        label: label of the QP row.
 
     Returns:
         (BarrierEvaluation, AffineSafetyConstraint) with the constraint
@@ -261,43 +334,24 @@ def barrier_3d(
     """
     if obstacle.kind != "sphere":
         raise InvalidObstacleError("barrier_3d expects a sphere")
-    r = inflated_radius(obstacle, params.body_width).r
-    rel = relative_state_sphere(state, obstacle, params, t)
-    h, norm_v, radial_rate, w, phi = _cone_pieces(rel.p_rel, rel.v_rel, r)
-    a_d = drift_acceleration(state, params)
-    R = rotation_matrix(state.attitude)
-    input_row = -thrust_acceleration_map(params).T @ (R.T @ w)
-    drift = norm_v * norm_v + radial_rate + float(w @ a_d)
-    if float(np.linalg.norm(input_row)) <= GRADIENT_MIN:
-        raise DegenerateGradientError(
-            f"obstacle {obstacle.label!r}: barrier gradient vanished"
-        )
-    evaluation = BarrierEvaluation(h, drift, input_row, phi)
-    constraint = AffineSafetyConstraint(
-        input_row, drift + kappa(h), label=obstacle.label or "sphere"
-    )
-    return evaluation, constraint
-
-
-def projection_operator(axis: np.ndarray) -> np.ndarray:
-    """P = I - n n^T: projects onto the plane perpendicular to the unit axis n."""
-    n = np.asarray(axis, dtype=float).reshape(3)
-    return np.eye(3) - np.outer(n, n)
+    terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
+    return barrier_row(frame, terms, kappa, label)
 
 
 def barrier_projection(
-    state: QuadrotorState,
+    frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
     kappa: ClassKappa,
     t: float,
+    label: str = "",
 ) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
     """Cylindrical-obstacle barrier row: the cone in the plane ⊥ to the axis.
 
     The projector P = I - n n^T is constant, so the projected relative state
     differentiates componentwise and <w_proj, P a> = <w_proj, a> for any w_proj
     in the projection plane. The drift and input contractions therefore use
-    the unprojected acceleration maps.
+    the unprojected acceleration maps. Arguments as for barrier_3d.
 
     Raises:
         InvalidObstacleError: called with a sphere.
@@ -305,42 +359,5 @@ def barrier_projection(
     """
     if obstacle.kind != "cylinder":
         raise InvalidObstacleError("barrier_projection expects a cylinder")
-    r = inflated_radius(obstacle, params.body_width).r
-    rel = relative_state_sphere(state, obstacle, params, t)
-    P = projection_operator(obstacle.axis)
-    p_proj = P @ rel.p_rel
-    v_proj = P @ rel.v_rel
-    h, norm_v, radial_rate, w, phi = _cone_pieces(p_proj, v_proj, r)
-    a_d = drift_acceleration(state, params)
-    R = rotation_matrix(state.attitude)
-    input_row = -thrust_acceleration_map(params).T @ (R.T @ w)
-    drift = norm_v * norm_v + radial_rate + float(w @ a_d)
-    if float(np.linalg.norm(input_row)) <= GRADIENT_MIN:
-        raise DegenerateGradientError(
-            f"obstacle {obstacle.label!r}: barrier gradient vanished"
-        )
-    evaluation = BarrierEvaluation(h, drift, input_row, phi)
-    constraint = AffineSafetyConstraint(
-        input_row, drift + kappa(h), label=obstacle.label or "cylinder"
-    )
-    return evaluation, constraint
-
-
-def constraint_rows(
-    state: QuadrotorState,
-    obstacles: list[Obstacle],
-    params: QuadrotorParams,
-    kappa: ClassKappa,
-    t: float,
-) -> list[AffineSafetyConstraint]:
-    """One QP row per obstacle: spheres via barrier_3d, cylinders via projection."""
-    rows = []
-    for i, obstacle in enumerate(obstacles):
-        build = barrier_3d if obstacle.kind == "sphere" else barrier_projection
-        _, constraint = build(state, obstacle, params, kappa, t)
-        if not obstacle.label:
-            constraint = AffineSafetyConstraint(
-                constraint.gradient_row, constraint.offset, f"{obstacle.kind}{i}"
-            )
-        rows.append(constraint)
-    return rows
+    terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
+    return barrier_row(frame, terms, kappa, label)

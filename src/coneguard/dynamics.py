@@ -56,8 +56,6 @@ class QuadrotorParams:
     distance l of the body center above the base (it is what couples moments
     into the collision-cone barrier). body_width w inflates obstacle radii by
     w/2; the Crazyflie's max width is taken equal to its motor-to-motor span.
-    kf/km are retained for completeness but unused (inputs are thrusts, not
-    rotor speeds).
     """
 
     mass: float = 0.027  # kg
@@ -66,8 +64,6 @@ class QuadrotorParams:
     inertia_diag: tuple[float, float, float] = (2.39e-5, 2.39e-5, 3.23e-5)  # kg m^2
     gravity: float = 9.81  # m/s^2
     body_width: float = 0.13  # m
-    thrust_const: float = 3.16e-10
-    torque_const: float = 7.94e-12
 
     def __post_init__(self):
         vals = (
@@ -77,8 +73,6 @@ class QuadrotorParams:
             *self.inertia_diag,
             self.gravity,
             self.body_width,
-            self.thrust_const,
-            self.torque_const,
         )
         if not all(np.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError("all quadrotor parameters must be finite and > 0")
@@ -187,29 +181,6 @@ def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ]
     )
     return W, W_inv
-
-
-def drift(state: QuadrotorState, params: QuadrotorParams) -> np.ndarray:
-    """f(x): state derivative with u = 0."""
-    _, W_inv = euler_rate_matrix(state.attitude)
-    omega = state.body_rates
-    I = np.asarray(params.inertia_diag)
-    out = np.empty(12)
-    out[0:3] = state.velocity
-    out[3:6] = (0.0, 0.0, -params.gravity)
-    out[6:9] = W_inv @ omega
-    out[9:12] = -np.cross(omega, I * omega) / I
-    return out
-
-
-def actuation(state: QuadrotorState, params: QuadrotorParams) -> np.ndarray:
-    """g(x): 12x4 input matrix (thrust rows 3:6, moment rows 9:12)."""
-    R = rotation_matrix(state.attitude)
-    G = np.zeros((12, 4))
-    G[3:6, :] = np.outer(R[:, 2], np.ones(4)) / params.mass
-    I = np.asarray(params.inertia_diag)
-    G[9:12, :] = (params.arm_span * MOMENT_MIX) / I[:, None]
-    return G
 
 
 def _derivative(x: np.ndarray, thrusts: np.ndarray, params: QuadrotorParams) -> np.ndarray:

@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import (
+    BodyFrame,
     Obstacle,
     barrier_3d,
     barrier_projection,
-    inflated_radius,
-    projection_operator,
-    relative_state_sphere,
+    cone_geometry,
+    cone_terms,
 )
 from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from .errors import ConeguardError, ConfigError, SimulationAbort
@@ -39,6 +39,9 @@ from .tracking import ControllerGains, track
 
 FILTER_KINDS = ("none", "c3bf", "hocbf")
 VIOLATION_TOL = 1e-3  # separation below -tol flags the step as a violation
+# Steps per run are held in memory, so a tiny dt must fail up front rather
+# than exhaust it: the largest built-in runs 2,401 steps, 500 Hz x 10 s 5,001.
+MAX_STEPS = 1_000_000
 
 Reference = HoverReference | LineReference | WaypointReference
 
@@ -64,7 +67,6 @@ class ScenarioConfig:
     hocbf: HocbfConfig = HocbfConfig()
     gains: ControllerGains = ControllerGains()
     params: QuadrotorParams = QuadrotorParams()
-    seed: int | None = None  # reserved for randomized placements
     partner: AgentSpec | None = None
     description: str = ""
 
@@ -75,6 +77,11 @@ class ScenarioConfig:
             raise ConfigError("duration must be > 0")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError("dt must be > 0")
+        if self.duration / self.dt > MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"duration/dt asks for {self.duration / self.dt:.3g} steps;"
+                f" at most {MAX_STEPS} are allowed"
+            )
         if self.filter_kind not in FILTER_KINDS:
             raise ConfigError(f"unknown filter {self.filter_kind!r}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -147,19 +154,14 @@ def _quantize_array(values) -> np.ndarray:
 
 
 def separation_distance(
-    state: QuadrotorState, obstacle: Obstacle, params: QuadrotorParams, t: float
+    frame: BodyFrame, obstacle: Obstacle, params: QuadrotorParams, t: float
 ) -> float:
     """Geometric clearance to the inflated surface (filter-independent).
 
     Spheres: ||p_rel|| - r. Cylinders: distance to the axis in the
     perpendicular plane minus r (infinite-cylinder model).
     """
-    rel = relative_state_sphere(state, obstacle, params, t)
-    r = inflated_radius(obstacle, params.body_width).r
-    if obstacle.kind == "cylinder":
-        p = projection_operator(obstacle.axis) @ rel.p_rel
-    else:
-        p = rel.p_rel
+    p, _, r = cone_geometry(frame, obstacle, params, t)
     return float(np.linalg.norm(p)) - r
 
 
@@ -175,31 +177,25 @@ def _survey(
 ) -> tuple[list[float], list[float], list[float], list[AffineSafetyConstraint]]:
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
-    Unfiltered runs still record the collision-cone h so their traces are
-    comparable with filtered ones; only the rows are dropped.
+    The vehicle terms are computed once for the step and shared by every
+    obstacle. Unfiltered runs still record the collision-cone h so their
+    traces are comparable with filtered ones; only the rows are dropped.
     """
+    frame = BodyFrame(state, config.params)
+    params, kappa = config.params, config.kappa
     hs, seps, angles, rows = [], [], [], []
     for i, obstacle in enumerate(obstacles):
+        label = _obstacle_label(obstacle, i)
         if config.filter_kind == "hocbf":
             evaluation, constraint = barrier_ho(
-                state, obstacle, config.params, config.kappa, config.hocbf, t
-            )
-        elif obstacle.kind == "sphere":
-            evaluation, constraint = barrier_3d(
-                state, obstacle, config.params, config.kappa, t
+                frame, obstacle, params, kappa, config.hocbf, t, label
             )
         else:
-            evaluation, constraint = barrier_projection(
-                state, obstacle, config.params, config.kappa, t
-            )
-        label = _obstacle_label(obstacle, i)
-        if constraint.label != label:
-            constraint = AffineSafetyConstraint(
-                constraint.gradient_row, constraint.offset, label
-            )
+            barrier = barrier_3d if obstacle.kind == "sphere" else barrier_projection
+            evaluation, constraint = barrier(frame, obstacle, params, kappa, t, label)
         hs.append(evaluation.h)
         angles.append(evaluation.cone_half_angle)
-        seps.append(separation_distance(state, obstacle, config.params, t))
+        seps.append(separation_distance(frame, obstacle, params, t))
         rows.append(constraint)
     return hs, seps, angles, rows
 
@@ -386,21 +382,17 @@ def compute_metrics(trace: SimTrace) -> Metrics:
 
 
 def _phi_ratio(trace: SimTrace, config: ScenarioConfig) -> np.ndarray:
-    """phi'/phi along an HO-CBF run: recorded phi' over the cone's phi."""
-    from .cone import _cone_pieces  # geometric phi for the same states
+    """phi'/phi along an HO-CBF run: recorded phi' over the cone's phi.
 
+    The cone's phi is geometry only, evaluated at the recorded states.
+    """
     n = trace.t.shape[0]
     ratio = np.ones((n, len(config.obstacles)))
     for k in range(n):
-        state = QuadrotorState.from_vector(trace.states[k])
+        frame = BodyFrame(QuadrotorState.from_vector(trace.states[k]), config.params)
         for i, obstacle in enumerate(config.obstacles):
-            rel = relative_state_sphere(state, obstacle, config.params, trace.t[k])
-            r = inflated_radius(obstacle, config.params.body_width).r
-            if obstacle.kind == "cylinder":
-                P = projection_operator(obstacle.axis)
-                phi = _cone_pieces(P @ rel.p_rel, P @ rel.v_rel, r)[4]
-            else:
-                phi = _cone_pieces(rel.p_rel, rel.v_rel, r)[4]
+            geometry = cone_geometry(frame, obstacle, config.params, trace.t[k])
+            phi = cone_terms(*geometry).phi
             prime = trace.half_angles[k, i] if trace.half_angles is not None else phi
             ratio[k, i] = prime / max(phi, 1e-12)
     return ratio

@@ -1,16 +1,19 @@
-"""Higher-order CBF baseline built on the squared-distance barrier.
+"""Higher-order CBF baseline: the cone formula with a constant weight.
 
 Starting from b(x,t) = ||p_rel||^2 - r^2, one derivative chain with a
 square-root class-K function collapses to the closed form
 
-    h_HO(x,t) = <p_rel, v_rel> + gamma sqrt(||p_rel||^2 - r^2)
+    h_HO(x,t) = <p_rel, v_rel> + gamma sqrt(||p_rel||^2 - r^2),
 
-with a constant penalty gamma in place of the collision cone's ||v_rel||
-factor. Matching terms against the cone barrier gives an effective half
-angle phi' with cos(phi') = (gamma/||v_rel||) cos(phi): whenever the closing
-speed exceeds gamma the HO cone is wider than the true collision cone, so the
-filter brakes earlier and clears obstacles by more than geometry requires.
-Setting gamma = ||v_rel|| pointwise recovers the cone barrier identically.
+which is ``cone.cone_terms`` with its two knobs set to no projector and the
+constant weight gamma in place of the collision cone's ||v_rel||. The row
+goes through the same ``cone.BodyFrame`` and ``cone.contract``; with a
+constant weight dh/dv_rel is p_rel alone. Matching terms against the cone
+barrier gives an effective half angle phi' with cos(phi') =
+(gamma/||v_rel||) cos(phi): whenever the closing speed exceeds gamma the HO
+cone is wider than the true collision cone, so the filter brakes earlier and
+clears obstacles by more than geometry requires. Setting gamma = ||v_rel||
+pointwise recovers the cone barrier identically.
 
 The baseline treats every obstacle as its encompassing sphere (cylinders use
 max(radius, height/2)), which is what makes it misjudge elongated shapes.
@@ -24,25 +27,15 @@ import numpy as np
 
 from .cone import (
     EPS_SQRT,
-    EPS_V,
-    GRADIENT_MIN,
     BarrierEvaluation,
+    BodyFrame,
     Obstacle,
-    drift_acceleration,
-    relative_state_sphere,
-    thrust_acceleration_map,
+    barrier_row,
+    cone_terms,
 )
 from .dynamics import QuadrotorParams, QuadrotorState, rotation_matrix
-from .errors import ConeDegenerateError, ConfigError, DegenerateGradientError
+from .errors import ConeDegenerateError, ConfigError
 from .qp import AffineSafetyConstraint, ClassKappa
-
-_DEFAULT_PARAMS = QuadrotorParams()
-
-# Same surface-singularity guard as the cone drift, but an order of magnitude
-# wider: the baseline exists to show failure cases, and when it does cross the
-# inflated surface the run has to stay integrable so the penetration depth can
-# be reported. The cone filter never crosses, so it keeps the tight floor.
-S_FLOOR_HO = 5e-2
 
 
 @dataclass(frozen=True)
@@ -94,86 +87,45 @@ def b_distance(state: QuadrotorState, obstacle: Obstacle, t: float) -> float:
     return float(delta @ delta) - r_enc * r_enc
 
 
-def _ho_radius(obstacle: Obstacle, body_width: float) -> float:
-    return encompassing_radius(obstacle) + 0.5 * body_width
-
-
 def h_ho(
-    state: QuadrotorState,
+    frame: BodyFrame,
     obstacle: Obstacle,
+    params: QuadrotorParams,
     config: HocbfConfig,
     t: float,
-    params: QuadrotorParams = _DEFAULT_PARAMS,
 ) -> float:
     """h_HO = <p_rel, v_rel> + gamma sqrt(||p_rel||^2 - r^2), clamped inside."""
-    rel = relative_state_sphere(state, obstacle, params, t)
-    r = _ho_radius(obstacle, params.body_width)
-    s = np.sqrt(max(float(rel.p_rel @ rel.p_rel) - r * r, 0.0))
-    return float(rel.p_rel @ rel.v_rel) + config.gamma_penalty * s
+    return float(_ho_terms(frame, obstacle, params, config, t).h)
+
+
+def _ho_terms(frame, obstacle, params, config, t):
+    """The cone terms with the encompassing radius, no projector, weight gamma."""
+    p, v = frame.relative(obstacle, t)
+    r = encompassing_radius(obstacle) + 0.5 * params.body_width
+    return cone_terms(p, v, r, config.gamma_penalty)
 
 
 def barrier_ho(
-    state: QuadrotorState,
+    frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
     kappa: ClassKappa,
     config: HocbfConfig,
     t: float,
+    label: str = "",
 ) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
-    """QP row for the higher-order barrier.
+    """QP row for the higher-order barrier; arguments as for cone.barrier_3d.
 
     The gradient w.r.t. v_rel is p_rel alone (the sqrt term is velocity
     independent), so both drift and input contractions use p_rel where the
-    cone barrier uses p_rel + v_rel sqrt(...)/||v_rel||.
+    cone barrier uses p_rel + v_rel sqrt(...)/||v_rel||. The recorded half
+    angle is the effective phi'.
 
     Raises:
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
-    rel = relative_state_sphere(state, obstacle, params, t)
-    r = _ho_radius(obstacle, params.body_width)
-    p, v = rel.p_rel, rel.v_rel
-    norm_v = float(np.linalg.norm(v))
-    s = np.sqrt(max(float(p @ p) - r * r, 0.0))
-    gamma = config.gamma_penalty
-    h = float(p @ v) + gamma * s
-
-    a_d = drift_acceleration(state, params)
-    R = rotation_matrix(state.attitude)
-    input_row = -thrust_acceleration_map(params).T @ (R.T @ p)
-    drift = norm_v * norm_v + gamma * float(p @ v) / max(s, S_FLOOR_HO) + float(p @ a_d)
-    if float(np.linalg.norm(input_row)) <= GRADIENT_MIN:
-        raise DegenerateGradientError(
-            f"obstacle {obstacle.label!r}: HO barrier gradient vanished"
-        )
-
-    p_norm = float(np.linalg.norm(p))
-    cos_phi = s / max(p_norm, EPS_SQRT)
-    cos_eff = np.clip(gamma * cos_phi / max(norm_v, EPS_V), 0.0, 1.0)
-    evaluation = BarrierEvaluation(h, drift, input_row, float(np.arccos(cos_eff)))
-    constraint = AffineSafetyConstraint(
-        input_row, drift + kappa(h), label=obstacle.label or "hocbf"
-    )
-    return evaluation, constraint
-
-
-def constraint_rows_ho(
-    state: QuadrotorState,
-    obstacles: list[Obstacle],
-    params: QuadrotorParams,
-    kappa: ClassKappa,
-    config: HocbfConfig,
-    t: float,
-) -> list[AffineSafetyConstraint]:
-    """One HO row per obstacle (every shape via its encompassing sphere)."""
-    rows = []
-    for i, obstacle in enumerate(obstacles):
-        _, constraint = barrier_ho(state, obstacle, params, kappa, config, t)
-        if not obstacle.label:
-            constraint = AffineSafetyConstraint(
-                constraint.gradient_row, constraint.offset, f"{obstacle.kind}{i}"
-            )
-        rows.append(constraint)
-    return rows
+    terms = _ho_terms(frame, obstacle, params, config, t)
+    return barrier_row(frame, terms, kappa, label)
 
 
 def effective_half_angle(

@@ -285,8 +285,7 @@ def _parse_gains(data) -> ControllerGains:
 def _parse_params(data) -> QuadrotorParams:
     context = "params"
     allowed = {
-        "mass", "arm_span", "center_offset", "inertia_diag", "gravity",
-        "body_width", "thrust_const", "torque_const",
+        "mass", "arm_span", "center_offset", "inertia_diag", "gravity", "body_width"
     }
     _check_keys(data, allowed, context)
     kwargs = {}
@@ -301,7 +300,7 @@ def _parse_params(data) -> QuadrotorParams:
 
 
 SCENARIO_KEYS = {
-    "name", "description", "duration", "dt", "seed", "initial_state",
+    "name", "description", "duration", "dt", "initial_state",
     "reference", "obstacles", "filter", "kappa_gamma", "hocbf_gamma",
     "gains", "params", "partner",
 }
@@ -333,9 +332,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 data["partner"]["reference"], "partner.reference"
             ),
         )
-    seed = data.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("seed: expected an integer")
     try:
         return ScenarioConfig(
             name=str(data["name"]),
@@ -352,7 +348,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             ),
             gains=_parse_gains(data.get("gains", {})),
             params=_parse_params(data.get("params", {})),
-            seed=seed,
             partner=partner,
         )
     except (ValueError, ConeguardError) as exc:

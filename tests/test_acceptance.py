@@ -5,8 +5,11 @@ measured numbers (visible under ``pytest -s`` or in a failure report) and
 then asserts. Tolerances live here, next to the checks, not in the library.
 """
 
+import hashlib
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ import pytest
 import oracles
 from helpers import random_cylinder, random_sphere, random_state, random_thrusts
 from coneguard.cone import (
+    BodyFrame,
     Obstacle,
     barrier_3d,
     barrier_projection,
     inflated_radius,
-    relative_state_sphere,
 )
 from coneguard.dynamics import QuadrotorParams
 from coneguard.harness import compute_metrics, run, run_pair
@@ -39,11 +42,21 @@ from coneguard.scenarios import (
 from coneguard.traceio import parse_trace, write_trace
 
 PARAMS = QuadrotorParams()
+# sha256 of the write_trace output of every built-in run and of the
+# moving-head-on HO-CBF runs, as recorded for the benchmark's gate
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {tag}: {detail}")
     assert ok, f"{tag}: {detail}"
+
+
+def _trace_digest(trace, path) -> str:
+    write_trace(path, trace)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +141,7 @@ def _fd_worst(rng, n, make_obstacle, barrier, oracle_kwargs, reject):
         if reject(p, r):
             continue
         f = random_thrusts(rng, PARAMS)
-        ev, _ = barrier(state, obs, t)
+        ev, _ = barrier(BodyFrame(state, PARAMS), obs, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, **kwargs
         )
@@ -149,7 +162,7 @@ def test_c03_barrier_derivatives_match_finite_differences():
             np.random.default_rng(301),
             1000,
             random_sphere,
-            lambda s, o, t: barrier_3d(s, o, PARAMS, kappa, t),
+            lambda frame, o, t: barrier_3d(frame, o, PARAMS, kappa, t),
             lambda o: (inflated_radius(o, PARAMS.body_width).r, {"variant": "sphere"}),
             lambda p, r: np.linalg.norm(p) < r + 0.01,
         ),
@@ -157,7 +170,7 @@ def test_c03_barrier_derivatives_match_finite_differences():
             np.random.default_rng(302),
             1000,
             random_cylinder,
-            lambda s, o, t: barrier_projection(s, o, PARAMS, kappa, t),
+            lambda frame, o, t: barrier_projection(frame, o, PARAMS, kappa, t),
             lambda o: (
                 inflated_radius(o, PARAMS.body_width).r,
                 {"variant": "cylinder", "axis": (0.0, 0.0, 1.0)},
@@ -168,8 +181,8 @@ def test_c03_barrier_derivatives_match_finite_differences():
             np.random.default_rng(303),
             1000,
             random_sphere,
-            lambda s, o, t: barrier_ho(
-                s, o, PARAMS, kappa, HocbfConfig(gamma_penalty=1.0), t
+            lambda frame, o, t: barrier_ho(
+                frame, o, PARAMS, kappa, HocbfConfig(gamma_penalty=1.0), t
             ),
             lambda o: (
                 encompassing_radius(o) + 0.5 * PARAMS.body_width,
@@ -206,8 +219,9 @@ def test_c04_input_row_never_vanishes():
         r_c = inflated_radius(cylinder, PARAMS.body_width).r
         if np.linalg.norm(p_s) < r_s + 0.01 or np.linalg.norm(p_c[:2]) < r_c + 0.01:
             continue
-        ev_s, _ = barrier_3d(state, sphere, PARAMS, kappa, t)
-        ev_c, _ = barrier_projection(state, cylinder, PARAMS, kappa, t)
+        frame = BodyFrame(state, PARAMS)
+        ev_s, _ = barrier_3d(frame, sphere, PARAMS, kappa, t)
+        ev_c, _ = barrier_projection(frame, cylinder, PARAMS, kappa, t)
         mins["cone-sphere"] = min(mins["cone-sphere"], np.linalg.norm(ev_s.input_row))
         mins["cone-cylinder"] = min(
             mins["cone-cylinder"], np.linalg.norm(ev_c.input_row)
@@ -303,23 +317,24 @@ def test_c06_speed_matched_penalty_recovers_cone():
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        rel = relative_state_sphere(state, obs, PARAMS, t)
+        frame = BodyFrame(state, PARAMS)
+        p_rel, v_rel = frame.relative(obs, t)
         r = inflated_radius(obs, PARAMS.body_width).r
-        p_norm = float(np.linalg.norm(rel.p_rel))
-        v_norm = float(np.linalg.norm(rel.v_rel))
+        p_norm = float(np.linalg.norm(p_rel))
+        v_norm = float(np.linalg.norm(v_rel))
         if p_norm < r + 0.01 or v_norm < 1e-3:
             continue
-        ev, _ = barrier_3d(state, obs, PARAMS, kappa, t)
-        matched = h_ho(state, obs, HocbfConfig(gamma_penalty=v_norm), t, PARAMS)
+        ev, _ = barrier_3d(frame, obs, PARAMS, kappa, t)
+        matched = h_ho(frame, obs, PARAMS, HocbfConfig(gamma_penalty=v_norm), t)
         worst_eq = max(worst_eq, abs(matched - ev.h))
         gamma = float(rng.uniform(0.1, 3.0))
         if v_norm > gamma:
             phi_eff = effective_half_angle(v_norm, p_norm, r, gamma)
             ok = ok and phi_eff > ev.cone_half_angle
             widened += 1
-            if float(rel.p_rel @ rel.v_rel) < 0.0:
+            if float(p_rel @ v_rel) < 0.0:
                 approaching += 1
-                h_const = h_ho(state, obs, HocbfConfig(gamma_penalty=gamma), t, PARAMS)
+                h_const = h_ho(frame, obs, PARAMS, HocbfConfig(gamma_penalty=gamma), t)
                 ok = ok and h_const < ev.h
                 below += 1 if h_const < ev.h else 0
         checked += 1
@@ -332,24 +347,31 @@ def test_c06_speed_matched_penalty_recovers_cone():
     _verdict("c06 penalty matching", ok, detail)
 
 
-def test_c07_ho_baseline_more_conservative(builtin_runs):
+def test_c07_ho_baseline_more_conservative(builtin_runs, tmp_path):
     """Head-on moving obstacle: the HO filter at gamma = 1 ends up strictly
     closer to the obstacle than the cone filter, and the |gap| between the
-    two shrinks monotonically as gamma grows through {0.5, 1, 2}."""
+    two shrinks monotonically as gamma grows through {0.5, 1, 2}. Each HO
+    trace file is byte-identical to the recorded compare-cli one."""
     config, traces, _ = builtin_runs["moving-head-on"]
     cone_sep = compute_metrics(traces[0]).min_separation
     ho_sep = {}
+    moved = []
     for gamma in (0.5, 1.0, 2.0):
         ho_config = replace(
             config, filter_kind="hocbf", hocbf=HocbfConfig(gamma_penalty=gamma)
         )
-        ho_sep[gamma] = compute_metrics(run(ho_config)).min_separation
+        ho_trace = run(ho_config)
+        ho_sep[gamma] = compute_metrics(ho_trace).min_separation
+        name = "trace_hocbf_gamma{}.csv".format(f"{gamma:g}".replace(".", "p"))
+        if _trace_digest(ho_trace, tmp_path / name) != DIGESTS["compare-cli"][name]:
+            moved.append(name)
     gaps = [abs(cone_sep - ho_sep[g]) for g in (0.5, 1.0, 2.0)]
-    ok = ho_sep[1.0] < cone_sep and gaps[0] > gaps[1] > gaps[2]
+    ok = ho_sep[1.0] < cone_sep and gaps[0] > gaps[1] > gaps[2] and not moved
     detail = (
         f"cone={cone_sep:+.6f}, "
         + ", ".join(f"ho(g={g:g})={ho_sep[g]:+.6f}" for g in (0.5, 1.0, 2.0))
         + f", gaps={gaps[0]:.4f}>{gaps[1]:.4f}>{gaps[2]:.4f}"
+        + f", digests moved: {moved or 'none'}"
     )
     _verdict("c07 ho conservatism", ok, detail)
 
@@ -394,8 +416,9 @@ def test_c09_projection_ignores_axis_direction(builtin_runs):
 
 
 def test_c10_deterministic_and_round_trip(builtin_runs, tmp_path):
-    """The same config byte-for-byte reproduces its trace file, and parsing
-    a written trace returns exactly the recorded arrays."""
+    """The same config byte-for-byte reproduces its trace file, parsing
+    a written trace returns exactly the recorded arrays, and every built-in
+    trace file (partner included) is byte-identical to the recorded one."""
     _, traces, _ = builtin_runs["static-overtake"]
     again = run(get_scenario("static-overtake"))
     path_a = tmp_path / "static-overtake.csv"
@@ -409,6 +432,17 @@ def test_c10_deterministic_and_round_trip(builtin_runs, tmp_path):
         np.array_equal(getattr(parsed, f), getattr(traces[0], f)) for f in fields
     )
     exact = exact and parsed.obstacle_labels == traces[0].obstacle_labels
-    ok = identical and exact
-    detail = f"byte_identical={identical}, parse_round_trip_exact={exact}"
+    moved = [
+        trace.name
+        for _, runs, _ in builtin_runs.values()
+        for trace in runs
+        if _trace_digest(trace, tmp_path / f"{trace.name}.csv")
+        != DIGESTS["builtins"][trace.name]
+    ]
+    checked = sum(len(runs) for _, runs, _ in builtin_runs.values())
+    ok = identical and exact and not moved
+    detail = (
+        f"byte_identical={identical}, parse_round_trip_exact={exact}, "
+        f"digests moved: {moved or 'none'} of {checked}"
+    )
     _verdict("c10 determinism", ok, detail)

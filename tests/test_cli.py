@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from coneguard import harness
 from coneguard.cli import main
 from coneguard.scenarios import scenario_names
 from coneguard.traceio import parse_trace
@@ -165,6 +166,17 @@ def test_run_dt_override_changes_grid(tmp_path):
     assert main(["run", "--config", config, "--out", str(out), "--dt", "0.01"]) == 0
     trace = parse_trace(out / "trace.csv")
     assert trace.t[1] == pytest.approx(0.01, abs=1e-12)
+
+
+def test_run_rejects_runaway_step_count(tmp_path, capsys, monkeypatch):
+    """--dt 1e-9 asks for 1e10 steps: refused before any step runs."""
+    monkeypatch.setattr(harness, "step", None)  # a step taken would raise
+    argv = ["run", "--scenario", "static-overtake", "--dt", "1e-9"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "steps" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_unfiltered_collision_exits_2(tmp_path):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from helpers import random_cylinder, random_sphere, random_state, random_thrusts
 from coneguard.cone import (
+    BodyFrame,
     Obstacle,
     barrier_3d,
     barrier_projection,
-    constraint_rows,
     h_cone,
     inflated_radius,
     projection_operator,
-    relative_state_sphere,
 )
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import InvalidObstacleError
@@ -136,12 +135,12 @@ def test_relative_state_includes_center_offset(params, rng):
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 3))
-        rel = relative_state_sphere(state, obs, params, t)
+        p_rel, v_rel = BodyFrame(state, params).relative(obs, t)
         p, v = oracles.relative_state(
             state.as_vector(), obs.center, obs.velocity, t
         )
-        assert np.max(np.abs(rel.p_rel - p)) < 1e-14
-        assert np.max(np.abs(rel.v_rel - v)) < 1e-14
+        assert np.max(np.abs(p_rel - p)) < 1e-14
+        assert np.max(np.abs(v_rel - v)) < 1e-14
 
 
 def test_barrier_3d_golden_values(params):
@@ -151,7 +150,7 @@ def test_barrier_3d_golden_values(params):
     obs = Obstacle(
         kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15, velocity=(-0.5, 0, 0)
     )
-    ev, con = barrier_3d(state, obs, params, kappa, 0.25)
+    ev, con = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.25)
     assert abs(ev.h - 0.09691647109101309) < 1e-14
     assert abs(ev.drift_term - 5.822522303260628) < 1e-12
     assert np.max(
@@ -183,7 +182,7 @@ def test_barrier_3d_derivative_row(rng, params):
         if np.linalg.norm(p) < r + 0.05:
             continue  # clear of the sqrt clamp and the drift floor
         f = random_thrusts(rng, params)
-        ev, _ = barrier_3d(state, obs, params, kappa, t)
+        ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, "sphere"
         )
@@ -203,7 +202,7 @@ def test_barrier_projection_derivative_row(rng, params):
         if np.linalg.norm(p[:2]) < r + 0.05:
             continue
         f = random_thrusts(rng, params)
-        ev, _ = barrier_projection(state, obs, params, kappa, t)
+        ev, _ = barrier_projection(BodyFrame(state, params), obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t,
             "cylinder", axis=(0.0, 0.0, 1.0),
@@ -225,7 +224,7 @@ def test_barrier_projection_golden_values(params):
         height=3.0,
         velocity=(0.2, 0.1, 0.0),
     )
-    ev, _ = barrier_projection(state, cyl, params, kappa, 0.25)
+    ev, _ = barrier_projection(BodyFrame(state, params), cyl, params, kappa, 0.25)
     assert abs(ev.h - (-0.003713037797007518)) < 1e-14
     assert abs(ev.drift_term - (-0.0006190861194795526)) < 1e-12
     assert np.max(
@@ -246,12 +245,10 @@ def test_barrier_projection_golden_values(params):
 def test_projection_kills_axis_components(params, rng):
     """Constraint row, drift, and h ignore everything along the cylinder axis."""
     for _ in range(40):
-        state_vec = random_state(rng).as_vector()
+        frame = BodyFrame(random_state(rng), params)
         obs = random_cylinder(rng)
         t = float(rng.uniform(0, 2))
-        base, _ = barrier_projection(
-            QuadrotorState.from_vector(state_vec), obs, params, kappa, t
-        )
+        base, _ = barrier_projection(frame, obs, params, kappa, t)
         # shift the obstacle along its own axis and give it axial velocity
         moved = Obstacle(
             kind="cylinder",
@@ -261,9 +258,7 @@ def test_projection_kills_axis_components(params, rng):
             height=obs.height,
             velocity=obs.velocity + np.array([0.0, 0.0, rng.uniform(-2, 2)]),
         )
-        ev, _ = barrier_projection(
-            QuadrotorState.from_vector(state_vec), moved, params, kappa, t
-        )
+        ev, _ = barrier_projection(frame, moved, params, kappa, t)
         assert ev.h == base.h
         assert ev.drift_term == base.drift_term
         assert np.array_equal(ev.input_row, base.input_row)
@@ -285,9 +280,9 @@ def test_barrier_kind_cross_checks(params):
         kind="cylinder", center=(2, 0, 0), radius_raw=0.2, axis=(0, 0, 1.0)
     )
     with pytest.raises(InvalidObstacleError):
-        barrier_3d(state, cyl, params, kappa, 0.0)
+        barrier_3d(BodyFrame(state, params), cyl, params, kappa, 0.0)
     with pytest.raises(InvalidObstacleError):
-        barrier_projection(state, sphere, params, kappa, 0.0)
+        barrier_projection(BodyFrame(state, params), sphere, params, kappa, 0.0)
 
 
 def test_half_angle_hand_value(params):
@@ -300,25 +295,13 @@ def test_half_angle_hand_value(params):
         center=(2.0, 0.0, params.center_offset),
         radius_raw=1.0 - params.body_width / 2,
     )
-    ev, _ = barrier_3d(state, obs, params, kappa, 0.0)
+    ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
     assert abs(ev.cone_half_angle - np.pi / 6) < 1e-12
 
 
 def test_half_angle_inside_is_right_angle(params):
     state = QuadrotorState.from_vector(np.zeros(12))
     obs = Obstacle(kind="sphere", center=(0.05, 0, 0), radius_raw=0.5)
-    ev, _ = barrier_3d(state, obs, params, kappa, 0.0)
+    ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
     assert ev.cone_half_angle == np.pi / 2
 
-
-def test_constraint_rows_labeling(params):
-    state = QuadrotorState.from_vector(np.zeros(12))
-    obstacles = [
-        Obstacle(kind="sphere", center=(2, 0, 0), radius_raw=0.2),
-        Obstacle(
-            kind="cylinder", center=(0, 2, 0), radius_raw=0.2, axis=(0, 0, 1.0)
-        ),
-        Obstacle(kind="sphere", center=(-2, 0, 0), radius_raw=0.2, label="tagged"),
-    ]
-    rows = constraint_rows(state, obstacles, params, kappa, 0.0)
-    assert [c.label for c in rows] == ["sphere0", "cylinder1", "tagged"]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coneguard.cone import Obstacle
+from coneguard import harness
+from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import QuadrotorParams, QuadrotorState
 from coneguard.errors import ConfigError, SimulationAbort
 from coneguard.harness import (
@@ -73,7 +74,7 @@ def test_separation_distance_sphere():
     params = QuadrotorParams()
     state = QuadrotorState.from_vector(np.array([0.0, 0.0, 1.0] + [0.0] * 9))
     obs = Obstacle(kind="sphere", center=(3.0, 0.0, 1.0), radius_raw=0.5)
-    d = separation_distance(state, obs, params, 0.0)
+    d = separation_distance(BodyFrame(state, params), obs, params, 0.0)
     # measured from the offset body center to the inflated surface
     want = np.hypot(3.0, params.center_offset) - (0.5 + params.body_width / 2)
     assert abs(d - want) < 1e-12
@@ -86,7 +87,40 @@ def test_separation_distance_cylinder_ignores_axis():
         kind="cylinder", center=(2.0, 0.0, 0.0), radius_raw=0.5, axis=(0, 0, 1.0)
     )
     want = 2.0 - (0.5 + params.body_width / 2)
-    assert abs(separation_distance(state, obs, params, 0.0) - want) < 1e-12
+    frame = BodyFrame(state, params)
+    assert abs(separation_distance(frame, obs, params, 0.0) - want) < 1e-12
+
+
+def test_constraint_rows_labeling(monkeypatch):
+    """Unlabeled obstacles are named kind + index; the trace and every QP
+    row carry those labels."""
+    obstacles = (
+        Obstacle(kind="sphere", center=(2, 0, 0), radius_raw=0.2),
+        Obstacle(
+            kind="cylinder", center=(0, 2, 0), radius_raw=0.2, axis=(0, 0, 1.0)
+        ),
+        Obstacle(kind="sphere", center=(-2, 0, 0), radius_raw=0.2, label="tagged"),
+    )
+    problems = []
+    solve = harness.solve
+
+    def spy(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(harness, "solve", spy)
+    config = hover_config(
+        duration=1 / 240,
+        initial_state=QuadrotorState.from_vector(np.zeros(12)),
+        reference=HoverReference(point=np.zeros(3)),
+        obstacles=obstacles,
+        filter_kind="c3bf",
+    )
+    trace = run(config)
+    assert trace.obstacle_labels == ("sphere0", "cylinder1", "tagged")
+    assert len(problems) == 2
+    for problem in problems:
+        assert [c.label for c in problem.constraints] == list(trace.obstacle_labels)
 
 
 def test_trace_shape_and_time_grid():

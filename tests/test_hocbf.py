@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from helpers import random_sphere, random_state, random_thrusts
-from coneguard.cone import Obstacle, barrier_3d, inflated_radius, relative_state_sphere
+from coneguard.cone import BodyFrame, Obstacle, barrier_3d, inflated_radius
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConeDegenerateError
 from coneguard.hocbf import (
@@ -57,13 +57,14 @@ def test_h_ho_matches_oracle(rng, params):
     cfg = HocbfConfig(gamma_penalty=1.3)
     for _ in range(200):
         state = random_state(rng)
+        frame = BodyFrame(state, params)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
         r = encompassing_radius(obs) + 0.5 * params.body_width
         want = oracles.barrier_value(
             state.as_vector(), obs.center, obs.velocity, r, t, "ho", gamma=1.3
         )
-        assert abs(h_ho(state, obs, cfg, t, params) - want) < 1e-12
+        assert abs(h_ho(frame, obs, params, cfg, t) - want) < 1e-12
 
 
 def test_barrier_ho_golden_values(params):
@@ -73,7 +74,8 @@ def test_barrier_ho_golden_values(params):
     obs = Obstacle(
         kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15, velocity=(-0.5, 0, 0)
     )
-    ev, con = barrier_ho(state, obs, params, kappa, HocbfConfig(gamma_penalty=1.0), 0.25)
+    frame = BodyFrame(state, params)
+    ev, con = barrier_ho(frame, obs, params, kappa, HocbfConfig(gamma_penalty=1.0), 0.25)
     assert abs(ev.h - 0.171380510434469) < 1e-14
     assert abs(ev.drift_term - 0.8595790505181174) < 1e-12
     assert np.max(
@@ -104,7 +106,7 @@ def test_barrier_ho_derivative_row(rng, params):
         if np.linalg.norm(p) < r + 0.06:
             continue  # keep sqrt(b) above the wide baseline drift floor
         f = random_thrusts(rng, params)
-        ev, _ = barrier_ho(state, obs, params, kappa, cfg, t)
+        ev, _ = barrier_ho(BodyFrame(state, params), obs, params, kappa, cfg, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, "ho", gamma=1.0
         )
@@ -120,14 +122,15 @@ def test_matching_penalty_recovers_cone_barrier(rng, params):
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        rel = relative_state_sphere(state, obs, params, t)
+        frame = BodyFrame(state, params)
+        p_rel, v_rel = frame.relative(obs, t)
         r = inflated_radius(obs, params.body_width).r
-        norm_v = float(np.linalg.norm(rel.v_rel))
-        if float(np.linalg.norm(rel.p_rel)) < r + 0.01 or norm_v < 1e-3:
+        norm_v = float(np.linalg.norm(v_rel))
+        if float(np.linalg.norm(p_rel)) < r + 0.01 or norm_v < 1e-3:
             continue
         cfg = HocbfConfig(gamma_penalty=norm_v)
-        ev, _ = barrier_3d(state, obs, params, kappa, t)
-        assert abs(h_ho(state, obs, cfg, t, params) - ev.h) <= 1e-12
+        ev, _ = barrier_3d(frame, obs, params, kappa, t)
+        assert abs(h_ho(frame, obs, params, cfg, t) - ev.h) <= 1e-12
         checked += 1
 
 
@@ -140,15 +143,16 @@ def test_constant_penalty_is_conservative_when_slower(rng, params):
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        rel = relative_state_sphere(state, obs, params, t)
+        frame = BodyFrame(state, params)
+        p_rel, v_rel = frame.relative(obs, t)
         r = inflated_radius(obs, params.body_width).r
-        p_norm = float(np.linalg.norm(rel.p_rel))
-        norm_v = float(np.linalg.norm(rel.v_rel))
-        closing = float(rel.p_rel @ rel.v_rel)
+        p_norm = float(np.linalg.norm(p_rel))
+        norm_v = float(np.linalg.norm(v_rel))
+        closing = float(p_rel @ v_rel)
         if p_norm < r + 0.01 or norm_v <= gamma or closing >= 0.0:
             continue
-        ev, _ = barrier_3d(state, obs, params, kappa, t)
-        assert h_ho(state, obs, cfg, t, params) < ev.h
+        ev, _ = barrier_3d(frame, obs, params, kappa, t)
+        assert h_ho(frame, obs, params, cfg, t) < ev.h
         # and the effective cone opens wider than the true one
         phi_eff = effective_half_angle(norm_v, p_norm, r, gamma)
         assert phi_eff > ev.cone_half_angle

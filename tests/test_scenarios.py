@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coneguard.cone import BodyFrame
 from coneguard.harness import separation_distance
 from coneguard.scenarios import (
     get_scenario,
@@ -46,10 +47,9 @@ def test_builtins_start_outside_every_obstacle():
     """No scenario may begin in contact; h(0) sign is scenario-specific."""
     for name in EXPECTED:
         config = get_scenario(name)
+        frame = BodyFrame(config.initial_state, config.params)
         for obstacle in config.obstacles:
-            d = separation_distance(
-                config.initial_state, obstacle, config.params, 0.0
-            )
+            d = separation_distance(frame, obstacle, config.params, 0.0)
             assert d > 0.0, f"{name} starts inside {obstacle.kind}"
 
 

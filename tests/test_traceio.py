@@ -176,7 +176,6 @@ def test_full_yaml_dict():
             "filter": "hocbf",
             "kappa_gamma": 2.0,
             "hocbf_gamma": 0.5,
-            "seed": 7,
             "reference": {
                 "type": "waypoints",
                 "points": [[0, 0, 1], [1, 0, 1], [1, 1, 1]],
