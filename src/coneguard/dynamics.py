@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttitudeSingularError, NonFiniteStateError
+from .errors import AttitudeSingularError, ConfigError, NonFiniteStateError
 
 # Singularity threshold on |cos(theta)| for the Euler-rate transform.
 COS_PITCH_MIN = 1e-9
@@ -75,7 +75,7 @@ class QuadrotorParams:
             self.body_width,
         )
         if not all(np.isfinite(v) and v > 0.0 for v in vals):
-            raise ValueError("all quadrotor parameters must be finite and > 0")
+            raise ConfigError("all quadrotor parameters must be finite and > 0")
 
     @property
     def hover_thrust(self) -> float:
@@ -134,7 +134,7 @@ class ControlInput:
     def __post_init__(self):
         arr = np.asarray(self.thrusts, dtype=float).reshape(4).copy()
         if not np.all(np.isfinite(arr)):
-            raise ValueError("thrusts must be finite")
+            raise ConfigError("thrusts must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "thrusts", arr)
 
@@ -217,11 +217,12 @@ def step(
     """One classical RK4 step of x_dot = f(x) + g(x) u with u held constant.
 
     Raises:
+        ConfigError: dt <= 0.
         AttitudeSingularError: gimbal lock reached at any stage.
         NonFiniteStateError: the step diverged.
     """
     if dt <= 0.0:
-        raise ValueError("dt must be > 0")
+        raise ConfigError("dt must be > 0")
     x = state.as_vector()
     u = control.thrusts
     k1 = _derivative(x, u, params)

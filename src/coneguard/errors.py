@@ -57,9 +57,10 @@ class ConeDegenerateError(ConeguardError):
 class ConfigError(ConeguardError, ValueError):
     """Scenario configuration is malformed or violates an invariant.
 
-    Also a ValueError, since it reports a bad value, so a caller that
-    catches ValueError from a validator (class-K and HO-CBF gains) still
-    catches it.
+    Every library validator raises it: scenario, vehicle, gain, reference,
+    filter and QP-row values, thrusts and the step size. It is also a
+    ValueError, since it reports a bad value, so a caller that catches
+    ValueError from a validator still catches it.
     """
 
 

@@ -1,24 +1,23 @@
-"""Closed-loop simulation harness.
+"""Closed-loop simulation harness: one step loop for one or two vehicles.
 
-Each control step runs the full pipeline at the integration rate:
+At every control step each vehicle in turn runs the pipeline
 
-    reference -> PD tracking -> barrier constraint rows -> safety QP -> RK4
+    reference -> PD tracking -> barrier survey -> safety QP
 
-and records time, state, desired and filtered inputs, and per-obstacle
-barrier/separation values. Recorded floats are quantized to 9 significant
-digits at record time, so a written trace file parses back to exactly the
-in-memory trace.
-
-Two-agent scenarios run both vehicles synchronously; every step each agent
-re-models the other as a constant-velocity sphere at its instantaneous
-position/velocity, which is how the constant-velocity obstacle assumption is
-applied receding-horizon style.
+on the states at the start of the step; then RK4 advances every vehicle.
+A scenario with a ``partner`` flies two vehicles, and each sees the other
+as one more obstacle: a constant-velocity sphere at its position and
+velocity, which is how the constant-velocity obstacle assumption is applied
+receding-horizon style. ``run`` returns the first vehicle's trace and
+``run_pair`` both. The survey builds QP rows only when a filter reads them.
+Recorded floats are quantized to 9 significant digits (``FLOAT_FORMAT``),
+so a written trace file parses back to exactly the in-memory trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,7 @@ VIOLATION_TOL = 1e-3  # separation below -tol flags the step as a violation
 # Steps per run are held in memory, so a tiny dt must fail up front rather
 # than exhaust it: the largest built-in runs 2,401 steps, 500 Hz x 10 s 5,001.
 MAX_STEPS = 1_000_000
+FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 
 Reference = HoverReference | LineReference | WaypointReference
 
@@ -94,9 +94,8 @@ class ScenarioConfig:
 class SimTrace:
     """Per-step record of one closed-loop run (floats 9-digit quantized).
 
-    active_sets, half_angles, ref_positions, and violations exist in memory
-    only; the CSV contract carries t, state, u_des, u_star, and per-obstacle
-    h/separation.
+    active_sets, half_angles and ref_positions exist in memory only; the CSV
+    contract carries t, state, u_des, u_star, and per-obstacle h/separation.
     """
 
     name: str
@@ -108,10 +107,14 @@ class SimTrace:
     u_star: np.ndarray  # (N, 4)
     h: np.ndarray  # (N, n_obs)
     separation: np.ndarray  # (N, n_obs)
-    violations: np.ndarray  # (N,) bool, separation < -1e-3 anywhere in row
     active_sets: tuple[tuple[str, ...], ...] = ()
     half_angles: np.ndarray | None = None  # (N, n_obs), filter's phi
     ref_positions: np.ndarray | None = None  # (N, 3)
+
+    @property
+    def violations(self) -> np.ndarray:
+        """(N,) bool: separation below -1e-3 for some obstacle at that step."""
+        return np.any(self.separation < -VIOLATION_TOL, axis=1)
 
 
 @dataclass(frozen=True)
@@ -126,25 +129,23 @@ class Metrics:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Paired metrics and curves for two filters on the same geometry."""
+    """Both runs of two filters on the same geometry, and their metrics."""
 
-    name: str
-    filter_a: str
-    filter_b: str
+    trace_a: SimTrace
+    trace_b: SimTrace
     metrics_a: Metrics
     metrics_b: Metrics
-    t: np.ndarray
-    h_a: np.ndarray
-    h_b: np.ndarray
-    obstacle_labels: tuple[str, ...]
     phi_ratio: np.ndarray | None  # phi'/phi along the HO-CBF run, if any
-    trace_a: SimTrace | None = None
-    trace_b: SimTrace | None = None
+
+    @property
+    def t(self) -> np.ndarray:
+        """The time grid both runs share."""
+        return self.trace_a.t
 
 
 def _quantize(value: float) -> float:
     """Round to 9 significant digits; idempotent under repeated application."""
-    return float(f"{value:.8e}")
+    return float(format(value, FLOAT_FORMAT))
 
 
 def _quantize_array(values) -> np.ndarray:
@@ -165,38 +166,47 @@ def separation_distance(
     return float(np.linalg.norm(p)) - r
 
 
-def _obstacle_label(obstacle: Obstacle, index: int) -> str:
-    return obstacle.label or f"{obstacle.kind}{index}"
+def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
+    """Row labels: the obstacle's label, else kind + index; then "partner"."""
+    labels = tuple(o.label or f"{o.kind}{i}" for i, o in enumerate(config.obstacles))
+    return labels + ("partner",) if config.partner is not None else labels
 
 
 def _survey(
     state: QuadrotorState,
     obstacles: tuple[Obstacle, ...],
+    labels: tuple[str, ...],
     config: ScenarioConfig,
     t: float,
 ) -> tuple[list[float], list[float], list[float], list[AffineSafetyConstraint]]:
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
     The vehicle terms are computed once for the step and shared by every
-    obstacle. Unfiltered runs still record the collision-cone h so their
-    traces are comparable with filtered ones; only the rows are dropped.
+    obstacle. Unfiltered runs record the collision-cone h and phi, so their
+    traces are comparable with filtered ones, but build no rows.
     """
     frame = BodyFrame(state, config.params)
     params, kappa = config.params, config.kappa
     hs, seps, angles, rows = [], [], [], []
-    for i, obstacle in enumerate(obstacles):
-        label = _obstacle_label(obstacle, i)
-        if config.filter_kind == "hocbf":
-            evaluation, constraint = barrier_ho(
-                frame, obstacle, params, kappa, config.hocbf, t, label
-            )
+    for obstacle, label in zip(obstacles, labels):
+        if config.filter_kind == "none":
+            terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
+            h, phi = terms.h, terms.phi
         else:
-            barrier = barrier_3d if obstacle.kind == "sphere" else barrier_projection
-            evaluation, constraint = barrier(frame, obstacle, params, kappa, t, label)
-        hs.append(evaluation.h)
-        angles.append(evaluation.cone_half_angle)
+            if config.filter_kind == "hocbf":
+                evaluation, row = barrier_ho(
+                    frame, obstacle, params, kappa, config.hocbf, t, label
+                )
+            else:
+                barrier = (
+                    barrier_3d if obstacle.kind == "sphere" else barrier_projection
+                )
+                evaluation, row = barrier(frame, obstacle, params, kappa, t, label)
+            h, phi = evaluation.h, evaluation.cone_half_angle
+            rows.append(row)
+        hs.append(h)
+        angles.append(phi)
         seps.append(separation_distance(frame, obstacle, params, t))
-        rows.append(constraint)
     return hs, seps, angles, rows
 
 
@@ -220,7 +230,6 @@ class _Recorder:
 
     def build(self, name: str, filter_kind: str, labels: tuple[str, ...]) -> SimTrace:
         n = len(self.t)
-        sep = np.array(self.sep).reshape(n, self.n_obs)
         return SimTrace(
             name=name,
             filter_kind=filter_kind,
@@ -230,70 +239,15 @@ class _Recorder:
             u_des=np.array(self.u_des).reshape(n, 4),
             u_star=np.array(self.u_star).reshape(n, 4),
             h=np.array(self.h).reshape(n, self.n_obs),
-            separation=sep,
-            violations=(
-                np.min(sep, axis=1) < -VIOLATION_TOL
-                if self.n_obs
-                else np.zeros(n, dtype=bool)
-            ),
+            separation=np.array(self.sep).reshape(n, self.n_obs),
             active_sets=tuple(self.active),
             half_angles=np.array(self.angles).reshape(n, self.n_obs),
             ref_positions=np.array(self.refs).reshape(n, 3),
         )
 
 
-def _control_step(
-    state: QuadrotorState,
-    obstacles: tuple[Obstacle, ...],
-    config: ScenarioConfig,
-    t: float,
-):
-    """One pipeline evaluation: returns everything the recorder needs."""
-    ref = config.reference.sample(t)
-    u_des = track(state, ref, config.gains, config.params)
-    hs, seps, angles, rows = _survey(state, obstacles, config, t)
-    if config.filter_kind == "none":
-        rows = []
-    solution = solve(QpProblem(u_des.thrusts, tuple(rows)))
-    return ref, u_des.thrusts, solution, hs, seps, angles
-
-
-def run(config: ScenarioConfig) -> SimTrace:
-    """Simulate one scenario; for paired scenarios, the first agent's trace.
-
-    Deterministic given the config. Solver or dynamics errors abort the run
-    with the step index recorded on the raised SimulationAbort.
-    """
-    if config.partner is not None:
-        return run_pair(config)[0]
-    n_steps = int(round(config.duration / config.dt))
-    labels = tuple(
-        _obstacle_label(o, i) for i, o in enumerate(config.obstacles)
-    )
-    recorder = _Recorder(len(config.obstacles))
-    state = config.initial_state
-    for k in range(n_steps + 1):
-        t = k * config.dt
-        try:
-            state.validate()
-            ref, u_des, solution, hs, seps, angles = _control_step(
-                state, config.obstacles, config, t
-            )
-            recorder.add(
-                t, state, u_des, solution.u_star, hs, seps, angles,
-                solution.active_set, ref.position,
-            )
-            if k < n_steps:
-                state = step(
-                    state, ControlInput(solution.u_star), config.dt, config.params
-                )
-        except ConeguardError as exc:
-            raise SimulationAbort(f"step {k} (t={t:.4f}s): {exc}", k) from exc
-    return recorder.build(config.name, config.filter_kind, labels)
-
-
 def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
-    """The other agent, frozen as a constant-velocity sphere for one step."""
+    """The other vehicle, frozen as a constant-velocity sphere for one step."""
     return Obstacle(
         kind="sphere",
         center=state.position,
@@ -303,50 +257,68 @@ def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
     )
 
 
-def run_pair(config: ScenarioConfig) -> tuple[SimTrace, SimTrace]:
-    """Simulate both agents of a two-agent scenario synchronously."""
-    if config.partner is None:
-        raise ConfigError("run_pair needs a partner agent")
+def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
+    """The step loop: one trace per vehicle, the scenario's own vehicle first.
+
+    Every vehicle runs its control step on the states at the start of the
+    step; only then does RK4 advance them all. Any package error aborts the
+    run as SimulationAbort with the step index.
+    """
+    states = [config.initial_state]
+    references = [config.reference]
+    names = [config.name]
+    if config.partner is not None:
+        states.append(config.partner.initial_state)
+        references.append(config.partner.reference)
+        names.append(config.name + "-partner")
+    labels = _obstacle_labels(config)
+    recorders = [_Recorder(len(labels)) for _ in states]
     n_steps = int(round(config.duration / config.dt))
-    ego_cfg = config
-    partner_cfg = replace(
-        config, initial_state=config.partner.initial_state,
-        reference=config.partner.reference, partner=None,
-    )
-    states = [config.initial_state, config.partner.initial_state]
-    configs = [ego_cfg, partner_cfg]
-    labels = [
-        tuple(_obstacle_label(o, i) for i, o in enumerate(config.obstacles))
-        + ("partner",)
-    ] * 2
-    recorders = [_Recorder(len(config.obstacles) + 1) for _ in range(2)]
     for k in range(n_steps + 1):
         t = k * config.dt
         try:
             controls = []
-            for a in range(2):
-                states[a].validate()
-                other = _as_obstacle(states[1 - a], config.params)
-                obstacles = configs[a].obstacles + (other,)
-                ref, u_des, solution, hs, seps, angles = _control_step(
-                    states[a], obstacles, configs[a], t
-                )
+            for a, state in enumerate(states):
+                state.validate()
+                obstacles = config.obstacles
+                if config.partner is not None:
+                    obstacles += (_as_obstacle(states[1 - a], config.params),)
+                ref = references[a].sample(t)
+                u_des = track(state, ref, config.gains, config.params).thrusts
+                hs, seps, angles, rows = _survey(state, obstacles, labels, config, t)
+                solution = solve(QpProblem(u_des, tuple(rows)))
                 recorders[a].add(
-                    t, states[a], u_des, solution.u_star, hs, seps, angles,
+                    t, state, u_des, solution.u_star, hs, seps, angles,
                     solution.active_set, ref.position,
                 )
                 controls.append(solution.u_star)
             if k < n_steps:
                 states = [
-                    step(states[a], ControlInput(controls[a]), config.dt, config.params)
-                    for a in range(2)
+                    step(state, ControlInput(u), config.dt, config.params)
+                    for state, u in zip(states, controls)
                 ]
         except ConeguardError as exc:
             raise SimulationAbort(f"step {k} (t={t:.4f}s): {exc}", k) from exc
-    return (
-        recorders[0].build(config.name, config.filter_kind, labels[0]),
-        recorders[1].build(config.name + "-partner", config.filter_kind, labels[1]),
+    return tuple(
+        recorder.build(name, config.filter_kind, labels)
+        for recorder, name in zip(recorders, names)
     )
+
+
+def run(config: ScenarioConfig) -> SimTrace:
+    """Simulate one scenario; for paired scenarios, the first agent's trace.
+
+    Deterministic given the config. Solver or dynamics errors abort the run
+    with the step index recorded on the raised SimulationAbort.
+    """
+    return _simulate(config)[0]
+
+
+def run_pair(config: ScenarioConfig) -> tuple[SimTrace, SimTrace]:
+    """Simulate both agents of a two-agent scenario synchronously."""
+    if config.partner is None:
+        raise ConfigError("run_pair needs a partner agent")
+    return _simulate(config)
 
 
 def compute_metrics(trace: SimTrace) -> Metrics:
@@ -408,16 +380,9 @@ def compare(config_a: ScenarioConfig, config_b: ScenarioConfig) -> ComparisonRep
     elif config_a.filter_kind == "hocbf":
         phi_ratio = _phi_ratio(trace_a, config_a)
     return ComparisonReport(
-        name=config_a.name,
-        filter_a=config_a.filter_kind,
-        filter_b=config_b.filter_kind,
-        metrics_a=compute_metrics(trace_a),
-        metrics_b=compute_metrics(trace_b),
-        t=trace_a.t,
-        h_a=trace_a.h,
-        h_b=trace_b.h,
-        obstacle_labels=trace_a.obstacle_labels,
-        phi_ratio=phi_ratio,
         trace_a=trace_a,
         trace_b=trace_b,
+        metrics_a=compute_metrics(trace_a),
+        metrics_b=compute_metrics(trace_b),
+        phi_ratio=phi_ratio,
     )

@@ -26,45 +26,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (
-    EPS_SQRT,
     BarrierEvaluation,
     BodyFrame,
     Obstacle,
     barrier_row,
     cone_terms,
 )
-from .dynamics import QuadrotorParams, QuadrotorState, rotation_matrix
+from .dynamics import QuadrotorParams
 from .errors import ConeDegenerateError, ConfigError
 from .qp import AffineSafetyConstraint, ClassKappa
 
 
 @dataclass(frozen=True)
 class HocbfConfig:
-    """Penalty and derivative-chain gains for the higher-order barrier.
-
-    gamma_penalty is the constant replacing ||v_rel||. The chain form uses
-    alpha1(b) = p sqrt(b), whose first condition psi1 = b_dot + p sqrt(b)
-    equals 2 h_HO when p = 2 gamma (and the body offset is dropped, as the
-    squared-distance b is center-to-center), and a linear alpha2 for the
-    second condition.
-    """
+    """Penalty of the higher-order barrier: the constant replacing ||v_rel||."""
 
     gamma_penalty: float = 1.0
-    p: float | None = None  # sqrt-chain gain; defaults to 2 * gamma_penalty
-    alpha2_gain: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma_penalty) and self.gamma_penalty > 0.0):
             raise ConfigError(
                 f"hocbf gamma must be finite and > 0, got {self.gamma_penalty!r}"
-            )
-        if self.p is None:
-            object.__setattr__(self, "p", 2.0 * self.gamma_penalty)
-        if not (np.isfinite(self.p) and self.p > 0.0):
-            raise ConfigError(f"hocbf p must be finite and > 0, got {self.p!r}")
-        if not (np.isfinite(self.alpha2_gain) and self.alpha2_gain > 0.0):
-            raise ConfigError(
-                f"hocbf alpha2_gain must be finite and > 0, got {self.alpha2_gain!r}"
             )
 
 
@@ -73,18 +55,6 @@ def encompassing_radius(obstacle: Obstacle) -> float:
     if obstacle.kind == "cylinder" and obstacle.height is not None:
         return max(obstacle.radius_raw, 0.5 * obstacle.height)
     return obstacle.radius_raw
-
-
-def b_distance(state: QuadrotorState, obstacle: Obstacle, t: float) -> float:
-    """Squared center-to-center clearance b = ||c - x||^2 - r_enc^2.
-
-    Deliberately uses the vehicle position (no body-center offset) and the
-    raw encompassing radius; this is the quantity the derivative chain
-    starts from, not the filtered barrier.
-    """
-    delta = obstacle.center_at(t) - state.position
-    r_enc = encompassing_radius(obstacle)
-    return float(delta @ delta) - r_enc * r_enc
 
 
 def h_ho(
@@ -147,37 +117,3 @@ def effective_half_angle(
             f"gamma/||v_rel|| cos(phi) = {arg:.6g} > 1: HO cone undefined"
         )
     return float(np.arccos(arg))
-
-
-def psi_chain(
-    state: QuadrotorState,
-    obstacle: Obstacle,
-    config: HocbfConfig,
-    t: float,
-    thrusts: np.ndarray,
-    params: QuadrotorParams,
-) -> tuple[float, float, float]:
-    """(b, psi1, psi2) of the derivative chain, for sign spot-checks.
-
-    psi1 = b_dot + p sqrt(b); psi2 = psi1_dot + alpha2_gain * psi1. With
-    p = 2 gamma and zero body offset, psi1 = 2 h_HO and psi2 >= 0 matches the
-    sign of the closed-form barrier condition under a matching linear kappa.
-    """
-    delta = obstacle.center_at(t) - state.position
-    delta_dot = obstacle.velocity - state.velocity
-    r_enc = encompassing_radius(obstacle)
-    b = float(delta @ delta) - r_enc * r_enc
-    b_dot = 2.0 * float(delta @ delta_dot)
-    sqrt_b = np.sqrt(max(b, 0.0))
-    psi1 = b_dot + config.p * sqrt_b
-
-    # psi1_dot: b_ddot + p b_dot / (2 sqrt(b)); b_ddot = 2||delta_dot||^2
-    # + 2 <delta, delta_ddot> with delta_ddot = -(vehicle acceleration).
-    R = rotation_matrix(state.attitude)
-    accel = np.array([0.0, 0.0, -params.gravity]) + R @ np.array(
-        [0.0, 0.0, float(np.sum(thrusts)) / params.mass]
-    )
-    b_ddot = 2.0 * float(delta_dot @ delta_dot) - 2.0 * float(delta @ accel)
-    psi1_dot = b_ddot + config.p * b_dot / (2.0 * max(sqrt_b, EPS_SQRT))
-    psi2 = psi1_dot + config.alpha2_gain * psi1
-    return b, psi1, psi2

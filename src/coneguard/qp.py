@@ -73,11 +73,6 @@ class ClassKappa:
         return self.gamma * h
 
 
-def kappa(h: float, gamma: float = 1.0) -> float:
-    """kappa(h) = gamma * h (module-level convenience)."""
-    return ClassKappa(gamma)(h)
-
-
 @dataclass(frozen=True)
 class AffineSafetyConstraint:
     """One row a.u + b >= 0 of the safety QP."""
@@ -91,7 +86,7 @@ class AffineSafetyConstraint:
         a.setflags(write=False)
         object.__setattr__(self, "gradient_row", a)
         if not (np.all(np.isfinite(a)) and np.isfinite(self.offset)):
-            raise ValueError("constraint row must be finite")
+            raise ConfigError("constraint row must be finite")
 
     def violation(self, u: np.ndarray) -> float:
         """max(0, -(a.u + b)): zero iff satisfied."""
@@ -116,31 +111,6 @@ class QpSolution:
     active_set: tuple[str, ...]
     multipliers: tuple[float, ...]
     kkt_residual: float
-
-
-def solve_single(u_des: np.ndarray, constraint: AffineSafetyConstraint) -> QpSolution:
-    """Closed-form halfspace projection for a single constraint, no bounds.
-
-    If a.u_des + b >= 0 the constraint is inactive and u* = u_des; otherwise
-    u* = u_des + lambda a^T with lambda = -(a.u_des + b)/||a||^2 > 0.
-
-    Raises:
-        DegenerateGradientError: ||a|| <= 1e-10.
-    """
-    u_des = np.asarray(u_des, dtype=float).reshape(4)
-    a = constraint.gradient_row
-    norm_sq = float(a @ a)
-    if norm_sq <= GRADIENT_MIN**2:
-        raise DegenerateGradientError(
-            f"constraint {constraint.label!r} has ||a|| <= {GRADIENT_MIN}"
-        )
-    slack = float(a @ u_des) + constraint.offset
-    if slack >= 0.0:
-        return QpSolution(u_des.copy(), (), (), 0.0)
-    lam = -slack / norm_sq
-    u_star = u_des + lam * a
-    residual = abs(float(a @ u_star) + constraint.offset) * lam
-    return QpSolution(u_star, (constraint.label,), (lam,), residual)
 
 
 def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:

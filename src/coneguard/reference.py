@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ReferenceSample:
@@ -53,15 +55,15 @@ class WaypointReference:
     def __init__(self, points, speed: float):
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         if len(pts) < 2:
-            raise ValueError("waypoint reference needs at least two points")
+            raise ConfigError("waypoint reference needs at least two points")
         if speed <= 0.0:
-            raise ValueError("speed must be > 0")
+            raise ConfigError("speed must be > 0")
         self.points = pts
         self.speed = float(speed)
         seg = np.diff(pts, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
         if np.any(seg_len == 0.0):
-            raise ValueError("consecutive waypoints must be distinct")
+            raise ConfigError("consecutive waypoints must be distinct")
         self._seg_dir = seg / seg_len[:, None]
         self._t_knots = np.concatenate([[0.0], np.cumsum(seg_len) / self.speed])
 

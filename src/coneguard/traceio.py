@@ -26,7 +26,7 @@ from .cone import Obstacle
 from .dynamics import QuadrotorParams, QuadrotorState
 from .errors import ConeguardError, ConfigError
 from .harness import (
-    VIOLATION_TOL,
+    FLOAT_FORMAT,
     AgentSpec,
     ComparisonReport,
     Metrics,
@@ -44,7 +44,7 @@ STATE_COLUMNS = (
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.8e}"
+    return format(value, FLOAT_FORMAT)
 
 
 def write_trace(path: str | Path, trace: SimTrace) -> None:
@@ -73,8 +73,7 @@ def parse_trace(path: str | Path) -> SimTrace:
     """Read a trace CSV back into a SimTrace.
 
     Only the contract payload survives the file format: active sets, half
-    angles, and reference positions come back empty, and violation flags are
-    recomputed from the separations.
+    angles, and reference positions come back empty.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -103,7 +102,6 @@ def parse_trace(path: str | Path) -> SimTrace:
     obs_block = data[:, 21:].reshape(-1, n_obs, 2) if n_obs else np.zeros(
         (data.shape[0], 0, 2)
     )
-    separation = obs_block[:, :, 1]
     return SimTrace(
         name=path.stem,
         filter_kind="unknown",
@@ -113,12 +111,7 @@ def parse_trace(path: str | Path) -> SimTrace:
         u_des=data[:, 13:17],
         u_star=data[:, 17:21],
         h=obs_block[:, :, 0],
-        separation=separation,
-        violations=(
-            np.min(separation, axis=1) < -VIOLATION_TOL
-            if n_obs
-            else np.zeros(data.shape[0], dtype=bool)
-        ),
+        separation=obs_block[:, :, 1],
     )
 
 
@@ -139,14 +132,14 @@ def metrics_text(scenario: str, filter_kind: str, metrics: Metrics) -> str:
 
 def comparison_text(report: ComparisonReport, gamma: float | None = None) -> str:
     """One comparison section; gamma labels the HO-CBF sweep point."""
-    lines = [f"scenario: {report.name}"]
+    lines = [f"scenario: {report.trace_a.name}"]
     if gamma is not None:
         lines.append(f"hocbf_gamma: {_fmt(gamma)}")
-    for tag, kind, metrics in (
-        ("a", report.filter_a, report.metrics_a),
-        ("b", report.filter_b, report.metrics_b),
+    for tag, trace, metrics in (
+        ("a", report.trace_a, report.metrics_a),
+        ("b", report.trace_b, report.metrics_b),
     ):
-        lines.append(f"[{tag}] filter: {kind}")
+        lines.append(f"[{tag}] filter: {trace.filter_kind}")
         lines.append(f"[{tag}] min_separation: {_fmt(metrics.min_separation)}")
         lines.append(f"[{tag}] min_h: {_fmt(metrics.min_h)}")
         lines.append(f"[{tag}] success: {'true' if metrics.success else 'false'}")
@@ -161,7 +154,8 @@ def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
     """CSV of the phi'/phi trace for the HO-CBF side of a comparison."""
     if report.phi_ratio is None:
         return
-    header = ["t"] + [f"phi_ratio_{label}" for label in report.obstacle_labels]
+    labels = report.trace_a.obstacle_labels
+    header = ["t"] + [f"phi_ratio_{label}" for label in labels]
     lines = [",".join(header)]
     for k in range(report.t.shape[0]):
         row = [_fmt(report.t[k])] + [_fmt(v) for v in report.phi_ratio[k]]

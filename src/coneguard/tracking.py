@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, euler_rate_matrix
-from .errors import DegenerateThrustError
+from .errors import ConfigError, DegenerateThrustError
 from .reference import ReferenceSample
 
 # Guard on the attitude-target denominator g + az, m/s^2. Commands below it
@@ -72,7 +72,7 @@ class ControllerGains:
     def __post_init__(self):
         vals = (*self.pos_p, *self.pos_d, self.roll_p, self.pitch_p, self.roll_d, self.pitch_d)
         if not all(np.isfinite(v) and v >= 0.0 for v in vals):
-            raise ValueError("gains must be finite and >= 0")
+            raise ConfigError("gains must be finite and >= 0")
 
 
 def commanded_acceleration(

@@ -5,10 +5,12 @@ the package's dynamics/barrier/QP code paths: rotation and Euler-rate
 matrices are rebuilt from the ZYX definition (the rate transform is inverted
 numerically rather than via the closed-form inverse), the rigid-body
 derivative is reassembled from Newton-Euler, barrier values are recomputed
-from their defining formulas, and the safety QP is solved by projected
-gradient on the dual. Agreement is then evidence, not circularity. The one
-exception is ``feasible_start_exhaustive``: the QP's feasible-start search
-must match it bit for bit, so it keeps that search's own numpy calls.
+from their defining formulas, the HO-CBF derivative chain is written out
+from b = ||c - x||^2 - r^2, and the safety QP is solved by projected
+gradient on the dual (or, for one row, in closed form). Agreement is then
+evidence, not circularity. The one exception is
+``feasible_start_exhaustive``: the QP's feasible-start search must match it
+bit for bit, so it keeps that search's own numpy calls.
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ def rk4_step(x, thrusts, dt):
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def center_at(center0, obs_velocity, t):
+    """Obstacle center at time t under constant velocity."""
+    return np.asarray(center0, dtype=float) + np.asarray(obs_velocity, dtype=float) * t
+
+
 def relative_state(x, center0, obs_velocity, t):
     """Obstacle center minus the offset body center, and its derivative."""
     x = np.asarray(x, dtype=float)
@@ -92,7 +99,7 @@ def relative_state(x, center0, obs_velocity, t):
     e3 = np.array([0.0, 0.0, 1.0])
     body = x[0:3] + OFFSET * (R @ e3)
     body_vel = x[3:6] + OFFSET * (R @ np.cross(x[9:12], e3))
-    center = np.asarray(center0, dtype=float) + np.asarray(obs_velocity, dtype=float) * t
+    center = center_at(center0, obs_velocity, t)
     return center - body, np.asarray(obs_velocity, dtype=float) - body_vel
 
 
@@ -122,6 +129,41 @@ def fd_hdot(x, thrusts, center0, obs_velocity, r, t, variant, axis=None,
     h_minus = barrier_value(x_minus, center0, obs_velocity, r, t - delta,
                             variant, axis=axis, gamma=gamma)
     return (h_plus - h_minus) / (2.0 * delta)
+
+
+def b_distance(x, center0, obs_velocity, r_enc, t):
+    """Squared center-to-center clearance b = ||c - x||^2 - r_enc^2.
+
+    Deliberately uses the vehicle position (no body-center offset) and the
+    raw encompassing radius; this is the quantity the HO-CBF derivative
+    chain starts from, not the filtered barrier.
+    """
+    delta = center_at(center0, obs_velocity, t) - np.asarray(x, dtype=float)[0:3]
+    return float(delta @ delta) - r_enc * r_enc
+
+
+def psi_chain(x, thrusts, center0, obs_velocity, r_enc, t, p, alpha2):
+    """(b, psi1, psi2) of the HO-CBF derivative chain, for sign spot-checks.
+
+    alpha1(b) = p sqrt(b) and a linear alpha2: psi1 = b_dot + p sqrt(b),
+    psi2 = psi1_dot + alpha2 psi1. With p = 2 gamma and zero body offset,
+    psi1 = 2 h_HO and psi2 >= 0 matches the sign of the closed-form barrier
+    condition under a matching linear kappa.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = center_at(center0, obs_velocity, t) - x[0:3]
+    delta_dot = np.asarray(obs_velocity, dtype=float) - x[3:6]
+    b = float(delta @ delta) - r_enc * r_enc
+    b_dot = 2.0 * float(delta @ delta_dot)
+    sqrt_b = np.sqrt(max(b, 0.0))
+    psi1 = b_dot + p * sqrt_b
+    # psi1_dot: b_ddot + p b_dot / (2 sqrt(b)); b_ddot = 2||delta_dot||^2
+    # + 2 <delta, delta_ddot> with delta_ddot = -(vehicle acceleration).
+    accel = rot_zyx(x[6:9]) @ np.array([0.0, 0.0, float(np.sum(thrusts)) / MASS])
+    accel[2] -= GRAVITY
+    b_ddot = 2.0 * float(delta_dot @ delta_dot) - 2.0 * float(delta @ accel)
+    psi1_dot = b_ddot + p * b_dot / (2.0 * max(sqrt_b, 1e-9))
+    return b, psi1, psi1_dot + alpha2 * psi1
 
 
 def qp_dual_batch(u_des, rows, offsets, iters=50_000):
@@ -160,6 +202,21 @@ def qp_dual_single(u_des, rows, offsets, iters=50_000):
         iters=iters,
     )
     return u[0]
+
+
+def solve_single(u_des, row, offset):
+    """Closed-form projection of u_des onto the halfspace row . u + offset >= 0.
+
+    u_des itself if the row holds there; otherwise u_des + lam row with
+    lam = -(row . u_des + offset)/||row||^2 > 0.
+    """
+    u_des = np.asarray(u_des, dtype=float).reshape(4)
+    a = np.asarray(row, dtype=float)
+    slack = float(a @ u_des) + offset
+    if slack >= 0.0:
+        return u_des.copy()
+    lam = -slack / float(a @ a)
+    return u_des + lam * a
 
 
 def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):

@@ -18,8 +18,9 @@ from coneguard.cone import (
 )
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import InvalidObstacleError
-from coneguard.qp import kappa
+from coneguard.qp import ClassKappa
 
+kappa = ClassKappa(1.0)
 vec3 = st.tuples(
     st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)
 )

@@ -1,11 +1,13 @@
 """Closed-loop harness tests: recording, metrics, determinism, pairs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coneguard import harness
 from coneguard.cone import BodyFrame, Obstacle
-from coneguard.dynamics import QuadrotorParams, QuadrotorState
+from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import ConfigError, SimulationAbort
 from coneguard.harness import (
     AgentSpec,
@@ -16,7 +18,9 @@ from coneguard.harness import (
     run_pair,
     separation_distance,
 )
-from coneguard.reference import HoverReference, LineReference
+from coneguard.qp import AffineSafetyConstraint, QpSolution
+from coneguard.reference import HoverReference, LineReference, WaypointReference
+from coneguard.tracking import ControllerGains
 
 
 def hover_config(**overrides):
@@ -123,6 +127,40 @@ def test_constraint_rows_labeling(monkeypatch):
         assert [c.label for c in problem.constraints] == list(trace.obstacle_labels)
 
 
+def test_unfiltered_run_builds_no_rows(monkeypatch):
+    """An unfiltered run records h, phi and separation from the cone terms
+    alone: no barrier row is built and the QP sees no rows."""
+    obstacles = (
+        Obstacle(kind="sphere", center=(1.0, 0.0, 1.0), radius_raw=0.3),
+        Obstacle(
+            kind="cylinder", center=(2.0, 1.0, 0.0), radius_raw=0.2, axis=(0, 0, 1.0)
+        ),
+    )
+    config = line_config(duration=0.1, filter_kind="none", obstacles=obstacles)
+    twin = run(replace(config, filter_kind="c3bf"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unfiltered run built a barrier row")
+
+    for name in ("barrier_3d", "barrier_projection", "barrier_ho"):
+        monkeypatch.setattr(harness, name, refuse)
+    problems = []
+    solve = harness.solve
+
+    def spy(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(harness, "solve", spy)
+    trace = run(config)
+    assert len(problems) == trace.t.shape[0]
+    assert all(problem.constraints == () for problem in problems)
+    # both runs start from the same state, so step 0 must agree exactly
+    assert np.array_equal(trace.h[0], twin.h[0])
+    assert np.array_equal(trace.half_angles[0], twin.half_angles[0])
+    assert np.array_equal(trace.separation[0], twin.separation[0])
+
+
 def test_trace_shape_and_time_grid():
     config = hover_config()
     trace = run(config)
@@ -189,6 +227,50 @@ def test_abort_carries_step_index():
     assert "step" in str(exc_info.value)
 
 
+def test_non_finite_thrusts_abort_the_run(monkeypatch):
+    def nan_solve(problem):
+        return QpSolution(np.full(4, np.nan), (), (), 0.0)
+
+    monkeypatch.setattr(harness, "solve", nan_solve)
+    with pytest.raises(SimulationAbort) as exc_info:
+        run(hover_config())
+    assert exc_info.value.step_index == 0
+    assert "thrusts must be finite" in str(exc_info.value)
+
+
+LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ControllerGains(roll_p=-1.0), id="gains"),
+        pytest.param(lambda: QuadrotorParams(mass=0.0), id="params"),
+        pytest.param(lambda: ControlInput([0.0, np.nan, 0.0, 0.0]), id="thrusts"),
+        pytest.param(
+            lambda: AffineSafetyConstraint([np.inf, 0.0, 0.0, 0.0], 0.0), id="qp-row"
+        ),
+        pytest.param(lambda: WaypointReference(LINE[:1], 1.0), id="one-waypoint"),
+        pytest.param(lambda: WaypointReference(LINE, 0.0), id="waypoint-speed"),
+        pytest.param(
+            lambda: WaypointReference(LINE[[0, 0]], 1.0), id="repeated-waypoint"
+        ),
+        pytest.param(
+            lambda: step(
+                QuadrotorState.from_vector(np.zeros(12)),
+                ControlInput(np.zeros(4)),
+                0.0,
+                QuadrotorParams(),
+            ),
+            id="step-dt",
+        ),
+    ],
+)
+def test_library_validators_raise_config_error(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_run_pair_point_symmetry(params):
     """A 180-degree-symmetric two-agent encounter stays symmetric.
 
@@ -222,6 +304,7 @@ def test_run_pair_point_symmetry(params):
         ),
     )
     trace_a, trace_b = run_pair(config)
+    assert np.array_equal(run(config).states, trace_a.states)
     assert trace_b.name == trace_a.name + "-partner"
     assert "partner" in trace_a.obstacle_labels
     xa, ya = trace_a.states[:, 0], trace_a.states[:, 1]
@@ -243,10 +326,10 @@ def test_compare_reports_both_sides():
     config_a = line_config(duration=2.0, obstacles=(obs,), filter_kind="c3bf")
     config_b = line_config(duration=2.0, obstacles=(obs,), filter_kind="hocbf")
     report = compare(config_a, config_b)
-    assert report.filter_a == "c3bf" and report.filter_b == "hocbf"
-    assert report.h_a.shape == report.h_b.shape
+    assert report.trace_a.filter_kind == "c3bf"
+    assert report.trace_b.filter_kind == "hocbf"
+    assert report.trace_a.h.shape == report.trace_b.h.shape
     assert report.phi_ratio is not None
-    assert report.trace_a is not None and report.trace_b is not None
     # the curve is positive wherever the HO cone is defined, and during the
     # fast approach phase it must be > 1 (the effective cone opens wider)
     finite = np.isfinite(report.phi_ratio)

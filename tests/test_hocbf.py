@@ -10,27 +10,19 @@ from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConeDegenerateError
 from coneguard.hocbf import (
     HocbfConfig,
-    b_distance,
     barrier_ho,
     effective_half_angle,
     encompassing_radius,
     h_ho,
-    psi_chain,
 )
-from coneguard.qp import kappa
+from coneguard.qp import ClassKappa
 
-
-def test_config_defaults_chain_gain():
-    config = HocbfConfig(gamma_penalty=1.5)
-    assert config.p == 3.0
-    assert HocbfConfig(gamma_penalty=1.0, p=5.0).p == 5.0
+kappa = ClassKappa(1.0)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         HocbfConfig(gamma_penalty=0.0)
-    with pytest.raises(ValueError):
-        HocbfConfig(gamma_penalty=1.0, alpha2_gain=-1.0)
 
 
 def test_encompassing_radius_takes_larger_half_extent():
@@ -47,10 +39,9 @@ def test_encompassing_radius_takes_larger_half_extent():
 
 
 def test_b_distance_hand_value():
-    state = QuadrotorState.from_vector(np.zeros(12))
-    obs = Obstacle(kind="sphere", center=(3.0, 0.0, 4.0), radius_raw=1.0)
     # ||c - x||^2 - r^2 = 25 - 1, center-to-center with the raw radius
-    assert b_distance(state, obs, 0.0) == 24.0
+    b = oracles.b_distance(np.zeros(12), (3.0, 0.0, 4.0), np.zeros(3), 1.0, 0.0)
+    assert b == 24.0
 
 
 def test_h_ho_matches_oracle(rng, params):
@@ -170,13 +161,13 @@ def test_effective_half_angle_argument_checks():
 def test_psi_chain_first_condition_doubles_h(params, rng):
     """psi1 = 2 h for the center-to-center h with p = 2 gamma."""
     gamma = 0.8
-    cfg = HocbfConfig(gamma_penalty=gamma)  # p defaults to 2 gamma
     for _ in range(100):
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        b, psi1, _ = psi_chain(
-            state, obs, cfg, t, np.full(4, params.hover_thrust), params
+        b, psi1, _ = oracles.psi_chain(
+            state.as_vector(), np.full(4, params.hover_thrust), obs.center,
+            obs.velocity, encompassing_radius(obs), t, p=2.0 * gamma, alpha2=1.0,
         )
         delta = obs.center_at(t) - state.position
         delta_dot = obs.velocity - state.velocity
@@ -190,24 +181,28 @@ def test_psi_chain_first_condition_doubles_h(params, rng):
 
 def test_psi_chain_second_condition_matches_finite_difference(params, rng):
     """psi2 - alpha2 psi1 equals d(psi1)/dt along the actual flow."""
-    cfg = HocbfConfig(gamma_penalty=1.0, alpha2_gain=2.0)
+    alpha2 = 2.0
     delta_t = 1e-6
     checked = 0
     while checked < 60:
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        if b_distance(state, obs, t) < 0.05:
+        x, r_enc = state.as_vector(), encompassing_radius(obs)
+        if oracles.b_distance(x, obs.center, obs.velocity, r_enc, t) < 0.05:
             continue  # psi1_dot has a sqrt(b) in a denominator
         f = random_thrusts(rng, params)
-        _, psi1, psi2 = psi_chain(state, obs, cfg, t, f, params)
+
+        def chain(x, t):
+            return oracles.psi_chain(
+                x, f, obs.center, obs.velocity, r_enc, t, p=2.0, alpha2=alpha2
+            )
+
+        _, psi1, psi2 = chain(x, t)
         vals = []
         for sign in (+1.0, -1.0):
-            x = oracles.rk4_step(state.as_vector(), f, sign * delta_t)
-            _, p1, _ = psi_chain(
-                QuadrotorState.from_vector(x), obs, cfg, t + sign * delta_t, f, params
-            )
+            _, p1, _ = chain(oracles.rk4_step(x, f, sign * delta_t), t + sign * delta_t)
             vals.append(p1)
         fd = (vals[0] - vals[1]) / (2.0 * delta_t)
-        assert abs((psi2 - cfg.alpha2_gain * psi1) - fd) <= 1e-4 * max(1.0, abs(fd))
+        assert abs((psi2 - alpha2 * psi1) - fd) <= 1e-4 * max(1.0, abs(fd))
         checked += 1

@@ -15,9 +15,7 @@ from coneguard.qp import (
     ClassKappa,
     QpProblem,
     _feasible_start,
-    kappa,
     solve,
-    solve_single,
 )
 
 
@@ -34,8 +32,8 @@ def feasible_instance(rng, m):
 
 
 def test_kappa_is_linear():
-    assert kappa(0.0) == 0.0
-    assert kappa(2.0, gamma=3.0) == 6.0
+    assert ClassKappa(1.0)(0.0) == 0.0
+    assert ClassKappa(3.0)(2.0) == 6.0
     assert ClassKappa(0.5)(-4.0) == -2.0
 
 
@@ -63,7 +61,7 @@ def test_inactive_constraint_returns_u_des():
 def test_single_constraint_projection_hand_value():
     # u1 >= 1 from u_des = 0: u* = (1, 0, 0, 0), lambda = 1
     con = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0, label="floor")
-    sol = solve_single(np.zeros(4), con)
+    sol = solve(QpProblem(u_des=np.zeros(4), constraints=(con,)))
     assert np.allclose(sol.u_star, [1.0, 0, 0, 0], atol=0.0)
     assert sol.multipliers == (1.0,)
     assert sol.active_set == ("floor",)
@@ -72,9 +70,9 @@ def test_single_constraint_projection_hand_value():
 def test_single_constraint_matches_general_solver(rng):
     for _ in range(300):
         u_des, cons, _, _, _ = feasible_instance(rng, 1)
-        closed = solve_single(u_des, cons[0])
+        closed = oracles.solve_single(u_des, cons[0].gradient_row, cons[0].offset)
         general = solve(QpProblem(u_des=u_des, constraints=cons))
-        assert np.max(np.abs(closed.u_star - general.u_star)) <= 1e-12
+        assert np.max(np.abs(closed - general.u_star)) <= 1e-12
 
 
 def test_solve_matches_dual_oracle(rng):
@@ -130,7 +128,7 @@ def test_infeasible_reports_blocking_labels():
 def test_degenerate_row_rejected():
     con = AffineSafetyConstraint(np.zeros(4), -1.0, label="null")
     with pytest.raises(DegenerateGradientError):
-        solve_single(np.zeros(4), con)
+        solve(QpProblem(u_des=np.zeros(4), constraints=(con,)))
 
 
 def test_violation_method():

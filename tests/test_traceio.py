@@ -157,7 +157,7 @@ def test_comparison_text_and_phi_ratio(tmp_path):
     write_phi_ratio(path, report)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phi_ratio_sphere0"
-    assert len(lines) == report.t.shape[0] + 1
+    assert len(lines) == report.trace_a.t.shape[0] + 1
 
 
 def test_minimal_yaml_dict():
