@@ -10,8 +10,10 @@ as one more obstacle: a constant-velocity sphere at its position and
 velocity, which is how the constant-velocity obstacle assumption is applied
 receding-horizon style. ``run`` returns the first vehicle's trace and
 ``run_pair`` both. The survey builds QP rows only when a filter reads them.
-Recorded floats are quantized to 9 significant digits (``FLOAT_FORMAT``),
-so a written trace file parses back to exactly the in-memory trace.
+A trace is one table in the CSV's column order (``trace_columns``, the only
+place that layout is spelled). The recorder fills it raw and ``_quantize``
+rounds it once per run to 9 significant digits (``FLOAT_FORMAT``), so a
+written trace file parses back to exactly the in-memory trace.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ VIOLATION_TOL = 1e-3  # separation below -tol flags the step as a violation
 # than exhaust it: the largest built-in runs 2,401 steps, 500 Hz x 10 s 5,001.
 MAX_STEPS = 1_000_000
 FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
+STATE_COLUMNS = (
+    "x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "wx", "wy", "wz",
+)
 
 Reference = HoverReference | LineReference | WaypointReference
 
@@ -90,26 +95,43 @@ class ScenarioConfig:
                 raise ConfigError("obstacle label 'partner' is reserved")
 
 
+def trace_columns(labels: tuple[str, ...]) -> list[str]:
+    """The trace CSV header, which is also the column order of SimTrace.table."""
+    columns = ["t", *STATE_COLUMNS]
+    columns += [f"u_des_{i}" for i in range(1, 5)]
+    columns += [f"u_star_{i}" for i in range(1, 5)]
+    for label in labels:
+        columns += [f"h_{label}", f"sep_{label}"]
+    return columns
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-step record of one closed-loop run (floats 9-digit quantized).
+    """Per-step record of one closed-loop run (table floats 9-digit quantized).
 
-    active_sets, half_angles and ref_positions exist in memory only; the CSV
-    contract carries t, state, u_des, u_star, and per-obstacle h/separation.
+    ``table`` is the CSV contract, columns ``trace_columns(obstacle_labels)``;
+    t, states, u_des, u_star, h and separation are read-only views of it.
+    active_sets, half_angles and ref_positions exist in memory only.
     """
 
     name: str
     filter_kind: str
     obstacle_labels: tuple[str, ...]
-    t: np.ndarray  # (N,)
-    states: np.ndarray  # (N, 12)
-    u_des: np.ndarray  # (N, 4)
-    u_star: np.ndarray  # (N, 4)
-    h: np.ndarray  # (N, n_obs)
-    separation: np.ndarray  # (N, n_obs)
+    table: np.ndarray  # (N, 21 + 2 n_obs)
     active_sets: tuple[tuple[str, ...], ...] = ()
     half_angles: np.ndarray | None = None  # (N, n_obs), filter's phi
     ref_positions: np.ndarray | None = None  # (N, 3)
+
+    def __post_init__(self):
+        self.table.setflags(write=False)
+
+    # the column groups of trace_columns, as views of the table
+    t = property(lambda self: self.table[:, 0])
+    states = property(lambda self: self.table[:, 1:13])
+    u_des = property(lambda self: self.table[:, 13:17])
+    u_star = property(lambda self: self.table[:, 17:21])
+    h = property(lambda self: self.table[:, 21::2])  # (N, n_obs)
+    separation = property(lambda self: self.table[:, 22::2])  # (N, n_obs)
 
     @property
     def violations(self) -> np.ndarray:
@@ -143,15 +165,14 @@ class ComparisonReport:
         return self.trace_a.t
 
 
-def _quantize(value: float) -> float:
-    """Round to 9 significant digits; idempotent under repeated application."""
-    return float(format(value, FLOAT_FORMAT))
+def _quantize(table: np.ndarray) -> None:
+    """Round every entry in place to 9 significant digits via its printed form.
 
-
-def _quantize_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    flat = np.array([_quantize(v) for v in arr.ravel()])
-    return flat.reshape(arr.shape)
+    Elementwise, so one pass per run equals rounding each step as recorded;
+    row by row, so no copy of the table is held as Python floats.
+    """
+    for row in table:
+        row[:] = [float(format(v, FLOAT_FORMAT)) for v in row.tolist()]
 
 
 def separation_distance(
@@ -178,16 +199,18 @@ def _survey(
     labels: tuple[str, ...],
     config: ScenarioConfig,
     t: float,
-) -> tuple[list[float], list[float], list[float], list[AffineSafetyConstraint]]:
+) -> tuple[list[float], list[float], list[AffineSafetyConstraint]]:
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
-    The vehicle terms are computed once for the step and shared by every
-    obstacle. Unfiltered runs record the collision-cone h and phi, so their
-    traces are comparable with filtered ones, but build no rows.
+    Returns the trace's obstacle cells (h, separation per obstacle, in
+    column order), the half angles and the rows. The vehicle terms are
+    computed once for the step and shared by every obstacle. Unfiltered runs
+    record the collision-cone h and phi, so their traces are comparable with
+    filtered ones, but build no rows.
     """
     frame = BodyFrame(state, config.params)
     params, kappa = config.params, config.kappa
-    hs, seps, angles, rows = [], [], [], []
+    cells, angles, rows = [], [], []
     for obstacle, label in zip(obstacles, labels):
         if config.filter_kind == "none":
             terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
@@ -204,45 +227,38 @@ def _survey(
                 evaluation, row = barrier(frame, obstacle, params, kappa, t, label)
             h, phi = evaluation.h, evaluation.cone_half_angle
             rows.append(row)
-        hs.append(h)
+        cells += (h, separation_distance(frame, obstacle, params, t))
         angles.append(phi)
-        seps.append(separation_distance(frame, obstacle, params, t))
-    return hs, seps, angles, rows
+    return cells, angles, rows
 
 
 class _Recorder:
-    def __init__(self, n_obs: int):
-        self.t, self.states, self.u_des, self.u_star = [], [], [], []
-        self.h, self.sep, self.angles, self.refs = [], [], [], []
+    """One vehicle's raw trace rows, preallocated for the whole run."""
+
+    def __init__(self, n_rows: int, labels: tuple[str, ...]):
+        self.labels = labels
+        self.table = np.empty((n_rows, len(trace_columns(labels))))
+        self.half_angles = np.empty((n_rows, len(labels)))
+        self.ref_positions = np.empty((n_rows, 3))
         self.active: list[tuple[str, ...]] = []
-        self.n_obs = n_obs
 
-    def add(self, t, state, u_des, u_star, hs, seps, angles, active, ref_pos):
-        self.t.append(_quantize(t))
-        self.states.append(_quantize_array(state.as_vector()))
-        self.u_des.append(_quantize_array(u_des))
-        self.u_star.append(_quantize_array(u_star))
-        self.h.append(_quantize_array(hs))
-        self.sep.append(_quantize_array(seps))
-        self.angles.append(np.asarray(angles, dtype=float))
+    def add(self, t, state, u_des, u_star, cells, angles, active, ref_pos):
+        k = len(self.active)
+        self.table[k] = np.concatenate(([t], state.as_vector(), u_des, u_star, cells))
+        self.half_angles[k] = angles
+        self.ref_positions[k] = ref_pos
         self.active.append(tuple(active))
-        self.refs.append(np.asarray(ref_pos, dtype=float))
 
-    def build(self, name: str, filter_kind: str, labels: tuple[str, ...]) -> SimTrace:
-        n = len(self.t)
+    def build(self, name: str, filter_kind: str) -> SimTrace:
+        _quantize(self.table)
         return SimTrace(
             name=name,
             filter_kind=filter_kind,
-            obstacle_labels=labels,
-            t=np.array(self.t),
-            states=np.array(self.states),
-            u_des=np.array(self.u_des).reshape(n, 4),
-            u_star=np.array(self.u_star).reshape(n, 4),
-            h=np.array(self.h).reshape(n, self.n_obs),
-            separation=np.array(self.sep).reshape(n, self.n_obs),
+            obstacle_labels=self.labels,
+            table=self.table,
             active_sets=tuple(self.active),
-            half_angles=np.array(self.angles).reshape(n, self.n_obs),
-            ref_positions=np.array(self.refs).reshape(n, 3),
+            half_angles=self.half_angles,
+            ref_positions=self.ref_positions,
         )
 
 
@@ -272,8 +288,8 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
         references.append(config.partner.reference)
         names.append(config.name + "-partner")
     labels = _obstacle_labels(config)
-    recorders = [_Recorder(len(labels)) for _ in states]
     n_steps = int(round(config.duration / config.dt))
+    recorders = [_Recorder(n_steps + 1, labels) for _ in states]
     for k in range(n_steps + 1):
         t = k * config.dt
         try:
@@ -285,10 +301,10 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                     obstacles += (_as_obstacle(states[1 - a], config.params),)
                 ref = references[a].sample(t)
                 u_des = track(state, ref, config.gains, config.params).thrusts
-                hs, seps, angles, rows = _survey(state, obstacles, labels, config, t)
+                cells, angles, rows = _survey(state, obstacles, labels, config, t)
                 solution = solve(QpProblem(u_des, tuple(rows)))
                 recorders[a].add(
-                    t, state, u_des, solution.u_star, hs, seps, angles,
+                    t, state, u_des, solution.u_star, cells, angles,
                     solution.active_set, ref.position,
                 )
                 controls.append(solution.u_star)
@@ -300,7 +316,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
         except ConeguardError as exc:
             raise SimulationAbort(f"step {k} (t={t:.4f}s): {exc}", k) from exc
     return tuple(
-        recorder.build(name, config.filter_kind, labels)
+        recorder.build(name, config.filter_kind)
         for recorder, name in zip(recorders, names)
     )
 

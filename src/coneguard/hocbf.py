@@ -106,10 +106,10 @@ def effective_half_angle(
     Raises:
         ConeDegenerateError: (gamma/||v_rel||) cos(phi) > 1, where no cone
             exists (the HO condition is loose for every direction).
-        ValueError: non-positive arguments.
+        ConfigError: non-positive arguments.
     """
     if min(v_rel_norm, p_rel_norm, r, gamma) <= 0.0:
-        raise ValueError("effective_half_angle needs positive arguments")
+        raise ConfigError("effective_half_angle needs positive arguments")
     cos_phi = np.sqrt(max(p_rel_norm**2 - r * r, 0.0)) / p_rel_norm
     arg = gamma * cos_phi / v_rel_norm
     if arg > 1.0:

@@ -88,10 +88,6 @@ class AffineSafetyConstraint:
         if not (np.all(np.isfinite(a)) and np.isfinite(self.offset)):
             raise ConfigError("constraint row must be finite")
 
-    def violation(self, u: np.ndarray) -> float:
-        """max(0, -(a.u + b)): zero iff satisfied."""
-        return max(0.0, -(float(self.gradient_row @ u) + self.offset))
-
 
 @dataclass(frozen=True)
 class QpProblem:

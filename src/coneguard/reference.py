@@ -22,11 +22,18 @@ class ReferenceSample:
     acceleration: np.ndarray
 
 
+def _finite(values, what: str) -> np.ndarray:
+    array = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"{what} must be finite")
+    return array
+
+
 class HoverReference:
     """Fixed point, zero velocity/acceleration."""
 
     def __init__(self, point):
-        self.point = np.asarray(point, dtype=float).reshape(3)
+        self.point = _finite(point, "hover point").reshape(3)
 
     def sample(self, t: float) -> ReferenceSample:
         return ReferenceSample(self.point.copy(), np.zeros(3), np.zeros(3))
@@ -36,8 +43,8 @@ class LineReference:
     """Straight line start + velocity * t."""
 
     def __init__(self, start, velocity):
-        self.start = np.asarray(start, dtype=float).reshape(3)
-        self.velocity = np.asarray(velocity, dtype=float).reshape(3)
+        self.start = _finite(start, "line start").reshape(3)
+        self.velocity = _finite(velocity, "line velocity").reshape(3)
 
     def sample(self, t: float) -> ReferenceSample:
         return ReferenceSample(
@@ -53,11 +60,11 @@ class WaypointReference:
     """
 
     def __init__(self, points, speed: float):
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        pts = _finite(points, "waypoints").reshape(-1, 3)
         if len(pts) < 2:
             raise ConfigError("waypoint reference needs at least two points")
-        if speed <= 0.0:
-            raise ConfigError("speed must be > 0")
+        if not (np.isfinite(speed) and speed > 0.0):
+            raise ConfigError(f"speed must be finite and > 0, got {speed!r}")
         self.points = pts
         self.speed = float(speed)
         seg = np.diff(pts, axis=0)

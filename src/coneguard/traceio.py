@@ -6,9 +6,11 @@ Trace CSV contract: one row per step, columns
     u_des_1..u_des_4, u_star_1..u_star_4,
     then h_<label>, sep_<label> per obstacle in obstacle order,
 
-every float printed with 9 significant digits. Trace values are already
-quantized to that precision when recorded, so writing and re-parsing a trace
-reproduces it exactly and re-writing is byte-identical.
+every float printed with 9 significant digits. The layout is spelled once,
+in ``harness.trace_columns``, and ``SimTrace.table`` holds the rows in that
+order, already quantized to that precision by the run; so a trace is written
+and parsed as one table, re-parsing reproduces it exactly and re-writing is
+byte-identical.
 
 Scenario files are YAML mappings of the ScenarioConfig fields. Unknown keys
 are rejected at every nesting level so typos fail loudly instead of being
@@ -32,19 +34,22 @@ from .harness import (
     Metrics,
     ScenarioConfig,
     SimTrace,
+    trace_columns,
 )
 from .hocbf import HocbfConfig
 from .qp import ClassKappa
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains
 
-STATE_COLUMNS = (
-    "x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "wx", "wy", "wz",
-)
-
 
 def _fmt(value: float) -> str:
     return format(value, FLOAT_FORMAT)
+
+
+def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row.tolist())) for row in table]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def write_trace(path: str | Path, trace: SimTrace) -> None:
@@ -52,21 +57,7 @@ def write_trace(path: str | Path, trace: SimTrace) -> None:
     for label in trace.obstacle_labels:
         if "," in label:
             raise ConfigError(f"obstacle label {label!r} may not contain commas")
-    header = ["t", *STATE_COLUMNS]
-    header += [f"u_des_{i}" for i in range(1, 5)]
-    header += [f"u_star_{i}" for i in range(1, 5)]
-    for label in trace.obstacle_labels:
-        header += [f"h_{label}", f"sep_{label}"]
-    lines = [",".join(header)]
-    for k in range(trace.t.shape[0]):
-        row = [_fmt(trace.t[k])]
-        row += [_fmt(v) for v in trace.states[k]]
-        row += [_fmt(v) for v in trace.u_des[k]]
-        row += [_fmt(v) for v in trace.u_star[k]]
-        for i in range(len(trace.obstacle_labels)):
-            row += [_fmt(trace.h[k, i]), _fmt(trace.separation[k, i])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, trace_columns(trace.obstacle_labels), trace.table)
 
 
 def parse_trace(path: str | Path) -> SimTrace:
@@ -76,42 +67,24 @@ def parse_trace(path: str | Path) -> SimTrace:
     angles, and reference positions come back empty.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"{path}: empty trace file")
     header = lines[0].split(",")
-    expected_prefix = ["t", *STATE_COLUMNS]
-    expected_prefix += [f"u_des_{i}" for i in range(1, 5)]
-    expected_prefix += [f"u_star_{i}" for i in range(1, 5)]
-    if header[: len(expected_prefix)] != expected_prefix:
+    labels = tuple(column[2:] for column in header if column.startswith("h_"))
+    if header != trace_columns(labels):
         raise ConfigError(f"{path}: unexpected trace header")
-    labels = []
-    rest = header[len(expected_prefix) :]
-    if len(rest) % 2:
-        raise ConfigError(f"{path}: odd number of obstacle columns")
-    for i in range(0, len(rest), 2):
-        if not (rest[i].startswith("h_") and rest[i + 1] == f"sep_{rest[i][2:]}"):
-            raise ConfigError(f"{path}: malformed obstacle columns {rest[i:i+2]}")
-        labels.append(rest[i][2:])
-    data = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
-    )
-    if data.ndim != 2 or data.shape[1] != len(header):
+    try:
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad trace row: {exc}") from exc
+    if table.ndim != 2 or table.shape[1] != len(header):
         raise ConfigError(f"{path}: ragged trace rows")
-    n_obs = len(labels)
-    obs_block = data[:, 21:].reshape(-1, n_obs, 2) if n_obs else np.zeros(
-        (data.shape[0], 0, 2)
-    )
     return SimTrace(
-        name=path.stem,
-        filter_kind="unknown",
-        obstacle_labels=tuple(labels),
-        t=data[:, 0],
-        states=data[:, 1:13],
-        u_des=data[:, 13:17],
-        u_star=data[:, 17:21],
-        h=obs_block[:, :, 0],
-        separation=obs_block[:, :, 1],
+        name=path.stem, filter_kind="unknown", obstacle_labels=labels, table=table
     )
 
 
@@ -156,11 +129,7 @@ def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
         return
     labels = report.trace_a.obstacle_labels
     header = ["t"] + [f"phi_ratio_{label}" for label in labels]
-    lines = [",".join(header)]
-    for k in range(report.t.shape[0]):
-        row = [_fmt(report.t[k])] + [_fmt(v) for v in report.phi_ratio[k]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    _write_csv(path, header, np.column_stack((report.t, report.phi_ratio)))
 
 
 # --- scenario files ---------------------------------------------------------

@@ -137,6 +137,39 @@ def test_validate_missing_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+HOVER_REFERENCE = "  type: hover\n  point: [0.0, 0.0, 1.0]\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            HOVER_YAML.replace(
+                HOVER_REFERENCE,
+                "  type: waypoints\n  points: [[0, 0, 1], [1, 0, 1]]\n  speed: .nan\n",
+            ),
+            id="waypoint-speed-nan",
+        ),
+        pytest.param(
+            HOVER_YAML.replace("point: [0.0,", "point: [.nan,"), id="hover-point-nan"
+        ),
+        pytest.param(
+            HOVER_YAML.replace(
+                HOVER_REFERENCE,
+                "  type: line\n  start: [0, 0, 1]\n  velocity: [.inf, 0, 0]\n",
+            ),
+            id="line-velocity-inf",
+        ),
+        pytest.param(HOVER_YAML + "gains:\n  pos_p: [-1, 0, 0]\n", id="gains"),
+        pytest.param(HOVER_YAML + "params:\n  mass: 0\n", id="params"),
+    ],
+)
+def test_validate_rejects_bad_values(tmp_path, capsys, text):
+    assert main(["validate-config", "--config", _write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_validate_requires_config_flag():
     with pytest.raises(SystemExit) as exc_info:
         main(["validate-config"])

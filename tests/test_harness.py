@@ -171,6 +171,8 @@ def test_trace_shape_and_time_grid():
     assert abs(trace.t[1] - trace.t[0] - config.dt) < 1e-9
     assert trace.obstacle_labels == ()
     assert trace.h.shape == (n + 1, 0)
+    assert trace.table.shape == (n + 1, len(harness.trace_columns(())))
+    assert not trace.states.flags.writeable  # views of the one table
 
 
 def test_unfiltered_run_never_modifies_commands():
@@ -252,6 +254,11 @@ LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         ),
         pytest.param(lambda: WaypointReference(LINE[:1], 1.0), id="one-waypoint"),
         pytest.param(lambda: WaypointReference(LINE, 0.0), id="waypoint-speed"),
+        pytest.param(lambda: WaypointReference(LINE, np.nan), id="waypoint-speed-nan"),
+        pytest.param(lambda: HoverReference([np.nan, 0.0, 1.0]), id="hover-nan"),
+        pytest.param(
+            lambda: LineReference(np.zeros(3), [np.inf, 0.0, 0.0]), id="line-inf"
+        ),
         pytest.param(
             lambda: WaypointReference(LINE[[0, 0]], 1.0), id="repeated-waypoint"
         ),

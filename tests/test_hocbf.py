@@ -7,7 +7,7 @@ import oracles
 from helpers import random_sphere, random_state, random_thrusts
 from coneguard.cone import BodyFrame, Obstacle, barrier_3d, inflated_radius
 from coneguard.dynamics import QuadrotorState
-from coneguard.errors import ConeDegenerateError
+from coneguard.errors import ConeDegenerateError, ConfigError
 from coneguard.hocbf import (
     HocbfConfig,
     barrier_ho,
@@ -151,7 +151,7 @@ def test_constant_penalty_is_conservative_when_slower(rng, params):
 
 
 def test_effective_half_angle_argument_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         effective_half_angle(0.0, 2.0, 1.0, 1.0)
     # slow relative motion: gamma cos(phi) exceeds ||v_rel||, no cone exists
     with pytest.raises(ConeDegenerateError):

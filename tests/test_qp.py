@@ -131,12 +131,6 @@ def test_degenerate_row_rejected():
         solve(QpProblem(u_des=np.zeros(4), constraints=(con,)))
 
 
-def test_violation_method():
-    con = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0)
-    assert con.violation(np.array([2.0, 0, 0, 0])) == 0.0
-    assert con.violation(np.array([0.5, 0, 0, 0])) == 0.5
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_solution_feasible_and_certified(seed, m):

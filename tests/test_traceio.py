@@ -1,12 +1,20 @@
 """Trace CSV contract and strict YAML scenario parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError
-from coneguard.harness import ScenarioConfig, compare, compute_metrics, run
+from coneguard.harness import (
+    ScenarioConfig,
+    compare,
+    compute_metrics,
+    run,
+    trace_columns,
+)
 from coneguard.reference import (
     HoverReference,
     LineReference,
@@ -92,26 +100,19 @@ def test_parse_rejects_malformed(tmp_path):
     bad.write_text("")
     with pytest.raises(ConfigError):
         parse_trace(bad)
+    with pytest.raises(ConfigError):
+        parse_trace(tmp_path / "missing.csv")
+    header = ",".join(trace_columns(()))
+    bad.write_text(header + "\n" + ",".join(["abc"] + ["0"] * 20) + "\n")
+    with pytest.raises(ConfigError):
+        parse_trace(bad)
 
 
 def test_comma_label_rejected(tmp_path):
     trace = short_trace()
-    tampered = SimTraceWithLabel(trace, ("a,b",))
+    tampered = replace(trace, obstacle_labels=("a,b",))
     with pytest.raises(ConfigError):
         write_trace(tmp_path / "x.csv", tampered)
-
-
-class SimTraceWithLabel:
-    """Minimal stand-in exposing the fields write_trace touches."""
-
-    def __init__(self, trace, labels):
-        self.obstacle_labels = labels
-        self.t = trace.t
-        self.states = trace.states
-        self.u_des = trace.u_des
-        self.u_star = trace.u_star
-        self.h = trace.h
-        self.separation = trace.separation
 
 
 def test_metrics_text_lists_fields():
