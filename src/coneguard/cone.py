@@ -37,12 +37,12 @@ the inflated radius, no projector or the axis projector, and weight ||v||.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadrotorParams, QuadrotorState, rotation_matrix
+from .dynamics import QuadrotorParams, QuadrotorState, cross, rotation_matrix
 from .errors import DegenerateGradientError, InvalidObstacleError
 from .qp import AffineSafetyConstraint, ClassKappa
 
@@ -145,23 +145,27 @@ class BarrierEvaluation:
     cone_half_angle: float  # phi (rad); pi/2 when inside the inflated radius
 
 
+@lru_cache(maxsize=16)
 def thrust_acceleration_map(params: QuadrotorParams) -> np.ndarray:
     """Body-frame acceleration of the offset body center per unit rotor thrust.
 
     Column k is m_k = e3/m + l (gk x e3), gk being rotor k's angular
     acceleration column; the lever term comes from differentiating R e3 l
-    twice and keeping the f-dependent part of omega_dot.
+    twice and keeping the f-dependent part of omega_dot. Built once per
+    parameter set (the 16 latest are kept) and returned read-only.
     """
     m, L, l = params.mass, params.arm_span, params.center_offset
     ixx, iyy, _ = params.inertia_diag
     a, b = l * L / ixx, l * L / iyy
-    return np.array(
+    M = np.array(
         [
             [0.0, b, 0.0, -b],
             [-a, 0.0, a, 0.0],
             [1.0 / m, 1.0 / m, 1.0 / m, 1.0 / m],
         ]
     )
+    M.setflags(write=False)
+    return M
 
 
 class BodyFrame:
@@ -185,15 +189,15 @@ class BodyFrame:
         self.R = R = rotation_matrix(state.attitude)
         l = params.center_offset
         self.position = state.position + R @ _E3 * l
-        self.velocity = state.velocity + R @ np.cross(state.body_rates, _E3) * l
+        self.velocity = state.velocity + R @ cross(state.body_rates, _E3) * l
         self.M = thrust_acceleration_map(params)
 
     @cached_property
     def a_d(self) -> np.ndarray:
         omega, params = self._state.body_rates, self._params
         inertia = np.asarray(params.inertia_diag)
-        omega_dot_drift = -np.cross(omega, inertia * omega) / inertia
-        spin = np.cross(omega, np.cross(omega, _E3)) + np.cross(omega_dot_drift, _E3)
+        omega_dot_drift = -cross(omega, inertia * omega) / inertia
+        spin = cross(omega, cross(omega, _E3)) + cross(omega_dot_drift, _E3)
         return np.array([0.0, 0.0, params.gravity]) - params.center_offset * (
             self.R @ spin
         )

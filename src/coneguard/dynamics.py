@@ -66,6 +66,8 @@ class QuadrotorParams:
     body_width: float = 0.13  # m
 
     def __post_init__(self):
+        # a tuple, so the parameter set can key per-parameter caches
+        object.__setattr__(self, "inertia_diag", tuple(self.inertia_diag))
         vals = (
             self.mass,
             self.arm_span,
@@ -183,28 +185,52 @@ def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W, W_inv
 
 
-def _derivative(x: np.ndarray, thrusts: np.ndarray, params: QuadrotorParams) -> np.ndarray:
-    """x_dot = f(x) + g(x) u on raw 12-vectors (hot path for the integrator)."""
-    phi, theta = x[6], x[7]
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vector arrays, computed on Python floats.
+
+    numpy's cross spends most of a 3-vector call on axis handling. This is
+    its formula, the same three differences of products in the same order,
+    so the result is bit-equal to numpy's.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def _derivative(
+    x: np.ndarray,
+    thrust_accel: float,
+    torque: np.ndarray,
+    inertia: np.ndarray,
+    gravity: float,
+) -> np.ndarray:
+    """x_dot = f(x) + g(x) u on raw 12-vectors (hot path for the integrator).
+
+    The thrusts are held over an RK4 step, so the terms that depend on them
+    and the parameters only are fixed for all four stages and come in from
+    ``step``: thrust_accel = total thrust / m, torque = L (MOMENT_MIX @ u),
+    and the inertia diagonal. R e3 is the third column of
+    ``rotation_matrix``, formed from the same sines and cosines.
+    """
+    phi, theta, psi = x[6], x[7], x[8]
     cphi, sphi = np.cos(phi), np.sin(phi)
     cth, sth = np.cos(theta), np.sin(theta)
     if abs(cth) < COS_PITCH_MIN:
         raise AttitudeSingularError(f"euler-rate transform singular at pitch={theta!r}")
-    R = rotation_matrix(x[6:9])
+    cpsi, spsi = np.cos(psi), np.sin(psi)
     omega = x[9:12]
-    I = np.asarray(params.inertia_diag)
-    total = thrusts[0] + thrusts[1] + thrusts[2] + thrusts[3]
 
     out = np.empty(12)
     out[0:3] = x[3:6]
-    out[3:6] = R[:, 2] * (total / params.mass)
-    out[5] -= params.gravity
+    out[3] = (cpsi * sth * cphi + spsi * sphi) * thrust_accel
+    out[4] = (spsi * sth * cphi - cpsi * sphi) * thrust_accel
+    out[5] = cth * cphi * thrust_accel - gravity
     # W^-1 @ omega, written out to avoid building the matrix each stage
     tth = sth / cth
     out[6] = omega[0] + sphi * tth * omega[1] + cphi * tth * omega[2]
     out[7] = cphi * omega[1] - sphi * omega[2]
     out[8] = (sphi * omega[1] + cphi * omega[2]) / cth
-    out[9:12] = (-np.cross(omega, I * omega) + params.arm_span * (MOMENT_MIX @ thrusts)) / I
+    out[9:12] = (-cross(omega, inertia * omega) + torque) / inertia
     return out
 
 
@@ -225,10 +251,16 @@ def step(
         raise ConfigError("dt must be > 0")
     x = state.as_vector()
     u = control.thrusts
-    k1 = _derivative(x, u, params)
-    k2 = _derivative(x + 0.5 * dt * k1, u, params)
-    k3 = _derivative(x + 0.5 * dt * k2, u, params)
-    k4 = _derivative(x + dt * k3, u, params)
+    fixed = (
+        (u[0] + u[1] + u[2] + u[3]) / params.mass,
+        params.arm_span * (MOMENT_MIX @ u),
+        np.asarray(params.inertia_diag),
+        params.gravity,
+    )
+    k1 = _derivative(x, *fixed)
+    k2 = _derivative(x + 0.5 * dt * k1, *fixed)
+    k3 = _derivative(x + 0.5 * dt * k2, *fixed)
+    k4 = _derivative(x + dt * k3, *fixed)
     x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteStateError("integration step produced non-finite state")

@@ -158,6 +158,7 @@ class ComparisonReport:
     metrics_a: Metrics
     metrics_b: Metrics
     phi_ratio: np.ndarray | None  # phi'/phi along the HO-CBF run, if any
+    phi_ratio_labels: tuple[str, ...]  # the obstacle of each phi_ratio column
 
     @property
     def t(self) -> np.ndarray:
@@ -369,13 +370,19 @@ def compute_metrics(trace: SimTrace) -> Metrics:
     )
 
 
-def _phi_ratio(trace: SimTrace, config: ScenarioConfig) -> np.ndarray:
-    """phi'/phi along an HO-CBF run: recorded phi' over the cone's phi.
+def _phi_ratio(
+    trace: SimTrace, config: ScenarioConfig
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """(labels, phi'/phi) along an HO-CBF run: recorded phi' over the cone's phi.
 
-    The cone's phi is geometry only, evaluated at the recorded states.
+    The cone's phi is geometry only, evaluated at the recorded states. There
+    is one column per obstacle of the config, labelled as in the trace; a
+    pair's partner has none, as its position is the other vehicle's state,
+    which this trace does not hold.
     """
+    labels = trace.obstacle_labels[: len(config.obstacles)]
     n = trace.t.shape[0]
-    ratio = np.ones((n, len(config.obstacles)))
+    ratio = np.ones((n, len(labels)))
     for k in range(n):
         frame = BodyFrame(QuadrotorState.from_vector(trace.states[k]), config.params)
         for i, obstacle in enumerate(config.obstacles):
@@ -383,22 +390,23 @@ def _phi_ratio(trace: SimTrace, config: ScenarioConfig) -> np.ndarray:
             phi = cone_terms(*geometry).phi
             prime = trace.half_angles[k, i] if trace.half_angles is not None else phi
             ratio[k, i] = prime / max(phi, 1e-12)
-    return ratio
+    return labels, ratio
 
 
 def compare(config_a: ScenarioConfig, config_b: ScenarioConfig) -> ComparisonReport:
     """Run both configs (same geometry, different filters) and pair results."""
     trace_a = run(config_a)
     trace_b = run(config_b)
-    phi_ratio = None
+    labels, phi_ratio = (), None
     if config_b.filter_kind == "hocbf":
-        phi_ratio = _phi_ratio(trace_b, config_b)
+        labels, phi_ratio = _phi_ratio(trace_b, config_b)
     elif config_a.filter_kind == "hocbf":
-        phi_ratio = _phi_ratio(trace_a, config_a)
+        labels, phi_ratio = _phi_ratio(trace_a, config_a)
     return ComparisonReport(
         trace_a=trace_a,
         trace_b=trace_b,
         metrics_a=compute_metrics(trace_a),
         metrics_b=compute_metrics(trace_b),
         phi_ratio=phi_ratio,
+        phi_ratio_labels=labels,
     )

@@ -8,6 +8,11 @@ so every subproblem is tiny closed-form linear algebra. Multipliers follow
 the convention u* - u_des = sum_i lambda_i a_i^T (lambda_i >= 0), which is the
 KKT stationarity of the objective 0.5 ||u - u_des||^2.
 
+If u_des satisfies every row (slack >= -FEAS_TOL), it is the optimum and
+``solve`` returns it at once, with no active rows, no multipliers and the
+KKT residual max(0, -min slack): what the active-set loop returns on its
+first iteration from that start, without building it.
+
 If u_des is infeasible, the loop starts from the closest feasible candidate
 among the projections of u_des onto the affine sets {A_S u = -b_S}, one per
 subset S of at most 4 rows, each computed by ``lstsq`` on the Gram system and
@@ -272,6 +277,10 @@ def _feasible_start(
 def solve(problem: QpProblem) -> QpSolution:
     """Exact minimizer via primal active-set iteration on 4 variables.
 
+    When u_des already satisfies every row (and with no rows) it is returned
+    as a copy with an empty active set and the residual max(0, -min slack);
+    only otherwise are the feasible-start search and the loop run.
+
     Blocking-constraint ties are broken toward the fastest-violating row and
     then by label order, keeping the iteration deterministic.
 
@@ -283,13 +292,12 @@ def solve(problem: QpProblem) -> QpSolution:
     u_des = problem.u_des
     A, b, labels = _stack_rows(problem)
     m = A.shape[0]
-    if m == 0:
-        return QpSolution(u_des.copy(), (), (), 0.0)
+    min_slack = float(np.min(A @ u_des + b, initial=np.inf))
+    if min_slack >= -FEAS_TOL:
+        # u_des is the unconstrained optimum: the loop would stop at once
+        return QpSolution(u_des.copy(), (), (), max(0.0, -min_slack))
 
-    if np.min(A @ u_des + b) >= -FEAS_TOL:
-        u = u_des.copy()
-    else:
-        u = _feasible_start(u_des, A, b, labels)
+    u = _feasible_start(u_des, A, b, labels)
 
     working: list[int] = []
     lam_w = np.zeros(0)
@@ -343,7 +351,7 @@ def solve(problem: QpProblem) -> QpSolution:
     stationarity = float(
         np.linalg.norm((u - u_des) - (A[working].T @ lam if working else 0.0))
     )
-    feas = float(max(0.0, -(np.min(A @ u + b)))) if m else 0.0
+    feas = float(max(0.0, -(np.min(A @ u + b))))
     comp = (
         float(np.max(np.abs(lam * (A[working] @ u + b[working])))) if working else 0.0
     )

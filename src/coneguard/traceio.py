@@ -127,8 +127,7 @@ def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
     """CSV of the phi'/phi trace for the HO-CBF side of a comparison."""
     if report.phi_ratio is None:
         return
-    labels = report.trace_a.obstacle_labels
-    header = ["t"] + [f"phi_ratio_{label}" for label in labels]
+    header = ["t"] + [f"phi_ratio_{label}" for label in report.phi_ratio_labels]
     _write_csv(path, header, np.column_stack((report.t, report.phi_ratio)))
 
 

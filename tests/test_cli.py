@@ -279,6 +279,24 @@ def test_compare_gamma_sweep(tmp_path, capsys):
     assert capsys.readouterr().out.count("hocbf_gamma:") == 3
 
 
+def test_compare_pair_phi_ratio_rows_match_header(tmp_path):
+    """The partner of a pair gets no phi-ratio column, in the header or the rows."""
+    sphere = textwrap.dedent(
+        """\
+        obstacles:
+          - kind: sphere
+            center: [1.5, 1.0, 1.0]
+            radius_raw: 0.1
+        """
+    )
+    config = _write(tmp_path, PAIR_YAML + sphere)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config, "--out", str(out)]) == 0
+    header, *rows = (out / "phi_ratio_gamma1.csv").read_text().splitlines()
+    assert header.split(",") == ["t", "phi_ratio_sphere0"]
+    assert rows and all(len(row.split(",")) == 2 for row in rows)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

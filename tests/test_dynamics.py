@@ -1,5 +1,7 @@
 """Rigid-body model tests against an independently coded oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from coneguard.dynamics import (
     ControlInput,
     QuadrotorParams,
     QuadrotorState,
+    cross,
     euler_rate_matrix,
     rotation_matrix,
     step,
@@ -184,3 +187,20 @@ def test_derivative_matches_oracle_everywhere(att, wx, wy, wz):
     ).as_vector()
     want = oracles.rk4_step(vec, f, 1 / 480)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_cross_is_bit_equal_to_numpy():
+    """Same formula as np.cross, so the same bits: signs of zero, inf and nan too."""
+    rng = np.random.default_rng(6)
+    signs = rng.choice([-1.0, 1.0], (4000, 3))
+    draws = signs * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 3))
+    special = [np.array(v) for v in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=3)]
+    pairs = [(draws[i], draws[i + 1]) for i in range(0, len(draws), 2)]
+    pairs += list(itertools.product(special, repeat=2))
+    for a, b in pairs:
+        got = cross(a, b)
+        with np.errstate(all="ignore"):  # products past 1e308 overflow in numpy
+            want = np.cross(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), (a, b)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (a, b)

@@ -58,6 +58,30 @@ def test_inactive_constraint_returns_u_des():
     assert sol.active_set == ()
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_feasible_u_des_returned_at_once(rng, m):
+    """u_des that satisfies every row comes back as is, with no active set."""
+    for trial in range(50):
+        A = rng.normal(size=(m, 4))
+        u_des = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3)
+        margins = rng.uniform(0.0, 2.0, m)
+        if trial % 2:  # a row violated within the feasibility tolerance
+            margins[rng.integers(m)] = -rng.uniform(0.0, FEAS_TOL)
+        b = margins - A @ u_des
+        cons = tuple(
+            AffineSafetyConstraint(A[i], float(b[i]), label=f"c{i}") for i in range(m)
+        )
+        rows = np.vstack([c.gradient_row for c in cons])
+        offsets = np.array([c.offset for c in cons])
+        min_slack = float(np.min(rows @ u_des + offsets))
+        if min_slack < -FEAS_TOL:  # rounding pushed the margin past the tolerance
+            continue
+        sol = solve(QpProblem(u_des=u_des, constraints=cons))
+        assert np.array_equal(sol.u_star, u_des)
+        assert sol.active_set == () and sol.multipliers == ()
+        assert sol.kkt_residual == max(0.0, -min_slack)
+
+
 def test_single_constraint_projection_hand_value():
     # u1 >= 1 from u_des = 0: u* = (1, 0, 0, 0), lambda = 1
     con = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0, label="floor")
