@@ -36,13 +36,14 @@ the inflated radius, no projector or the axis projector, and weight ||v||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadrotorParams, QuadrotorState, cross, rotation_matrix
+from .dynamics import QuadrotorParams, QuadrotorState, _cross, cross, rotation_matrix
 from .errors import DegenerateGradientError, InvalidObstacleError
 from .qp import AffineSafetyConstraint, ClassKappa
 
@@ -63,7 +64,8 @@ S_FLOOR = 1e-3
 S_FLOOR_HO = 5e-2
 GRADIENT_MIN = 1e-10
 
-_E3 = np.array([0.0, 0.0, 1.0])
+_E3_FLOATS = (0.0, 0.0, 1.0)
+_E3 = np.array(_E3_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -85,28 +87,34 @@ class Obstacle:
     def __post_init__(self):
         if self.kind not in ("sphere", "cylinder"):
             raise InvalidObstacleError(f"unknown obstacle kind {self.kind!r}")
-        center = np.asarray(self.center, dtype=float).reshape(3).copy()
-        vel = np.asarray(self.velocity, dtype=float).reshape(3).copy()
+        center = np.array(self.center, dtype=float).reshape(3)
+        vel = np.array(self.velocity, dtype=float).reshape(3)
         center.setflags(write=False)
         vel.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "velocity", vel)
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(vel))):
+        if not all(map(math.isfinite, center.tolist() + vel.tolist())):
             raise InvalidObstacleError("obstacle center/velocity must be finite")
-        if not (np.isfinite(self.radius_raw) and self.radius_raw > 0.0):
+        if not (math.isfinite(self.radius_raw) and self.radius_raw > 0.0):
             raise InvalidObstacleError("radius_raw must be > 0")
         if self.kind == "cylinder":
             if self.axis is None:
                 raise InvalidObstacleError("cylinder needs an axis")
-            axis = np.asarray(self.axis, dtype=float).reshape(3).copy()
+            axis = np.array(self.axis, dtype=float).reshape(3)
             axis.setflags(write=False)
             object.__setattr__(self, "axis", axis)
+            if not all(map(math.isfinite, axis.tolist())):
+                raise InvalidObstacleError("cylinder axis must be finite")
             if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
                 raise InvalidObstacleError("cylinder axis must be unit length")
             # axial velocity is allowed: the column is infinite, so sliding
             # along its own axis never moves the constraint surface
-            if self.height is not None and self.height <= 0.0:
-                raise InvalidObstacleError("cylinder height must be > 0")
+            if self.height is not None and not (
+                math.isfinite(self.height) and self.height > 0.0
+            ):
+                raise InvalidObstacleError("cylinder height must be finite and > 0")
+            # the constant projector of every cylinder row, built once
+            object.__setattr__(self, "_projector", projection_operator(axis))
         elif self.axis is not None or self.height is not None:
             raise InvalidObstacleError("sphere takes no axis/height")
 
@@ -114,25 +122,15 @@ class Obstacle:
         return self.center + self.velocity * t
 
 
-@dataclass(frozen=True)
-class InflatedRadius:
+def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
     """Effective obstacle radius r = radius_raw + w/2.
 
     w is the quadrotor's max width, absorbed into the obstacle so the vehicle
     can be treated as a point. For a circular cylinder the second-largest
     half-extent is the cross-sectional radius regardless of height, so both
-    shapes inflate their radius_raw.
+    shapes inflate their radius_raw. Both inputs are validated positive.
     """
-
-    r: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r > 0.0):
-            raise InvalidObstacleError("inflated radius must be > 0")
-
-
-def inflated_radius(obstacle: Obstacle, body_width: float) -> InflatedRadius:
-    return InflatedRadius(obstacle.radius_raw + 0.5 * body_width)
+    return obstacle.radius_raw + 0.5 * body_width
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,9 @@ class BodyFrame:
     M: thrust_acceleration_map(params).
 
     a_d is computed on first use, so a frame that only places obstacles
-    (the geometric phi of a recorded state) never pays for it.
+    (the geometric phi of a recorded state) never pays for it. Its
+    elementwise terms run on Python floats in the operation order of their
+    array form, and R @ spin stays a numpy product.
     """
 
     def __init__(self, state: QuadrotorState, params: QuadrotorParams):
@@ -194,13 +194,20 @@ class BodyFrame:
 
     @cached_property
     def a_d(self) -> np.ndarray:
-        omega, params = self._state.body_rates, self._params
-        inertia = np.asarray(params.inertia_diag)
-        omega_dot_drift = -cross(omega, inertia * omega) / inertia
-        spin = cross(omega, cross(omega, _E3)) + cross(omega_dot_drift, _E3)
-        return np.array([0.0, 0.0, params.gravity]) - params.center_offset * (
-            self.R @ spin
-        )
+        omega, params = self._state.body_rates.tolist(), self._params
+        inertia = params.inertia_diag
+        gyro = _cross(omega, [i * w for i, w in zip(inertia, omega)])
+        omega_dot_drift = [-c / i for c, i in zip(gyro, inertia)]
+        spin = [
+            a + b
+            for a, b in zip(
+                _cross(omega, _cross(omega, _E3_FLOATS)),
+                _cross(omega_dot_drift, _E3_FLOATS),
+            )
+        ]
+        l = params.center_offset
+        r0, r1, r2 = (self.R @ np.array(spin)).tolist()
+        return np.array([0.0 - l * r0, 0.0 - l * r1, params.gravity - l * r2])
 
     def relative(self, obstacle: Obstacle, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(p_rel, v_rel): the obstacle center at time t minus the body center."""
@@ -229,25 +236,29 @@ def cone_terms(
     which leaves the plain closing-speed term and phi = pi/2; the floor
     bounds the 1/s in rate there. The cone squares ||p|| and the baseline
     takes <p, p>, as each has always rounded.
+
+    Scalars are Python floats: a norm is sqrt(x @ x), which is how numpy's
+    norm computes a 1-D one, and the clip of cos(phi) is min/max. The dots
+    stay numpy calls, so every value keeps its bits.
     """
     pv = float(p @ v)
-    norm_v = float(np.linalg.norm(v))
-    p_norm = float(np.linalg.norm(p))
+    norm_v = math.sqrt(float(v @ v))
+    p_norm = math.sqrt(float(p @ p))
     if gamma is None:
         weight, floor = norm_v, S_FLOOR
-        s = np.sqrt(max(p_norm * p_norm - r * r, 0.0))
+        s = math.sqrt(max(p_norm * p_norm - r * r, 0.0))
         w = p + v * (s / max(norm_v, EPS_V))
         cos_phi = s / max(p_norm, EPS_SQRT)
     else:
         weight, floor = gamma, S_FLOOR_HO
-        s = np.sqrt(max(float(p @ p) - r * r, 0.0))
+        s = math.sqrt(max(float(p @ p) - r * r, 0.0))
         w = p
         cos_phi = gamma * (s / max(p_norm, EPS_SQRT)) / max(norm_v, EPS_V)
     return ConeTerms(
         h=pv + weight * s,
         s=s,
         w=w,
-        phi=float(np.arccos(np.clip(cos_phi, 0.0, 1.0))),
+        phi=float(np.arccos(min(max(cos_phi, 0.0), 1.0))),
         rate=norm_v * norm_v + weight * pv / max(s, floor),
     )
 
@@ -261,7 +272,7 @@ def contract(
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
     input_row = -frame.M.T @ (frame.R.T @ terms.w)
-    if float(np.linalg.norm(input_row)) <= GRADIENT_MIN:
+    if math.sqrt(float(input_row @ input_row)) <= GRADIENT_MIN:
         raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
     return terms.rate + float(terms.w @ frame.a_d), input_row
 
@@ -289,12 +300,13 @@ def cone_geometry(
     """(p, v, r) as the collision cone sees the obstacle.
 
     r is the inflated radius; a cylinder's p_rel and v_rel are projected
-    onto the plane perpendicular to its axis (infinite-cylinder model).
+    onto the plane perpendicular to its axis (infinite-cylinder model) by
+    the projector the obstacle built once.
     """
     p, v = frame.relative(obstacle, t)
-    r = inflated_radius(obstacle, params.body_width).r
+    r = inflated_radius(obstacle, params.body_width)
     if obstacle.kind == "cylinder":
-        P = projection_operator(obstacle.axis)
+        P = obstacle._projector
         return P @ p, P @ v, r
     return p, v, r
 

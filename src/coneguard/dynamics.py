@@ -25,10 +25,22 @@ w3_dot ~ (L/Izz)(f1 - f2 + f3 - f4).
 
 R is the body-to-inertial rotation, ZYX convention R = Rz(psi) Ry(theta) Rx(phi).
 W maps Euler-angle rates to body rates, omega = W @ eta_dot.
+
+A ``QuadrotorState`` is one read-only 12-vector; its four named parts are
+views of it. The control step is small-array work, where numpy spends most
+of each call on dispatch, so everything elementwise runs on Python floats:
+the RK4 stages and updates on 12-lists, and the sines, cosines and square
+roots from ``math``. That rounds exactly as the array code did. Python
+float arithmetic is the IEEE double arithmetic numpy applies element by
+element, every expression keeps the operation order of its array form, and
+math's cos, sin and sqrt return numpy's bits (tests pin this). Dot and
+matrix-vector products stay numpy calls: numpy hands them to BLAS, whose
+fused multiply-adds a plain Python sum would not reproduce.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +97,18 @@ class QuadrotorParams:
         return self.mass * self.gravity / 4.0
 
 
+_PARTS = ("position", "velocity", "attitude", "body_rates")
+
+
 @dataclass(frozen=True)
 class QuadrotorState:
-    """Value-semantic 12-dimensional state."""
+    """Value-semantic 12-dimensional state, held as one read-only vector.
+
+    position, velocity, attitude and body_rates are read-only views of that
+    vector. The four-part constructor copies its arguments into it, and
+    ``from_vector`` copies its argument, so a state never shares memory
+    with its caller.
+    """
 
     position: np.ndarray
     velocity: np.ndarray
@@ -95,20 +116,17 @@ class QuadrotorState:
     body_rates: np.ndarray
 
     def __post_init__(self):
-        for name in ("position", "velocity", "attitude", "body_rates"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        parts = [np.asarray(getattr(self, n), dtype=float).reshape(3) for n in _PARTS]
+        _hold(self, np.concatenate(parts))
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "QuadrotorState":
-        x = np.asarray(x, dtype=float).reshape(12)
-        return QuadrotorState(x[0:3], x[3:6], x[6:9], x[9:12])
+        """The state holding a copy of the 12-vector x."""
+        return _wrap(np.array(x, dtype=float).reshape(12))
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.position, self.velocity, self.attitude, self.body_rates]
-        )
+        """The state's own read-only 12-vector (not a copy)."""
+        return self._x
 
     def validate(self) -> None:
         """Raise if the state leaves the admissible set.
@@ -117,14 +135,28 @@ class QuadrotorState:
         targets and the Euler-rate transform both assume it. Violation is a
         simulation fault, not something to clamp.
         """
-        x = self.as_vector()
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, self._x.tolist())):
             raise NonFiniteStateError("state contains non-finite components")
-        roll, pitch = self.attitude[0], self.attitude[1]
-        if abs(roll) >= np.pi / 2 or abs(pitch) >= np.pi / 2:
+        roll, pitch = self._x[6:8].tolist()
+        if abs(roll) >= math.pi / 2 or abs(pitch) >= math.pi / 2:
             raise AttitudeSingularError(
                 f"attitude out of range: roll={roll:.4f}, pitch={pitch:.4f}"
             )
+
+
+def _hold(state: QuadrotorState, x: np.ndarray) -> None:
+    """Make the 12-vector x the state's storage and its fields views of it."""
+    x.setflags(write=False)
+    state.__dict__.update(
+        _x=x, position=x[0:3], velocity=x[3:6], attitude=x[6:9], body_rates=x[9:12]
+    )
+
+
+def _wrap(x: np.ndarray) -> QuadrotorState:
+    """A state that takes ownership of the fresh 12-vector x (no copy)."""
+    state = object.__new__(QuadrotorState)
+    _hold(state, x)
+    return state
 
 
 @dataclass(frozen=True)
@@ -134,8 +166,8 @@ class ControlInput:
     thrusts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.thrusts, dtype=float).reshape(4).copy()
-        if not np.all(np.isfinite(arr)):
+        arr = np.array(self.thrusts, dtype=float).reshape(4)
+        if not all(map(math.isfinite, arr.tolist())):
             raise ConfigError("thrusts must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "thrusts", arr)
@@ -143,10 +175,10 @@ class ControlInput:
 
 def rotation_matrix(attitude: np.ndarray) -> np.ndarray:
     """Body-to-inertial rotation, ZYX: R = Rz(psi) @ Ry(theta) @ Rx(phi)."""
-    phi, theta, psi = attitude
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cth, sth = np.cos(theta), np.sin(theta)
-    cpsi, spsi = np.cos(psi), np.sin(psi)
+    phi, theta, psi = np.asarray(attitude, dtype=float).tolist()
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
     return np.array(
         [
             [cpsi * cth, cpsi * sth * sphi - spsi * cphi, cpsi * sth * cphi + spsi * sphi],
@@ -162,9 +194,9 @@ def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         AttitudeSingularError: |cos(theta)| < 1e-9 (gimbal lock).
     """
-    phi, theta = attitude[0], attitude[1]
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cth, sth = np.cos(theta), np.sin(theta)
+    phi, theta, _ = np.asarray(attitude, dtype=float).tolist()
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
     if abs(cth) < COS_PITCH_MIN:
         raise AttitudeSingularError(f"euler-rate transform singular at pitch={theta!r}")
     W = np.array(
@@ -185,6 +217,13 @@ def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return W, W_inv
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b of two 3-sequences of floats: numpy's cross formula, in its order."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b of two 3-vector arrays, computed on Python floats.
 
@@ -192,46 +231,51 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its formula, the same three differences of products in the same order,
     so the result is bit-equal to numpy's.
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    return np.array(_cross(a.tolist(), b.tolist()))
 
 
 def _derivative(
-    x: np.ndarray,
+    x: list[float],
     thrust_accel: float,
-    torque: np.ndarray,
-    inertia: np.ndarray,
+    torque: list[float],
+    inertia: tuple[float, float, float],
     gravity: float,
-) -> np.ndarray:
-    """x_dot = f(x) + g(x) u on raw 12-vectors (hot path for the integrator).
+) -> list[float]:
+    """x_dot = f(x) + g(x) u on a 12-list of floats (the integrator's hot path).
 
-    The thrusts are held over an RK4 step, so the terms that depend on them
-    and the parameters only are fixed for all four stages and come in from
-    ``step``: thrust_accel = total thrust / m, torque = L (MOMENT_MIX @ u),
-    and the inertia diagonal. R e3 is the third column of
-    ``rotation_matrix``, formed from the same sines and cosines.
+    Each expression keeps the operation order of its array form: R e3 is
+    ``rotation_matrix``'s third column, W^-1 omega is written out, and
+    omega x I omega is numpy's cross formula, so the result has the array
+    code's bits (see the module docstring). The thrusts are held over an
+    RK4 step, so the terms that depend on them and the parameters only are
+    fixed for all four stages and come in from ``step``: thrust_accel =
+    total thrust / m, torque = L (MOMENT_MIX @ u), and the inertia diagonal.
     """
     phi, theta, psi = x[6], x[7], x[8]
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    cth, sth = np.cos(theta), np.sin(theta)
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
     if abs(cth) < COS_PITCH_MIN:
         raise AttitudeSingularError(f"euler-rate transform singular at pitch={theta!r}")
-    cpsi, spsi = np.cos(psi), np.sin(psi)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
     omega = x[9:12]
-
-    out = np.empty(12)
-    out[0:3] = x[3:6]
-    out[3] = (cpsi * sth * cphi + spsi * sphi) * thrust_accel
-    out[4] = (spsi * sth * cphi - cpsi * sphi) * thrust_accel
-    out[5] = cth * cphi * thrust_accel - gravity
-    # W^-1 @ omega, written out to avoid building the matrix each stage
+    w0, w1, w2 = omega
+    i0, i1, i2 = inertia
+    gyro = _cross(omega, (i0 * w0, i1 * w1, i2 * w2))
     tth = sth / cth
-    out[6] = omega[0] + sphi * tth * omega[1] + cphi * tth * omega[2]
-    out[7] = cphi * omega[1] - sphi * omega[2]
-    out[8] = (sphi * omega[1] + cphi * omega[2]) / cth
-    out[9:12] = (-cross(omega, inertia * omega) + torque) / inertia
-    return out
+    return [
+        x[3],
+        x[4],
+        x[5],
+        (cpsi * sth * cphi + spsi * sphi) * thrust_accel,
+        (spsi * sth * cphi - cpsi * sphi) * thrust_accel,
+        cth * cphi * thrust_accel - gravity,
+        w0 + sphi * tth * w1 + cphi * tth * w2,
+        cphi * w1 - sphi * w2,
+        (sphi * w1 + cphi * w2) / cth,
+        (-gyro[0] + torque[0]) / i0,
+        (-gyro[1] + torque[1]) / i1,
+        (-gyro[2] + torque[2]) / i2,
+    ]
 
 
 def step(
@@ -242,6 +286,9 @@ def step(
 ) -> QuadrotorState:
     """One classical RK4 step of x_dot = f(x) + g(x) u with u held constant.
 
+    The stages run on 12-lists of floats, each update in the operation
+    order of its array form x + (h k), x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+
     Raises:
         ConfigError: dt <= 0.
         AttitudeSingularError: gimbal lock reached at any stage.
@@ -249,19 +296,27 @@ def step(
     """
     if dt <= 0.0:
         raise ConfigError("dt must be > 0")
-    x = state.as_vector()
+    x = state.as_vector().tolist()
     u = control.thrusts
+    u0, u1, u2, u3 = u.tolist()
     fixed = (
-        (u[0] + u[1] + u[2] + u[3]) / params.mass,
-        params.arm_span * (MOMENT_MIX @ u),
-        np.asarray(params.inertia_diag),
+        (u0 + u1 + u2 + u3) / params.mass,
+        (params.arm_span * (MOMENT_MIX @ u)).tolist(),
+        params.inertia_diag,
         params.gravity,
     )
-    k1 = _derivative(x, *fixed)
-    k2 = _derivative(x + 0.5 * dt * k1, *fixed)
-    k3 = _derivative(x + 0.5 * dt * k2, *fixed)
-    k4 = _derivative(x + dt * k3, *fixed)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
+    half, sixth = 0.5 * dt, dt / 6.0
+    try:
+        k1 = _derivative(x, *fixed)
+        k2 = _derivative([a + half * b for a, b in zip(x, k1)], *fixed)
+        k3 = _derivative([a + half * b for a, b in zip(x, k2)], *fixed)
+        k4 = _derivative([a + dt * b for a, b in zip(x, k3)], *fixed)
+    except ValueError:  # math.cos or sin of a stage angle that overflowed
+        raise NonFiniteStateError("integration stage left the finite range") from None
+    x_next = [
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+    ]
+    if not all(map(math.isfinite, x_next)):
         raise NonFiniteStateError("integration step produced non-finite state")
-    return QuadrotorState.from_vector(x_next)
+    return _wrap(np.array(x_next))

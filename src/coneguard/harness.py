@@ -93,6 +93,14 @@ class ScenarioConfig:
         for obstacle in self.obstacles:
             if obstacle.label == "partner":
                 raise ConfigError("obstacle label 'partner' is reserved")
+        starts = [("initial_state", self.initial_state)]
+        if self.partner is not None:
+            starts.append(("partner.initial_state", self.partner.initial_state))
+        for field, state in starts:
+            try:
+                state.validate()
+            except ConeguardError as exc:
+                raise ConfigError(f"{field}: {exc}") from exc
 
 
 def trace_columns(labels: tuple[str, ...]) -> list[str]:
@@ -170,10 +178,12 @@ def _quantize(table: np.ndarray) -> None:
     """Round every entry in place to 9 significant digits via its printed form.
 
     Elementwise, so one pass per run equals rounding each step as recorded;
-    row by row, so no copy of the table is held as Python floats.
+    row by row, so no copy of the table is held as Python floats. Each row
+    is printed by one %-format, which prints a float as format() does.
     """
+    row_format = " ".join(["%" + FLOAT_FORMAT] * table.shape[1])
     for row in table:
-        row[:] = [float(format(v, FLOAT_FORMAT)) for v in row.tolist()]
+        row[:] = list(map(float, (row_format % tuple(row.tolist())).split()))
 
 
 def separation_distance(
@@ -185,7 +195,7 @@ def separation_distance(
     perpendicular plane minus r (infinite-cylinder model).
     """
     p, _, r = cone_geometry(frame, obstacle, params, t)
-    return float(np.linalg.norm(p)) - r
+    return math.sqrt(float(p @ p)) - r
 
 
 def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:

@@ -40,6 +40,7 @@ subsets) every subset is a finalist and nothing is screened.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,10 +88,10 @@ class AffineSafetyConstraint:
     label: str = ""
 
     def __post_init__(self):
-        a = np.asarray(self.gradient_row, dtype=float).reshape(4).copy()
+        a = np.array(self.gradient_row, dtype=float).reshape(4)
         a.setflags(write=False)
         object.__setattr__(self, "gradient_row", a)
-        if not (np.all(np.isfinite(a)) and np.isfinite(self.offset)):
+        if not (all(map(math.isfinite, a.tolist())) and math.isfinite(self.offset)):
             raise ConfigError("constraint row must be finite")
 
 
@@ -100,7 +101,7 @@ class QpProblem:
     constraints: tuple[AffineSafetyConstraint, ...] = ()
 
     def __post_init__(self):
-        u = np.asarray(self.u_des, dtype=float).reshape(4).copy()
+        u = np.array(self.u_des, dtype=float).reshape(4)
         u.setflags(write=False)
         object.__setattr__(self, "u_des", u)
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -116,18 +117,15 @@ class QpSolution:
 
 def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """The rows a.u + b >= 0 of the problem as (A, b, labels)."""
-    rows_a, rows_b, labels = [], [], []
-    for c in problem.constraints:
+    rows = problem.constraints
+    for c in rows:
         if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
             raise DegenerateGradientError(
                 f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
             )
-        rows_a.append(c.gradient_row)
-        rows_b.append(c.offset)
-        labels.append(c.label)
-    if rows_a:
-        return np.vstack(rows_a), np.asarray(rows_b, dtype=float), labels
-    return np.zeros((0, 4)), np.zeros(0), labels
+    A = np.array([c.gradient_row for c in rows]).reshape(len(rows), 4)
+    b = np.array([c.offset for c in rows], dtype=float)
+    return A, b, [c.label for c in rows]
 
 
 def _project_equalities(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -260,7 +258,8 @@ def _feasible_start(
     for idx in finalists:
         cand = _project_equalities(u_des, A[idx], b[idx])
         if np.min(A @ cand + b) >= -FEAS_TOL:
-            dist = float(np.linalg.norm(cand - u_des))
+            step = cand - u_des
+            dist = math.sqrt(float(step @ step))
             if dist < best_dist:
                 best, best_dist = cand, dist
     if best is None:
@@ -292,7 +291,7 @@ def solve(problem: QpProblem) -> QpSolution:
     u_des = problem.u_des
     A, b, labels = _stack_rows(problem)
     m = A.shape[0]
-    min_slack = float(np.min(A @ u_des + b, initial=np.inf))
+    min_slack = float((A @ u_des + b).min(initial=np.inf))
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
         return QpSolution(u_des.copy(), (), (), max(0.0, -min_slack))
@@ -308,7 +307,7 @@ def solve(problem: QpProblem) -> QpSolution:
         else:
             u_eq = u_des.copy()
         d = u_eq - u
-        if float(np.linalg.norm(d)) <= 1e-12:
+        if math.sqrt(float(d @ d)) <= 1e-12:
             # At the working-set minimizer: check signs of the multipliers.
             if working:
                 W = A[working]
@@ -348,9 +347,8 @@ def solve(problem: QpProblem) -> QpSolution:
 
     lam = np.maximum(lam_w, 0.0) if lam_w.size else np.zeros(0)
     act_labels = tuple(labels[i] for i in working)
-    stationarity = float(
-        np.linalg.norm((u - u_des) - (A[working].T @ lam if working else 0.0))
-    )
+    gap = (u - u_des) - (A[working].T @ lam if working else 0.0)
+    stationarity = math.sqrt(float(gap @ gap))
     feas = float(max(0.0, -(np.min(A @ u + b))))
     comp = (
         float(np.max(np.abs(lam * (A[working] @ u + b[working])))) if working else 0.0

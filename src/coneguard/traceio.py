@@ -216,6 +216,8 @@ def _parse_obstacle(data, index: int) -> Obstacle:
         kwargs["velocity"] = _vector(data["velocity"], 3, f"{context}.velocity")
     if "axis" in data:
         axis = _vector(data["axis"], 3, f"{context}.axis")
+        if not np.isfinite(axis).all():
+            raise ConfigError(f"{context}.axis: must be finite")
         norm = float(np.linalg.norm(axis))
         if norm <= 0.0:
             raise ConfigError(f"{context}.axis: zero vector")

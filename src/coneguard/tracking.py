@@ -19,10 +19,14 @@ The right-hand side is ordered so that the commanded roll acceleration lands
 on the f1 - f3 channel and pitch on f2 - f4, matching the dynamics' moment
 rows exactly: feeding the mixer output through those rows reproduces
 (roll_acc, pitch_acc, 0). Yaw is uncontrolled (fourth component 0).
+
+Scalars run on Python floats and matrix products on numpy, for the reasons
+and with the rounding the ``dynamics`` module docstring gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +81,23 @@ class ControllerGains:
 
 def commanded_acceleration(
     state: QuadrotorState, ref: ReferenceSample, gains: ControllerGains
-) -> np.ndarray:
-    """a_cmd = a_d + Kd (v_d - v) + Kp (x_d - x), componentwise."""
-    kp = np.asarray(gains.pos_p)
-    kd = np.asarray(gains.pos_d)
-    return (
-        ref.acceleration
-        + kd * (ref.velocity - state.velocity)
-        + kp * (ref.position - state.position)
+) -> tuple[float, float, float]:
+    """a_cmd = a_d + Kd (v_d - v) + Kp (x_d - x), componentwise on floats."""
+    return tuple(
+        a + kd * (vd - v) + kp * (xd - x)
+        for a, kd, vd, v, kp, xd, x in zip(
+            ref.acceleration.tolist(),
+            gains.pos_d,
+            ref.velocity.tolist(),
+            state.velocity.tolist(),
+            gains.pos_p,
+            ref.position.tolist(),
+            state.position.tolist(),
+        )
     )
 
 
-def attitude_targets(accel_cmd: np.ndarray, gravity: float) -> tuple[float, float]:
+def attitude_targets(accel_cmd, gravity: float) -> tuple[float, float]:
     """Small-angle attitude targets (roll_d, pitch_d) for a desired acceleration.
 
     roll_d = -ay/(g+az), pitch_d = ax/(g+az).
@@ -113,22 +122,29 @@ def attitude_pd(
     Angle rates are the exact Euler rates W^-1 @ omega.
     """
     _, W_inv = euler_rate_matrix(state.attitude)
-    eta_dot = W_inv @ state.body_rates
-    roll, pitch = state.attitude[0], state.attitude[1]
-    roll_acc = gains.roll_p * (roll_d - roll) + gains.roll_d * (0.0 - eta_dot[0])
-    pitch_acc = gains.pitch_p * (pitch_d - pitch) + gains.pitch_d * (0.0 - eta_dot[1])
+    roll_rate, pitch_rate, _ = (W_inv @ state.body_rates).tolist()
+    roll, pitch, _ = state.attitude.tolist()
+    roll_acc = gains.roll_p * (roll_d - roll) + gains.roll_d * (0.0 - roll_rate)
+    pitch_acc = gains.pitch_p * (pitch_d - pitch) + gains.pitch_d * (0.0 - pitch_rate)
     return roll_acc, pitch_acc
 
 
 def mixer(
-    accel_cmd: np.ndarray,
+    accel_cmd,
     roll_acc: float,
     pitch_acc: float,
     params: QuadrotorParams,
 ) -> ControlInput:
-    """Allocate total thrust and angular-acceleration commands to rotors."""
+    """Allocate total thrust and angular-acceleration commands to rotors.
+
+    Raises:
+        DegenerateThrustError: the commanded thrust overflows.
+    """
     ax, ay, az = accel_cmd
-    total = params.mass * np.sqrt(ax * ax + ay * ay + (params.gravity + az) ** 2)
+    try:
+        total = params.mass * math.sqrt(ax * ax + ay * ay + (params.gravity + az) ** 2)
+    except OverflowError:  # float ** raises where numpy's gave inf
+        raise DegenerateThrustError("commanded thrust overflows") from None
     ixx, iyy, _ = params.inertia_diag
     rhs = np.array(
         [

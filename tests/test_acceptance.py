@@ -164,7 +164,7 @@ def test_c03_barrier_derivatives_match_finite_differences():
             1000,
             random_sphere,
             lambda frame, o, t: barrier_3d(frame, o, PARAMS, kappa, t),
-            lambda o: (inflated_radius(o, PARAMS.body_width).r, {"variant": "sphere"}),
+            lambda o: (inflated_radius(o, PARAMS.body_width), {"variant": "sphere"}),
             lambda p, r: np.linalg.norm(p) < r + 0.01,
         ),
         "cone-cylinder": _fd_worst(
@@ -173,7 +173,7 @@ def test_c03_barrier_derivatives_match_finite_differences():
             random_cylinder,
             lambda frame, o, t: barrier_projection(frame, o, PARAMS, kappa, t),
             lambda o: (
-                inflated_radius(o, PARAMS.body_width).r,
+                inflated_radius(o, PARAMS.body_width),
                 {"variant": "cylinder", "axis": (0.0, 0.0, 1.0)},
             ),
             lambda p, r: np.linalg.norm(p[:2]) < r + 0.01,
@@ -213,11 +213,11 @@ def test_c04_input_row_never_vanishes():
         p_s, _ = oracles.relative_state(
             state.as_vector(), sphere.center, sphere.velocity, t
         )
-        r_s = inflated_radius(sphere, PARAMS.body_width).r
+        r_s = inflated_radius(sphere, PARAMS.body_width)
         p_c, _ = oracles.relative_state(
             state.as_vector(), cylinder.center, cylinder.velocity, t
         )
-        r_c = inflated_radius(cylinder, PARAMS.body_width).r
+        r_c = inflated_radius(cylinder, PARAMS.body_width)
         if np.linalg.norm(p_s) < r_s + 0.01 or np.linalg.norm(p_c[:2]) < r_c + 0.01:
             continue
         frame = BodyFrame(state, PARAMS)
@@ -320,7 +320,7 @@ def test_c06_speed_matched_penalty_recovers_cone():
         t = float(rng.uniform(0, 2))
         frame = BodyFrame(state, PARAMS)
         p_rel, v_rel = frame.relative(obs, t)
-        r = inflated_radius(obs, PARAMS.body_width).r
+        r = inflated_radius(obs, PARAMS.body_width)
         p_norm = float(np.linalg.norm(p_rel))
         v_norm = float(np.linalg.norm(v_rel))
         if p_norm < r + 0.01 or v_norm < 1e-3:

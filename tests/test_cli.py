@@ -138,6 +138,15 @@ def test_validate_missing_file_exits_1(capsys):
 
 
 HOVER_REFERENCE = "  type: hover\n  point: [0.0, 0.0, 1.0]\n"
+# the hover scene plus one cylinder; a case appends its axis and height lines
+CYLINDER_YAML = HOVER_YAML + textwrap.dedent(
+    """\
+    obstacles:
+      - kind: cylinder
+        center: [2.0, 0.0, 1.0]
+        radius_raw: 0.2
+    """
+)
 
 
 @pytest.mark.parametrize(
@@ -162,8 +171,30 @@ HOVER_REFERENCE = "  type: hover\n  point: [0.0, 0.0, 1.0]\n"
         ),
         pytest.param(HOVER_YAML + "gains:\n  pos_p: [-1, 0, 0]\n", id="gains"),
         pytest.param(HOVER_YAML + "params:\n  mass: 0\n", id="params"),
+        pytest.param(CYLINDER_YAML + "    axis: [.nan, 0.0, 1.0]\n", id="axis-nan"),
+        pytest.param(CYLINDER_YAML + "    axis: [.inf, 0.0, 0.0]\n", id="axis-inf"),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [0.0, 0.0, 1.0]\n    height: .nan\n",
+            id="height-nan",
+        ),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [0.0, 0.0, 1.0]\n    height: .inf\n",
+            id="height-inf",
+        ),
+        pytest.param(
+            HOVER_YAML.replace("position: [0.1,", "position: [.nan,"),
+            id="initial-position-nan",
+        ),
+        pytest.param(
+            HOVER_YAML.replace(
+                "  position: [0.1, 0.0, 1.0]\n",
+                "  position: [0.1, 0.0, 1.0]\n  attitude: [2.0, 0.0, 0.0]\n",
+            ),
+            id="initial-attitude-out-of-range",
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_rejects_bad_values(tmp_path, capsys, text):
     assert main(["validate-config", "--config", _write(tmp_path, text)]) == 1
     err = capsys.readouterr().err

@@ -103,7 +103,7 @@ def test_h_sign_matches_cone_membership(rng):
 
 def test_inflated_radius_adds_half_width(params):
     obs = Obstacle(kind="sphere", center=(1, 0, 0), radius_raw=0.15)
-    assert inflated_radius(obs, params.body_width).r == 0.15 + params.body_width / 2
+    assert inflated_radius(obs, params.body_width) == 0.15 + params.body_width / 2
 
 
 def test_obstacle_validation():
@@ -121,6 +121,19 @@ def test_obstacle_validation():
         )
     with pytest.raises(InvalidObstacleError):
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, axis=(0, 0, 1))
+    # a NaN axis passes a |norm - 1| > tol test, and an inf height "> 0"
+    for axis in ((np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(InvalidObstacleError):
+            Obstacle(kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=axis)
+    for height in (np.nan, np.inf):
+        with pytest.raises(InvalidObstacleError):
+            Obstacle(
+                kind="cylinder",
+                center=(0, 0, 0),
+                radius_raw=0.1,
+                axis=(0, 0, 1),
+                height=height,
+            )
 
 
 def test_obstacle_center_motion():
@@ -178,7 +191,7 @@ def test_barrier_3d_derivative_row(rng, params):
         state = random_state(rng)
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
-        r = inflated_radius(obs, params.body_width).r
+        r = inflated_radius(obs, params.body_width)
         p, _ = oracles.relative_state(state.as_vector(), obs.center, obs.velocity, t)
         if np.linalg.norm(p) < r + 0.05:
             continue  # clear of the sqrt clamp and the drift floor
@@ -198,7 +211,7 @@ def test_barrier_projection_derivative_row(rng, params):
         state = random_state(rng)
         obs = random_cylinder(rng)
         t = float(rng.uniform(0, 2))
-        r = inflated_radius(obs, params.body_width).r
+        r = inflated_radius(obs, params.body_width)
         p, _ = oracles.relative_state(state.as_vector(), obs.center, obs.velocity, t)
         if np.linalg.norm(p[:2]) < r + 0.05:
             continue

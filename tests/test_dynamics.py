@@ -1,6 +1,7 @@
 """Rigid-body model tests against an independently coded oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def test_validate_rejects_flipped_attitude():
         QuadrotorState.from_vector(vec).validate()
 
 
+def test_step_reports_an_overflowing_stage_as_non_finite(params):
+    """A stage angle that overflows to inf ends the step as NonFiniteStateError."""
+    vec = np.zeros(12)
+    vec[6:8] = 0.5
+    vec[9:11] = 1.7e308  # the roll rate overflows, so the k2 stage's roll is inf
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+        step(QuadrotorState.from_vector(vec), ControlInput(np.zeros(4)), 0.01, params)
+
+
 def test_step_rejects_bad_dt(params):
     state = QuadrotorState.from_vector(np.zeros(12))
     with pytest.raises(ValueError):
@@ -204,3 +214,76 @@ def test_cross_is_bit_equal_to_numpy():
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True), (a, b)
         assert np.array_equal(np.signbit(got), np.signbit(want)), (a, b)
+
+
+def _assert_same_bits(got, want, context):
+    assert np.array_equal(got, want, equal_nan=True), context
+    assert np.array_equal(np.signbit(got), np.signbit(want)), context
+
+
+@pytest.mark.parametrize("name", ["cos", "sin", "sqrt"])
+def test_math_trig_and_sqrt_are_bit_equal_to_numpy(name):
+    """The step loop takes cos, sin and sqrt from math; they must be numpy's bits.
+
+    math raises ValueError where numpy returns nan (cos/sin of ±inf, sqrt
+    of a negative), which ``step`` reports as a non-finite state.
+    """
+    rng = np.random.default_rng(7)
+    signs = rng.choice([-1.0, 1.0], 20000)
+    draws = np.concatenate(
+        [
+            signs[:10000] * 10.0 ** rng.uniform(-300.0, 300.0, 10000),
+            signs[10000:] * 10.0 ** rng.uniform(-3.0, 3.0, 10000),  # where angles live
+            # the values a libm is likeliest to treat apart
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.5e-310],
+        ]
+    )
+    math_fn, numpy_fn = getattr(math, name), getattr(np, name)
+    with np.errstate(invalid="ignore"):
+        want = numpy_fn(draws)
+        # numpy's scalar path, which the step loop used, gives the same bits
+        scalars = np.array([numpy_fn(v) for v in draws[::10]])
+        _assert_same_bits(scalars, want[::10], name)
+    got = np.empty_like(draws)
+    for i, v in enumerate(draws.tolist()):
+        try:
+            got[i] = math_fn(v)
+        except ValueError:
+            assert (math.isinf(v) or v < 0.0) and np.isnan(want[i]), v
+            got[i] = want[i]
+    _assert_same_bits(got, want, name)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sqrt_of_dot_is_numpy_norm(n):
+    """math.sqrt(float(x @ x)) is np.linalg.norm's own 1-D formula, bit for bit."""
+    rng = np.random.default_rng(8 + n)
+    scale = 10.0 ** rng.uniform(-160.0, 160.0, (3000, 1))
+    vectors = list(rng.standard_normal((3000, n)) * scale)
+    vectors += [np.zeros(n), -np.zeros(n), np.full(n, 1e200), np.full(n, np.nan)]
+    for x in vectors:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(x)
+            got = math.sqrt(float(x @ x))
+        _assert_same_bits(np.float64(got), want, x)
+
+
+def test_state_holds_one_read_only_vector():
+    vec = np.arange(12.0)
+    state = QuadrotorState.from_vector(vec)
+    parts = (state.position, state.velocity, state.attitude, state.body_rates)
+    for view in (state.as_vector(), *parts):
+        assert np.shares_memory(view, state.as_vector())
+        with pytest.raises(ValueError):
+            view[0] = -1.0
+    vec[0] = 99.0  # from_vector copied its argument
+    assert state.position[0] == 0.0
+    built = QuadrotorState(vec[0:3], vec[3:6], vec[6:9], vec[9:12])
+    assert not np.shares_memory(built.as_vector(), vec)
+    from_vec = QuadrotorState.from_vector(vec)
+    assert np.array_equal(built.as_vector(), from_vec.as_vector())
+    for a, b in zip(
+        (built.position, built.velocity, built.attitude, built.body_rates),
+        np.split(vec, 4),
+    ):
+        assert np.array_equal(a, b)

@@ -263,6 +263,15 @@ LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
             lambda: WaypointReference(LINE[[0, 0]], 1.0), id="repeated-waypoint"
         ),
         pytest.param(
+            lambda: hover_config(
+                partner=AgentSpec(
+                    QuadrotorState.from_vector([0, 0, 1, 0, 0, 0, 0, 2.0, 0, 0, 0, 0]),
+                    HoverReference([1.0, 0.0, 1.0]),
+                )
+            ),
+            id="partner-initial-attitude",
+        ),
+        pytest.param(
             lambda: step(
                 QuadrotorState.from_vector(np.zeros(12)),
                 ControlInput(np.zeros(4)),
@@ -349,3 +358,21 @@ def test_metrics_tracking_rms_present_for_reference_runs():
     assert np.isfinite(metrics.tracking_rms)
     assert metrics.tracking_rms < 0.05
     assert metrics.min_separation == np.inf  # no obstacles anywhere
+
+
+def test_quantize_matches_the_string_rule():
+    """One %-format per row rounds exactly as float(format(v, ".8e")) per value."""
+    rng = np.random.default_rng(11)
+    signs = rng.choice([-1.0, 1.0], 20000)
+    values = np.concatenate(
+        [
+            signs * 10.0 ** rng.uniform(-300.0, 300.0, 20000),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072e-310],
+        ]
+    )
+    table = values.reshape(-1, 41).copy()  # a 10-obstacle trace is 41 wide
+    harness._quantize(table)
+    want = np.array([float(format(v, harness.FLOAT_FORMAT)) for v in values.tolist()])
+    got = table.ravel()
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

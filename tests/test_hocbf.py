@@ -115,7 +115,7 @@ def test_matching_penalty_recovers_cone_barrier(rng, params):
         t = float(rng.uniform(0, 2))
         frame = BodyFrame(state, params)
         p_rel, v_rel = frame.relative(obs, t)
-        r = inflated_radius(obs, params.body_width).r
+        r = inflated_radius(obs, params.body_width)
         norm_v = float(np.linalg.norm(v_rel))
         if float(np.linalg.norm(p_rel)) < r + 0.01 or norm_v < 1e-3:
             continue
@@ -136,7 +136,7 @@ def test_constant_penalty_is_conservative_when_slower(rng, params):
         t = float(rng.uniform(0, 2))
         frame = BodyFrame(state, params)
         p_rel, v_rel = frame.relative(obs, t)
-        r = inflated_radius(obs, params.body_width).r
+        r = inflated_radius(obs, params.body_width)
         p_norm = float(np.linalg.norm(p_rel))
         norm_v = float(np.linalg.norm(v_rel))
         closing = float(p_rel @ v_rel)

@@ -71,6 +71,11 @@ def test_attitude_targets_reject_free_fall_demand():
         attitude_targets(np.array([0.0, 0.0, -9.81]), 9.81)
 
 
+def test_mixer_rejects_an_overflowing_thrust(params):
+    with pytest.raises(DegenerateThrustError):
+        mixer((0.0, 0.0, 1e200), 0.0, 0.0, params)
+
+
 def test_mixer_channels(params):
     """Allocated thrusts reproduce the requested total and moments."""
     u = mixer(np.array([0.4, -0.3, 0.2]), 2.0, -1.5, params)
