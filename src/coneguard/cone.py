@@ -25,13 +25,16 @@ the derivative at zero relative acceleration (||v||^2 + weight <p, v>/s),
 a_d the thrust-independent part of -d(v_rel)/dt, and M the map from rotor
 thrust to body-frame acceleration of the body center. R, the body center,
 a_d and M depend on the vehicle only, so ``BodyFrame`` computes them once
-per control step and ``contract`` turns a frame and the cone terms into the
-row. A constant projector commutes with d/dt and w lies in its range, so
-cylinders contract with the same unprojected maps. Constant-velocity
-obstacles enter through p and v only.
+per control step. ``contract`` turns a frame and the cone terms into
+(drift, input_row), and ``barrier_row`` into the QP row
+input_row . f + drift + kappa(h) >= 0. A constant projector commutes with
+d/dt and w lies in its range, so cylinders contract with the same
+unprojected maps. Constant-velocity obstacles enter through p and v only.
 
 ``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
 the inflated radius, no projector or the axis projector, and weight ||v||.
+Like ``hocbf.barrier_ho`` they return the cone terms, which carry h and phi,
+and the row.
 """
 
 from __future__ import annotations
@@ -131,16 +134,6 @@ def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
     shapes inflate their radius_raw. Both inputs are validated positive.
     """
     return obstacle.radius_raw + 0.5 * body_width
-
-
-@dataclass(frozen=True)
-class BarrierEvaluation:
-    """Barrier value plus the pieces of its affine-in-input derivative."""
-
-    h: float
-    drift_term: float  # dh/dt contribution independent of the rotor thrusts
-    input_row: np.ndarray  # dh/dt = drift_term + input_row . f
-    cone_half_angle: float  # phi (rad); pi/2 when inside the inflated radius
 
 
 @lru_cache(maxsize=16)
@@ -279,13 +272,10 @@ def contract(
 
 def barrier_row(
     frame: BodyFrame, terms: ConeTerms, kappa: ClassKappa, label: str
-) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
-    """The evaluation and the QP row input_row . f + drift + kappa(h) >= 0."""
+) -> AffineSafetyConstraint:
+    """The QP row input_row . f + drift + kappa(h) >= 0."""
     drift, input_row = contract(frame, terms, label)
-    return (
-        BarrierEvaluation(terms.h, drift, input_row, terms.phi),
-        AffineSafetyConstraint(input_row, drift + kappa(terms.h), label=label),
-    )
+    return AffineSafetyConstraint(input_row, drift + kappa(terms.h), label=label)
 
 
 def projection_operator(axis: np.ndarray) -> np.ndarray:
@@ -311,17 +301,6 @@ def cone_geometry(
     return p, v, r
 
 
-def h_cone(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> float:
-    """Collision-cone barrier <p_rel, v_rel> + ||v_rel|| sqrt(||p_rel||^2 - r^2).
-
-    Inside the inflated radius the sqrt argument is clamped to zero, which
-    leaves the plain approach-speed term; callers flag the violation.
-    """
-    p = np.asarray(p_rel, dtype=float)
-    v = np.asarray(v_rel, dtype=float)
-    return float(cone_terms(p, v, r).h)
-
-
 def barrier_3d(
     frame: BodyFrame,
     obstacle: Obstacle,
@@ -329,20 +308,20 @@ def barrier_3d(
     kappa: ClassKappa,
     t: float,
     label: str = "",
-) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, AffineSafetyConstraint]:
     """Spherical-obstacle barrier row for the safety QP.
 
     Args:
         frame: the vehicle terms of this control step.
         obstacle: sphere (cylinders go through barrier_projection).
         params: vehicle parameters (the body width inflates the radius).
-        kappa: class-K function; the row offset is drift_term + kappa(h).
+        kappa: class-K function; the row offset is drift + kappa(h).
         t: simulation time.
         label: label of the QP row.
 
     Returns:
-        (BarrierEvaluation, AffineSafetyConstraint) with the constraint
-        encoding input_row . f + drift_term + kappa(h) >= 0.
+        (ConeTerms, AffineSafetyConstraint): the terms carry h and phi, and
+        the constraint encodes input_row . f + drift + kappa(h) >= 0.
 
     Raises:
         InvalidObstacleError: called with a cylinder.
@@ -351,7 +330,7 @@ def barrier_3d(
     if obstacle.kind != "sphere":
         raise InvalidObstacleError("barrier_3d expects a sphere")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-    return barrier_row(frame, terms, kappa, label)
+    return terms, barrier_row(frame, terms, kappa, label)
 
 
 def barrier_projection(
@@ -361,7 +340,7 @@ def barrier_projection(
     kappa: ClassKappa,
     t: float,
     label: str = "",
-) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, AffineSafetyConstraint]:
     """Cylindrical-obstacle barrier row: the cone in the plane ⊥ to the axis.
 
     The projector P = I - n n^T is constant, so the projected relative state
@@ -376,4 +355,4 @@ def barrier_projection(
     if obstacle.kind != "cylinder":
         raise InvalidObstacleError("barrier_projection expects a cylinder")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-    return barrier_row(frame, terms, kappa, label)
+    return terms, barrier_row(frame, terms, kappa, label)

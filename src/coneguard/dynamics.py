@@ -188,8 +188,8 @@ def rotation_matrix(attitude: np.ndarray) -> np.ndarray:
     )
 
 
-def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W and W^-1 with omega = W @ eta_dot for the ZYX convention.
+def euler_rate_matrix(attitude: np.ndarray) -> np.ndarray:
+    """W^-1, which maps body rates to Euler-angle rates: eta_dot = W^-1 @ omega.
 
     Raises:
         AttitudeSingularError: |cos(theta)| < 1e-9 (gimbal lock).
@@ -199,22 +199,14 @@ def euler_rate_matrix(attitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cth, sth = math.cos(theta), math.sin(theta)
     if abs(cth) < COS_PITCH_MIN:
         raise AttitudeSingularError(f"euler-rate transform singular at pitch={theta!r}")
-    W = np.array(
-        [
-            [1.0, 0.0, -sth],
-            [0.0, cphi, sphi * cth],
-            [0.0, -sphi, cphi * cth],
-        ]
-    )
     tth = sth / cth
-    W_inv = np.array(
+    return np.array(
         [
             [1.0, sphi * tth, cphi * tth],
             [0.0, cphi, -sphi],
             [0.0, sphi / cth, cphi / cth],
         ]
     )
-    return W, W_inv
 
 
 def _cross(a, b) -> tuple[float, float, float]:

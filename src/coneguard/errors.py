@@ -50,10 +50,6 @@ class InvalidObstacleError(ConeguardError):
     """Obstacle shape is not valid for the requested barrier variant."""
 
 
-class ConeDegenerateError(ConeguardError):
-    """Effective half-angle is undefined (arccos argument out of range)."""
-
-
 class ConfigError(ConeguardError, ValueError):
     """Scenario configuration is malformed or violates an invariant.
 

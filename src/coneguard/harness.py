@@ -19,7 +19,8 @@ written trace file parses back to exactly the in-memory trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,14 +120,13 @@ class SimTrace:
 
     ``table`` is the CSV contract, columns ``trace_columns(obstacle_labels)``;
     t, states, u_des, u_star, h and separation are read-only views of it.
-    active_sets, half_angles and ref_positions exist in memory only.
+    half_angles and ref_positions exist in memory only.
     """
 
     name: str
     filter_kind: str
     obstacle_labels: tuple[str, ...]
     table: np.ndarray  # (N, 21 + 2 n_obs)
-    active_sets: tuple[tuple[str, ...], ...] = ()
     half_angles: np.ndarray | None = None  # (N, n_obs), filter's phi
     ref_positions: np.ndarray | None = None  # (N, 3)
 
@@ -159,13 +159,13 @@ class Metrics:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Both runs of two filters on the same geometry, and their metrics."""
+    """The C3BF run (a) and one HO-CBF run (b) on the same geometry."""
 
     trace_a: SimTrace
     trace_b: SimTrace
     metrics_a: Metrics
     metrics_b: Metrics
-    phi_ratio: np.ndarray | None  # phi'/phi along the HO-CBF run, if any
+    phi_ratio: np.ndarray  # phi'/phi along the HO-CBF run
     phi_ratio_labels: tuple[str, ...]  # the obstacle of each phi_ratio column
 
     @property
@@ -225,21 +225,19 @@ def _survey(
     for obstacle, label in zip(obstacles, labels):
         if config.filter_kind == "none":
             terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-            h, phi = terms.h, terms.phi
         else:
             if config.filter_kind == "hocbf":
-                evaluation, row = barrier_ho(
+                terms, row = barrier_ho(
                     frame, obstacle, params, kappa, config.hocbf, t, label
                 )
             else:
                 barrier = (
                     barrier_3d if obstacle.kind == "sphere" else barrier_projection
                 )
-                evaluation, row = barrier(frame, obstacle, params, kappa, t, label)
-            h, phi = evaluation.h, evaluation.cone_half_angle
+                terms, row = barrier(frame, obstacle, params, kappa, t, label)
             rows.append(row)
-        cells += (h, separation_distance(frame, obstacle, params, t))
-        angles.append(phi)
+        cells += (terms.h, separation_distance(frame, obstacle, params, t))
+        angles.append(terms.phi)
     return cells, angles, rows
 
 
@@ -251,14 +249,11 @@ class _Recorder:
         self.table = np.empty((n_rows, len(trace_columns(labels))))
         self.half_angles = np.empty((n_rows, len(labels)))
         self.ref_positions = np.empty((n_rows, 3))
-        self.active: list[tuple[str, ...]] = []
 
-    def add(self, t, state, u_des, u_star, cells, angles, active, ref_pos):
-        k = len(self.active)
+    def add(self, k, t, state, u_des, u_star, cells, angles, ref_pos):
         self.table[k] = np.concatenate(([t], state.as_vector(), u_des, u_star, cells))
         self.half_angles[k] = angles
         self.ref_positions[k] = ref_pos
-        self.active.append(tuple(active))
 
     def build(self, name: str, filter_kind: str) -> SimTrace:
         _quantize(self.table)
@@ -267,7 +262,6 @@ class _Recorder:
             filter_kind=filter_kind,
             obstacle_labels=self.labels,
             table=self.table,
-            active_sets=tuple(self.active),
             half_angles=self.half_angles,
             ref_positions=self.ref_positions,
         )
@@ -315,8 +309,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                 cells, angles, rows = _survey(state, obstacles, labels, config, t)
                 solution = solve(QpProblem(u_des, tuple(rows)))
                 recorders[a].add(
-                    t, state, u_des, solution.u_star, cells, angles,
-                    solution.active_set, ref.position,
+                    k, t, state, u_des, solution.u_star, cells, angles, ref.position
                 )
                 controls.append(solution.u_star)
             if k < n_steps:
@@ -398,25 +391,34 @@ def _phi_ratio(
         for i, obstacle in enumerate(config.obstacles):
             geometry = cone_geometry(frame, obstacle, config.params, trace.t[k])
             phi = cone_terms(*geometry).phi
-            prime = trace.half_angles[k, i] if trace.half_angles is not None else phi
-            ratio[k, i] = prime / max(phi, 1e-12)
+            ratio[k, i] = trace.half_angles[k, i] / max(phi, 1e-12)
     return labels, ratio
 
 
-def compare(config_a: ScenarioConfig, config_b: ScenarioConfig) -> ComparisonReport:
-    """Run both configs (same geometry, different filters) and pair results."""
-    trace_a = run(config_a)
-    trace_b = run(config_b)
-    labels, phi_ratio = (), None
-    if config_b.filter_kind == "hocbf":
+def compare(
+    config: ScenarioConfig, gammas: Iterable[float]
+) -> Iterator[ComparisonReport]:
+    """C3BF against HO-CBF at each penalty gamma, on the config's geometry.
+
+    The C3BF side runs once and every report shares its trace; the HO-CBF
+    runs follow one per gamma, each report yielded before the next run.
+    Every gamma is checked before the first run, so a bad one fails before
+    any flight.
+    """
+    ho_configs = [
+        replace(config, filter_kind="hocbf", hocbf=HocbfConfig(gamma_penalty=gamma))
+        for gamma in gammas
+    ]
+    trace_a = run(replace(config, filter_kind="c3bf"))
+    metrics_a = compute_metrics(trace_a)
+    for config_b in ho_configs:
+        trace_b = run(config_b)
         labels, phi_ratio = _phi_ratio(trace_b, config_b)
-    elif config_a.filter_kind == "hocbf":
-        labels, phi_ratio = _phi_ratio(trace_a, config_a)
-    return ComparisonReport(
-        trace_a=trace_a,
-        trace_b=trace_b,
-        metrics_a=compute_metrics(trace_a),
-        metrics_b=compute_metrics(trace_b),
-        phi_ratio=phi_ratio,
-        phi_ratio_labels=labels,
-    )
+        yield ComparisonReport(
+            trace_a=trace_a,
+            trace_b=trace_b,
+            metrics_a=metrics_a,
+            metrics_b=compute_metrics(trace_b),
+            phi_ratio=phi_ratio,
+            phi_ratio_labels=labels,
+        )

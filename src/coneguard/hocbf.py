@@ -7,8 +7,9 @@ square-root class-K function collapses to the closed form
 
 which is ``cone.cone_terms`` with its two knobs set to no projector and the
 constant weight gamma in place of the collision cone's ||v_rel||. The row
-goes through the same ``cone.BodyFrame`` and ``cone.contract``; with a
-constant weight dh/dv_rel is p_rel alone. Matching terms against the cone
+goes through the same ``cone.BodyFrame`` and ``cone.barrier_row``, which
+contracts the terms with ``cone.contract``; with a constant weight
+dh/dv_rel is p_rel alone. Matching terms against the cone
 barrier gives an effective half angle phi' with cos(phi') =
 (gamma/||v_rel||) cos(phi): whenever the closing speed exceeds gamma the HO
 cone is wider than the true collision cone, so the filter brakes earlier and
@@ -25,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (
-    BarrierEvaluation,
-    BodyFrame,
-    Obstacle,
-    barrier_row,
-    cone_terms,
-)
+from .cone import BodyFrame, ConeTerms, Obstacle, barrier_row, cone_terms
 from .dynamics import QuadrotorParams
-from .errors import ConeDegenerateError, ConfigError
+from .errors import ConfigError
 from .qp import AffineSafetyConstraint, ClassKappa
 
 
@@ -57,24 +52,6 @@ def encompassing_radius(obstacle: Obstacle) -> float:
     return obstacle.radius_raw
 
 
-def h_ho(
-    frame: BodyFrame,
-    obstacle: Obstacle,
-    params: QuadrotorParams,
-    config: HocbfConfig,
-    t: float,
-) -> float:
-    """h_HO = <p_rel, v_rel> + gamma sqrt(||p_rel||^2 - r^2), clamped inside."""
-    return float(_ho_terms(frame, obstacle, params, config, t).h)
-
-
-def _ho_terms(frame, obstacle, params, config, t):
-    """The cone terms with the encompassing radius, no projector, weight gamma."""
-    p, v = frame.relative(obstacle, t)
-    r = encompassing_radius(obstacle) + 0.5 * params.body_width
-    return cone_terms(p, v, r, config.gamma_penalty)
-
-
 def barrier_ho(
     frame: BodyFrame,
     obstacle: Obstacle,
@@ -83,37 +60,19 @@ def barrier_ho(
     config: HocbfConfig,
     t: float,
     label: str = "",
-) -> tuple[BarrierEvaluation, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, AffineSafetyConstraint]:
     """QP row for the higher-order barrier; arguments as for cone.barrier_3d.
 
     The gradient w.r.t. v_rel is p_rel alone (the sqrt term is velocity
     independent), so both drift and input contractions use p_rel where the
-    cone barrier uses p_rel + v_rel sqrt(...)/||v_rel||. The recorded half
-    angle is the effective phi'.
+    cone barrier uses p_rel + v_rel sqrt(...)/||v_rel||. The terms are the
+    cone terms with the encompassing radius, no projector and weight gamma,
+    so their half angle is the effective phi'.
 
     Raises:
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
-    terms = _ho_terms(frame, obstacle, params, config, t)
-    return barrier_row(frame, terms, kappa, label)
-
-
-def effective_half_angle(
-    v_rel_norm: float, p_rel_norm: float, r: float, gamma: float
-) -> float:
-    """phi' = arccos((gamma/||v_rel||) cos(phi)), the HO cone's half angle.
-
-    Raises:
-        ConeDegenerateError: (gamma/||v_rel||) cos(phi) > 1, where no cone
-            exists (the HO condition is loose for every direction).
-        ConfigError: non-positive arguments.
-    """
-    if min(v_rel_norm, p_rel_norm, r, gamma) <= 0.0:
-        raise ConfigError("effective_half_angle needs positive arguments")
-    cos_phi = np.sqrt(max(p_rel_norm**2 - r * r, 0.0)) / p_rel_norm
-    arg = gamma * cos_phi / v_rel_norm
-    if arg > 1.0:
-        raise ConeDegenerateError(
-            f"gamma/||v_rel|| cos(phi) = {arg:.6g} > 1: HO cone undefined"
-        )
-    return float(np.arccos(arg))
+    p, v = frame.relative(obstacle, t)
+    r = encompassing_radius(obstacle) + 0.5 * params.body_width
+    terms = cone_terms(p, v, r, config.gamma_penalty)
+    return terms, barrier_row(frame, terms, kappa, label)

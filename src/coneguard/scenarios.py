@@ -16,7 +16,7 @@ import numpy as np
 from .cone import Obstacle
 from .dynamics import QuadrotorState
 from .harness import AgentSpec, ScenarioConfig
-from .reference import HoverReference, LineReference, WaypointReference
+from .reference import LineReference, WaypointReference
 
 DT = 1.0 / 240.0
 DURATION = 10.0
@@ -146,34 +146,3 @@ def get_scenario(name: str) -> ScenarioConfig:
         if config.name == name:
             return config
     raise KeyError(f"unknown scenario {name!r}; known: {', '.join(scenario_names())}")
-
-
-def hover_scenario(
-    offset=(0.1, 0.0, 0.0), duration: float = 4.0
-) -> ScenarioConfig:
-    """Unfiltered hover hold from a small initial offset (controller check)."""
-    target = np.array([0.0, 0.0, ALTITUDE])
-    return ScenarioConfig(
-        name="hover-hold",
-        description="PD hover recovery from an initial offset, no obstacles",
-        duration=duration,
-        dt=DT,
-        initial_state=_state(target + np.asarray(offset, dtype=float)),
-        reference=HoverReference(target),
-        filter_kind="none",
-    )
-
-
-def line_tracking_scenario(duration: float = 5.0) -> ScenarioConfig:
-    """Unfiltered straight-line tracking at 1 m/s (controller check)."""
-    return ScenarioConfig(
-        name="line-tracking",
-        description="PD straight-line tracking at 1 m/s, no obstacles",
-        duration=duration,
-        dt=DT,
-        initial_state=_state((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
-        reference=LineReference(
-            np.array([0.0, 0.0, ALTITUDE]), np.array([1.0, 0.0, 0.0])
-        ),
-        filter_kind="none",
-    )

@@ -19,6 +19,7 @@ silently ignored.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,8 @@ def write_trace(path: str | Path, trace: SimTrace) -> None:
 def parse_trace(path: str | Path) -> SimTrace:
     """Read a trace CSV back into a SimTrace.
 
-    Only the contract payload survives the file format: active sets, half
-    angles, and reference positions come back empty.
+    Only the contract payload survives the file format: half angles and
+    reference positions come back empty.
     """
     path = Path(path)
     try:
@@ -103,11 +104,9 @@ def metrics_text(scenario: str, filter_kind: str, metrics: Metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_text(report: ComparisonReport, gamma: float | None = None) -> str:
+def comparison_text(report: ComparisonReport, gamma: float) -> str:
     """One comparison section; gamma labels the HO-CBF sweep point."""
-    lines = [f"scenario: {report.trace_a.name}"]
-    if gamma is not None:
-        lines.append(f"hocbf_gamma: {_fmt(gamma)}")
+    lines = [f"scenario: {report.trace_a.name}", f"hocbf_gamma: {_fmt(gamma)}"]
     for tag, trace, metrics in (
         ("a", report.trace_a, report.metrics_a),
         ("b", report.trace_b, report.metrics_b),
@@ -118,20 +117,35 @@ def comparison_text(report: ComparisonReport, gamma: float | None = None) -> str
         lines.append(f"[{tag}] success: {'true' if metrics.success else 'false'}")
     gap = report.metrics_a.min_separation - report.metrics_b.min_separation
     lines.append(f"separation_gap: {_fmt(gap)}")
-    if report.phi_ratio is not None and report.phi_ratio.size:
+    if report.phi_ratio.size:
         lines.append(f"phi_ratio_max: {_fmt(float(np.max(report.phi_ratio)))}")
     return "\n".join(lines) + "\n"
 
 
 def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
     """CSV of the phi'/phi trace for the HO-CBF side of a comparison."""
-    if report.phi_ratio is None:
-        return
     header = ["t"] + [f"phi_ratio_{label}" for label in report.phi_ratio_labels]
     _write_csv(path, header, np.column_stack((report.t, report.phi_ratio)))
 
 
 # --- scenario files ---------------------------------------------------------
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 4e-3 and 1e200.
+
+    YAML 1.1 wants a dot and a signed exponent, so PyYAML loads an unquoted
+    4e-3 as a string. The added resolver takes every plain scalar of the
+    YAML 1.2 float form; integers, .nan/.inf and quoted strings load as
+    before.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
@@ -218,10 +232,13 @@ def _parse_obstacle(data, index: int) -> Obstacle:
         axis = _vector(data["axis"], 3, f"{context}.axis")
         if not np.isfinite(axis).all():
             raise ConfigError(f"{context}.axis: must be finite")
-        norm = float(np.linalg.norm(axis))
-        if norm <= 0.0:
+        # scaled by its largest component first, so that the squares in the
+        # norm neither overflow nor underflow for any finite direction
+        largest = float(np.max(np.abs(axis)))
+        if largest <= 0.0:
             raise ConfigError(f"{context}.axis: zero vector")
-        kwargs["axis"] = axis / norm
+        axis = axis / largest
+        kwargs["axis"] = axis / float(np.linalg.norm(axis))
     if "height" in data:
         kwargs["height"] = _number(data["height"], f"{context}.height")
     if "label" in data:
@@ -324,7 +341,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a YAML scenario file."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -39,15 +39,8 @@ from .reference import ReferenceSample
 # are rejected, not clamped, to surface controller misuse.
 DENOM_MIN = 0.1
 
-ALLOCATION = np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [0.0, 1.0, 0.0, -1.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [1.0, -1.0, 1.0, -1.0],
-    ]
-)
-# Exact inverse; entries are dyadic so the hover allocation is exact.
+# Exact inverse of the allocation matrix M of the module docstring; entries
+# are dyadic so the hover allocation is exact.
 ALLOCATION_INV = np.array(
     [
         [0.25, 0.0, 0.5, 0.25],
@@ -121,7 +114,7 @@ def attitude_pd(
 
     Angle rates are the exact Euler rates W^-1 @ omega.
     """
-    _, W_inv = euler_rate_matrix(state.attitude)
+    W_inv = euler_rate_matrix(state.attitude)
     roll_rate, pitch_rate, _ = (W_inv @ state.body_rates).tolist()
     roll, pitch, _ = state.attitude.tolist()
     roll_acc = gains.roll_p * (roll_d - roll) + gains.roll_d * (0.0 - roll_rate)

@@ -1,4 +1,4 @@
-"""Samplers shared across test modules."""
+"""Samplers and controller-check scenarios shared across test modules."""
 
 from __future__ import annotations
 
@@ -6,6 +6,19 @@ import numpy as np
 
 from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorState
+from coneguard.harness import ScenarioConfig
+from coneguard.reference import HoverReference, LineReference
+from coneguard.scenarios import ALTITUDE, DT
+
+# The rotor allocation matrix M of the ``tracking`` module docstring.
+ALLOCATION = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, -1.0, 0.0],
+        [1.0, -1.0, 1.0, -1.0],
+    ]
+)
 
 
 def random_state(rng, att_max=1.0, speed=2.0, rate=2.0):
@@ -45,4 +58,39 @@ def random_cylinder(rng, center_scale=4.0, radius_range=(0.1, 0.6)):
         axis=(0.0, 0.0, 1.0),
         height=2.0,
         velocity=tuple(rng.uniform(-1.0, 1.0, size=3)),
+    )
+
+
+def _at_rest(position, velocity=(0.0, 0.0, 0.0)) -> QuadrotorState:
+    return QuadrotorState.from_vector(
+        np.concatenate([position, velocity, np.zeros(6)])
+    )
+
+
+def hover_scenario(offset=(0.1, 0.0, 0.0), duration: float = 4.0) -> ScenarioConfig:
+    """Unfiltered hover hold from a small initial offset (controller check)."""
+    target = np.array([0.0, 0.0, ALTITUDE])
+    return ScenarioConfig(
+        name="hover-hold",
+        description="PD hover recovery from an initial offset, no obstacles",
+        duration=duration,
+        dt=DT,
+        initial_state=_at_rest(target + np.asarray(offset, dtype=float)),
+        reference=HoverReference(target),
+        filter_kind="none",
+    )
+
+
+def line_tracking_scenario(duration: float = 5.0) -> ScenarioConfig:
+    """Unfiltered straight-line tracking at 1 m/s (controller check)."""
+    return ScenarioConfig(
+        name="line-tracking",
+        description="PD straight-line tracking at 1 m/s, no obstacles",
+        duration=duration,
+        dt=DT,
+        initial_state=_at_rest((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
+        reference=LineReference(
+            np.array([0.0, 0.0, ALTITUDE]), np.array([1.0, 0.0, 0.0])
+        ),
+        filter_kind="none",
     )

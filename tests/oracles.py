@@ -19,6 +19,8 @@ import itertools
 
 import numpy as np
 
+from coneguard.errors import ConeguardError, ConfigError
+
 GRAVITY = 9.81
 MASS = 0.027
 ARM = 0.13
@@ -129,6 +131,29 @@ def fd_hdot(x, thrusts, center0, obs_velocity, r, t, variant, axis=None,
     h_minus = barrier_value(x_minus, center0, obs_velocity, r, t - delta,
                             variant, axis=axis, gamma=gamma)
     return (h_plus - h_minus) / (2.0 * delta)
+
+
+class ConeDegenerateError(ConeguardError):
+    """Effective half-angle is undefined (arccos argument out of range)."""
+
+
+def effective_half_angle(v_rel_norm, p_rel_norm, r, gamma):
+    """phi' = arccos((gamma/||v_rel||) cos(phi)), the HO cone's half angle.
+
+    Raises:
+        ConeDegenerateError: (gamma/||v_rel||) cos(phi) > 1, where no cone
+            exists (the HO condition is loose for every direction).
+        ConfigError: non-positive arguments.
+    """
+    if min(v_rel_norm, p_rel_norm, r, gamma) <= 0.0:
+        raise ConfigError("effective_half_angle needs positive arguments")
+    cos_phi = np.sqrt(max(p_rel_norm**2 - r * r, 0.0)) / p_rel_norm
+    arg = gamma * cos_phi / v_rel_norm
+    if arg > 1.0:
+        raise ConeDegenerateError(
+            f"gamma/||v_rel|| cos(phi) = {arg:.6g} > 1: HO cone undefined"
+        )
+    return float(np.arccos(arg))
 
 
 def b_distance(x, center0, obs_velocity, r_enc, t):

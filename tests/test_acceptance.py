@@ -15,30 +15,27 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import random_cylinder, random_sphere, random_state, random_thrusts
+from helpers import (
+    hover_scenario,
+    line_tracking_scenario,
+    random_cylinder,
+    random_sphere,
+    random_state,
+    random_thrusts,
+)
 from coneguard.cone import (
     BodyFrame,
     Obstacle,
     barrier_3d,
     barrier_projection,
+    contract,
     inflated_radius,
 )
 from coneguard.dynamics import QuadrotorParams
 from coneguard.harness import compute_metrics, run, run_pair
-from coneguard.hocbf import (
-    HocbfConfig,
-    barrier_ho,
-    effective_half_angle,
-    encompassing_radius,
-    h_ho,
-)
+from coneguard.hocbf import HocbfConfig, barrier_ho, encompassing_radius
 from coneguard.qp import AffineSafetyConstraint, ClassKappa, QpProblem, solve
-from coneguard.scenarios import (
-    builtin_scenarios,
-    get_scenario,
-    hover_scenario,
-    line_tracking_scenario,
-)
+from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.traceio import parse_trace, write_trace
 
 PARAMS = QuadrotorParams()
@@ -142,11 +139,12 @@ def _fd_worst(rng, n, make_obstacle, barrier, oracle_kwargs, reject):
         if reject(p, r):
             continue
         f = random_thrusts(rng, PARAMS)
-        ev, _ = barrier(BodyFrame(state, PARAMS), obs, t)
+        frame = BodyFrame(state, PARAMS)
+        terms, row = barrier(frame, obs, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, **kwargs
         )
-        analytic = ev.drift_term + float(ev.input_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
         worst = max(worst, abs(fd - analytic) / max(1.0, abs(fd)))
         checked += 1
     return worst
@@ -221,11 +219,13 @@ def test_c04_input_row_never_vanishes():
         if np.linalg.norm(p_s) < r_s + 0.01 or np.linalg.norm(p_c[:2]) < r_c + 0.01:
             continue
         frame = BodyFrame(state, PARAMS)
-        ev_s, _ = barrier_3d(frame, sphere, PARAMS, kappa, t)
-        ev_c, _ = barrier_projection(frame, cylinder, PARAMS, kappa, t)
-        mins["cone-sphere"] = min(mins["cone-sphere"], np.linalg.norm(ev_s.input_row))
+        _, row_s = barrier_3d(frame, sphere, PARAMS, kappa, t)
+        _, row_c = barrier_projection(frame, cylinder, PARAMS, kappa, t)
+        mins["cone-sphere"] = min(
+            mins["cone-sphere"], np.linalg.norm(row_s.gradient_row)
+        )
         mins["cone-cylinder"] = min(
-            mins["cone-cylinder"], np.linalg.norm(ev_c.input_row)
+            mins["cone-cylinder"], np.linalg.norm(row_c.gradient_row)
         )
         checked += 1
     ok = all(v > 1e-8 for v in mins.values())
@@ -325,19 +325,23 @@ def test_c06_speed_matched_penalty_recovers_cone():
         v_norm = float(np.linalg.norm(v_rel))
         if p_norm < r + 0.01 or v_norm < 1e-3:
             continue
-        ev, _ = barrier_3d(frame, obs, PARAMS, kappa, t)
-        matched = h_ho(frame, obs, PARAMS, HocbfConfig(gamma_penalty=v_norm), t)
-        worst_eq = max(worst_eq, abs(matched - ev.h))
+        cone, _ = barrier_3d(frame, obs, PARAMS, kappa, t)
+        matched, _ = barrier_ho(
+            frame, obs, PARAMS, kappa, HocbfConfig(gamma_penalty=v_norm), t
+        )
+        worst_eq = max(worst_eq, abs(matched.h - cone.h))
         gamma = float(rng.uniform(0.1, 3.0))
         if v_norm > gamma:
-            phi_eff = effective_half_angle(v_norm, p_norm, r, gamma)
-            ok = ok and phi_eff > ev.cone_half_angle
+            phi_eff = oracles.effective_half_angle(v_norm, p_norm, r, gamma)
+            ok = ok and phi_eff > cone.phi
             widened += 1
             if float(p_rel @ v_rel) < 0.0:
                 approaching += 1
-                h_const = h_ho(frame, obs, PARAMS, HocbfConfig(gamma_penalty=gamma), t)
-                ok = ok and h_const < ev.h
-                below += 1 if h_const < ev.h else 0
+                ho, _ = barrier_ho(
+                    frame, obs, PARAMS, kappa, HocbfConfig(gamma_penalty=gamma), t
+                )
+                ok = ok and ho.h < cone.h
+                below += 1 if ho.h < cone.h else 0
         checked += 1
     ok = ok and worst_eq <= 1e-12 and widened > 1000 and approaching > 500
     detail = (

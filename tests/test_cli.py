@@ -192,6 +192,10 @@ CYLINDER_YAML = HOVER_YAML + textwrap.dedent(
             ),
             id="initial-attitude-out-of-range",
         ),
+        pytest.param(
+            HOVER_YAML.replace("dt: 0.004166666666666667", 'dt: "4e-3"'),
+            id="dt-quoted-string",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -199,6 +203,30 @@ def test_validate_rejects_bad_values(tmp_path, capsys, text):
     assert main(["validate-config", "--config", _write(tmp_path, text)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            HOVER_YAML.replace("dt: 0.004166666666666667", "dt: 4e-3"),
+            id="dt-exponent-without-dot",
+        ),
+        pytest.param(
+            HOVER_YAML + "kappa_gamma: 1e200\n", id="kappa-exponent-without-dot"
+        ),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [1.0e+200, 1.0e+200, 0.0]\n", id="axis-huge"
+        ),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [1.0e-170, 1.0e-170, 0.0]\n", id="axis-tiny"
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_validate_accepts_good_values(tmp_path, capsys, text):
+    assert main(["validate-config", "--config", _write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == "ok: cli-hover\n"
 
 
 def test_validate_requires_config_flag():
@@ -336,7 +364,9 @@ def test_compare_pair_phi_ratio_rows_match_header(tmp_path):
          "--hocbf-gamma", "-1"],
     ],
 )
-def test_invalid_hocbf_gamma_exits_1(tmp_path, capsys, argv):
+def test_invalid_hocbf_gamma_exits_1(tmp_path, capsys, monkeypatch, argv):
+    """A bad penalty is refused before any run is flown."""
+    monkeypatch.setattr(harness, "_simulate", None)  # a run flown would raise
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -12,7 +12,8 @@ from coneguard.cone import (
     Obstacle,
     barrier_3d,
     barrier_projection,
-    h_cone,
+    cone_terms,
+    contract,
     inflated_radius,
     projection_operator,
 )
@@ -27,18 +28,18 @@ vec3 = st.tuples(
 
 
 def test_h_cone_zero_relative_velocity():
-    assert h_cone((2.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0) == 0.0
+    assert cone_terms(np.array([2.0, 0.0, 0.0]), np.zeros(3), 1.0).h == 0.0
 
 
 def test_h_cone_head_on_hand_value():
     # p = (2,0,0), v = (-1,0,0), r = 1: h = -2 + sqrt(3)
-    got = h_cone((2.0, 0.0, 0.0), (-1.0, 0.0, 0.0), 1.0)
+    got = cone_terms(np.array([2.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 1.0).h
     assert abs(got - (-2.0 + np.sqrt(3.0))) < 1e-15
 
 
 def test_h_cone_clamps_inside_radius():
     # ||p|| < r leaves only the closing-speed term
-    got = h_cone((0.5, 0.0, 0.0), (-2.0, 1.0, 0.0), 1.0)
+    got = cone_terms(np.array([0.5, 0.0, 0.0]), np.array([-2.0, 1.0, 0.0]), 1.0).h
     assert got == -1.0
 
 
@@ -49,7 +50,7 @@ def test_h_cone_matches_oracle_formula(rng):
         r = float(rng.uniform(0.05, 2.0))
         s = np.sqrt(max(p @ p - r * r, 0.0))
         want = float(p @ v) + float(np.linalg.norm(v)) * s
-        assert abs(h_cone(p, v, r) - want) < 1e-14
+        assert abs(cone_terms(p, v, r).h - want) < 1e-14
 
 
 @settings(max_examples=200)
@@ -66,8 +67,8 @@ def test_h_cone_rotation_invariant(p, v, r, angle):
     """
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    base = h_cone(np.array(p), np.array(v), r)
-    rotated = h_cone(R @ np.array(p), R @ np.array(v), r)
+    base = cone_terms(np.array(p), np.array(v), r).h
+    rotated = cone_terms(R @ np.array(p), R @ np.array(v), r).h
     eps = np.finfo(float).eps
     tangency = 4.0 * np.sqrt(eps) * np.linalg.norm(v) * np.linalg.norm(p)
     assert abs(base - rotated) <= 1e-9 * max(1.0, abs(base)) + tangency
@@ -76,8 +77,8 @@ def test_h_cone_rotation_invariant(p, v, r, angle):
 @settings(max_examples=200)
 @given(vec3, vec3, st.floats(0.05, 1.5), st.floats(0.1, 4.0))
 def test_h_cone_scales_quadratically(p, v, r, alpha):
-    base = h_cone(np.array(p), np.array(v), r)
-    scaled = h_cone(alpha * np.array(p), alpha * np.array(v), alpha * r)
+    base = cone_terms(np.array(p), np.array(v), r).h
+    scaled = cone_terms(alpha * np.array(p), alpha * np.array(v), alpha * r).h
     assert abs(scaled - alpha * alpha * base) <= 1e-9 * max(1.0, abs(base))
 
 
@@ -94,7 +95,7 @@ def test_h_sign_matches_cone_membership(rng):
         s = np.sqrt(pn * pn - r * r)
         phi = np.arccos(s / pn)
         toward = np.arccos(np.clip(-(p @ v) / (pn * vn), -1.0, 1.0))
-        h = h_cone(p, v, r)
+        h = cone_terms(p, v, r).h
         if abs(h) < 1e-9 * pn * vn:
             continue  # boundary tie
         assert (h < 0.0) == (toward < phi)
@@ -164,12 +165,14 @@ def test_barrier_3d_golden_values(params):
     obs = Obstacle(
         kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15, velocity=(-0.5, 0, 0)
     )
-    ev, con = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.25)
-    assert abs(ev.h - 0.09691647109101309) < 1e-14
-    assert abs(ev.drift_term - 5.822522303260628) < 1e-12
+    frame = BodyFrame(state, params)
+    terms, con = barrier_3d(frame, obs, params, kappa, 0.25)
+    drift, _ = contract(frame, terms, "")
+    assert abs(terms.h - 0.09691647109101309) < 1e-14
+    assert abs(drift - 5.822522303260628) < 1e-12
     assert np.max(
         np.abs(
-            ev.input_row
+            con.gradient_row
             - np.array(
                 [
                     -10.477513235376128,
@@ -180,8 +183,8 @@ def test_barrier_3d_golden_values(params):
             )
         )
     ) < 1e-11
-    assert abs(ev.cone_half_angle - 0.13422094632755224) < 1e-14
-    assert abs(con.offset - (ev.drift_term + kappa(ev.h))) < 1e-15
+    assert abs(terms.phi - 0.13422094632755224) < 1e-14
+    assert abs(con.offset - (drift + kappa(terms.h))) < 1e-15
 
 
 def test_barrier_3d_derivative_row(rng, params):
@@ -196,11 +199,12 @@ def test_barrier_3d_derivative_row(rng, params):
         if np.linalg.norm(p) < r + 0.05:
             continue  # clear of the sqrt clamp and the drift floor
         f = random_thrusts(rng, params)
-        ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, t)
+        frame = BodyFrame(state, params)
+        terms, row = barrier_3d(frame, obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, "sphere"
         )
-        analytic = ev.drift_term + float(ev.input_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
@@ -216,12 +220,13 @@ def test_barrier_projection_derivative_row(rng, params):
         if np.linalg.norm(p[:2]) < r + 0.05:
             continue
         f = random_thrusts(rng, params)
-        ev, _ = barrier_projection(BodyFrame(state, params), obs, params, kappa, t)
+        frame = BodyFrame(state, params)
+        terms, row = barrier_projection(frame, obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t,
             "cylinder", axis=(0.0, 0.0, 1.0),
         )
-        analytic = ev.drift_term + float(ev.input_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
@@ -238,12 +243,13 @@ def test_barrier_projection_golden_values(params):
         height=3.0,
         velocity=(0.2, 0.1, 0.0),
     )
-    ev, _ = barrier_projection(BodyFrame(state, params), cyl, params, kappa, 0.25)
-    assert abs(ev.h - (-0.003713037797007518)) < 1e-14
-    assert abs(ev.drift_term - (-0.0006190861194795526)) < 1e-12
+    frame = BodyFrame(state, params)
+    terms, row = barrier_projection(frame, cyl, params, kappa, 0.25)
+    assert abs(terms.h - (-0.003713037797007518)) < 1e-14
+    assert abs(contract(frame, terms, "")[0] - (-0.0006190861194795526)) < 1e-12
     assert np.max(
         np.abs(
-            ev.input_row
+            row.gradient_row
             - np.array(
                 [
                     -11.985172870219811,
@@ -262,7 +268,7 @@ def test_projection_kills_axis_components(params, rng):
         frame = BodyFrame(random_state(rng), params)
         obs = random_cylinder(rng)
         t = float(rng.uniform(0, 2))
-        base, _ = barrier_projection(frame, obs, params, kappa, t)
+        base, base_row = barrier_projection(frame, obs, params, kappa, t)
         # shift the obstacle along its own axis and give it axial velocity
         moved = Obstacle(
             kind="cylinder",
@@ -272,10 +278,10 @@ def test_projection_kills_axis_components(params, rng):
             height=obs.height,
             velocity=obs.velocity + np.array([0.0, 0.0, rng.uniform(-2, 2)]),
         )
-        ev, _ = barrier_projection(frame, moved, params, kappa, t)
-        assert ev.h == base.h
-        assert ev.drift_term == base.drift_term
-        assert np.array_equal(ev.input_row, base.input_row)
+        terms, row = barrier_projection(frame, moved, params, kappa, t)
+        assert terms.h == base.h
+        assert contract(frame, terms, "")[0] == contract(frame, base, "")[0]
+        assert np.array_equal(row.gradient_row, base_row.gradient_row)
 
 
 def test_projection_operator_idempotent():
@@ -309,13 +315,13 @@ def test_half_angle_hand_value(params):
         center=(2.0, 0.0, params.center_offset),
         radius_raw=1.0 - params.body_width / 2,
     )
-    ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
-    assert abs(ev.cone_half_angle - np.pi / 6) < 1e-12
+    terms, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
+    assert abs(terms.phi - np.pi / 6) < 1e-12
 
 
 def test_half_angle_inside_is_right_angle(params):
     state = QuadrotorState.from_vector(np.zeros(12))
     obs = Obstacle(kind="sphere", center=(0.05, 0, 0), radius_raw=0.5)
-    ev, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
-    assert ev.cone_half_angle == np.pi / 2
+    terms, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
+    assert terms.phi == np.pi / 2
 

@@ -46,9 +46,8 @@ def test_rotation_matrix_matches_oracle(att):
 
 @given(attitudes)
 def test_euler_rate_matrix_inverse_consistent(att):
-    W, W_inv = euler_rate_matrix(np.array(att))
-    assert np.allclose(W @ W_inv, np.eye(3), atol=1e-9)
-    assert np.allclose(W, oracles.rate_transform(np.array(att)), atol=1e-14)
+    W = oracles.rate_transform(np.array(att))
+    assert np.allclose(W @ euler_rate_matrix(np.array(att)), np.eye(3), atol=1e-9)
 
 
 def test_euler_rate_matrix_rejects_gimbal_lock():

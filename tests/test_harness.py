@@ -339,18 +339,43 @@ def test_compare_reports_both_sides():
     obs = Obstacle(
         kind="sphere", center=(2.0, 0.05, 0.90), radius_raw=0.2, velocity=(-0.3, 0, 0)
     )
-    config_a = line_config(duration=2.0, obstacles=(obs,), filter_kind="c3bf")
-    config_b = line_config(duration=2.0, obstacles=(obs,), filter_kind="hocbf")
-    report = compare(config_a, config_b)
+    config = line_config(duration=2.0, obstacles=(obs,))
+    (report,) = compare(config, (1.0,))
     assert report.trace_a.filter_kind == "c3bf"
     assert report.trace_b.filter_kind == "hocbf"
     assert report.trace_a.h.shape == report.trace_b.h.shape
-    assert report.phi_ratio is not None
+    assert report.phi_ratio.shape == report.trace_b.h.shape
     # the curve is positive wherever the HO cone is defined, and during the
     # fast approach phase it must be > 1 (the effective cone opens wider)
     finite = np.isfinite(report.phi_ratio)
     assert np.all(report.phi_ratio[finite] > 0.0)
     assert np.max(report.phi_ratio[finite]) > 1.0
+
+
+def test_compare_runs_the_c3bf_side_once(monkeypatch):
+    """A sweep of three penalties flies four runs, and every report shares
+    the one C3BF trace; a bad penalty fails before any flight."""
+    obs = Obstacle(
+        kind="sphere", center=(2.0, 0.05, 0.90), radius_raw=0.2, velocity=(-0.3, 0, 0)
+    )
+    config = line_config(duration=0.5, obstacles=(obs,))
+    flown = []
+    fly = harness.run
+
+    def spy(config):
+        flown.append(config)
+        return fly(config)
+
+    monkeypatch.setattr(harness, "run", spy)
+    reports = list(compare(config, (0.5, 1.0, 2.0)))
+    assert [c.filter_kind for c in flown] == ["c3bf"] + ["hocbf"] * 3
+    assert [c.hocbf.gamma_penalty for c in flown[1:]] == [0.5, 1.0, 2.0]
+    assert all(report.trace_a is reports[0].trace_a for report in reports)
+    assert [report.trace_b.filter_kind for report in reports] == ["hocbf"] * 3
+    flown.clear()
+    with pytest.raises(ConfigError):
+        list(compare(config, (0.5, 0.0)))
+    assert flown == []
 
 
 def test_metrics_tracking_rms_present_for_reference_runs():

@@ -5,16 +5,10 @@ import pytest
 
 import oracles
 from helpers import random_sphere, random_state, random_thrusts
-from coneguard.cone import BodyFrame, Obstacle, barrier_3d, inflated_radius
+from coneguard.cone import BodyFrame, Obstacle, barrier_3d, contract, inflated_radius
 from coneguard.dynamics import QuadrotorState
-from coneguard.errors import ConeDegenerateError, ConfigError
-from coneguard.hocbf import (
-    HocbfConfig,
-    barrier_ho,
-    effective_half_angle,
-    encompassing_radius,
-    h_ho,
-)
+from coneguard.errors import ConfigError
+from coneguard.hocbf import HocbfConfig, barrier_ho, encompassing_radius
 from coneguard.qp import ClassKappa
 
 kappa = ClassKappa(1.0)
@@ -55,7 +49,8 @@ def test_h_ho_matches_oracle(rng, params):
         want = oracles.barrier_value(
             state.as_vector(), obs.center, obs.velocity, r, t, "ho", gamma=1.3
         )
-        assert abs(h_ho(frame, obs, params, cfg, t) - want) < 1e-12
+        terms, _ = barrier_ho(frame, obs, params, kappa, cfg, t)
+        assert abs(terms.h - want) < 1e-12
 
 
 def test_barrier_ho_golden_values(params):
@@ -66,12 +61,15 @@ def test_barrier_ho_golden_values(params):
         kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15, velocity=(-0.5, 0, 0)
     )
     frame = BodyFrame(state, params)
-    ev, con = barrier_ho(frame, obs, params, kappa, HocbfConfig(gamma_penalty=1.0), 0.25)
-    assert abs(ev.h - 0.171380510434469) < 1e-14
-    assert abs(ev.drift_term - 0.8595790505181174) < 1e-12
+    terms, con = barrier_ho(
+        frame, obs, params, kappa, HocbfConfig(gamma_penalty=1.0), 0.25
+    )
+    drift, _ = contract(frame, terms, "")
+    assert abs(terms.h - 0.171380510434469) < 1e-14
+    assert abs(drift - 0.8595790505181174) < 1e-12
     assert np.max(
         np.abs(
-            ev.input_row
+            con.gradient_row
             - np.array(
                 [
                     -12.497030424065855,
@@ -82,7 +80,7 @@ def test_barrier_ho_golden_values(params):
             )
         )
     ) < 1e-10
-    assert abs(con.offset - (ev.drift_term + kappa(ev.h))) < 1e-15
+    assert abs(con.offset - (drift + kappa(terms.h))) < 1e-15
 
 
 def test_barrier_ho_derivative_row(rng, params):
@@ -97,11 +95,12 @@ def test_barrier_ho_derivative_row(rng, params):
         if np.linalg.norm(p) < r + 0.06:
             continue  # keep sqrt(b) above the wide baseline drift floor
         f = random_thrusts(rng, params)
-        ev, _ = barrier_ho(BodyFrame(state, params), obs, params, kappa, cfg, t)
+        frame = BodyFrame(state, params)
+        terms, row = barrier_ho(frame, obs, params, kappa, cfg, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, "ho", gamma=1.0
         )
-        analytic = ev.drift_term + float(ev.input_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
@@ -120,8 +119,9 @@ def test_matching_penalty_recovers_cone_barrier(rng, params):
         if float(np.linalg.norm(p_rel)) < r + 0.01 or norm_v < 1e-3:
             continue
         cfg = HocbfConfig(gamma_penalty=norm_v)
-        ev, _ = barrier_3d(frame, obs, params, kappa, t)
-        assert abs(h_ho(frame, obs, params, cfg, t) - ev.h) <= 1e-12
+        cone, _ = barrier_3d(frame, obs, params, kappa, t)
+        ho, _ = barrier_ho(frame, obs, params, kappa, cfg, t)
+        assert abs(ho.h - cone.h) <= 1e-12
         checked += 1
 
 
@@ -142,20 +142,21 @@ def test_constant_penalty_is_conservative_when_slower(rng, params):
         closing = float(p_rel @ v_rel)
         if p_norm < r + 0.01 or norm_v <= gamma or closing >= 0.0:
             continue
-        ev, _ = barrier_3d(frame, obs, params, kappa, t)
-        assert h_ho(frame, obs, params, cfg, t) < ev.h
+        cone, _ = barrier_3d(frame, obs, params, kappa, t)
+        ho, _ = barrier_ho(frame, obs, params, kappa, cfg, t)
+        assert ho.h < cone.h
         # and the effective cone opens wider than the true one
-        phi_eff = effective_half_angle(norm_v, p_norm, r, gamma)
-        assert phi_eff > ev.cone_half_angle
+        phi_eff = oracles.effective_half_angle(norm_v, p_norm, r, gamma)
+        assert phi_eff > cone.phi
         checked += 1
 
 
 def test_effective_half_angle_argument_checks():
     with pytest.raises(ConfigError):
-        effective_half_angle(0.0, 2.0, 1.0, 1.0)
+        oracles.effective_half_angle(0.0, 2.0, 1.0, 1.0)
     # slow relative motion: gamma cos(phi) exceeds ||v_rel||, no cone exists
-    with pytest.raises(ConeDegenerateError):
-        effective_half_angle(0.1, 10.0, 1.0, 1.0)
+    with pytest.raises(oracles.ConeDegenerateError):
+        oracles.effective_half_angle(0.1, 10.0, 1.0, 1.0)
 
 
 def test_psi_chain_first_condition_doubles_h(params, rng):

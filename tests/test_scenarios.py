@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import hover_scenario, line_tracking_scenario
 from coneguard.cone import BodyFrame
 from coneguard.harness import separation_distance
-from coneguard.scenarios import (
-    get_scenario,
-    hover_scenario,
-    line_tracking_scenario,
-    scenario_names,
-)
+from coneguard.scenarios import get_scenario, scenario_names
 
 EXPECTED = (
     "static-overtake",

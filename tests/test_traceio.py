@@ -134,23 +134,21 @@ def test_comparison_text_and_phi_ratio(tmp_path):
         kind="sphere", center=(2.0, 0.05, 0.90), radius_raw=0.2, velocity=(-0.3, 0, 0)
     )
 
-    def cfg(filter_kind):
-        return ScenarioConfig(
-            name="io-compare",
-            duration=1.5,
-            dt=1 / 240,
-            initial_state=QuadrotorState.from_vector(
-                np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0] + [0.0] * 6)
-            ),
-            reference=LineReference(
-                start=np.array([0.0, 0.0, 1.0]), velocity=np.array([1.0, 0.0, 0.0])
-            ),
-            obstacles=(obs,),
-            filter_kind=filter_kind,
-        )
+    config = ScenarioConfig(
+        name="io-compare",
+        duration=1.5,
+        dt=1 / 240,
+        initial_state=QuadrotorState.from_vector(
+            np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0] + [0.0] * 6)
+        ),
+        reference=LineReference(
+            start=np.array([0.0, 0.0, 1.0]), velocity=np.array([1.0, 0.0, 0.0])
+        ),
+        obstacles=(obs,),
+    )
 
-    report = compare(cfg("c3bf"), cfg("hocbf"))
-    text = comparison_text(report, gamma=1.0)
+    (report,) = compare(config, (1.0,))
+    text = comparison_text(report, 1.0)
     assert "[a]" in text and "[b]" in text
     assert "separation_gap" in text
     assert "hocbf_gamma: 1" in text

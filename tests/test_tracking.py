@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_state
+from helpers import ALLOCATION, random_state
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import DegenerateThrustError
 from coneguard.reference import HoverReference, ReferenceSample
 from coneguard.tracking import (
-    ALLOCATION,
     ALLOCATION_INV,
     ControllerGains,
     attitude_targets,
