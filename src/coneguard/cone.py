@@ -90,20 +90,31 @@ class Obstacle:
     def __post_init__(self):
         if self.kind not in ("sphere", "cylinder"):
             raise InvalidObstacleError(f"unknown obstacle kind {self.kind!r}")
-        center = np.array(self.center, dtype=float).reshape(3)
-        vel = np.array(self.velocity, dtype=float).reshape(3)
+        try:
+            center = np.array(self.center, dtype=float).reshape(3)
+            vel = np.array(self.velocity, dtype=float).reshape(3)
+            finite = all(map(math.isfinite, center.tolist() + vel.tolist()))
+            radius_ok = math.isfinite(self.radius_raw) and self.radius_raw > 0.0
+            axis = self.axis
+            if axis is not None:
+                axis = np.array(axis, dtype=float).reshape(3)
+            height_ok = self.height is None or (
+                math.isfinite(self.height) and self.height > 0.0
+            )
+        except (TypeError, ValueError) as exc:
+            message = f"obstacle values must be numbers: {exc}"
+            raise InvalidObstacleError(message) from None
         center.setflags(write=False)
         vel.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "velocity", vel)
-        if not all(map(math.isfinite, center.tolist() + vel.tolist())):
+        if not finite:
             raise InvalidObstacleError("obstacle center/velocity must be finite")
-        if not (math.isfinite(self.radius_raw) and self.radius_raw > 0.0):
+        if not radius_ok:
             raise InvalidObstacleError("radius_raw must be > 0")
         if self.kind == "cylinder":
-            if self.axis is None:
+            if axis is None:
                 raise InvalidObstacleError("cylinder needs an axis")
-            axis = np.array(self.axis, dtype=float).reshape(3)
             axis.setflags(write=False)
             object.__setattr__(self, "axis", axis)
             if not all(map(math.isfinite, axis.tolist())):
@@ -112,9 +123,7 @@ class Obstacle:
                 raise InvalidObstacleError("cylinder axis must be unit length")
             # axial velocity is allowed: the column is infinite, so sliding
             # along its own axis never moves the constraint surface
-            if self.height is not None and not (
-                math.isfinite(self.height) and self.height > 0.0
-            ):
+            if not height_ok:
                 raise InvalidObstacleError("cylinder height must be finite and > 0")
             # the constant projector of every cylinder row, built once
             object.__setattr__(self, "_projector", projection_operator(axis))
@@ -212,6 +221,7 @@ class ConeTerms(NamedTuple):
 
     h: float  # <p, v> + weight s
     s: float  # sqrt(max(||p||^2 - r^2, 0))
+    p_norm: float  # ||p||; ||p|| - r is the clearance
     w: np.ndarray  # dh/dv
     phi: float  # half angle of the cone h >= 0 keeps v out of (rad)
     rate: float  # dh/dt at zero relative acceleration
@@ -250,6 +260,7 @@ def cone_terms(
     return ConeTerms(
         h=pv + weight * s,
         s=s,
+        p_norm=p_norm,
         w=w,
         phi=float(np.arccos(min(max(cos_phi, 0.0), 1.0))),
         rate=norm_v * norm_v + weight * pv / max(s, floor),

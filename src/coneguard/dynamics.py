@@ -78,17 +78,21 @@ class QuadrotorParams:
     body_width: float = 0.13  # m
 
     def __post_init__(self):
-        # a tuple, so the parameter set can key per-parameter caches
-        object.__setattr__(self, "inertia_diag", tuple(self.inertia_diag))
-        vals = (
-            self.mass,
-            self.arm_span,
-            self.center_offset,
-            *self.inertia_diag,
-            self.gravity,
-            self.body_width,
-        )
-        if not all(np.isfinite(v) and v > 0.0 for v in vals):
+        try:
+            # a tuple, so the parameter set can key per-parameter caches
+            object.__setattr__(self, "inertia_diag", tuple(self.inertia_diag))
+            vals = (
+                self.mass,
+                self.arm_span,
+                self.center_offset,
+                *self.inertia_diag,
+                self.gravity,
+                self.body_width,
+            )
+            valid = all(math.isfinite(v) and v > 0.0 for v in vals)
+        except TypeError:  # not a real number, or no inertia triple
+            valid = False
+        if not valid:
             raise ConfigError("all quadrotor parameters must be finite and > 0")
 
     @property

@@ -31,6 +31,7 @@ from .cone import (
     barrier_projection,
     cone_geometry,
     cone_terms,
+    inflated_radius,
 )
 from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from .errors import ConeguardError, ConfigError, SimulationAbort
@@ -217,7 +218,10 @@ def _survey(
     column order), the half angles and the rows. The vehicle terms are
     computed once for the step and shared by every obstacle. Unfiltered runs
     record the collision-cone h and phi, so their traces are comparable with
-    filtered ones, but build no rows.
+    filtered ones, but build no rows. The clearance is the terms' ||p||
+    minus the inflated radius wherever the terms were built on the cone's
+    geometry, which is every obstacle but an HO-CBF cylinder; that one keeps
+    separation_distance.
     """
     frame = BodyFrame(state, config.params)
     params, kappa = config.params, config.kappa
@@ -236,7 +240,12 @@ def _survey(
                 )
                 terms, row = barrier(frame, obstacle, params, kappa, t, label)
             rows.append(row)
-        cells += (terms.h, separation_distance(frame, obstacle, params, t))
+        if config.filter_kind == "hocbf" and obstacle.kind == "cylinder":
+            # the baseline's terms see the unprojected p and the encompassing radius
+            separation = separation_distance(frame, obstacle, params, t)
+        else:
+            separation = terms.p_norm - inflated_radius(obstacle, params.body_width)
+        cells += (terms.h, separation)
         angles.append(terms.phi)
     return cells, angles, rows
 

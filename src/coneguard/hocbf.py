@@ -22,9 +22,8 @@ max(radius, height/2)), which is what makes it misjudge elongated shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cone import BodyFrame, ConeTerms, Obstacle, barrier_row, cone_terms
 from .dynamics import QuadrotorParams
@@ -39,7 +38,11 @@ class HocbfConfig:
     gamma_penalty: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma_penalty) and self.gamma_penalty > 0.0):
+        try:
+            valid = math.isfinite(self.gamma_penalty) and self.gamma_penalty > 0.0
+        except TypeError:  # not a real number
+            valid = False
+        if not valid:
             raise ConfigError(
                 f"hocbf gamma must be finite and > 0, got {self.gamma_penalty!r}"
             )

@@ -24,17 +24,25 @@ so the winner both certifies feasibility and starts the active-set loop at
 infeasible and the most-violated labels are reported.
 
 With three or more rows that search is done as a screen and an exact
-re-check. The screen solves the Gram systems of all subsets of one size in
-a single batched SVD, truncated where ``lstsq`` truncates, and bounds, from
-each subset's conditioning, how far its candidate's slack and distance can
-lie from the ``lstsq`` values. Only the finalists, subsets that may be
-feasible and may be closest within those bounds, are solved again with
-``lstsq``, in the original order and with the same strict rule. The winner
-of the full search is always a finalist, and no finalist before it in the
-order has a smaller or equal distance (or it would have won), so the
-re-check returns the very same array: the start, and every trace byte after
-it, do not depend on the screen. With one or two rows (at most three
-subsets) every subset is a finalist and nothing is screened.
+re-check. The screen factors every subset's Gram system, truncated where
+``lstsq`` truncates: a 1-row Gram is its own SVD, and the Grams of each
+larger size go through one batched SVD. Everything after the SVDs runs once
+over all subsets: the candidates, and bounds, from each subset's
+conditioning, on how far its candidate's slack and distance can lie from
+the ``lstsq`` values. Only the finalists, subsets that may be feasible and
+may be closest within those bounds, are solved again with ``lstsq``, in the
+original order and with the same strict rule. The winner of the full search
+is always a finalist, and no finalist before it in the order has a smaller
+or equal distance (or it would have won), so the re-check returns the very
+same array: the start, and every trace byte after it, do not depend on the
+screen. With one or two rows (at most three subsets) every subset is a
+finalist and nothing is screened.
+
+One ``solve`` projects each row tuple at most once. Every projection, of a
+finalist or of a working set of the loop, is kept under its row tuple, and
+the loop reuses one only for the same rows in the same order: the same
+``lstsq`` input, so the same array. Most often the winner is a single row,
+and that row is the loop's first working set.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +81,11 @@ class ClassKappa:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+        try:
+            valid = math.isfinite(self.gamma) and self.gamma > 0.0
+        except TypeError:  # not a real number
+            valid = False
+        if not valid:
             raise ConfigError(f"kappa gamma must be finite and > 0, got {self.gamma!r}")
 
     def __call__(self, h: float) -> float:
@@ -88,10 +101,15 @@ class AffineSafetyConstraint:
     label: str = ""
 
     def __post_init__(self):
-        a = np.array(self.gradient_row, dtype=float).reshape(4)
+        try:
+            a = np.array(self.gradient_row, dtype=float).reshape(4)
+            finite = all(map(math.isfinite, a.tolist())) and math.isfinite(self.offset)
+        except (TypeError, ValueError) as exc:
+            message = f"constraint row must be 4 numbers and an offset: {exc}"
+            raise ConfigError(message) from None
         a.setflags(write=False)
         object.__setattr__(self, "gradient_row", a)
-        if not (all(map(math.isfinite, a.tolist())) and math.isfinite(self.offset)):
+        if not finite:
             raise ConfigError("constraint row must be finite")
 
 
@@ -101,7 +119,10 @@ class QpProblem:
     constraints: tuple[AffineSafetyConstraint, ...] = ()
 
     def __post_init__(self):
-        u = np.array(self.u_des, dtype=float).reshape(4)
+        try:
+            u = np.array(self.u_des, dtype=float).reshape(4)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"u_des must be 4 numbers: {exc}") from None
         u.setflags(write=False)
         object.__setattr__(self, "u_des", u)
         object.__setattr__(self, "constraints", tuple(self.constraints))
@@ -128,31 +149,71 @@ def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return A, b, [c.label for c in rows]
 
 
-def _project_equalities(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closest point to u_des on {u : A u = -b} (least-squares if inconsistent)."""
-    # u = u_des + A^T mu with A A^T mu = -(A u_des + b)
-    gram = A @ A.T
-    rhs = -(A @ u_des + b)
+def _project_equalities(
+    u_des: np.ndarray, A: np.ndarray, b: np.ndarray, rows: tuple[int, ...]
+) -> np.ndarray:
+    """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
+    if inconsistent)."""
+    # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
+    A_S, b_S = A[list(rows)], b[list(rows)]
+    gram = A_S @ A_S.T
+    rhs = -(A_S @ u_des + b_S)
     mu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return u_des + A.T @ mu
+    return u_des + A_S.T @ mu
+
+
+class _Search(NamedTuple):
+    """The subsets of at most MAX_SUBSET of m rows, and the screen's tables.
+
+    The tables put the subset last: column n of ``rows`` lists subset n's
+    rows, padded with m, which the screen maps to a zero row.
+    """
+
+    keys: tuple[tuple[int, ...], ...]  # search order: by size, then combinations
+    rows: np.ndarray  # (MAX_SUBSET, N) row indices, padded with m
+    member: np.ndarray  # (m, N) 1.0 where row i is in subset n, else 0.0
+    size: np.ndarray  # (N,) k, as a float
+    blocks: tuple[tuple[int, int, int], ...]  # (k, first, stop) for k >= 2
+    gather: np.ndarray  # flat m x m Gram indices of every k >= 2 subset Gram
 
 
 @lru_cache(maxsize=None)
-def _subsets(m: int, k: int) -> np.ndarray:
-    """Row indices of every k-row subset of m rows, in combinations order."""
-    table = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
-    table.setflags(write=False)
-    return table
+def _search(m: int) -> _Search:
+    """Index tables of the feasible-start search over m rows, built once per m."""
+    sizes = range(1, min(MAX_SUBSET, m) + 1)
+    keys = tuple(itertools.chain(*(itertools.combinations(range(m), k) for k in sizes)))
+    rows = np.full((MAX_SUBSET, len(keys)), m, dtype=np.intp)
+    for n, key in enumerate(keys):
+        rows[: len(key), n] = key
+    member = np.zeros((m + 1, len(keys)))
+    member[rows, np.arange(len(keys))] = 1.0
+    member = member[:m]
+    size = np.array([len(key) for key in keys], dtype=float)
+    blocks, gather, first = [], [np.zeros(0, dtype=np.intp)], m
+    for k in sizes[1:]:
+        stop = first + math.comb(m, k)
+        idx = rows[:k, first:stop].T
+        blocks.append((k, first, stop))
+        gather.append((idx[:, :, None] * m + idx[:, None, :]).ravel())
+        first = stop
+    gather = np.concatenate(gather)
+    for table in (rows, member, size, gather):
+        table.setflags(write=False)
+    return _Search(keys, rows, member, size, tuple(blocks), gather)
 
 
-def _screen(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Finalists of the feasible-start search (index rows, in search order).
+def _screen(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Finalists of the feasible-start search (positions in search order).
 
-    Solve. For each size k, the Gram systems G mu = -(A_S u_des + b_S) of all
-    C(m, k) subsets are solved in one batched SVD, G = U diag(s) V^T, keeping
-    the s_j > k eps s_1: the cut-off of lstsq with rcond=None. The candidate
-    is u_des + d with d = A_S^T mu. The Gram entries are taken from A A^T, the
-    same row products lstsq is handed (bit-identical in practice).
+    Solve. The Gram systems G mu = -(A_S u_des + b_S) of all subsets S of
+    k <= MAX_SUBSET rows are solved by SVD, G = U diag(s) V^T, keeping the
+    s_j > k eps s_1: the cut-off of lstsq with rcond=None. A 1-row Gram [g]
+    is its own SVD (s = g, U = V = 1); the Grams of each size k >= 2 go
+    through one batched SVD. The factors are zero-padded to MAX_SUBSET, a
+    padded s_j being dropped with zero weight, so everything after the SVDs
+    is evaluated once over all subsets. The candidate is u_des + d with
+    d = A_S^T mu. The Gram entries are taken from A A^T, the same row
+    products lstsq is handed (bit-identical in practice).
 
     Error bound. lstsq solves the same Gram with another backward-stable
     factorisation. To first order the two displacements d differ by at most
@@ -191,72 +252,84 @@ def _screen(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[np.ndarray]
     test, and is no further than any feasible candidate, so the second.
     """
     m = A.shape[0]
+    search = _search(m)
     gram = A @ A.T
     resid = A @ u_des + b  # row slacks at u_des
-    a_max = float(np.sqrt(np.max(np.diag(gram))))
-    b_max = float(np.max(np.abs(b)))
-    u_norm = float(np.linalg.norm(u_des))
-    tables, slacks, dists, bounds = [], [], [], []
-    for k in range(1, min(MAX_SUBSET, m) + 1):
-        idx = _subsets(m, k)
-        U, s, Vt = np.linalg.svd(gram[idx[:, :, None], idx[:, None, :]])
-        rhs = -resid[idx]
-        s1 = s[:, 0]
-        ratio = s / s1[:, None]
-        keep = ratio > k * EPS
-        proj = np.einsum("nji,nj->ni", U, rhs)  # U^T rhs
-        coef = np.where(keep, proj / np.where(keep, s, 1.0), 0.0)
-        mu = np.einsum("nji,nj->ni", Vt, coef)
-        d = np.einsum("nk,nkj->nj", mu, A[idx])
-        d_norm = np.sqrt(np.einsum("ni,ni->n", d, d))
-        s_r = np.min(np.where(keep, s, np.inf), axis=1)
-        t = np.sqrt(np.sum(np.where(keep, 0.0, proj) ** 2, axis=1))
-        mu_norm = 2.0 * np.sqrt(np.einsum("ni,ni->n", mu, mu))
-        e_G = 10.0 * k * EPS * s1
-        b_norm = np.linalg.norm(b[idx], axis=1)
-        e_rhs = 10.0 * EPS * (np.sqrt(k) * a_max * u_norm + b_norm)
-        du = (
-            (e_G * mu_norm + e_rhs) / np.sqrt(s_r)
-            + e_G * t / s_r**1.5
-            + 2.0 * k * EPS * np.sqrt(k * s1) * mu_norm  # forming A_S^T mu
-            + 4.0 * EPS * (u_norm + d_norm)  # u_des + d, and back
-        )
-        undecided = np.any(np.abs(ratio - k * EPS) <= RANK_BAND * k * EPS, axis=1)
-        du[undecided | (s_r <= 4.0 * e_G)] = np.inf
-        tables.append(idx)
-        slacks.append(np.min(resid + d @ A.T, axis=1))
-        dists.append(d_norm)
-        bounds.append(du)
-    slack, dist, bound = map(np.concatenate, (slacks, dists, bounds))
+    diag = gram.diagonal()
+    a_max = math.sqrt(float(diag.max()))
+    b_max = float(np.abs(b).max())
+    u_norm = math.sqrt(float(u_des @ u_des))
+    # subset n's factors: U[:, i, n] and Vt[i, :, n] are singular vectors i
+    U = np.zeros((MAX_SUBSET, MAX_SUBSET, len(search.keys)))
+    Vt, s = U.copy(), np.zeros(U.shape[1:])
+    U[0, 0, :m] = Vt[0, 0, :m] = 1.0
+    s[0, :m] = diag
+    grams, offset = gram.take(search.gather), 0
+    for k, first, stop in search.blocks:
+        n = (stop - first) * k * k
+        factors = np.linalg.svd(grams[offset : offset + n].reshape(-1, k, k))
+        offset += n
+        U[:k, :k, first:stop] = factors.U.transpose(1, 2, 0)
+        s[:k, first:stop] = factors.S.T
+        Vt[:k, :k, first:stop] = factors.Vh.transpose(1, 2, 0)
+    k = search.size
+    rhs = -np.append(resid, 0.0)[search.rows]
+    s1 = s[0]
+    ratio = s / s1
+    keep = ratio > k * EPS
+    proj = np.sum(U * rhs[:, None], axis=0)  # U^T rhs
+    coef = np.where(keep, proj / np.where(keep, s, 1.0), 0.0)
+    mu = np.sum(Vt * coef[:, None], axis=0)
+    mu_rows = np.zeros((m + 1, len(k)))  # mu over all m rows, 0 off the subset
+    mu_rows[search.rows, np.arange(len(k))] = mu
+    d = A.T @ mu_rows[:m]
+    dist = np.sqrt(np.sum(d * d, axis=0))
+    s_r = np.min(np.where(keep, s, np.inf), axis=0)
+    t = np.sqrt(np.sum(np.where(keep, 0.0, proj) ** 2, axis=0))
+    mu_norm = 2.0 * np.sqrt(np.sum(mu * mu, axis=0))
+    e_G = 10.0 * k * EPS * s1
+    b_norm = np.sqrt((b * b) @ search.member)
+    e_rhs = 10.0 * EPS * (np.sqrt(k) * a_max * u_norm + b_norm)
+    bound = (
+        (e_G * mu_norm + e_rhs) / np.sqrt(s_r)
+        + e_G * t / s_r**1.5
+        + 2.0 * k * EPS * np.sqrt(k * s1) * mu_norm  # forming A_S^T mu
+        + 4.0 * EPS * (u_norm + dist)  # u_des + d, and back
+    )
+    undecided = np.any(np.abs(ratio - k * EPS) <= RANK_BAND * k * EPS, axis=0)
+    bound[undecided | (s_r <= 4.0 * e_G)] = np.inf
+    slack = np.min(resid[:, None] + A @ d, axis=0)
     slack_bound = a_max * bound + 12.0 * EPS * (a_max * (u_norm + dist) + b_max)
     sure = slack - slack_bound >= -FEAS_TOL
     best = np.min(dist[sure] + bound[sure], initial=np.inf)
     finalist = (slack + slack_bound >= -FEAS_TOL) & (dist - bound <= best)
-    finalists, start = [], 0
-    for idx in tables:
-        finalists.extend(idx[finalist[start : start + len(idx)]])
-        start += len(idx)
-    return finalists
+    return np.flatnonzero(finalist)
 
 
 def _feasible_start(
-    u_des: np.ndarray, A: np.ndarray, b: np.ndarray, labels: list[str]
+    u_des: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    labels: list[str],
+    projections: dict[tuple[int, ...], np.ndarray],
 ) -> np.ndarray:
     """Closest feasible equality-projection of u_des over row subsets.
 
     Every subset of at most MAX_SUBSET rows is a candidate (module
     docstring). With three or more rows only the screen's finalists are
-    solved, which returns the same array as solving every subset.
+    solved, which returns the same array as solving every subset. Every
+    projection made is stored in ``projections`` under its row tuple, where
+    the active-set loop finds it.
     """
     m = A.shape[0]
-    if m <= 2:  # at most three subsets: solving them all costs less than a screen
-        finalists = [idx for k in range(1, m + 1) for idx in _subsets(m, k)]
-    else:
-        finalists = _screen(u_des, A, b)
+    keys = _search(m).keys
+    # at most three subsets with two rows: solving them all costs less than a screen
+    order = range(len(keys)) if m <= 2 else _screen(u_des, A, b).tolist()
     best = None
     best_dist = np.inf
-    for idx in finalists:
-        cand = _project_equalities(u_des, A[idx], b[idx])
+    for n in order:
+        rows = keys[n]
+        cand = projections[rows] = _project_equalities(u_des, A, b, rows)
         if np.min(A @ cand + b) >= -FEAS_TOL:
             step = cand - u_des
             dist = math.sqrt(float(step @ step))
@@ -296,14 +369,17 @@ def solve(problem: QpProblem) -> QpSolution:
         # u_des is the unconstrained optimum: the loop would stop at once
         return QpSolution(u_des.copy(), (), (), max(0.0, -min_slack))
 
-    u = _feasible_start(u_des, A, b, labels)
+    projections: dict[tuple[int, ...], np.ndarray] = {}
+    u = _feasible_start(u_des, A, b, labels, projections)
 
     working: list[int] = []
     lam_w = np.zeros(0)
     for _ in range(MAX_ITER):
         if working:
-            W = A[working]
-            u_eq = _project_equalities(u_des, W, b[working])
+            rows = tuple(working)
+            u_eq = projections.get(rows)
+            if u_eq is None:
+                u_eq = projections[rows] = _project_equalities(u_des, A, b, rows)
         else:
             u_eq = u_des.copy()
         d = u_eq - u

@@ -48,8 +48,10 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
+    # one %-format per row, which prints a float as _fmt does
+    row_format = ",".join(["%" + FLOAT_FORMAT] * table.shape[1])
     lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row.tolist())) for row in table]
+    lines += [row_format % tuple(row.tolist()) for row in table]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -67,8 +67,13 @@ class ControllerGains:
     pitch_d: float = 16.0
 
     def __post_init__(self):
-        vals = (*self.pos_p, *self.pos_d, self.roll_p, self.pitch_p, self.roll_d, self.pitch_d)
-        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
+        try:
+            vals = (*self.pos_p, *self.pos_d)
+            vals += (self.roll_p, self.pitch_p, self.roll_d, self.pitch_d)
+            valid = all(math.isfinite(v) and v >= 0.0 for v in vals)
+        except TypeError:  # not a real number, or no gain triple
+            valid = False
+        if not valid:
             raise ConfigError("gains must be finite and >= 0")
 
 

@@ -137,6 +137,20 @@ def test_obstacle_validation():
             )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="sphere", center=(0, 0, 0), radius_raw="x"),
+        dict(kind="sphere", center="ab", radius_raw=0.1),
+        dict(kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=(0, 1)),
+    ],
+    ids=["radius-str", "center-str", "axis-size"],
+)
+def test_obstacle_rejects_non_numbers(fields):
+    with pytest.raises(InvalidObstacleError):
+        Obstacle(**fields)
+
+
 def test_obstacle_center_motion():
     obs = Obstacle(
         kind="sphere", center=(1.0, 2.0, 3.0), radius_raw=0.1, velocity=(0.5, 0, -1.0)

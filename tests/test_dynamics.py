@@ -19,7 +19,7 @@ from coneguard.dynamics import (
     rotation_matrix,
     step,
 )
-from coneguard.errors import AttitudeSingularError, NonFiniteStateError
+from coneguard.errors import AttitudeSingularError, ConfigError, NonFiniteStateError
 
 attitudes = st.tuples(
     st.floats(-1.4, 1.4), st.floats(-1.4, 1.4), st.floats(-np.pi, np.pi)
@@ -135,6 +135,11 @@ def test_step_golden_value(params):
 def test_state_vector_round_trip(values):
     vec = np.array(values)
     assert np.array_equal(QuadrotorState.from_vector(vec).as_vector(), vec)
+
+
+def test_params_reject_non_numbers():
+    with pytest.raises(ConfigError):
+        QuadrotorParams(mass="x")
 
 
 def test_state_arrays_are_read_only():

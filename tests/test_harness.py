@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coneguard import harness
+from helpers import random_cylinder, random_sphere, random_state
+from coneguard import cone, harness
 from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import ConfigError, SimulationAbort
@@ -159,6 +160,51 @@ def test_unfiltered_run_builds_no_rows(monkeypatch):
     assert np.array_equal(trace.h[0], twin.h[0])
     assert np.array_equal(trace.half_angles[0], twin.half_angles[0])
     assert np.array_equal(trace.separation[0], twin.separation[0])
+
+
+@pytest.mark.parametrize("filter_kind", ["none", "c3bf"])
+def test_survey_places_each_obstacle_once_per_step(monkeypatch, filter_kind):
+    """The clearance comes from the barrier's own geometry: one
+    cone_geometry call per obstacle per step."""
+    obstacles = (
+        Obstacle(kind="sphere", center=(1.0, 0.0, 1.0), radius_raw=0.3),
+        Obstacle(
+            kind="cylinder", center=(2.0, 1.0, 0.0), radius_raw=0.2, axis=(0, 0, 1.0)
+        ),
+    )
+    placed = []
+    geometry = cone.cone_geometry
+
+    def spy(frame, obstacle, params, t):
+        placed.append((obstacle, t))
+        return geometry(frame, obstacle, params, t)
+
+    monkeypatch.setattr(cone, "cone_geometry", spy)
+    monkeypatch.setattr(harness, "cone_geometry", spy)
+    config = line_config(duration=0.1, filter_kind=filter_kind, obstacles=obstacles)
+    trace = run(config)
+    assert len(placed) == trace.t.shape[0] * len(obstacles)
+    assert len({(id(obstacle), t) for obstacle, t in placed}) == len(placed)
+
+
+@pytest.mark.parametrize("filter_kind", harness.FILTER_KINDS)
+def test_survey_separation_is_separation_distance(filter_kind):
+    """The survey's clearance cells equal separation_distance bit for bit,
+    for spheres and cylinders (with a height, which the HO-CBF's
+    encompassing sphere reads) under every filter."""
+    rng = np.random.default_rng(12)
+    params = QuadrotorParams()
+    obstacles = tuple(random_sphere(rng) for _ in range(3))
+    obstacles += tuple(random_cylinder(rng) for _ in range(3))
+    labels = tuple(f"o{i}" for i in range(len(obstacles)))
+    config = line_config(filter_kind=filter_kind, obstacles=obstacles)
+    for _ in range(50):
+        state = random_state(rng, att_max=0.5)
+        t = float(rng.uniform(0.0, 2.0))
+        cells, _, _ = harness._survey(state, obstacles, labels, config, t)
+        frame = BodyFrame(state, params)
+        want = [separation_distance(frame, o, params, t) for o in obstacles]
+        assert cells[1::2] == want
 
 
 def test_trace_shape_and_time_grid():

@@ -17,6 +17,8 @@ kappa = ClassKappa(1.0)
 def test_config_validation():
     with pytest.raises(ValueError):
         HocbfConfig(gamma_penalty=0.0)
+    with pytest.raises(ConfigError):
+        HocbfConfig("x")
 
 
 def test_encompassing_radius_takes_larger_half_extent():

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 import oracles
 from coneguard.cone import thrust_acceleration_map
 from coneguard.dynamics import QuadrotorParams, rotation_matrix
-from coneguard.errors import DegenerateGradientError, InfeasibleQpError
+from coneguard import qp
+from coneguard.errors import ConfigError, DegenerateGradientError, InfeasibleQpError
 from coneguard.qp import (
     FEAS_TOL,
     AffineSafetyConstraint,
     ClassKappa,
     QpProblem,
     _feasible_start,
+    _screen,
     solve,
 )
 
@@ -40,6 +42,21 @@ def test_kappa_is_linear():
 def test_kappa_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
         ClassKappa(0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ClassKappa("x"),
+        lambda: AffineSafetyConstraint([1, 0, 0, 0], "x"),
+        lambda: AffineSafetyConstraint("abcd", 0.0),
+        lambda: QpProblem([1, 2]),
+    ],
+    ids=["kappa-str", "offset-str", "row-str", "u_des-size"],
+)
+def test_constructors_reject_non_numbers(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_unconstrained_returns_u_des():
@@ -167,12 +184,14 @@ def test_solution_feasible_and_certified(seed, m):
     assert sol.kkt_residual <= 1e-8
 
 
-def _shared_range_rows(rng, m):
+def _shared_range_rows(rng, m, z_scale=1.0):
     """Rows -M^T R^T w, built as the cone barriers build them: all lie in the
-    3-D range of M^T, so every 4-row Gram is singular up to rounding."""
+    3-D range of M^T, so every 4-row Gram is singular up to rounding. The
+    z-components of w are scaled by z_scale."""
     M = thrust_acceleration_map(QuadrotorParams())
     R = rotation_matrix(rng.uniform(-0.5, 0.5, 3))
-    return -(M.T @ (R.T @ rng.normal(size=(m, 3)).T)).T
+    w = rng.normal(size=(m, 3)) * [1.0, 1.0, z_scale]
+    return -(M.T @ (R.T @ w.T)).T
 
 
 def _rows(rng, m):
@@ -186,6 +205,14 @@ def _offsets_for(rng, A):
 
 def shared_range(rng, m):
     A = _shared_range_rows(rng, m)
+    return rng.normal(size=4) * 0.05, A, _offsets_for(rng, A)
+
+
+def near_planar(rng, m):
+    """Barrier rows whose w lie near one plane, as in the obstacle fields
+    (every w there is close to horizontal): every 3-row Gram is nearly
+    singular, with s_3 / s_1 down to rounding."""
+    A = _shared_range_rows(rng, m, z_scale=10.0 ** rng.uniform(-12, -2))
     return rng.normal(size=4) * 0.05, A, _offsets_for(rng, A)
 
 
@@ -231,12 +258,15 @@ def weak_ties(rng, m):
     return u_star - A[active].T @ lam * 0.01, A, b
 
 
+FAMILIES = (shared_range, generic, duplicated, near_parallel, weak_ties, near_planar)
+
+
 def test_feasible_start_matches_exhaustive_oracle():
     """The screened search returns the exhaustive search's start bit for bit,
     and the same blocking labels when no subset is feasible."""
     rng = np.random.default_rng(20261018)
     infeasible = 0
-    for family in (shared_range, generic, duplicated, near_parallel, weak_ties):
+    for family in FAMILIES:
         drawn = 0
         while drawn < 80:
             m = int(rng.integers(3, 9))
@@ -249,9 +279,62 @@ def test_feasible_start_matches_exhaustive_oracle():
             if want is None:
                 infeasible += 1
                 with pytest.raises(InfeasibleQpError) as exc_info:
-                    _feasible_start(u_des, A, b, labels)
+                    _feasible_start(u_des, A, b, labels, {})
                 assert exc_info.value.blocking_labels == tuple(blocking)
             else:
-                got = _feasible_start(u_des, A, b, labels)
+                got = _feasible_start(u_des, A, b, labels, {})
                 assert np.array_equal(got, want), (family.__name__, m)
     assert infeasible > 0
+
+
+def _intervening_problem(rng, family):
+    """A feasible problem of 3-8 rows from the family whose u_des is unsafe."""
+    while True:
+        m = int(rng.integers(3, 9))
+        u_des, A, b = family(rng, m)
+        labels = [f"c{i}" for i in range(m)]
+        if np.min(A @ u_des + b) >= -FEAS_TOL:
+            continue
+        if oracles.feasible_start_exhaustive(u_des, A, b, labels)[0] is None:
+            continue
+        rows = zip(A, b, labels)
+        return QpProblem(u_des, [AffineSafetyConstraint(*row) for row in rows])
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_solve_projects_each_row_subset_once(monkeypatch, family):
+    """The feasible start and the active-set loop share one projection per
+    row tuple."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        problem = _intervening_problem(rng, family)
+        projected = []
+        project = qp._project_equalities
+
+        def spy(u_des, A, b, rows):
+            projected.append(rows)
+            return project(u_des, A, b, rows)
+
+        monkeypatch.setattr(qp, "_project_equalities", spy)
+        solve(problem)
+        monkeypatch.undo()
+        assert projected and len(projected) == len(set(projected)), family.__name__
+
+
+def test_screen_factors_only_multi_row_grams(monkeypatch):
+    """The 1-row Grams are their own SVD: one batched SVD per size 2-4."""
+    rng = np.random.default_rng(8)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for m in range(3, 9):
+        u_des, A, b = shared_range(rng, m)
+        calls.clear()
+        _screen(u_des, A, b)
+        assert len(calls) <= 3
+        assert all(shape[-1] >= 2 for shape in calls)

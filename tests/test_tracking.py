@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import ALLOCATION, random_state
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
-from coneguard.errors import DegenerateThrustError
+from coneguard.errors import ConfigError, DegenerateThrustError
 from coneguard.reference import HoverReference, ReferenceSample
 from coneguard.tracking import (
     ALLOCATION_INV,
@@ -119,6 +119,11 @@ def test_track_finite_on_generic_states(seed):
 def test_negative_gains_rejected():
     with pytest.raises(ValueError):
         ControllerGains(pos_p=(-1.0, 4.0, 4.0))
+
+
+def test_non_number_gains_rejected():
+    with pytest.raises(ConfigError):
+        ControllerGains(roll_p="x")
 
 
 def test_closed_loop_hover_converges(params):
