@@ -181,7 +181,7 @@ class BodyFrame:
     M: thrust_acceleration_map(params).
 
     a_d is computed on first use, so a frame that only places obstacles
-    (the geometric phi of a recorded state) never pays for it. Its
+    (the survey of an unfiltered run) never pays for it. Its
     elementwise terms run on Python floats in the operation order of their
     array form, and R @ spin stays a numpy product.
     """

@@ -192,6 +192,18 @@ def rotation_matrix(attitude: np.ndarray) -> np.ndarray:
     )
 
 
+def thrust_axes(attitudes: np.ndarray) -> np.ndarray:
+    """R e3 for each row of an (N, 3) attitude array: rotation_matrix's third
+    column, evaluated in its operation order, so with its bits."""
+    cphi, sphi = np.cos(attitudes[:, 0]), np.sin(attitudes[:, 0])
+    cth, sth = np.cos(attitudes[:, 1]), np.sin(attitudes[:, 1])
+    cpsi, spsi = np.cos(attitudes[:, 2]), np.sin(attitudes[:, 2])
+    return np.stack(
+        [cpsi * sth * cphi + spsi * sphi, spsi * sth * cphi - cpsi * sphi, cth * cphi],
+        axis=1,
+    )
+
+
 def euler_rate_matrix(attitude: np.ndarray) -> np.ndarray:
     """W^-1, which maps body rates to Euler-angle rates: eta_dot = W^-1 @ omega.
 

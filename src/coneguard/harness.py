@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import (
+    EPS_SQRT,
     BodyFrame,
     Obstacle,
     barrier_3d,
@@ -33,7 +34,7 @@ from .cone import (
     cone_terms,
     inflated_radius,
 )
-from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
+from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step, thrust_axes
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .hocbf import HocbfConfig, barrier_ho
 from .qp import AffineSafetyConstraint, ClassKappa, QpProblem, solve
@@ -49,6 +50,8 @@ FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 STATE_COLUMNS = (
     "x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "wx", "wy", "wz",
 )
+_QUANTIZE_ROWS = 256  # rows per block of _quantize
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact as doubles
 
 Reference = HoverReference | LineReference | WaypointReference
 
@@ -176,15 +179,38 @@ class ComparisonReport:
 
 
 def _quantize(table: np.ndarray) -> None:
-    """Round every entry in place to 9 significant digits via its printed form.
+    """Round every entry in place to 9 significant digits: float(format(v, ".8e")).
 
-    Elementwise, so one pass per run equals rounding each step as recorded;
-    row by row, so no copy of the table is held as Python floats. Each row
-    is printed by one %-format, which prints a float as format() does.
+    Elementwise, so one pass per run equals rounding each step as recorded.
+    The string rule is done as array arithmetic, in blocks of rows so that
+    the temporaries stay small. With e = floor(log10|v|) and the power of
+    ten 10^|8 - e| exact (|8 - e| <= 22), x = |v| 10^(8 - e) is the correctly
+    rounded scaled value, n = rint(x) is the 9-digit significand, and the
+    quotient or product of n and that power is the correctly rounded
+    n 10^(e - 8): what the string rule parses back. rint(x) is the
+    significand the exact |v| rounds to wherever x in [1e8, 1e9 - 1) lies
+    more than 1e-6 (far beyond x's rounding error, under 1e-7) from a
+    half-integer. Every other entry takes the string rule itself:
+    zeros, non-finite values, subnormals, exponents outside [-14, 30], near
+    ties and carries into a tenth digit.
     """
-    row_format = " ".join(["%" + FLOAT_FORMAT] * table.shape[1])
-    for row in table:
-        row[:] = list(map(float, (row_format % tuple(row.tolist())).split()))
+    for start in range(0, table.shape[0], _QUANTIZE_ROWS):
+        block = table[start : start + _QUANTIZE_ROWS]
+        a = np.abs(block)
+        with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
+            e = np.floor(np.log10(a))
+        fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
+        k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
+        a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
+        scale = _POW10[np.abs(k)]
+        up = k >= 0
+        x = np.where(up, a * scale, a / scale)
+        n = np.rint(x)
+        fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
+        np.copyto(block, np.copysign(np.where(up, n / scale, n * scale), block), where=fast)
+        slow = np.nonzero(~fast)
+        if slow[0].size:
+            block[slow] = [float(format(v, FLOAT_FORMAT)) for v in block[slow].tolist()]
 
 
 def separation_distance(
@@ -391,16 +417,29 @@ def _phi_ratio(
     is one column per obstacle of the config, labelled as in the trace; a
     pair's partner has none, as its position is the other vehicle's state,
     which this trace does not hold.
+
+    All rows are evaluated at once, in the operation order of the survey's
+    scalar path (``BodyFrame``, ``cone_geometry``, ``cone_terms``), so each
+    cell has its bits. R e3 is ``rotation_matrix``'s third column, and the
+    projector and the dot products go through matmul, one 3-vector per row,
+    as in the scalar path.
     """
     labels = trace.obstacle_labels[: len(config.obstacles)]
-    n = trace.t.shape[0]
-    ratio = np.ones((n, len(labels)))
-    for k in range(n):
-        frame = BodyFrame(QuadrotorState.from_vector(trace.states[k]), config.params)
-        for i, obstacle in enumerate(config.obstacles):
-            geometry = cone_geometry(frame, obstacle, config.params, trace.t[k])
-            phi = cone_terms(*geometry).phi
-            ratio[k, i] = trace.half_angles[k, i] / max(phi, 1e-12)
+    params = config.params
+    t = trace.t[:, None]
+    r_e3 = thrust_axes(trace.states[:, 6:9])
+    body_center = trace.states[:, 0:3] + r_e3 * params.center_offset
+    ratio = np.empty((trace.t.shape[0], len(labels)))
+    for i, obstacle in enumerate(config.obstacles):
+        p = (obstacle.center + obstacle.velocity * t) - body_center
+        if obstacle.kind == "cylinder":
+            p = np.matmul(obstacle._projector, p[:, :, None])[:, :, 0]
+        p_norm = np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0])
+        r = inflated_radius(obstacle, params.body_width)
+        s = np.sqrt(np.maximum(p_norm * p_norm - r * r, 0.0))
+        cos_phi = s / np.maximum(p_norm, EPS_SQRT)
+        phi = np.arccos(np.minimum(np.maximum(cos_phi, 0.0), 1.0))
+        ratio[:, i] = trace.half_angles[:, i] / np.maximum(phi, 1e-12)
     return labels, ratio
 
 

@@ -21,6 +21,12 @@ ALLOCATION = np.array(
 )
 
 
+def assert_same_bits(got, want, context=""):
+    """Equal values, nan for nan, and equal sign bits (so -0.0 != 0.0)."""
+    assert np.array_equal(got, want, equal_nan=True), context
+    assert np.array_equal(np.signbit(got), np.signbit(want)), context
+
+
 def random_state(rng, att_max=1.0, speed=2.0, rate=2.0):
     """A generic state with attitude bounded away from the pitch singularity."""
     vec = np.concatenate(

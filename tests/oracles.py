@@ -8,9 +8,10 @@ derivative is reassembled from Newton-Euler, barrier values are recomputed
 from their defining formulas, the HO-CBF derivative chain is written out
 from b = ||c - x||^2 - r^2, and the safety QP is solved by projected
 gradient on the dual (or, for one row, in closed form). Agreement is then
-evidence, not circularity. The one exception is
-``feasible_start_exhaustive``: the QP's feasible-start search must match it
-bit for bit, so it keeps that search's own numpy calls.
+evidence, not circularity. The two exceptions must be matched bit for
+bit, so they keep the package's own calls: ``feasible_start_exhaustive``,
+the search the QP's feasible start screens, and ``phi_ratio_per_row``, the
+row-by-row form of ``harness._phi_ratio``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import itertools
 
 import numpy as np
 
+from coneguard.cone import BodyFrame, cone_geometry, cone_terms
+from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConeguardError, ConfigError
 
 GRAVITY = 9.81
@@ -276,3 +279,19 @@ def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
     slack = A @ u_des + b
     order = np.argsort(slack)
     return None, [labels[i] for i in order if slack[i] < 0.0]
+
+
+def phi_ratio_per_row(trace, config):
+    """``harness._phi_ratio`` one recorded row at a time, through the survey's
+    own scalar path: a ``BodyFrame`` per row, and the cone's geometry and
+    terms per obstacle. Returns (labels, phi'/phi)."""
+    labels = trace.obstacle_labels[: len(config.obstacles)]
+    n = trace.t.shape[0]
+    ratio = np.ones((n, len(labels)))
+    for k in range(n):
+        frame = BodyFrame(QuadrotorState.from_vector(trace.states[k]), config.params)
+        for i, obstacle in enumerate(config.obstacles):
+            geometry = cone_geometry(frame, obstacle, config.params, trace.t[k])
+            phi = cone_terms(*geometry).phi
+            ratio[k, i] = trace.half_angles[k, i] / max(phi, 1e-12)
+    return labels, ratio

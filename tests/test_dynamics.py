@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import random_state, random_thrusts
+from helpers import assert_same_bits, random_state, random_thrusts
 from coneguard.dynamics import (
     ControlInput,
     QuadrotorParams,
@@ -18,6 +18,7 @@ from coneguard.dynamics import (
     euler_rate_matrix,
     rotation_matrix,
     step,
+    thrust_axes,
 )
 from coneguard.errors import AttitudeSingularError, ConfigError, NonFiniteStateError
 
@@ -42,6 +43,16 @@ def test_rotation_matrix_matches_oracle(att):
     assert np.allclose(
         rotation_matrix(np.array(att)), oracles.rot_zyx(np.array(att)), atol=1e-14
     )
+
+
+def test_thrust_axes_are_rotation_matrix_third_columns():
+    """The batched R e3 has the bits of rotation_matrix's third column."""
+    rng = np.random.default_rng(14)
+    batch = rng.uniform(-np.pi, np.pi, (4000, 3))
+    want = np.array([rotation_matrix(att)[:, 2] for att in batch])
+    got = thrust_axes(batch)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(attitudes)
@@ -220,11 +231,6 @@ def test_cross_is_bit_equal_to_numpy():
         assert np.array_equal(np.signbit(got), np.signbit(want)), (a, b)
 
 
-def _assert_same_bits(got, want, context):
-    assert np.array_equal(got, want, equal_nan=True), context
-    assert np.array_equal(np.signbit(got), np.signbit(want)), context
-
-
 @pytest.mark.parametrize("name", ["cos", "sin", "sqrt"])
 def test_math_trig_and_sqrt_are_bit_equal_to_numpy(name):
     """The step loop takes cos, sin and sqrt from math; they must be numpy's bits.
@@ -247,7 +253,7 @@ def test_math_trig_and_sqrt_are_bit_equal_to_numpy(name):
         want = numpy_fn(draws)
         # numpy's scalar path, which the step loop used, gives the same bits
         scalars = np.array([numpy_fn(v) for v in draws[::10]])
-        _assert_same_bits(scalars, want[::10], name)
+        assert_same_bits(scalars, want[::10], name)
     got = np.empty_like(draws)
     for i, v in enumerate(draws.tolist()):
         try:
@@ -255,7 +261,7 @@ def test_math_trig_and_sqrt_are_bit_equal_to_numpy(name):
         except ValueError:
             assert (math.isinf(v) or v < 0.0) and np.isnan(want[i]), v
             got[i] = want[i]
-    _assert_same_bits(got, want, name)
+    assert_same_bits(got, want, name)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -269,7 +275,7 @@ def test_sqrt_of_dot_is_numpy_norm(n):
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.linalg.norm(x)
             got = math.sqrt(float(x @ x))
-        _assert_same_bits(np.float64(got), want, x)
+        assert_same_bits(np.float64(got), want, x)
 
 
 def test_state_holds_one_read_only_vector():

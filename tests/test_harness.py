@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_cylinder, random_sphere, random_state
+import oracles
+from helpers import assert_same_bits, random_cylinder, random_sphere, random_state
 from coneguard import cone, harness
 from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
@@ -20,7 +21,9 @@ from coneguard.harness import (
     separation_distance,
 )
 from coneguard.qp import AffineSafetyConstraint, QpSolution
+from coneguard.hocbf import HocbfConfig
 from coneguard.reference import HoverReference, LineReference, WaypointReference
+from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.tracking import ControllerGains
 
 
@@ -432,7 +435,7 @@ def test_metrics_tracking_rms_present_for_reference_runs():
 
 
 def test_quantize_matches_the_string_rule():
-    """One %-format per row rounds exactly as float(format(v, ".8e")) per value."""
+    """_quantize rounds exactly as float(format(v, ".8e")) per value."""
     rng = np.random.default_rng(11)
     signs = rng.choice([-1.0, 1.0], 20000)
     values = np.concatenate(
@@ -447,3 +450,94 @@ def test_quantize_matches_the_string_rule():
     got = table.ravel()
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_quantize_edge_cases_match_the_string_rule(monkeypatch):
+    """The entries the array rule hands to the string rule or could misround,
+    and one ulp either side of each: decimal ties between two 9-digit values,
+    powers of ten, carries into a tenth digit, zeros and subnormals; and
+    every raw value of the eight built-ins' tables."""
+    rng = np.random.default_rng(13)
+    digits = rng.integers(10**8, 10**9, 400).tolist()
+    exponents = rng.integers(-14, 31, 400).tolist()
+    ties = [float(f"{n}5e{k - 9}") for n, k in zip(digits, exponents)]
+    ties += [1234567895.0, 9999999995.0, 123456789.5]  # exact in binary
+    powers = [float(f"1e{k}") for k in range(-14, 31)]
+    carries = [float(f"9.999999995e{k}") for k in range(-16, 33)]
+    near = np.array(ties + powers + carries)
+    values = np.concatenate(
+        [
+            near,
+            np.nextafter(near, np.inf),
+            np.nextafter(near, -np.inf),
+            [0.0, 5e-324, 2.2250738585072e-310, 2.2250738585072014e-308],
+            [np.nextafter(2.2250738585072014e-308, 0.0), 1e-15, 1e31],
+        ]
+    )
+    values = np.concatenate([values, -values])
+    raw = []
+    quantize = harness._quantize
+
+    def capture(table):
+        raw.append(table.copy())
+        quantize(table)
+
+    monkeypatch.setattr(harness, "_quantize", capture)
+    for config in builtin_scenarios():
+        (run_pair if config.partner is not None else run)(config)
+    assert len(raw) == 9  # two-agent records both vehicles
+    for table in [values.reshape(-1, 2)] + raw:
+        want = [float(format(v, harness.FLOAT_FORMAT)) for v in table.ravel().tolist()]
+        got = table.copy()
+        quantize(got)
+        assert_same_bits(got.ravel(), np.array(want))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "name, duration",
+    [("moving-head-on", 4.5), ("cylinder-side", 4.5), ("two-agent", 1.0)],
+)
+def test_phi_ratio_matches_the_per_row_oracle(name, duration, gamma):
+    """The batched phi'/phi has the bits of the row-by-row scalar path, over
+    the closest approach of a sphere and of a cylinder (the projector), and
+    has no column for a pair's partner."""
+    config = replace(
+        get_scenario(name),
+        duration=duration,
+        filter_kind="hocbf",
+        hocbf=HocbfConfig(gamma_penalty=gamma),
+    )
+    trace = run(config)
+    labels, ratio = harness._phi_ratio(trace, config)
+    want_labels, want = oracles.phi_ratio_per_row(trace, config)
+    assert labels == want_labels
+    assert ratio.shape == want.shape == (trace.t.shape[0], len(config.obstacles))
+    assert_same_bits(ratio, want, name)
+
+
+def test_batched_products_are_bit_equal_to_per_row_ones():
+    """_phi_ratio relies on these: the projector as a broadcast matmul over
+    (N, 3, 1), the stacked p.p, and arccos over an array, each equal to the
+    per-row call of the scalar path. The operands keep the scalar path's
+    layout (a contiguous projector, rows of p), since BLAS may sum in
+    another order for another layout."""
+    rng = np.random.default_rng(12)
+    n = 4000
+    signs = rng.choice([-1.0, 1.0], (n, 3))
+    p = signs * 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+    for _ in range(5):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        cylinder = Obstacle(kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=axis)
+        P = cylinder._projector
+        projected = np.matmul(P, p[:, :, None])[:, :, 0]
+        assert_same_bits(projected, np.array([P @ row for row in p]))
+        for q in (p, projected):
+            dots = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
+            assert_same_bits(dots, np.array([float(row @ row) for row in q]))
+    cos_phi = np.concatenate(
+        [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
+    )
+    angles = np.arccos(cos_phi)
+    assert_same_bits(angles, np.array([float(np.arccos(c)) for c in cos_phi.tolist()]))

@@ -11,6 +11,7 @@ from coneguard.dynamics import QuadrotorParams, rotation_matrix
 from coneguard import qp
 from coneguard.errors import ConfigError, DegenerateGradientError, InfeasibleQpError
 from coneguard.qp import (
+    EPS,
     FEAS_TOL,
     AffineSafetyConstraint,
     ClassKappa,
@@ -258,7 +259,37 @@ def weak_ties(rng, m):
     return u_star - A[active].T @ lam * 0.01, A, b
 
 
-FAMILIES = (shared_range, generic, duplicated, near_parallel, weak_ties, near_planar)
+def near_singular_triple(rng, m):
+    """Three rows active at the optimum, whose Gram has s_3 / s_1
+    log-uniform in [3 eps, 3e5 eps]: the decades just above lstsq's rank
+    cut-off for a 3-row subset, where a screen that cut too high would drop
+    the winner's third direction. The rows are on the barrier rows' scale
+    (s_1 = 1e4) and the multipliers large enough that dropping that
+    direction moves the slack past FEAS_TOL. The other rows are slack at
+    the optimum."""
+    k = 3
+    s = [1.0, rng.uniform(0.1, 1.0), k * EPS * 10.0 ** rng.uniform(0.0, 5.0)]
+    left = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    right = np.linalg.qr(rng.normal(size=(4, k)))[0]
+    A = rng.normal(size=(m, 4)) * 100.0
+    A[:k] = 100.0 * (left * np.sqrt(s)) @ right.T
+    u_star = rng.normal(size=4) * 0.05
+    b = rng.uniform(0.1, 1.0, m) * np.linalg.norm(A, axis=1) * 0.05 - A @ u_star
+    b[:k] = -(A[:k] @ u_star)
+    u_des = u_star - A[:k].T @ rng.uniform(0.1, 1.0, k)
+    order = rng.permutation(m)
+    return u_des, A[order], b[order]
+
+
+FAMILIES = (
+    shared_range,
+    generic,
+    duplicated,
+    near_parallel,
+    weak_ties,
+    near_planar,
+    near_singular_triple,
+)
 
 
 def test_feasible_start_matches_exhaustive_oracle():
