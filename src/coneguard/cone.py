@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import QuadrotorParams, QuadrotorState, _cross, cross, rotation_matrix
-from .errors import DegenerateGradientError, InvalidObstacleError
-from .qp import AffineSafetyConstraint, ClassKappa
+from .errors import ConfigError, DegenerateGradientError, InvalidObstacleError
+from .qp import AffineSafetyConstraint, ClassKappa, checked_row
 
 EPS_V = 1e-6  # ||v_rel|| regularization floor (m/s)
 EPS_SQRT = 1e-9  # guard for the ||p_rel|| division in cos(phi)
@@ -181,9 +181,10 @@ class BodyFrame:
     M: thrust_acceleration_map(params).
 
     a_d is computed on first use, so a frame that only places obstacles
-    (the survey of an unfiltered run) never pays for it. Its
-    elementwise terms run on Python floats in the operation order of their
-    array form, and R @ spin stays a numpy product.
+    (the survey of an unfiltered run) never pays for it, and kept in a plain
+    attribute (a frame belongs to one step of one thread, so it needs no
+    lock). Its elementwise terms run on Python floats in the operation order
+    of their array form, and R @ spin stays a numpy product.
     """
 
     def __init__(self, state: QuadrotorState, params: QuadrotorParams):
@@ -193,9 +194,15 @@ class BodyFrame:
         self.position = state.position + R @ _E3 * l
         self.velocity = state.velocity + R @ cross(state.body_rates, _E3) * l
         self.M = thrust_acceleration_map(params)
+        self._a_d = None
 
-    @cached_property
+    @property
     def a_d(self) -> np.ndarray:
+        if self._a_d is None:
+            self._a_d = self._drift_acceleration()
+        return self._a_d
+
+    def _drift_acceleration(self) -> np.ndarray:
         omega, params = self._state.body_rates.tolist(), self._params
         inertia = params.inertia_diag
         gyro = _cross(omega, [i * w for i, w in zip(inertia, omega)])
@@ -284,9 +291,21 @@ def contract(
 def barrier_row(
     frame: BodyFrame, terms: ConeTerms, kappa: ClassKappa, label: str
 ) -> AffineSafetyConstraint:
-    """The QP row input_row . f + drift + kappa(h) >= 0."""
+    """The QP row input_row . f + drift + kappa(h) >= 0.
+
+    The row is checked here, where it is made, and handed to the QP as it
+    is: ``contract`` bounds ||input_row|| away from 0, and this checks that
+    every entry is finite (``ConfigError``, as the public constructor).
+
+    Raises:
+        DegenerateGradientError: ||input_row|| <= 1e-10.
+        ConfigError: a non-finite row entry or offset.
+    """
     drift, input_row = contract(frame, terms, label)
-    return AffineSafetyConstraint(input_row, drift + kappa(terms.h), label=label)
+    offset = drift + kappa(terms.h)
+    if not (math.isfinite(offset) and all(map(math.isfinite, input_row.tolist()))):
+        raise ConfigError("constraint row must be finite")
+    return checked_row(input_row, offset, label)
 
 
 def projection_operator(axis: np.ndarray) -> np.ndarray:

@@ -95,11 +95,6 @@ class QuadrotorParams:
         if not valid:
             raise ConfigError("all quadrotor parameters must be finite and > 0")
 
-    @property
-    def hover_thrust(self) -> float:
-        """Per-rotor thrust that balances gravity."""
-        return self.mass * self.gravity / 4.0
-
 
 _PARTS = ("position", "velocity", "attitude", "body_rates")
 
@@ -141,11 +136,21 @@ class QuadrotorState:
         """
         if not all(map(math.isfinite, self._x.tolist())):
             raise NonFiniteStateError("state contains non-finite components")
-        roll, pitch = self._x[6:8].tolist()
-        if abs(roll) >= math.pi / 2 or abs(pitch) >= math.pi / 2:
-            raise AttitudeSingularError(
-                f"attitude out of range: roll={roll:.4f}, pitch={pitch:.4f}"
-            )
+        check_attitude(self)
+
+
+def check_attitude(state: QuadrotorState) -> None:
+    """The attitude half of ``validate``, for a state known to be finite
+    (one that ``step`` returned).
+
+    Raises:
+        AttitudeSingularError: |roll| or |pitch| >= pi/2.
+    """
+    roll, pitch = state._x[6:8].tolist()
+    if abs(roll) >= math.pi / 2 or abs(pitch) >= math.pi / 2:
+        raise AttitudeSingularError(
+            f"attitude out of range: roll={roll:.4f}, pitch={pitch:.4f}"
+        )
 
 
 def _hold(state: QuadrotorState, x: np.ndarray) -> None:
@@ -170,11 +175,27 @@ class ControlInput:
     thrusts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.thrusts, dtype=float).reshape(4)
-        if not all(map(math.isfinite, arr.tolist())):
-            raise ConfigError("thrusts must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "thrusts", arr)
+        _own_thrusts(self, np.array(self.thrusts, dtype=float).reshape(4))
+
+
+def _own_thrusts(control: ControlInput, u: np.ndarray) -> None:
+    """Check the float 4-vector u and make it the control's read-only thrusts."""
+    if not all(map(math.isfinite, u.tolist())):
+        raise ConfigError("thrusts must be finite")
+    u.setflags(write=False)
+    control.__dict__["thrusts"] = u
+
+
+def control_of(u: np.ndarray) -> ControlInput:
+    """The ControlInput that takes the fresh float 4-vector u (no copy),
+    checked finite as by the constructor.
+
+    Raises:
+        ConfigError: a non-finite thrust.
+    """
+    control = object.__new__(ControlInput)
+    _own_thrusts(control, u)
+    return control
 
 
 def rotation_matrix(attitude: np.ndarray) -> np.ndarray:

@@ -46,6 +46,22 @@ class IterationLimitError(ConeguardError):
     """Active-set iteration failed to converge within the iteration budget."""
 
 
+class UncertifiedSolutionError(ConeguardError):
+    """The safety QP's answer fails its own KKT certificate.
+
+    Attributes:
+        labels: labels of the rows active in the rejected answer.
+        residual: its KKT residual.
+        bound: the residual the problem's scale allows.
+    """
+
+    def __init__(self, message, labels=(), residual=float("nan"), bound=float("nan")):
+        super().__init__(message)
+        self.labels = tuple(labels)
+        self.residual = residual
+        self.bound = bound
+
+
 class InvalidObstacleError(ConeguardError):
     """Obstacle shape is not valid for the requested barrier variant."""
 

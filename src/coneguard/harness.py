@@ -14,6 +14,19 @@ A trace is one table in the CSV's column order (``trace_columns``, the only
 place that layout is spelled). The recorder fills it raw and ``_quantize``
 rounds it once per run to 9 significant digits (``FLOAT_FORMAT``), so a
 written trace file parses back to exactly the in-memory trace.
+
+Each value of the loop is checked once, where it is made, and then passed
+on as the array it is, with no copy and no second check:
+- the config, its obstacles, references and initial states by their
+  constructors, before the first step;
+- u_des by the tracking controller (finite thrusts);
+- each QP row by ``cone.barrier_row`` (finite, ||a|| > 1e-10), so the
+  step's ``QpProblem`` is built by ``qp.checked_problem``;
+- u* by ``solve``'s certificate, and once more as thrusts when it is not
+  u_des itself;
+- each next state by ``step`` (finite), and its attitude range at the
+  start of the step that uses it.
+The partner sphere is made from the other vehicle's checked state.
 """
 
 from __future__ import annotations
@@ -34,10 +47,17 @@ from .cone import (
     cone_terms,
     inflated_radius,
 )
-from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, step, thrust_axes
+from .dynamics import (
+    ControlInput,
+    QuadrotorParams,
+    QuadrotorState,
+    check_attitude,
+    step,
+    thrust_axes,
+)
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .hocbf import HocbfConfig, barrier_ho
-from .qp import AffineSafetyConstraint, ClassKappa, QpProblem, solve
+from .qp import AffineSafetyConstraint, ClassKappa, checked_problem, solve
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 
@@ -144,11 +164,6 @@ class SimTrace:
     u_star = property(lambda self: self.table[:, 17:21])
     h = property(lambda self: self.table[:, 21::2])  # (N, n_obs)
     separation = property(lambda self: self.table[:, 22::2])  # (N, n_obs)
-
-    @property
-    def violations(self) -> np.ndarray:
-        """(N,) bool: separation below -1e-3 for some obstacle at that step."""
-        return np.any(self.separation < -VIOLATION_TOL, axis=1)
 
 
 @dataclass(frozen=True)
@@ -286,7 +301,12 @@ class _Recorder:
         self.ref_positions = np.empty((n_rows, 3))
 
     def add(self, k, t, state, u_des, u_star, cells, angles, ref_pos):
-        self.table[k] = np.concatenate(([t], state.as_vector(), u_des, u_star, cells))
+        row = self.table[k]
+        row[0] = t
+        row[1:13] = state.as_vector()
+        row[13:17] = u_des
+        row[17:21] = u_star
+        row[21:] = cells
         self.half_angles[k] = angles
         self.ref_positions[k] = ref_pos
 
@@ -303,14 +323,23 @@ class _Recorder:
 
 
 def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
-    """The other vehicle, frozen as a constant-velocity sphere for one step."""
-    return Obstacle(
+    """The other vehicle, frozen as a constant-velocity sphere for one step.
+
+    Its values are the state's own read-only views and a validated
+    parameter, so the sphere is built without the constructor's copies and
+    checks.
+    """
+    partner = object.__new__(Obstacle)
+    partner.__dict__.update(
         kind="sphere",
         center=state.position,
         radius_raw=0.5 * params.body_width,
         velocity=state.velocity,
+        axis=None,
+        height=None,
         label="partner",
     )
+    return partner
 
 
 def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
@@ -318,7 +347,8 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
 
     Every vehicle runs its control step on the states at the start of the
     step; only then does RK4 advance them all. Any package error aborts the
-    run as SimulationAbort with the step index.
+    run as SimulationAbort with the step index. Where each value is checked
+    is in the module docstring.
     """
     states = [config.initial_state]
     references = [config.reference]
@@ -335,22 +365,21 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
         try:
             controls = []
             for a, state in enumerate(states):
-                state.validate()
+                check_attitude(state)
                 obstacles = config.obstacles
                 if config.partner is not None:
                     obstacles += (_as_obstacle(states[1 - a], config.params),)
                 ref = references[a].sample(t)
-                u_des = track(state, ref, config.gains, config.params).thrusts
+                control = track(state, ref, config.gains, config.params)
+                u_des = control.thrusts
                 cells, angles, rows = _survey(state, obstacles, labels, config, t)
-                solution = solve(QpProblem(u_des, tuple(rows)))
-                recorders[a].add(
-                    k, t, state, u_des, solution.u_star, cells, angles, ref.position
-                )
-                controls.append(solution.u_star)
+                u_star = solve(checked_problem(u_des, tuple(rows))).u_star
+                recorders[a].add(k, t, state, u_des, u_star, cells, angles, ref.position)
+                controls.append(control if u_star is u_des else ControlInput(u_star))
             if k < n_steps:
                 states = [
-                    step(state, ControlInput(u), config.dt, config.params)
-                    for state, u in zip(states, controls)
+                    step(state, control, config.dt, config.params)
+                    for state, control in zip(states, controls)
                 ]
         except ConeguardError as exc:
             raise SimulationAbort(f"step {k} (t={t:.4f}s): {exc}", k) from exc

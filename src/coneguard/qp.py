@@ -43,13 +43,38 @@ finalist or of a working set of the loop, is kept under its row tuple, and
 the loop reuses one only for the same rows in the same order: the same
 ``lstsq`` input, so the same array. Most often the winner is a single row,
 and that row is the loop's first working set.
+
+Single rows in closed form. The Gram system of a 1-row subset is 1x1,
+g mu = rhs, and ``_gram_solve`` returns mu = rhs * (1.0 / g) without calling
+``lstsq``. Those are lstsq's own bits: LAPACK's dgelsd leaves the system
+unscaled when g and |rhs| lie in [SAFE_MIN, 1 / SAFE_MIN] (SAFE_MIN being
+its SMLNUM, the smallest normal double over eps), and then rescales rhs by
+the reciprocal 1.0 / g (dlascl), a signed zero included. Outside that range
+dgelsd scales first, which moves the last bits, so ``lstsq`` is called
+there. A 1-row working set's multiplier, the least-squares lambda of
+a lambda = u - u_des, is taken as (a . (u - u_des)) / (a . a). Its last bits
+can differ from the 4x1 ``lstsq``, but only the returned multipliers and
+KKT residual read them; u* and the active set do not.
+
+The certificate. Every answer that leaves u_des is checked against its own
+KKT residual (stationarity, feasibility, complementarity): above
+KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||) ``solve`` raises
+``UncertifiedSolutionError`` rather than return it. A returned u_des has a
+residual of at most FEAS_TOL, below any such bound.
+
+Validation. The public constructors of ``AffineSafetyConstraint`` and
+``QpProblem`` copy and check what they are given, and ``solve`` rejects
+rows with ||a|| <= GRADIENT_MIN. ``checked_row`` and ``checked_problem``
+take values already checked where they were made (a barrier row by
+``cone.barrier_row``, u_des by the tracking controller) and build the same
+records without a copy or a second check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -60,6 +85,7 @@ from .errors import (
     DegenerateGradientError,
     InfeasibleQpError,
     IterationLimitError,
+    UncertifiedSolutionError,
 )
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
@@ -72,6 +98,12 @@ EPS = float(np.finfo(float).eps)
 # singular value to a relative error near 90 k^2 eps (LAPACK dbdsqr), so the
 # ratios s_j / s_1 of two runs on the same Gram agree to well inside 1e-12.
 RANK_BAND = 1e-12
+# dgelsd's SMLNUM: a Gram entry or right-hand side below it (or above its
+# reciprocal) is rescaled before the solve.
+SAFE_MIN = float(np.finfo(float).tiny / EPS)
+# Residual allowed per unit of (1 + ||u_des||)(1 + max ||a_i||). The recorded
+# runs' largest residual is 7.1e-15 on scales of at least 1.
+KKT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,6 +149,8 @@ class AffineSafetyConstraint:
 class QpProblem:
     u_des: np.ndarray
     constraints: tuple[AffineSafetyConstraint, ...] = ()
+    # True when every row was checked where it was made (checked_problem)
+    rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -128,6 +162,25 @@ class QpProblem:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
+def checked_row(gradient_row: np.ndarray, offset: float, label: str) -> AffineSafetyConstraint:
+    """The row a.u + b >= 0 of a fresh finite 4-vector a, which it takes
+    (read-only, no copy), and a finite float offset b; nothing is checked."""
+    gradient_row.setflags(write=False)
+    row = object.__new__(AffineSafetyConstraint)
+    row.__dict__.update(gradient_row=gradient_row, offset=offset, label=label)
+    return row
+
+
+def checked_problem(
+    u_des: np.ndarray, constraints: tuple[AffineSafetyConstraint, ...]
+) -> QpProblem:
+    """The problem of a read-only finite 4-vector u_des and rows with finite
+    entries and ||a|| > GRADIENT_MIN, held as given; nothing is checked."""
+    problem = object.__new__(QpProblem)
+    problem.__dict__.update(u_des=u_des, constraints=constraints, rows_checked=True)
+    return problem
+
+
 @dataclass(frozen=True)
 class QpSolution:
     u_star: np.ndarray
@@ -136,17 +189,22 @@ class QpSolution:
     kkt_residual: float
 
 
-def _stack_rows(problem: QpProblem) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The rows a.u + b >= 0 of the problem as (A, b, labels)."""
-    rows = problem.constraints
-    for c in rows:
-        if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
-            raise DegenerateGradientError(
-                f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
-            )
+def _stack_rows(
+    rows: tuple[AffineSafetyConstraint, ...],
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The rows a.u + b >= 0 as (A, b, labels)."""
     A = np.array([c.gradient_row for c in rows]).reshape(len(rows), 4)
     b = np.array([c.offset for c in rows], dtype=float)
     return A, b, [c.label for c in rows]
+
+
+def _take(A: np.ndarray, rows) -> np.ndarray:
+    """A[list(rows)] (A holding rows or offsets). One row of a C-ordered A
+    is taken as a view instead: it has the copy's unit strides, so it
+    enters every product as the copy would."""
+    if len(rows) == 1 and A.flags.c_contiguous:
+        return A[rows[0] : rows[0] + 1]
+    return A[list(rows)]
 
 
 def _project_equalities(
@@ -155,11 +213,31 @@ def _project_equalities(
     """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
     if inconsistent)."""
     # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
-    A_S, b_S = A[list(rows)], b[list(rows)]
+    A_S, b_S = _take(A, rows), _take(b, rows)
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
-    mu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return u_des + A_S.T @ mu
+    return u_des + A_S.T @ _gram_solve(gram, rhs)
+
+
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lstsq(gram, rhs, rcond=None)[0], in closed form for a 1x1 system in
+    LAPACK's no-rescale range (module docstring)."""
+    if gram.shape[0] == 1:
+        g, r = float(gram[0, 0]), float(rhs[0])
+        if SAFE_MIN <= g <= 1.0 / SAFE_MIN and (
+            r == 0.0 or SAFE_MIN <= abs(r) <= 1.0 / SAFE_MIN
+        ):
+            return np.array([r * (1.0 / g)])
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
+def _multipliers(W: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Least-squares lambda of W^T lambda = step; for one row a, in closed
+    form (a . step) / (a . a)."""
+    if W.shape[0] == 1:
+        a = W[0]
+        return np.array([float(a @ step) / float(a @ a)])
+    return np.linalg.lstsq(W.T, step, rcond=None)[0]
 
 
 class _Search(NamedTuple):
@@ -330,7 +408,7 @@ def _feasible_start(
     for n in order:
         rows = keys[n]
         cand = projections[rows] = _project_equalities(u_des, A, b, rows)
-        if np.min(A @ cand + b) >= -FEAS_TOL:
+        if (A @ cand + b).min() >= -FEAS_TOL:
             step = cand - u_des
             dist = math.sqrt(float(step @ step))
             if dist < best_dist:
@@ -349,9 +427,10 @@ def _feasible_start(
 def solve(problem: QpProblem) -> QpSolution:
     """Exact minimizer via primal active-set iteration on 4 variables.
 
-    When u_des already satisfies every row (and with no rows) it is returned
-    as a copy with an empty active set and the residual max(0, -min slack);
-    only otherwise are the feasible-start search and the loop run.
+    When u_des already satisfies every row (and with no rows) the problem's
+    own read-only u_des is returned, with an empty active set and the
+    residual max(0, -min slack); only otherwise are the feasible-start
+    search and the loop run, and their answer certified.
 
     Blocking-constraint ties are broken toward the fastest-violating row and
     then by label order, keeping the iteration deterministic.
@@ -360,14 +439,32 @@ def solve(problem: QpProblem) -> QpSolution:
         DegenerateGradientError: any safety row with ||a|| <= 1e-10.
         InfeasibleQpError: empty feasible set (with blocking labels).
         IterationLimitError: no convergence within 100 iterations.
+        UncertifiedSolutionError: the answer's KKT residual exceeds
+            KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||).
     """
     u_des = problem.u_des
-    A, b, labels = _stack_rows(problem)
-    m = A.shape[0]
-    min_slack = float((A @ u_des + b).min(initial=np.inf))
+    constraints = problem.constraints
+    if not problem.rows_checked:
+        for c in constraints:
+            if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
+                raise DegenerateGradientError(
+                    f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
+                )
+    stacked = None
+    if len(constraints) == 1:
+        # numpy takes a 1-row matrix product to the dot product, so this is
+        # the bits of (A @ u_des + b)[0]
+        row = constraints[0]
+        min_slack = float(row.gradient_row @ u_des) + float(row.offset)
+    else:
+        stacked = A, b, _ = _stack_rows(constraints)
+        min_slack = float((A @ u_des + b).min(initial=np.inf))
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
-        return QpSolution(u_des.copy(), (), (), max(0.0, -min_slack))
+        return QpSolution(u_des, (), (), max(0.0, -min_slack))
+
+    A, b, labels = stacked or _stack_rows(constraints)
+    m = A.shape[0]
 
     projections: dict[tuple[int, ...], np.ndarray] = {}
     u = _feasible_start(u_des, A, b, labels, projections)
@@ -381,16 +478,15 @@ def solve(problem: QpProblem) -> QpSolution:
             if u_eq is None:
                 u_eq = projections[rows] = _project_equalities(u_des, A, b, rows)
         else:
-            u_eq = u_des.copy()
+            u_eq = u_des
         d = u_eq - u
         if math.sqrt(float(d @ d)) <= 1e-12:
             # At the working-set minimizer: check signs of the multipliers.
             if working:
-                W = A[working]
-                lam_w = np.linalg.lstsq(W.T, u - u_des, rcond=None)[0]
+                lam_w = _multipliers(_take(A, working), u - u_des)
             else:
                 lam_w = np.zeros(0)
-            if lam_w.size == 0 or np.min(lam_w) >= -1e-12:
+            if lam_w.size == 0 or lam_w.min() >= -1e-12:
                 break
             drop = int(np.argmin(lam_w))
             working.pop(drop)
@@ -423,11 +519,22 @@ def solve(problem: QpProblem) -> QpSolution:
 
     lam = np.maximum(lam_w, 0.0) if lam_w.size else np.zeros(0)
     act_labels = tuple(labels[i] for i in working)
-    gap = (u - u_des) - (A[working].T @ lam if working else 0.0)
+    W = _take(A, working)
+    gap = (u - u_des) - (W.T @ lam if working else 0.0)
     stationarity = math.sqrt(float(gap @ gap))
-    feas = float(max(0.0, -(np.min(A @ u + b))))
-    comp = (
-        float(np.max(np.abs(lam * (A[working] @ u + b[working])))) if working else 0.0
-    )
+    feas = max(0.0, -float((A @ u + b).min()))
+    comp = float(np.abs(lam * (W @ u + _take(b, working))).max()) if working else 0.0
     kkt = max(stationarity, feas, comp)
+    if not kkt <= KKT_RTOL:  # the bound is at least KKT_RTOL; nan fails too
+        u_norm = math.sqrt(float(u_des @ u_des))
+        a_max = math.sqrt(float((A * A).sum(axis=1).max()))
+        bound = KKT_RTOL * (1.0 + u_norm) * (1.0 + a_max)
+        if not kkt <= bound:
+            raise UncertifiedSolutionError(
+                f"safety QP answer uncertified: KKT residual {kkt:.3g} > {bound:.3g}"
+                f" (active: {', '.join(act_labels) or 'none'})",
+                labels=act_labels,
+                residual=kkt,
+                bound=bound,
+            )
     return QpSolution(u, act_labels, tuple(float(v) for v in lam), kkt)

@@ -4,6 +4,10 @@ A reference is sampled as (position, velocity, acceleration) at time t.
 Built-ins: hover point, straight line at constant speed, waypoint sequence
 with constant-speed segments (position continuous, velocity piecewise
 constant, acceleration zero).
+
+A reference copies and checks its inputs once, when it is built, and holds
+them read-only; a sample hands out those arrays (and one shared read-only
+zero vector) rather than copies, so the samples' arrays are read-only.
 """
 
 from __future__ import annotations
@@ -22,10 +26,17 @@ class ReferenceSample:
     acceleration: np.ndarray
 
 
-def _finite(values, what: str) -> np.ndarray:
-    array = np.asarray(values, dtype=float)
+_ZERO = np.zeros(3)
+_ZERO.setflags(write=False)
+
+
+def _finite(values, what: str, shape) -> np.ndarray:
+    """A read-only copy of values in the given shape, checked finite."""
+    array = np.array(values, dtype=float)
     if not np.all(np.isfinite(array)):
         raise ConfigError(f"{what} must be finite")
+    array = array.reshape(shape)
+    array.setflags(write=False)
     return array
 
 
@@ -33,23 +44,21 @@ class HoverReference:
     """Fixed point, zero velocity/acceleration."""
 
     def __init__(self, point):
-        self.point = _finite(point, "hover point").reshape(3)
+        self.point = _finite(point, "hover point", 3)
 
     def sample(self, t: float) -> ReferenceSample:
-        return ReferenceSample(self.point.copy(), np.zeros(3), np.zeros(3))
+        return ReferenceSample(self.point, _ZERO, _ZERO)
 
 
 class LineReference:
     """Straight line start + velocity * t."""
 
     def __init__(self, start, velocity):
-        self.start = _finite(start, "line start").reshape(3)
-        self.velocity = _finite(velocity, "line velocity").reshape(3)
+        self.start = _finite(start, "line start", 3)
+        self.velocity = _finite(velocity, "line velocity", 3)
 
     def sample(self, t: float) -> ReferenceSample:
-        return ReferenceSample(
-            self.start + self.velocity * t, self.velocity.copy(), np.zeros(3)
-        )
+        return ReferenceSample(self.start + self.velocity * t, self.velocity, _ZERO)
 
 
 class WaypointReference:
@@ -60,7 +69,7 @@ class WaypointReference:
     """
 
     def __init__(self, points, speed: float):
-        pts = _finite(points, "waypoints").reshape(-1, 3)
+        pts = _finite(points, "waypoints", (-1, 3))
         if len(pts) < 2:
             raise ConfigError("waypoint reference needs at least two points")
         if not (np.isfinite(speed) and speed > 0.0):
@@ -76,8 +85,8 @@ class WaypointReference:
 
     def sample(self, t: float) -> ReferenceSample:
         if t >= self._t_knots[-1]:
-            return ReferenceSample(self.points[-1].copy(), np.zeros(3), np.zeros(3))
+            return ReferenceSample(self.points[-1], _ZERO, _ZERO)
         i = int(np.searchsorted(self._t_knots, t, side="right") - 1)
         i = max(i, 0)
         pos = self.points[i] + self._seg_dir[i] * self.speed * (t - self._t_knots[i])
-        return ReferenceSample(pos, self._seg_dir[i] * self.speed, np.zeros(3))
+        return ReferenceSample(pos, self._seg_dir[i] * self.speed, _ZERO)

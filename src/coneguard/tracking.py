@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlInput, QuadrotorParams, QuadrotorState, euler_rate_matrix
+from .dynamics import (
+    ControlInput,
+    QuadrotorParams,
+    QuadrotorState,
+    control_of,
+    euler_rate_matrix,
+)
 from .errors import ConfigError, DegenerateThrustError
 from .reference import ReferenceSample
 
@@ -135,8 +141,12 @@ def mixer(
 ) -> ControlInput:
     """Allocate total thrust and angular-acceleration commands to rotors.
 
+    The thrusts are checked here, where they are made, and the returned
+    input holds the allocation's own array.
+
     Raises:
         DegenerateThrustError: the commanded thrust overflows.
+        ConfigError: a non-finite thrust.
     """
     ax, ay, az = accel_cmd
     try:
@@ -152,7 +162,7 @@ def mixer(
             0.0,
         ]
     )
-    return ControlInput(ALLOCATION_INV @ rhs)
+    return control_of(ALLOCATION_INV @ rhs)
 
 
 def track(

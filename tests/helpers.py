@@ -40,8 +40,13 @@ def random_state(rng, att_max=1.0, speed=2.0, rate=2.0):
     return QuadrotorState.from_vector(vec)
 
 
+def hover_thrust(params):
+    """Per-rotor thrust that balances gravity, m g / 4."""
+    return params.mass * params.gravity / 4.0
+
+
 def random_thrusts(rng, params, spread=0.5):
-    base = params.hover_thrust
+    base = hover_thrust(params)
     return base * rng.uniform(1.0 - spread, 1.0 + spread, size=4)
 
 
@@ -99,4 +104,38 @@ def line_tracking_scenario(duration: float = 5.0) -> ScenarioConfig:
             np.array([0.0, 0.0, ALTITUDE]), np.array([1.0, 0.0, 0.0])
         ),
         filter_kind="none",
+    )
+
+
+def field_scenario(dt: float = DT) -> ScenarioConfig:
+    """A C3BF run through eight obstacles met one after another at 1 m/s:
+    static and head-on spheres and vertical cylinders, all a few cm to one
+    side of the path, so that up to eight QP rows are live at once."""
+    kinds = ("static", "moving", "cylinder", "static", "moving", "static",
+             "cylinder", "moving")
+    laterals = (0.07, 0.06, 0.08, 0.05, 0.09, 0.07, 0.06, 0.08)
+    radii = (0.15, 0.14, 0.16, 0.17, 0.13, 0.15, 0.14, 0.16)
+    closing = (0.0, 0.6, 0.0, 0.0, 0.4, 0.0, 0.0, 0.8)
+    obstacles = []
+    for i, kind in enumerate(kinds):
+        meet = 1.0 + 0.6 * i
+        if kind == "cylinder":
+            obstacle = Obstacle(
+                kind="cylinder", center=(meet, laterals[i], ALTITUDE),
+                radius_raw=radii[i], axis=(0.0, 0.0, 1.0), height=2.0,
+            )
+        else:
+            obstacle = Obstacle(
+                kind="sphere", center=(meet * (1.0 + closing[i]), laterals[i], ALTITUDE),
+                radius_raw=radii[i], velocity=(-closing[i], 0.0, 0.0),
+            )
+        obstacles.append(obstacle)
+    start = np.array([0.0, 0.0, ALTITUDE])
+    return ScenarioConfig(
+        name="field",
+        duration=6.0,
+        dt=dt,
+        initial_state=_at_rest(start, (1.0, 0.0, 0.0)),
+        reference=LineReference(start, np.array([1.0, 0.0, 0.0])),
+        obstacles=tuple(obstacles),
     )

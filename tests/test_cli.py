@@ -3,9 +3,10 @@
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coneguard import harness
+from coneguard import harness, qp
 from coneguard.cli import main
 from coneguard.scenarios import scenario_names
 from coneguard.traceio import parse_trace
@@ -269,6 +270,17 @@ def test_run_rejects_runaway_step_count(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "steps" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_uncertified_qp_answer_exits_1(tmp_path, capsys, monkeypatch):
+    """An answer the QP cannot certify (here: forged multipliers) ends the
+    run with one line and exit code 1, not a traceback."""
+    monkeypatch.setattr(qp, "_multipliers", lambda W, step: np.full(W.shape[0], 1e3))
+    config = _write(tmp_path, OVERTAKE_YAML)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: step ") and "uncertified" in err
 
 
 def test_run_unfiltered_collision_exits_2(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import assert_same_bits, random_state, random_thrusts
+from helpers import assert_same_bits, hover_thrust, random_state, random_thrusts
 from coneguard.dynamics import (
     ControlInput,
     QuadrotorParams,
@@ -69,7 +69,7 @@ def test_euler_rate_matrix_rejects_gimbal_lock():
 def test_hover_equilibrium(params):
     """Level hover at exactly mg/4 per rotor stays put."""
     state = QuadrotorState.from_vector(np.zeros(12))
-    hover = ControlInput(thrusts=np.full(4, params.hover_thrust))
+    hover = ControlInput(thrusts=np.full(4, hover_thrust(params)))
     for _ in range(240):
         state = step(state, hover, 1 / 240, params)
     assert np.max(np.abs(state.as_vector())) < 1e-12
@@ -97,7 +97,7 @@ def test_step_matches_oracle_rk4(rng, params):
 def test_moment_channel_signs(params):
     """Rotor 0 above hover rolls and yaws positive, rotor 1 pitches positive."""
     dt = 1 / 240
-    base = np.full(4, params.hover_thrust)
+    base = np.full(4, hover_thrust(params))
     bumped = base.copy()
     bumped[0] += 0.01
     state = step(
@@ -206,7 +206,7 @@ def test_derivative_matches_oracle_everywhere(att, wx, wy, wz):
     vec = np.zeros(12)
     vec[6:9] = att
     vec[9:12] = (wx, wy, wz)
-    f = np.full(4, params.hover_thrust)
+    f = np.full(4, hover_thrust(params))
     got = step(
         QuadrotorState.from_vector(vec), ControlInput(thrusts=f), 1 / 480, params
     ).as_vector()

@@ -10,7 +10,12 @@ from helpers import assert_same_bits, random_cylinder, random_sphere, random_sta
 from coneguard import cone, harness
 from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
-from coneguard.errors import ConfigError, SimulationAbort
+from coneguard.errors import (
+    AttitudeSingularError,
+    ConfigError,
+    NonFiniteStateError,
+    SimulationAbort,
+)
 from coneguard.harness import (
     AgentSpec,
     ScenarioConfig,
@@ -246,7 +251,7 @@ def test_unfiltered_run_collides_on_same_geometry():
     obs = Obstacle(kind="sphere", center=(1.0, 0.0, 1.0), radius_raw=0.3)
     trace = run(line_config(duration=2.0, filter_kind="none", obstacles=(obs,)))
     assert compute_metrics(trace).min_separation < 0.0
-    assert bool(np.any(trace.violations))
+    assert bool(np.any(trace.separation < -harness.VIOLATION_TOL))
 
 
 def test_determinism_bitwise():
@@ -287,6 +292,56 @@ def test_non_finite_thrusts_abort_the_run(monkeypatch):
         run(hover_config())
     assert exc_info.value.step_index == 0
     assert "thrusts must be finite" in str(exc_info.value)
+
+
+def _abort(config):
+    with pytest.raises(SimulationAbort) as exc_info:
+        run(config)
+    return exc_info.value
+
+
+def test_non_finite_tracking_thrust_aborts_where_made():
+    """A reference 1e200 m away overflows the commanded thrust: tracking
+    rejects it at step 0, as the thrust constructor always has."""
+    err = _abort(hover_config(reference=HoverReference([1e200, 0.0, 1.0])))
+    assert err.step_index == 0
+    assert isinstance(err.__cause__, ConfigError)
+    assert str(err) == "step 0 (t=0.0000s): thrusts must be finite"
+
+
+def test_non_finite_barrier_row_aborts_where_made():
+    """An obstacle closing at 1e154 m/s gives an infinite row offset: the
+    barrier rejects its row at step 0, as the row constructor always has."""
+    fast = Obstacle(kind="sphere", center=(2.0, 0.0, 1.0), radius_raw=0.2,
+                    velocity=(-1e154, 0.0, 0.0))
+    err = _abort(line_config(obstacles=(fast,)))
+    assert err.step_index == 0
+    assert isinstance(err.__cause__, ConfigError)
+    assert str(err) == "step 0 (t=0.0000s): constraint row must be finite"
+
+
+def test_non_finite_state_aborts_where_made(monkeypatch):
+    """Thrusts of 1e307 N overflow the first RK4 step: the step that made
+    the state rejects it, with its own index."""
+    monkeypatch.setattr(harness, "track", lambda *args: ControlInput(np.full(4, 1e307)))
+    err = _abort(hover_config())
+    assert err.step_index == 0
+    assert isinstance(err.__cause__, NonFiniteStateError)
+    assert str(err) == "step 0 (t=0.0000s): integration step produced non-finite state"
+
+
+def test_attitude_leaving_its_range_aborts_at_the_step_that_reads_it():
+    """The attitude range is checked at the start of the step that uses the
+    state, so the abort names that step and the state's own angles."""
+    wild = QuadrotorState.from_vector(
+        np.array([0.0, 0.0, 1.0, 0, 0, 0, 0.0, 0.0, 0.0, 60.0, 0.0, 0.0])
+    )
+    config = hover_config(initial_state=wild, duration=2.0)
+    err = _abort(config)
+    assert isinstance(err.__cause__, AttitudeSingularError)
+    k = err.step_index
+    assert run(replace(config, duration=(k - 1) * config.dt)).t.shape[0] == k
+    assert str(err).startswith(f"step {k} (t={k * config.dt:.4f}s): attitude out of range")
 
 
 LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

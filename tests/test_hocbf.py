@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import random_sphere, random_state, random_thrusts
+from helpers import hover_thrust, random_sphere, random_state, random_thrusts
 from coneguard.cone import BodyFrame, Obstacle, barrier_3d, contract, inflated_radius
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError
@@ -169,7 +169,7 @@ def test_psi_chain_first_condition_doubles_h(params, rng):
         obs = random_sphere(rng)
         t = float(rng.uniform(0, 2))
         b, psi1, _ = oracles.psi_chain(
-            state.as_vector(), np.full(4, params.hover_thrust), obs.center,
+            state.as_vector(), np.full(4, hover_thrust(params)), obs.center,
             obs.velocity, encompassing_radius(obs), t, p=2.0 * gamma, alpha2=1.0,
         )
         delta = obs.center_at(t) - state.position

@@ -1,18 +1,30 @@
 """Active-set QP solver tests against a dual projected-gradient oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import assert_same_bits, field_scenario
+from coneguard import harness
+from coneguard.scenarios import builtin_scenarios
 from coneguard.cone import thrust_acceleration_map
 from coneguard.dynamics import QuadrotorParams, rotation_matrix
 from coneguard import qp
-from coneguard.errors import ConfigError, DegenerateGradientError, InfeasibleQpError
+from coneguard.errors import (
+    ConfigError,
+    DegenerateGradientError,
+    InfeasibleQpError,
+    UncertifiedSolutionError,
+)
 from coneguard.qp import (
     EPS,
     FEAS_TOL,
+    KKT_RTOL,
+    SAFE_MIN,
     AffineSafetyConstraint,
     ClassKappa,
     QpProblem,
@@ -335,9 +347,11 @@ def _intervening_problem(rng, family):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_solve_projects_each_row_subset_once(monkeypatch, family):
     """The feasible start and the active-set loop share one projection per
-    row tuple."""
+    row tuple. Every answer is certified or raises; only the third
+    near_planar draw raises (see test_near_planar_draw_is_uncertified)."""
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    uncertified = []
+    for draw in range(20):
         problem = _intervening_problem(rng, family)
         projected = []
         project = qp._project_equalities
@@ -347,9 +361,36 @@ def test_solve_projects_each_row_subset_once(monkeypatch, family):
             return project(u_des, A, b, rows)
 
         monkeypatch.setattr(qp, "_project_equalities", spy)
-        solve(problem)
+        try:
+            solution = solve(problem)
+        except UncertifiedSolutionError:
+            uncertified.append(draw)
+        else:
+            assert solution.kkt_residual <= _kkt_bound(problem), family.__name__
         monkeypatch.undo()
         assert projected and len(projected) == len(set(projected)), family.__name__
+    assert uncertified == ([2] if family is near_planar else []), family.__name__
+
+
+def _kkt_bound(problem):
+    """The certificate's bound, KKT_RTOL (1 + ||u_des||) (1 + max ||a_i||)."""
+    a_max = max(np.linalg.norm(c.gradient_row) for c in problem.constraints)
+    return KKT_RTOL * (1.0 + np.linalg.norm(problem.u_des)) * (1.0 + a_max)
+
+
+def test_near_planar_draw_is_uncertified():
+    """The feasible 3-row near_planar draw whose active-set answer has KKT
+    residual 2.56e4 raises the typed error, with its labels and residual."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        problem = _intervening_problem(rng, near_planar)
+    with pytest.raises(UncertifiedSolutionError) as exc_info:
+        solve(problem)
+    err = exc_info.value
+    assert err.labels == ("c3", "c4", "c2")
+    assert 2.5e4 < err.residual < 2.6e4
+    assert err.bound == pytest.approx(_kkt_bound(problem), rel=1e-12)
+    assert "\n" not in str(err)
 
 
 def test_screen_factors_only_multi_row_grams(monkeypatch):
@@ -369,3 +410,75 @@ def test_screen_factors_only_multi_row_grams(monkeypatch):
         _screen(u_des, A, b)
         assert len(calls) <= 3
         assert all(shape[-1] >= 2 for shape in calls)
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def test_single_row_gram_solve_is_lstsq():
+    """The 1x1 closed form has lstsq's bits: over a log-uniform sweep of g
+    and rhs, at signed zeros, and on both sides of both edges of the
+    no-rescale range (beyond them lstsq itself is called)."""
+    rng = np.random.default_rng(11)
+    g = 10.0 ** rng.uniform(-291.0, 291.0, 4000)
+    rhs = rng.choice((-1.0, 1.0), 4000) * 10.0 ** rng.uniform(-291.0, 291.0, 4000)
+    edges = [
+        SAFE_MIN,
+        np.nextafter(SAFE_MIN, 0.0),
+        np.nextafter(SAFE_MIN, 1.0),
+        1.0 / SAFE_MIN,
+        np.nextafter(1.0 / SAFE_MIN, np.inf),
+        np.nextafter(1.0 / SAFE_MIN, 0.0),
+    ]
+    pairs = list(zip(g, rhs))
+    pairs += [(x, r) for x in (1.0, 3.0, *edges) for r in (0.0, -0.0, 0.7, -3.0)]
+    pairs += [(x, r) for x in (0.3, 7.0) for r in edges + [-e for e in edges]]
+    pairs += [(x, y) for x in edges for y in edges]
+    for x, r in pairs:
+        gram, b = np.array([[x]]), np.array([r])
+        assert_same_bits(qp._gram_solve(gram, b), _lstsq(gram, b), (x, r))
+
+
+def _intervening_solves(configs):
+    """(problem, solution) of every step whose QP moved u_des."""
+    recorded = []
+    solve_ = harness.solve
+
+    def spy(problem):
+        solution = solve_(problem)
+        if solution.active_set:
+            recorded.append((problem, solution))
+        return solution
+
+    harness.solve = spy
+    try:
+        for config in configs:
+            harness.run_pair(config) if config.partner is not None else harness.run(config)
+    finally:
+        harness.solve = solve_
+    return recorded
+
+
+def test_closed_forms_leave_u_star_and_active_set_unchanged(monkeypatch):
+    """With the 1-row closed forms swapped for lstsq, the recorded built-in
+    and field problems and the seven families solve to the same active set
+    and a bit-equal u*; only multipliers and residuals may move."""
+    configs = [replace(c, dt=1.0 / 60.0) for c in builtin_scenarios()]
+    cases = _intervening_solves(configs + [field_scenario(1.0 / 120.0)])
+    assert len(cases) > 500
+    assert any(len(p.constraints) == 8 for p, _ in cases)
+    rng = np.random.default_rng(7)
+    for family in FAMILIES:
+        for _ in range(20):
+            problem = _intervening_problem(rng, family)
+            try:
+                cases.append((problem, solve(problem)))
+            except UncertifiedSolutionError:
+                pass
+    monkeypatch.setattr(qp, "_gram_solve", _lstsq)
+    monkeypatch.setattr(qp, "_multipliers", lambda W, step: _lstsq(W.T, step))
+    for problem, solution in cases:
+        reference = solve(problem)
+        assert reference.active_set == solution.active_set
+        assert_same_bits(solution.u_star, reference.u_star)

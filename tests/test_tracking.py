@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ALLOCATION, random_state
+from helpers import ALLOCATION, hover_thrust, random_state
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import ConfigError, DegenerateThrustError
 from coneguard.reference import HoverReference, ReferenceSample
@@ -37,7 +37,7 @@ def test_hover_at_reference_gives_hover_thrust(params):
         np.array([0.0, 0.0, 1.0] + [0.0] * 9)
     )
     u = track(state, hover_ref(), ControllerGains(), params)
-    assert np.allclose(u.thrusts, params.hover_thrust, atol=1e-15)
+    assert np.allclose(u.thrusts, hover_thrust(params), atol=1e-15)
 
 
 def test_commanded_acceleration_pd_form():
