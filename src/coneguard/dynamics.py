@@ -36,6 +36,15 @@ element, every expression keeps the operation order of its array form, and
 math's cos, sin and sqrt return numpy's bits (tests pin this). Dot and
 matrix-vector products stay numpy calls: numpy hands them to BLAS, whose
 fused multiply-adds a plain Python sum would not reproduce.
+
+Validation. The public constructors copy their input and check it:
+``QuadrotorParams`` and ``ControlInput`` on construction, a
+``QuadrotorState`` through ``validate`` (finite, |roll| and |pitch| below
+pi/2). Values this module makes are checked where they are made and not
+copied again: ``control_of`` checks thrusts the tracking controller has just
+computed and keeps their array, ``step`` checks that the state it returns
+is finite, and ``check_attitude`` is the rest of ``validate`` for such a
+state.
 """
 
 from __future__ import annotations

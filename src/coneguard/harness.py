@@ -374,7 +374,9 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                 u_des = control.thrusts
                 cells, angles, rows = _survey(state, obstacles, labels, config, t)
                 u_star = solve(checked_problem(u_des, tuple(rows))).u_star
-                recorders[a].add(k, t, state, u_des, u_star, cells, angles, ref.position)
+                recorders[a].add(
+                    k, t, state, u_des, u_star, cells, angles, ref.position
+                )
                 controls.append(control if u_star is u_des else ControlInput(u_star))
             if k < n_steps:
                 states = [

@@ -162,7 +162,9 @@ class QpProblem:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
-def checked_row(gradient_row: np.ndarray, offset: float, label: str) -> AffineSafetyConstraint:
+def checked_row(
+    gradient_row: np.ndarray, offset: float, label: str
+) -> AffineSafetyConstraint:
     """The row a.u + b >= 0 of a fresh finite 4-vector a, which it takes
     (read-only, no copy), and a finite float offset b; nothing is checked."""
     gradient_row.setflags(write=False)

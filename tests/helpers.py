@@ -126,8 +126,10 @@ def field_scenario(dt: float = DT) -> ScenarioConfig:
             )
         else:
             obstacle = Obstacle(
-                kind="sphere", center=(meet * (1.0 + closing[i]), laterals[i], ALTITUDE),
-                radius_raw=radii[i], velocity=(-closing[i], 0.0, 0.0),
+                kind="sphere",
+                center=(meet * (1.0 + closing[i]), laterals[i], ALTITUDE),
+                radius_raw=radii[i],
+                velocity=(-closing[i], 0.0, 0.0),
             )
         obstacles.append(obstacle)
     start = np.array([0.0, 0.0, ALTITUDE])

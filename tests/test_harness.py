@@ -341,7 +341,8 @@ def test_attitude_leaving_its_range_aborts_at_the_step_that_reads_it():
     assert isinstance(err.__cause__, AttitudeSingularError)
     k = err.step_index
     assert run(replace(config, duration=(k - 1) * config.dt)).t.shape[0] == k
-    assert str(err).startswith(f"step {k} (t={k * config.dt:.4f}s): attitude out of range")
+    prefix = f"step {k} (t={k * config.dt:.4f}s): attitude out of range"
+    assert str(err).startswith(prefix)
 
 
 LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

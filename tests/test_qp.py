@@ -454,7 +454,7 @@ def _intervening_solves(configs):
     harness.solve = spy
     try:
         for config in configs:
-            harness.run_pair(config) if config.partner is not None else harness.run(config)
+            harness._simulate(config)
     finally:
         harness.solve = solve_
     return recorded
