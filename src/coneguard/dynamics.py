@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttitudeSingularError, ConfigError, NonFiniteStateError
+from .records import prebuilt
 
 # Singularity threshold on |cos(theta)| for the Euler-rate transform.
 COS_PITCH_MIN = 1e-9
@@ -184,15 +185,16 @@ class ControlInput:
     thrusts: np.ndarray
 
     def __post_init__(self):
-        _own_thrusts(self, np.array(self.thrusts, dtype=float).reshape(4))
+        u = np.array(self.thrusts, dtype=float).reshape(4)
+        object.__setattr__(self, "thrusts", _checked_thrusts(u))
 
 
-def _own_thrusts(control: ControlInput, u: np.ndarray) -> None:
-    """Check the float 4-vector u and make it the control's read-only thrusts."""
+def _checked_thrusts(u: np.ndarray) -> np.ndarray:
+    """The float 4-vector u, checked finite and made read-only."""
     if not all(map(math.isfinite, u.tolist())):
         raise ConfigError("thrusts must be finite")
     u.setflags(write=False)
-    control.__dict__["thrusts"] = u
+    return u
 
 
 def control_of(u: np.ndarray) -> ControlInput:
@@ -202,9 +204,7 @@ def control_of(u: np.ndarray) -> ControlInput:
     Raises:
         ConfigError: a non-finite thrust.
     """
-    control = object.__new__(ControlInput)
-    _own_thrusts(control, u)
-    return control
+    return prebuilt(ControlInput, thrusts=_checked_thrusts(u))
 
 
 def rotation_matrix(attitude: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ class UncertifiedSolutionError(ConeguardError):
         bound: the residual the problem's scale allows.
     """
 
-    def __init__(self, message, labels=(), residual=float("nan"), bound=float("nan")):
+    def __init__(self, message, labels, residual, bound):
         super().__init__(message)
         self.labels = tuple(labels)
         self.residual = residual

@@ -58,6 +58,7 @@ from .dynamics import (
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .hocbf import HocbfConfig, barrier_ho
 from .qp import AffineSafetyConstraint, ClassKappa, checked_problem, solve
+from .records import prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 
@@ -329,8 +330,8 @@ def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
     parameter, so the sphere is built without the constructor's copies and
     checks.
     """
-    partner = object.__new__(Obstacle)
-    partner.__dict__.update(
+    return prebuilt(
+        Obstacle,
         kind="sphere",
         center=state.position,
         radius_raw=0.5 * params.body_width,
@@ -339,7 +340,6 @@ def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
         height=None,
         label="partner",
     )
-    return partner
 
 
 def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:

@@ -63,18 +63,19 @@ KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||) ``solve`` raises
 residual of at most FEAS_TOL, below any such bound.
 
 Validation. The public constructors of ``AffineSafetyConstraint`` and
-``QpProblem`` copy and check what they are given, and ``solve`` rejects
-rows with ||a|| <= GRADIENT_MIN. ``checked_row`` and ``checked_problem``
-take values already checked where they were made (a barrier row by
-``cone.barrier_row``, u_des by the tracking controller) and build the same
-records without a copy or a second check.
+``QpProblem`` copy and check what they are given; ``QpProblem`` also
+rejects rows with ||a|| <= GRADIENT_MIN. ``checked_row`` and
+``checked_problem`` take values already checked where they were made (a
+barrier row by ``cone.barrier_row``, u_des by the tracking controller) and
+build the same records (``records.prebuilt``) without a copy or a second
+check, so ``solve`` checks nothing on entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -87,6 +88,7 @@ from .errors import (
     IterationLimitError,
     UncertifiedSolutionError,
 )
+from .records import prebuilt
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
 FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
@@ -147,10 +149,15 @@ class AffineSafetyConstraint:
 
 @dataclass(frozen=True)
 class QpProblem:
+    """The QP of u_des and its rows.
+
+    Raises:
+        ConfigError: u_des is not 4 numbers.
+        DegenerateGradientError: a row with ||a|| <= GRADIENT_MIN.
+    """
+
     u_des: np.ndarray
     constraints: tuple[AffineSafetyConstraint, ...] = ()
-    # True when every row was checked where it was made (checked_problem)
-    rows_checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -160,6 +167,11 @@ class QpProblem:
         u.setflags(write=False)
         object.__setattr__(self, "u_des", u)
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        for c in self.constraints:
+            if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
+                raise DegenerateGradientError(
+                    f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
+                )
 
 
 def checked_row(
@@ -168,9 +180,9 @@ def checked_row(
     """The row a.u + b >= 0 of a fresh finite 4-vector a, which it takes
     (read-only, no copy), and a finite float offset b; nothing is checked."""
     gradient_row.setflags(write=False)
-    row = object.__new__(AffineSafetyConstraint)
-    row.__dict__.update(gradient_row=gradient_row, offset=offset, label=label)
-    return row
+    return prebuilt(
+        AffineSafetyConstraint, gradient_row=gradient_row, offset=offset, label=label
+    )
 
 
 def checked_problem(
@@ -178,9 +190,7 @@ def checked_problem(
 ) -> QpProblem:
     """The problem of a read-only finite 4-vector u_des and rows with finite
     entries and ||a|| > GRADIENT_MIN, held as given; nothing is checked."""
-    problem = object.__new__(QpProblem)
-    problem.__dict__.update(u_des=u_des, constraints=constraints, rows_checked=True)
-    return problem
+    return prebuilt(QpProblem, u_des=u_des, constraints=constraints)
 
 
 @dataclass(frozen=True)
@@ -200,22 +210,13 @@ def _stack_rows(
     return A, b, [c.label for c in rows]
 
 
-def _take(A: np.ndarray, rows) -> np.ndarray:
-    """A[list(rows)] (A holding rows or offsets). One row of a C-ordered A
-    is taken as a view instead: it has the copy's unit strides, so it
-    enters every product as the copy would."""
-    if len(rows) == 1 and A.flags.c_contiguous:
-        return A[rows[0] : rows[0] + 1]
-    return A[list(rows)]
-
-
 def _project_equalities(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, rows: tuple[int, ...]
 ) -> np.ndarray:
     """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
     if inconsistent)."""
     # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
-    A_S, b_S = _take(A, rows), _take(b, rows)
+    A_S, b_S = A[list(rows)], b[list(rows)]
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
     return u_des + A_S.T @ _gram_solve(gram, rhs)
@@ -438,7 +439,6 @@ def solve(problem: QpProblem) -> QpSolution:
     then by label order, keeping the iteration deterministic.
 
     Raises:
-        DegenerateGradientError: any safety row with ||a|| <= 1e-10.
         InfeasibleQpError: empty feasible set (with blocking labels).
         IterationLimitError: no convergence within 100 iterations.
         UncertifiedSolutionError: the answer's KKT residual exceeds
@@ -446,26 +446,20 @@ def solve(problem: QpProblem) -> QpSolution:
     """
     u_des = problem.u_des
     constraints = problem.constraints
-    if not problem.rows_checked:
-        for c in constraints:
-            if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
-                raise DegenerateGradientError(
-                    f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
-                )
-    stacked = None
     if len(constraints) == 1:
+        # the one-row case, most steps' problem, skips stacking its row:
         # numpy takes a 1-row matrix product to the dot product, so this is
         # the bits of (A @ u_des + b)[0]
         row = constraints[0]
         min_slack = float(row.gradient_row @ u_des) + float(row.offset)
     else:
-        stacked = A, b, _ = _stack_rows(constraints)
+        A, b, labels = _stack_rows(constraints)
         min_slack = float((A @ u_des + b).min(initial=np.inf))
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
         return QpSolution(u_des, (), (), max(0.0, -min_slack))
-
-    A, b, labels = stacked or _stack_rows(constraints)
+    if len(constraints) == 1:
+        A, b, labels = _stack_rows(constraints)
     m = A.shape[0]
 
     projections: dict[tuple[int, ...], np.ndarray] = {}
@@ -485,7 +479,7 @@ def solve(problem: QpProblem) -> QpSolution:
         if math.sqrt(float(d @ d)) <= 1e-12:
             # At the working-set minimizer: check signs of the multipliers.
             if working:
-                lam_w = _multipliers(_take(A, working), u - u_des)
+                lam_w = _multipliers(A[working], u - u_des)
             else:
                 lam_w = np.zeros(0)
             if lam_w.size == 0 or lam_w.min() >= -1e-12:
@@ -521,11 +515,11 @@ def solve(problem: QpProblem) -> QpSolution:
 
     lam = np.maximum(lam_w, 0.0) if lam_w.size else np.zeros(0)
     act_labels = tuple(labels[i] for i in working)
-    W = _take(A, working)
+    W = A[working]
     gap = (u - u_des) - (W.T @ lam if working else 0.0)
     stationarity = math.sqrt(float(gap @ gap))
     feas = max(0.0, -float((A @ u + b).min()))
-    comp = float(np.abs(lam * (W @ u + _take(b, working))).max()) if working else 0.0
+    comp = float(np.abs(lam * (W @ u + b[working])).max()) if working else 0.0
     kkt = max(stationarity, feas, comp)
     if not kkt <= KKT_RTOL:  # the bound is at least KKT_RTOL; nan fails too
         u_norm = math.sqrt(float(u_des @ u_des))

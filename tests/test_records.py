@@ -1,0 +1,57 @@
+"""Records built from checked values match the ones their constructors build."""
+
+import numpy as np
+import pytest
+
+from helpers import assert_same_bits, random_state
+from coneguard.cone import Obstacle
+from coneguard.dynamics import ControlInput, QuadrotorParams, control_of
+from coneguard.harness import _as_obstacle
+from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem, checked_row
+from coneguard.records import prebuilt
+
+
+def _assert_same_record(built, constructed):
+    """Same class, same attribute names, bit-equal read-only arrays and
+    equal (or identical) other values."""
+    assert type(built) is type(constructed)
+    assert vars(built).keys() == vars(constructed).keys()
+    for name, want in vars(constructed).items():
+        got = vars(built)[name]
+        if isinstance(want, np.ndarray):
+            assert_same_bits(got, want, name)
+            assert not got.flags.writeable, name
+        else:
+            assert got == want, name
+
+
+def test_checked_constructions_match_the_constructors():
+    rng = np.random.default_rng(3)
+    params = QuadrotorParams()
+    a, u = rng.normal(size=4), rng.normal(size=4)
+    row = checked_row(a.copy(), 0.25, "obs")
+    _assert_same_record(row, AffineSafetyConstraint(a, 0.25, label="obs"))
+    u_read_only = u.copy()
+    u_read_only.setflags(write=False)
+    rows = (row,)
+    _assert_same_record(checked_problem(u_read_only, rows), QpProblem(u, rows))
+    _assert_same_record(control_of(u.copy()), ControlInput(u))
+    state = random_state(rng)
+    partner = Obstacle(
+        kind="sphere",
+        center=state.position,
+        radius_raw=0.5 * params.body_width,
+        velocity=state.velocity,
+        label="partner",
+    )
+    _assert_same_record(_as_obstacle(state, params), partner)
+
+
+def test_prebuilt_takes_exactly_the_fields():
+    a = np.ones(4)
+    with pytest.raises(TypeError):
+        prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0)
+    with pytest.raises(TypeError):
+        prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="", x=1)
+    row = prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="")
+    assert row.gradient_row is a and (row.offset, row.label) == (0.0, "")
