@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .errors import ConeguardError
 from .harness import ScenarioConfig, compare, compute_metrics, run, run_pair
-from .hocbf import HocbfConfig
 from .scenarios import builtin_scenarios, get_scenario
 from .traceio import (
     comparison_text,
@@ -87,7 +86,7 @@ def _cmd_run(args) -> int:
     if args.filter is not None:
         config = replace(config, filter_kind=args.filter)
     if args.hocbf_gamma is not None:
-        config = replace(config, hocbf=HocbfConfig(gamma_penalty=args.hocbf_gamma))
+        config = replace(config, hocbf_gamma=args.hocbf_gamma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if config.partner is not None:

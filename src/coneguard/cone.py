@@ -27,9 +27,10 @@ thrust to body-frame acceleration of the body center. R, the body center,
 a_d and M depend on the vehicle only, so ``BodyFrame`` computes them once
 per control step. ``contract`` turns a frame and the cone terms into
 (drift, input_row), and ``barrier_row`` into the QP row
-input_row . f + drift + kappa(h) >= 0. A constant projector commutes with
-d/dt and w lies in its range, so cylinders contract with the same
-unprojected maps. Constant-velocity obstacles enter through p and v only.
+input_row . f + drift + kappa_gamma h >= 0, whose last term is the linear
+class-K function of h. A constant projector commutes with d/dt and w lies
+in its range, so cylinders contract with the same unprojected maps.
+Constant-velocity obstacles enter through p and v only.
 
 ``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
 the inflated radius, no projector or the axis projector, and weight ||v||.
@@ -48,7 +49,8 @@ import numpy as np
 
 from .dynamics import QuadrotorParams, QuadrotorState, _cross, cross, rotation_matrix
 from .errors import ConfigError, DegenerateGradientError, InvalidObstacleError
-from .qp import AffineSafetyConstraint, ClassKappa, checked_row
+from .qp import GRADIENT_MIN, AffineSafetyConstraint, checked_row
+from .records import checked_array, checked_real
 
 EPS_V = 1e-6  # ||v_rel|| regularization floor (m/s)
 EPS_SQRT = 1e-9  # guard for the ||p_rel|| division in cos(phi)
@@ -65,7 +67,6 @@ S_FLOOR = 1e-3
 # penetration depth can be reported. The cone filter never crosses, so it
 # keeps the tight floor.
 S_FLOOR_HO = 5e-2
-GRADIENT_MIN = 1e-10
 
 _E3_FLOATS = (0.0, 0.0, 1.0)
 _E3 = np.array(_E3_FLOATS)
@@ -88,47 +89,33 @@ class Obstacle:
     label: str = ""
 
     def __post_init__(self):
+        error = InvalidObstacleError
         if self.kind not in ("sphere", "cylinder"):
-            raise InvalidObstacleError(f"unknown obstacle kind {self.kind!r}")
-        try:
-            center = np.array(self.center, dtype=float).reshape(3)
-            vel = np.array(self.velocity, dtype=float).reshape(3)
-            finite = all(map(math.isfinite, center.tolist() + vel.tolist()))
-            radius_ok = math.isfinite(self.radius_raw) and self.radius_raw > 0.0
-            axis = self.axis
-            if axis is not None:
-                axis = np.array(axis, dtype=float).reshape(3)
-            height_ok = self.height is None or (
-                math.isfinite(self.height) and self.height > 0.0
-            )
-        except (TypeError, ValueError) as exc:
-            message = f"obstacle values must be numbers: {exc}"
-            raise InvalidObstacleError(message) from None
-        center.setflags(write=False)
-        vel.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "velocity", vel)
-        if not finite:
-            raise InvalidObstacleError("obstacle center/velocity must be finite")
-        if not radius_ok:
-            raise InvalidObstacleError("radius_raw must be > 0")
-        if self.kind == "cylinder":
-            if axis is None:
-                raise InvalidObstacleError("cylinder needs an axis")
-            axis.setflags(write=False)
-            object.__setattr__(self, "axis", axis)
-            if not all(map(math.isfinite, axis.tolist())):
-                raise InvalidObstacleError("cylinder axis must be finite")
-            if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-                raise InvalidObstacleError("cylinder axis must be unit length")
-            # axial velocity is allowed: the column is infinite, so sliding
-            # along its own axis never moves the constraint surface
-            if not height_ok:
-                raise InvalidObstacleError("cylinder height must be finite and > 0")
-            # the constant projector of every cylinder row, built once
-            object.__setattr__(self, "_projector", projection_operator(axis))
-        elif self.axis is not None or self.height is not None:
-            raise InvalidObstacleError("sphere takes no axis/height")
+            raise error(f"unknown obstacle kind {self.kind!r}")
+        if not isinstance(self.label, str):
+            raise error("obstacle label must be a string")
+        for name in ("center", "velocity"):
+            value = checked_array(getattr(self, name), 3, name, error)
+            object.__setattr__(self, name, value)
+        radius = checked_real(self.radius_raw, "radius_raw", error, above=0.0)
+        object.__setattr__(self, "radius_raw", radius)
+        if self.kind == "sphere":
+            if self.axis is not None or self.height is not None:
+                raise error("sphere takes no axis/height")
+            return
+        if self.axis is None:
+            raise error("cylinder needs an axis")
+        axis = checked_array(self.axis, 3, "cylinder axis", error)
+        object.__setattr__(self, "axis", axis)
+        if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
+            raise error("cylinder axis must be unit length")
+        # axial velocity is allowed: the column is infinite, so sliding
+        # along its own axis never moves the constraint surface
+        if self.height is not None:
+            height = checked_real(self.height, "cylinder height", error, above=0.0)
+            object.__setattr__(self, "height", height)
+        # the constant projector of every cylinder row, built once
+        object.__setattr__(self, "_projector", projection_operator(axis))
 
     def center_at(self, t: float) -> np.ndarray:
         return self.center + self.velocity * t
@@ -226,8 +213,7 @@ class BodyFrame:
 class ConeTerms(NamedTuple):
     """The barrier formula evaluated on one (p, v, r, weight)."""
 
-    h: float  # <p, v> + weight s
-    s: float  # sqrt(max(||p||^2 - r^2, 0))
+    h: float  # <p, v> + weight s, s = sqrt(max(||p||^2 - r^2, 0))
     p_norm: float  # ||p||; ||p|| - r is the clearance
     w: np.ndarray  # dh/dv
     phi: float  # half angle of the cone h >= 0 keeps v out of (rad)
@@ -266,7 +252,6 @@ def cone_terms(
         cos_phi = gamma * (s / max(p_norm, EPS_SQRT)) / max(norm_v, EPS_V)
     return ConeTerms(
         h=pv + weight * s,
-        s=s,
         p_norm=p_norm,
         w=w,
         phi=float(np.arccos(min(max(cos_phi, 0.0), 1.0))),
@@ -289,9 +274,9 @@ def contract(
 
 
 def barrier_row(
-    frame: BodyFrame, terms: ConeTerms, kappa: ClassKappa, label: str
+    frame: BodyFrame, terms: ConeTerms, kappa_gamma: float, label: str
 ) -> AffineSafetyConstraint:
-    """The QP row input_row . f + drift + kappa(h) >= 0.
+    """The QP row input_row . f + drift + kappa_gamma h >= 0.
 
     The row is checked here, where it is made, and handed to the QP as it
     is: ``contract`` bounds ||input_row|| away from 0, and this checks that
@@ -302,7 +287,7 @@ def barrier_row(
         ConfigError: a non-finite row entry or offset.
     """
     drift, input_row = contract(frame, terms, label)
-    offset = drift + kappa(terms.h)
+    offset = drift + kappa_gamma * terms.h
     if not (math.isfinite(offset) and all(map(math.isfinite, input_row.tolist()))):
         raise ConfigError("constraint row must be finite")
     return checked_row(input_row, offset, label)
@@ -335,7 +320,7 @@ def barrier_3d(
     frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
-    kappa: ClassKappa,
+    kappa_gamma: float,
     t: float,
     label: str = "",
 ) -> tuple[ConeTerms, AffineSafetyConstraint]:
@@ -345,13 +330,14 @@ def barrier_3d(
         frame: the vehicle terms of this control step.
         obstacle: sphere (cylinders go through barrier_projection).
         params: vehicle parameters (the body width inflates the radius).
-        kappa: class-K function; the row offset is drift + kappa(h).
+        kappa_gamma: gain of the linear class-K term; the row offset is
+            drift + kappa_gamma h.
         t: simulation time.
         label: label of the QP row.
 
     Returns:
         (ConeTerms, AffineSafetyConstraint): the terms carry h and phi, and
-        the constraint encodes input_row . f + drift + kappa(h) >= 0.
+        the constraint encodes input_row . f + drift + kappa_gamma h >= 0.
 
     Raises:
         InvalidObstacleError: called with a cylinder.
@@ -360,14 +346,14 @@ def barrier_3d(
     if obstacle.kind != "sphere":
         raise InvalidObstacleError("barrier_3d expects a sphere")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-    return terms, barrier_row(frame, terms, kappa, label)
+    return terms, barrier_row(frame, terms, kappa_gamma, label)
 
 
 def barrier_projection(
     frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
-    kappa: ClassKappa,
+    kappa_gamma: float,
     t: float,
     label: str = "",
 ) -> tuple[ConeTerms, AffineSafetyConstraint]:
@@ -385,4 +371,4 @@ def barrier_projection(
     if obstacle.kind != "cylinder":
         raise InvalidObstacleError("barrier_projection expects a cylinder")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-    return terms, barrier_row(frame, terms, kappa, label)
+    return terms, barrier_row(frame, terms, kappa_gamma, label)

@@ -37,14 +37,14 @@ math's cos, sin and sqrt return numpy's bits (tests pin this). Dot and
 matrix-vector products stay numpy calls: numpy hands them to BLAS, whose
 fused multiply-adds a plain Python sum would not reproduce.
 
-Validation. The public constructors copy their input and check it:
-``QuadrotorParams`` and ``ControlInput`` on construction, a
-``QuadrotorState`` through ``validate`` (finite, |roll| and |pitch| below
-pi/2). Values this module makes are checked where they are made and not
-copied again: ``control_of`` checks thrusts the tracking controller has just
-computed and keeps their array, ``step`` checks that the state it returns
-is finite, and ``check_attitude`` is the rest of ``validate`` for such a
-state.
+Validation. The public constructors copy their input and check it with
+the ``records`` checks: ``QuadrotorParams`` and ``ControlInput`` on
+construction, a ``QuadrotorState`` for 12 numbers on construction and
+through ``validate`` (finite, |roll| and |pitch| below pi/2). Values this
+module makes are checked where they are made and not copied again:
+``control_of`` checks thrusts the tracking controller has just computed and
+keeps their array, ``step`` checks that the state it returns is finite, and
+``check_attitude`` is the rest of ``validate`` for such a state.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttitudeSingularError, ConfigError, NonFiniteStateError
-from .records import prebuilt
+from .records import checked_array, checked_real, prebuilt
 
 # Singularity threshold on |cos(theta)| for the Euler-rate transform.
 COS_PITCH_MIN = 1e-9
@@ -88,22 +88,13 @@ class QuadrotorParams:
     body_width: float = 0.13  # m
 
     def __post_init__(self):
-        try:
-            # a tuple, so the parameter set can key per-parameter caches
-            object.__setattr__(self, "inertia_diag", tuple(self.inertia_diag))
-            vals = (
-                self.mass,
-                self.arm_span,
-                self.center_offset,
-                *self.inertia_diag,
-                self.gravity,
-                self.body_width,
-            )
-            valid = all(math.isfinite(v) and v > 0.0 for v in vals)
-        except TypeError:  # not a real number, or no inertia triple
-            valid = False
-        if not valid:
-            raise ConfigError("all quadrotor parameters must be finite and > 0")
+        for name in ("mass", "arm_span", "center_offset", "gravity", "body_width"):
+            value = checked_real(getattr(self, name), name, above=0.0)
+            object.__setattr__(self, name, value)
+        # a tuple, so the parameter set can key per-parameter caches
+        inertia = checked_array(self.inertia_diag, 3, "inertia_diag").tolist()
+        inertia = tuple(checked_real(v, "inertia_diag", above=0.0) for v in inertia)
+        object.__setattr__(self, "inertia_diag", inertia)
 
 
 _PARTS = ("position", "velocity", "attitude", "body_rates")
@@ -125,13 +116,13 @@ class QuadrotorState:
     body_rates: np.ndarray
 
     def __post_init__(self):
-        parts = [np.asarray(getattr(self, n), dtype=float).reshape(3) for n in _PARTS]
+        parts = [checked_array(getattr(self, n), 3, n, finite=False) for n in _PARTS]
         _hold(self, np.concatenate(parts))
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "QuadrotorState":
         """The state holding a copy of the 12-vector x."""
-        return _wrap(np.array(x, dtype=float).reshape(12))
+        return _wrap(checked_array(x, 12, "state", finite=False))
 
     def as_vector(self) -> np.ndarray:
         """The state's own read-only 12-vector (not a copy)."""
@@ -144,8 +135,7 @@ class QuadrotorState:
         targets and the Euler-rate transform both assume it. Violation is a
         simulation fault, not something to clamp.
         """
-        if not all(map(math.isfinite, self._x.tolist())):
-            raise NonFiniteStateError("state contains non-finite components")
+        checked_array(self._x, 12, "state", NonFiniteStateError, copy=False)
         check_attitude(self)
 
 
@@ -185,16 +175,7 @@ class ControlInput:
     thrusts: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.thrusts, dtype=float).reshape(4)
-        object.__setattr__(self, "thrusts", _checked_thrusts(u))
-
-
-def _checked_thrusts(u: np.ndarray) -> np.ndarray:
-    """The float 4-vector u, checked finite and made read-only."""
-    if not all(map(math.isfinite, u.tolist())):
-        raise ConfigError("thrusts must be finite")
-    u.setflags(write=False)
-    return u
+        object.__setattr__(self, "thrusts", checked_array(self.thrusts, 4, "thrusts"))
 
 
 def control_of(u: np.ndarray) -> ControlInput:
@@ -204,7 +185,7 @@ def control_of(u: np.ndarray) -> ControlInput:
     Raises:
         ConfigError: a non-finite thrust.
     """
-    return prebuilt(ControlInput, thrusts=_checked_thrusts(u))
+    return prebuilt(ControlInput, thrusts=checked_array(u, 4, "thrusts", copy=False))
 
 
 def rotation_matrix(attitude: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ written trace file parses back to exactly the in-memory trace.
 Each value of the loop is checked once, where it is made, and then passed
 on as the array it is, with no copy and no second check:
 - the config, its obstacles, references and initial states by their
-  constructors, before the first step;
+  constructors, before the first step: ``ScenarioConfig`` checks its
+  numbers, the plain-number gains kappa_gamma and hocbf_gamma included,
+  and the type of every record it holds;
 - u_des by the tracking controller (finite thrusts);
 - each QP row by ``cone.barrier_row`` (finite, ||a|| > 1e-10), so the
   step's ``QpProblem`` is built by ``qp.checked_problem``;
@@ -56,9 +58,9 @@ from .dynamics import (
     thrust_axes,
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
-from .hocbf import HocbfConfig, barrier_ho
-from .qp import AffineSafetyConstraint, ClassKappa, checked_problem, solve
-from .records import prebuilt
+from .hocbf import barrier_ho
+from .qp import AffineSafetyConstraint, checked_problem, solve
+from .records import checked_real, checked_records, checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 
@@ -84,9 +86,19 @@ class AgentSpec:
     initial_state: QuadrotorState
     reference: Reference
 
+    def __post_init__(self):
+        checked_types(self, initial_state=QuadrotorState, reference=Reference)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario: timing, vehicle, reference, obstacles and filter.
+
+    kappa_gamma is the gain of the linear class-K term kappa(h) = gamma h of
+    every barrier row, and hocbf_gamma the HO-CBF baseline's penalty, the
+    scenario file's keys of the same names.
+    """
+
     name: str
     duration: float
     dt: float
@@ -94,20 +106,19 @@ class ScenarioConfig:
     reference: Reference
     obstacles: tuple[Obstacle, ...] = ()
     filter_kind: str = "c3bf"
-    kappa: ClassKappa = ClassKappa(1.0)
-    hocbf: HocbfConfig = HocbfConfig()
+    kappa_gamma: float = 1.0
+    hocbf_gamma: float = 1.0
     gains: ControllerGains = ControllerGains()
     params: QuadrotorParams = QuadrotorParams()
     partner: AgentSpec | None = None
     description: str = ""
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigError("scenario name must be nonempty")
-        if not (np.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigError("duration must be > 0")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError("dt must be > 0")
+        if not (isinstance(self.name, str) and self.name):
+            raise ConfigError("scenario name must be a nonempty string")
+        for field in ("duration", "dt", "kappa_gamma", "hocbf_gamma"):
+            value = checked_real(getattr(self, field), field, above=0.0)
+            object.__setattr__(self, field, value)
         if self.duration / self.dt > MAX_STEPS + 0.5:
             raise ConfigError(
                 f"duration/dt asks for {self.duration / self.dt:.3g} steps;"
@@ -115,10 +126,14 @@ class ScenarioConfig:
             )
         if self.filter_kind not in FILTER_KINDS:
             raise ConfigError(f"unknown filter {self.filter_kind!r}")
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        for obstacle in self.obstacles:
+        obstacles = checked_records(self.obstacles, Obstacle, "obstacles")
+        object.__setattr__(self, "obstacles", obstacles)
+        for obstacle in obstacles:
             if obstacle.label == "partner":
                 raise ConfigError("obstacle label 'partner' is reserved")
+        checked_types(self, initial_state=QuadrotorState, reference=Reference)
+        checked_types(self, gains=ControllerGains, params=QuadrotorParams)
+        checked_types(self, partner=AgentSpec | None)
         starts = [("initial_state", self.initial_state)]
         if self.partner is not None:
             starts.append(("partner.initial_state", self.partner.initial_state))
@@ -266,7 +281,7 @@ def _survey(
     separation_distance.
     """
     frame = BodyFrame(state, config.params)
-    params, kappa = config.params, config.kappa
+    params, kappa_gamma = config.params, config.kappa_gamma
     cells, angles, rows = [], [], []
     for obstacle, label in zip(obstacles, labels):
         if config.filter_kind == "none":
@@ -274,13 +289,13 @@ def _survey(
         else:
             if config.filter_kind == "hocbf":
                 terms, row = barrier_ho(
-                    frame, obstacle, params, kappa, config.hocbf, t, label
+                    frame, obstacle, params, kappa_gamma, config.hocbf_gamma, t, label
                 )
             else:
                 barrier = (
                     barrier_3d if obstacle.kind == "sphere" else barrier_projection
                 )
-                terms, row = barrier(frame, obstacle, params, kappa, t, label)
+                terms, row = barrier(frame, obstacle, params, kappa_gamma, t, label)
             rows.append(row)
         if config.filter_kind == "hocbf" and obstacle.kind == "cylinder":
             # the baseline's terms see the unprojected p and the encompassing radius
@@ -485,8 +500,7 @@ def compare(
     any flight.
     """
     ho_configs = [
-        replace(config, filter_kind="hocbf", hocbf=HocbfConfig(gamma_penalty=gamma))
-        for gamma in gammas
+        replace(config, filter_kind="hocbf", hocbf_gamma=gamma) for gamma in gammas
     ]
     trace_a = run(replace(config, filter_kind="c3bf"))
     metrics_a = compute_metrics(trace_a)

@@ -18,34 +18,16 @@ pointwise recovers the cone barrier identically.
 
 The baseline treats every obstacle as its encompassing sphere (cylinders use
 max(radius, height/2)), which is what makes it misjudge elongated shapes.
+
+gamma is a plain number, ``ScenarioConfig.hocbf_gamma``, which the config
+checks finite and > 0, as it does the class-K gain ``kappa_gamma``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .cone import BodyFrame, ConeTerms, Obstacle, barrier_row, cone_terms
 from .dynamics import QuadrotorParams
-from .errors import ConfigError
-from .qp import AffineSafetyConstraint, ClassKappa
-
-
-@dataclass(frozen=True)
-class HocbfConfig:
-    """Penalty of the higher-order barrier: the constant replacing ||v_rel||."""
-
-    gamma_penalty: float = 1.0
-
-    def __post_init__(self):
-        try:
-            valid = math.isfinite(self.gamma_penalty) and self.gamma_penalty > 0.0
-        except TypeError:  # not a real number
-            valid = False
-        if not valid:
-            raise ConfigError(
-                f"hocbf gamma must be finite and > 0, got {self.gamma_penalty!r}"
-            )
+from .qp import AffineSafetyConstraint
 
 
 def encompassing_radius(obstacle: Obstacle) -> float:
@@ -59,12 +41,13 @@ def barrier_ho(
     frame: BodyFrame,
     obstacle: Obstacle,
     params: QuadrotorParams,
-    kappa: ClassKappa,
-    config: HocbfConfig,
+    kappa_gamma: float,
+    hocbf_gamma: float,
     t: float,
     label: str = "",
 ) -> tuple[ConeTerms, AffineSafetyConstraint]:
-    """QP row for the higher-order barrier; arguments as for cone.barrier_3d.
+    """QP row for the higher-order barrier; hocbf_gamma is the penalty gamma,
+    the other arguments are as for cone.barrier_3d.
 
     The gradient w.r.t. v_rel is p_rel alone (the sqrt term is velocity
     independent), so both drift and input contractions use p_rel where the
@@ -77,5 +60,5 @@ def barrier_ho(
     """
     p, v = frame.relative(obstacle, t)
     r = encompassing_radius(obstacle) + 0.5 * params.body_width
-    terms = cone_terms(p, v, r, config.gamma_penalty)
-    return terms, barrier_row(frame, terms, kappa, label)
+    terms = cone_terms(p, v, r, hocbf_gamma)
+    return terms, barrier_row(frame, terms, kappa_gamma, label)

@@ -63,12 +63,12 @@ KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||) ``solve`` raises
 residual of at most FEAS_TOL, below any such bound.
 
 Validation. The public constructors of ``AffineSafetyConstraint`` and
-``QpProblem`` copy and check what they are given; ``QpProblem`` also
-rejects rows with ||a|| <= GRADIENT_MIN. ``checked_row`` and
-``checked_problem`` take values already checked where they were made (a
-barrier row by ``cone.barrier_row``, u_des by the tracking controller) and
-build the same records (``records.prebuilt``) without a copy or a second
-check, so ``solve`` checks nothing on entry.
+``QpProblem`` copy and check what they are given with the ``records``
+checks; ``QpProblem`` also rejects rows with ||a|| <= GRADIENT_MIN.
+``checked_row`` and ``checked_problem`` take values already checked where
+they were made (a barrier row by ``cone.barrier_row``, u_des by the tracking
+controller) and build the same records (``records.prebuilt``) without a
+copy or a second check, so ``solve`` checks nothing on entry.
 """
 
 from __future__ import annotations
@@ -82,13 +82,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateGradientError,
     InfeasibleQpError,
     IterationLimitError,
     UncertifiedSolutionError,
 )
-from .records import prebuilt
+from .records import checked_array, checked_real, checked_records, prebuilt
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
 FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
@@ -109,24 +108,6 @@ KKT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ClassKappa:
-    """Extended class-K function in linear form kappa(h) = gamma * h."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        try:
-            valid = math.isfinite(self.gamma) and self.gamma > 0.0
-        except TypeError:  # not a real number
-            valid = False
-        if not valid:
-            raise ConfigError(f"kappa gamma must be finite and > 0, got {self.gamma!r}")
-
-    def __call__(self, h: float) -> float:
-        return self.gamma * h
-
-
-@dataclass(frozen=True)
 class AffineSafetyConstraint:
     """One row a.u + b >= 0 of the safety QP."""
 
@@ -135,16 +116,9 @@ class AffineSafetyConstraint:
     label: str = ""
 
     def __post_init__(self):
-        try:
-            a = np.array(self.gradient_row, dtype=float).reshape(4)
-            finite = all(map(math.isfinite, a.tolist())) and math.isfinite(self.offset)
-        except (TypeError, ValueError) as exc:
-            message = f"constraint row must be 4 numbers and an offset: {exc}"
-            raise ConfigError(message) from None
-        a.setflags(write=False)
+        a = checked_array(self.gradient_row, 4, "constraint row")
         object.__setattr__(self, "gradient_row", a)
-        if not finite:
-            raise ConfigError("constraint row must be finite")
+        object.__setattr__(self, "offset", checked_real(self.offset, "constraint row"))
 
 
 @dataclass(frozen=True)
@@ -152,7 +126,8 @@ class QpProblem:
     """The QP of u_des and its rows.
 
     Raises:
-        ConfigError: u_des is not 4 numbers.
+        ConfigError: u_des is not 4 finite numbers, or a row is not an
+            AffineSafetyConstraint.
         DegenerateGradientError: a row with ||a|| <= GRADIENT_MIN.
     """
 
@@ -160,14 +135,12 @@ class QpProblem:
     constraints: tuple[AffineSafetyConstraint, ...] = ()
 
     def __post_init__(self):
-        try:
-            u = np.array(self.u_des, dtype=float).reshape(4)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"u_des must be 4 numbers: {exc}") from None
-        u.setflags(write=False)
-        object.__setattr__(self, "u_des", u)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for c in self.constraints:
+        object.__setattr__(self, "u_des", checked_array(self.u_des, 4, "u_des"))
+        constraints = checked_records(
+            self.constraints, AffineSafetyConstraint, "QP rows"
+        )
+        object.__setattr__(self, "constraints", constraints)
+        for c in constraints:
             if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
                 raise DegenerateGradientError(
                     f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"

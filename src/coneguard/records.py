@@ -1,16 +1,106 @@
-"""Frozen dataclass records built from values already checked.
+"""Frozen dataclass records: the one spelling of each argument check, and
+records built from values already checked.
 
-A public constructor copies and checks what it is given. Where a value was
-checked where it was made, ``prebuilt`` stores it in the record as it is,
-without running ``__init__`` or ``__post_init__``. It takes exactly the
-dataclass's field names, so the record's layout is spelled only once, in
-its class.
+A public constructor copies and checks what it is given with the checks
+here: ``checked_real`` for a number and ``checked_array`` for a float array
+of a fixed shape, each returning the converted value (an array read-only),
+and ``checked_records`` and ``checked_types`` for the records it holds. Any
+other value, one of the wrong type included, raises the caller's
+``ConeguardError`` subclass with a one-line message.
+
+Where a value was checked where it was made, ``prebuilt`` stores it in the
+record as it is, without running ``__init__`` or ``__post_init__``. It takes
+exactly the dataclass's field names, so the record's layout is spelled only
+once, in its class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from functools import lru_cache
+
+import numpy as np
+
+from .errors import ConfigError
+
+
+def _shown(value) -> str:
+    """value's repr if it is short and one line, else its type's name."""
+    text = repr(value)
+    return text if len(text) <= 40 and "\n" not in text else type(value).__name__
+
+
+def checked_real(value, what: str, error=ConfigError, *, above=None, at_least=None):
+    """value as a float, checked finite and, if a bound is given, > above
+    or >= at_least.
+
+    Raises:
+        error: value is not a real number, or is not finite or in bounds.
+    """
+    try:
+        valid = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    except TypeError:  # not a real number
+        raise error(f"{what} must be a number, got {_shown(value)}") from None
+    bound = ""
+    if above is not None:
+        valid, bound = valid and value > above, f" and > {above:g}"
+    elif at_least is not None:
+        valid, bound = valid and value >= at_least, f" and >= {at_least:g}"
+    if not valid:
+        raise error(f"{what} must be finite{bound}")
+    return float(value)
+
+
+def checked_array(
+    values, shape, what: str, error=ConfigError, *, copy=True, finite=True
+) -> np.ndarray:
+    """A read-only float copy of values in the given shape, checked finite.
+
+    copy=False checks values, a float array of that shape, in place and
+    makes it read-only; finite=False leaves the finite check to the caller.
+
+    Raises:
+        error: values are not numbers of that shape, or not all finite.
+    """
+    if copy:
+        try:
+            raw = np.asarray(values)
+            if raw.dtype.kind not in "biuf":  # strings, objects, None
+                raise TypeError
+            array = raw.astype(float).reshape(shape)
+        except (TypeError, ValueError):
+            count = shape if isinstance(shape, int) else f"rows of {shape[-1]}"
+            message = f"{what} must be {count} numbers, got {_shown(values)}"
+            raise error(message) from None
+    else:
+        array = values
+    flat = array if array.ndim == 1 else array.ravel()
+    if finite and not all(map(math.isfinite, flat.tolist())):
+        raise error(f"{what} must be finite")
+    array.setflags(write=False)
+    return array
+
+
+def checked_records(values, cls: type, what: str) -> tuple:
+    """values, an iterable of cls records, as a tuple; else ConfigError."""
+    try:
+        records = tuple(values)
+    except TypeError:  # not iterable
+        records = None
+    if records is None or not all(isinstance(r, cls) for r in records):
+        raise ConfigError(f"{what} must be {cls.__name__} records")
+    return records
+
+
+def checked_types(record, **kinds) -> None:
+    """ConfigError unless each named field of record has its type (or union)."""
+    for field, kind in kinds.items():
+        value = getattr(record, field)
+        if not isinstance(value, kind):
+            raise ConfigError(f"{field} may not be of type {type(value).__name__}")
 
 
 @lru_cache(maxsize=None)

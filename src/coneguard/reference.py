@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .records import checked_array, checked_real
 
 
 @dataclass(frozen=True)
@@ -30,21 +31,11 @@ _ZERO = np.zeros(3)
 _ZERO.setflags(write=False)
 
 
-def _finite(values, what: str, shape) -> np.ndarray:
-    """A read-only copy of values in the given shape, checked finite."""
-    array = np.array(values, dtype=float)
-    if not np.all(np.isfinite(array)):
-        raise ConfigError(f"{what} must be finite")
-    array = array.reshape(shape)
-    array.setflags(write=False)
-    return array
-
-
 class HoverReference:
     """Fixed point, zero velocity/acceleration."""
 
     def __init__(self, point):
-        self.point = _finite(point, "hover point", 3)
+        self.point = checked_array(point, 3, "hover point")
 
     def sample(self, t: float) -> ReferenceSample:
         return ReferenceSample(self.point, _ZERO, _ZERO)
@@ -54,8 +45,8 @@ class LineReference:
     """Straight line start + velocity * t."""
 
     def __init__(self, start, velocity):
-        self.start = _finite(start, "line start", 3)
-        self.velocity = _finite(velocity, "line velocity", 3)
+        self.start = checked_array(start, 3, "line start")
+        self.velocity = checked_array(velocity, 3, "line velocity")
 
     def sample(self, t: float) -> ReferenceSample:
         return ReferenceSample(self.start + self.velocity * t, self.velocity, _ZERO)
@@ -69,13 +60,11 @@ class WaypointReference:
     """
 
     def __init__(self, points, speed: float):
-        pts = _finite(points, "waypoints", (-1, 3))
+        pts = checked_array(points, (-1, 3), "waypoints")
         if len(pts) < 2:
             raise ConfigError("waypoint reference needs at least two points")
-        if not (np.isfinite(speed) and speed > 0.0):
-            raise ConfigError(f"speed must be finite and > 0, got {speed!r}")
         self.points = pts
-        self.speed = float(speed)
+        self.speed = checked_real(speed, "speed", above=0.0)
         seg = np.diff(pts, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
         if np.any(seg_len == 0.0):

@@ -11,8 +11,6 @@ small enough that the path still pierces the inflated obstacle.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cone import Obstacle
 from .dynamics import QuadrotorState
 from .harness import AgentSpec, ScenarioConfig
@@ -25,12 +23,7 @@ ALTITUDE = 1.0
 
 
 def _state(position, velocity=(0.0, 0.0, 0.0)) -> QuadrotorState:
-    return QuadrotorState(
-        position=np.asarray(position, dtype=float),
-        velocity=np.asarray(velocity, dtype=float),
-        attitude=np.zeros(3),
-        body_rates=np.zeros(3),
-    )
+    return QuadrotorState(position, velocity, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def _line_config(name, description, obstacles, velocity=(1.0, 0.0, 0.0), **kwargs):
@@ -41,7 +34,7 @@ def _line_config(name, description, obstacles, velocity=(1.0, 0.0, 0.0), **kwarg
         duration=DURATION,
         dt=DT,
         initial_state=_state(start, velocity),
-        reference=LineReference(np.asarray(start), np.asarray(velocity, dtype=float)),
+        reference=LineReference(start, velocity),
         obstacles=tuple(obstacles),
         **kwargs,
     )
@@ -66,8 +59,7 @@ def builtin_scenarios() -> list[ScenarioConfig]:
             dt=DT,
             initial_state=_state((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
             reference=WaypointReference(
-                points=np.array([[0.0, 0.0, ALTITUDE], [2.5, 0.0, ALTITUDE]]),
-                speed=1.0,
+                ((0.0, 0.0, ALTITUDE), (2.5, 0.0, ALTITUDE)), speed=1.0
             ),
             obstacles=(sphere((3.0, 0.0, ALTITUDE)),),
         ),
@@ -123,14 +115,10 @@ def builtin_scenarios() -> list[ScenarioConfig]:
             duration=DURATION,
             dt=DT,
             initial_state=_state((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
-            reference=LineReference(
-                np.array([0.0, 0.0, ALTITUDE]), np.array([1.0, 0.0, 0.0])
-            ),
+            reference=LineReference((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
             partner=AgentSpec(
                 initial_state=_state((4.0, 0.06, ALTITUDE), (-1.0, 0.0, 0.0)),
-                reference=LineReference(
-                    np.array([4.0, 0.06, ALTITUDE]), np.array([-1.0, 0.0, 0.0])
-                ),
+                reference=LineReference((4.0, 0.06, ALTITUDE), (-1.0, 0.0, 0.0)),
             ),
         ),
     ]

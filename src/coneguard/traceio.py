@@ -20,6 +20,7 @@ silently ignored.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import yaml
 
 from .cone import Obstacle
 from .dynamics import QuadrotorParams, QuadrotorState
-from .errors import ConeguardError, ConfigError
+from .errors import ConfigError
 from .harness import (
     FLOAT_FORMAT,
     AgentSpec,
@@ -37,8 +38,7 @@ from .harness import (
     SimTrace,
     trace_columns,
 )
-from .hocbf import HocbfConfig
-from .qp import ClassKappa
+from .records import checked_real
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains
 
@@ -150,18 +150,21 @@ _Loader.add_implicit_resolver(
 )
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
+def _check_keys(mapping: dict, allowed, context: str, required=()) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context}: expected a mapping")
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{context}: unknown key {key!r}")
+    for key in required:
+        if key not in mapping:
+            raise ConfigError(f"{context}: {key} is required")
 
 
 def _number(data, context: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise ConfigError(f"{context}: expected a number, got {data!r}")
-    return float(data)
+    return checked_real(data, context)
 
 
 def _vector(data, length: int, context: str) -> np.ndarray:
@@ -171,20 +174,10 @@ def _vector(data, length: int, context: str) -> np.ndarray:
 
 
 def _parse_state(data, context: str) -> QuadrotorState:
-    _check_keys(data, {"position", "velocity", "attitude", "body_rates"}, context)
-    if "position" not in data:
-        raise ConfigError(f"{context}: position is required")
-
-    def vec(key):
-        if key in data:
-            return _vector(data[key], 3, f"{context}.{key}")
-        return np.zeros(3)
-
+    parts = ("position", "velocity", "attitude", "body_rates")
+    _check_keys(data, parts, context, required=("position",))
     return QuadrotorState(
-        position=_vector(data["position"], 3, f"{context}.position"),
-        velocity=vec("velocity"),
-        attitude=vec("attitude"),
-        body_rates=vec("body_rates"),
+        *(_vector(data.get(key, [0, 0, 0]), 3, f"{context}.{key}") for key in parts)
     )
 
 
@@ -193,93 +186,62 @@ def _parse_reference(data, context: str):
         raise ConfigError(f"{context}: reference needs a 'type'")
     kind = data["type"]
     if kind == "hover":
-        _check_keys(data, {"type", "point"}, context)
+        _check_keys(data, {"type", "point"}, context, required=("point",))
         return HoverReference(_vector(data["point"], 3, f"{context}.point"))
     if kind == "line":
-        _check_keys(data, {"type", "start", "velocity"}, context)
+        keys = ("start", "velocity")
+        _check_keys(data, {"type", *keys}, context, required=keys)
         return LineReference(
             _vector(data["start"], 3, f"{context}.start"),
             _vector(data["velocity"], 3, f"{context}.velocity"),
         )
     if kind == "waypoints":
-        _check_keys(data, {"type", "points", "speed"}, context)
-        points = data.get("points")
+        keys = ("points", "speed")
+        _check_keys(data, {"type", *keys}, context, required=keys)
+        points = data["points"]
         if not isinstance(points, list) or len(points) < 2:
             raise ConfigError(f"{context}.points: need at least two waypoints")
-        array = np.array(
-            [_vector(p, 3, f"{context}.points[{i}]") for i, p in enumerate(points)]
-        )
-        return WaypointReference(array, _number(data["speed"], f"{context}.speed"))
+        points = [_vector(p, 3, f"{context}.points[{i}]") for i, p in enumerate(points)]
+        return WaypointReference(points, _number(data["speed"], f"{context}.speed"))
     raise ConfigError(f"{context}: unknown reference type {kind!r}")
 
 
 def _parse_obstacle(data, index: int) -> Obstacle:
     context = f"obstacles[{index}]"
-    _check_keys(
-        data,
-        {"kind", "center", "radius_raw", "velocity", "axis", "height", "label"},
-        context,
-    )
-    for key in ("kind", "center", "radius_raw"):
-        if key not in data:
-            raise ConfigError(f"{context}: {key} is required")
-    kwargs = dict(
-        kind=data["kind"],
-        center=_vector(data["center"], 3, f"{context}.center"),
-        radius_raw=_number(data["radius_raw"], f"{context}.radius_raw"),
-    )
-    if "velocity" in data:
-        kwargs["velocity"] = _vector(data["velocity"], 3, f"{context}.velocity")
-    if "axis" in data:
-        axis = _vector(data["axis"], 3, f"{context}.axis")
-        if not np.isfinite(axis).all():
-            raise ConfigError(f"{context}.axis: must be finite")
+    allowed = {f.name for f in fields(Obstacle)}
+    _check_keys(data, allowed, context, required=("kind", "center", "radius_raw"))
+    kwargs = {key: data[key] for key in ("kind", "label") if key in data}
+    for key in ("center", "velocity", "axis"):
+        if key in data:
+            kwargs[key] = _vector(data[key], 3, f"{context}.{key}")
+    for key in ("radius_raw", "height"):
+        if key in data:
+            kwargs[key] = _number(data[key], f"{context}.{key}")
+    if "axis" in kwargs:
         # scaled by its largest component first, so that the squares in the
         # norm neither overflow nor underflow for any finite direction
-        largest = float(np.max(np.abs(axis)))
+        largest = float(np.max(np.abs(kwargs["axis"])))
         if largest <= 0.0:
             raise ConfigError(f"{context}.axis: zero vector")
-        axis = axis / largest
+        axis = kwargs["axis"] / largest
         kwargs["axis"] = axis / float(np.linalg.norm(axis))
-    if "height" in data:
-        kwargs["height"] = _number(data["height"], f"{context}.height")
-    if "label" in data:
-        label = data["label"]
-        if not isinstance(label, str) or "," in label:
-            raise ConfigError(f"{context}.label: must be a comma-free string")
-        kwargs["label"] = label
+    if "," in str(kwargs.get("label", "")):
+        raise ConfigError(f"{context}.label: must be a comma-free string")
     return Obstacle(**kwargs)
 
 
-def _parse_gains(data) -> ControllerGains:
-    context = "gains"
-    allowed = {"pos_p", "pos_d", "roll_p", "roll_d", "pitch_p", "pitch_d"}
-    _check_keys(data, allowed, context)
-    kwargs = {}
-    for key in ("pos_p", "pos_d"):
-        if key in data:
-            kwargs[key] = tuple(_vector(data[key], 3, f"{context}.{key}"))
-    for key in ("roll_p", "roll_d", "pitch_p", "pitch_d"):
-        if key in data:
-            kwargs[key] = _number(data[key], f"{context}.{key}")
-    return ControllerGains(**kwargs)
-
-
-def _parse_params(data) -> QuadrotorParams:
-    context = "params"
-    allowed = {
-        "mass", "arm_span", "center_offset", "inertia_diag", "gravity", "body_width"
-    }
-    _check_keys(data, allowed, context)
-    kwargs = {}
-    for key in allowed:
-        if key not in data:
-            continue
-        if key == "inertia_diag":
-            kwargs[key] = tuple(_vector(data[key], 3, f"{context}.{key}"))
-        else:
-            kwargs[key] = _number(data[key], f"{context}.{key}")
-    return QuadrotorParams(**kwargs)
+def _parse_record(data, cls: type, context: str):
+    """The gains or params record of a mapping of its field names to numbers
+    and lists of 3 numbers; the record checks which field takes which."""
+    _check_keys(data, {f.name for f in fields(cls)}, context)
+    return cls(
+        **{
+            key: _vector(value, 3, f"{context}.{key}")
+            if isinstance(value, list)
+            else _number(value, f"{context}.{key}")
+            for key, value in data.items()
+        }
+    )
 
 
 SCENARIO_KEYS = {
@@ -291,52 +253,35 @@ SCENARIO_KEYS = {
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed mapping."""
-    _check_keys(data, SCENARIO_KEYS, "scenario")
-    for key in ("name", "duration", "dt", "initial_state", "reference"):
-        if key not in data:
-            raise ConfigError(f"scenario: {key} is required")
-    obstacles = []
+    required = ("name", "duration", "dt", "initial_state", "reference")
+    _check_keys(data, SCENARIO_KEYS, "scenario", required)
     raw_obstacles = data.get("obstacles", [])
     if not isinstance(raw_obstacles, list):
         raise ConfigError("obstacles: expected a list")
-    for i, entry in enumerate(raw_obstacles):
-        obstacles.append(_parse_obstacle(entry, i))
+    obstacles = [_parse_obstacle(entry, i) for i, entry in enumerate(raw_obstacles)]
     partner = None
     if "partner" in data:
-        _check_keys(data["partner"], {"initial_state", "reference"}, "partner")
-        for key in ("initial_state", "reference"):
-            if key not in data["partner"]:
-                raise ConfigError(f"partner: {key} is required")
+        raw, keys = data["partner"], ("initial_state", "reference")
+        _check_keys(raw, keys, "partner", required=keys)
         partner = AgentSpec(
-            initial_state=_parse_state(
-                data["partner"]["initial_state"], "partner.initial_state"
-            ),
-            reference=_parse_reference(
-                data["partner"]["reference"], "partner.reference"
-            ),
+            _parse_state(raw["initial_state"], "partner.initial_state"),
+            _parse_reference(raw["reference"], "partner.reference"),
         )
-    try:
-        return ScenarioConfig(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            duration=_number(data["duration"], "duration"),
-            dt=_number(data["dt"], "dt"),
-            initial_state=_parse_state(data["initial_state"], "initial_state"),
-            reference=_parse_reference(data["reference"], "reference"),
-            obstacles=tuple(obstacles),
-            filter_kind=data.get("filter", "c3bf"),
-            kappa=ClassKappa(_number(data.get("kappa_gamma", 1.0), "kappa_gamma")),
-            hocbf=HocbfConfig(
-                gamma_penalty=_number(data.get("hocbf_gamma", 1.0), "hocbf_gamma")
-            ),
-            gains=_parse_gains(data.get("gains", {})),
-            params=_parse_params(data.get("params", {})),
-            partner=partner,
-        )
-    except (ValueError, ConeguardError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(
+        name=str(data["name"]),
+        description=str(data.get("description", "")),
+        duration=_number(data["duration"], "duration"),
+        dt=_number(data["dt"], "dt"),
+        initial_state=_parse_state(data["initial_state"], "initial_state"),
+        reference=_parse_reference(data["reference"], "reference"),
+        obstacles=tuple(obstacles),
+        filter_kind=data.get("filter", "c3bf"),
+        kappa_gamma=_number(data.get("kappa_gamma", 1.0), "kappa_gamma"),
+        hocbf_gamma=_number(data.get("hocbf_gamma", 1.0), "hocbf_gamma"),
+        gains=_parse_record(data.get("gains", {}), ControllerGains, "gains"),
+        params=_parse_record(data.get("params", {}), QuadrotorParams, "params"),
+        partner=partner,
+    )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

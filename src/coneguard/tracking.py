@@ -38,7 +38,8 @@ from .dynamics import (
     control_of,
     euler_rate_matrix,
 )
-from .errors import ConfigError, DegenerateThrustError
+from .errors import DegenerateThrustError
+from .records import checked_array, checked_real
 from .reference import ReferenceSample
 
 # Guard on the attitude-target denominator g + az, m/s^2. Commands below it
@@ -73,14 +74,13 @@ class ControllerGains:
     pitch_d: float = 16.0
 
     def __post_init__(self):
-        try:
-            vals = (*self.pos_p, *self.pos_d)
-            vals += (self.roll_p, self.pitch_p, self.roll_d, self.pitch_d)
-            valid = all(math.isfinite(v) and v >= 0.0 for v in vals)
-        except TypeError:  # not a real number, or no gain triple
-            valid = False
-        if not valid:
-            raise ConfigError("gains must be finite and >= 0")
+        for name in ("pos_p", "pos_d"):
+            triple = checked_array(getattr(self, name), 3, name).tolist()
+            triple = tuple(checked_real(v, name, at_least=0.0) for v in triple)
+            object.__setattr__(self, name, triple)
+        for name in ("roll_p", "pitch_p", "roll_d", "pitch_d"):
+            value = checked_real(getattr(self, name), name, at_least=0.0)
+            object.__setattr__(self, name, value)
 
 
 def commanded_acceleration(

@@ -33,13 +33,13 @@ from coneguard.cone import (
 )
 from coneguard.dynamics import QuadrotorParams
 from coneguard.harness import VIOLATION_TOL, compute_metrics, run, run_pair
-from coneguard.hocbf import HocbfConfig, barrier_ho, encompassing_radius
-from coneguard.qp import AffineSafetyConstraint, ClassKappa, QpProblem, solve
+from coneguard.hocbf import barrier_ho, encompassing_radius
+from coneguard.qp import AffineSafetyConstraint, QpProblem, solve
 from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.traceio import parse_trace, write_trace
 
 PARAMS = QuadrotorParams()
-kappa = ClassKappa(1.0)
+kappa = 1.0
 # sha256 of the write_trace output of every built-in run and of the
 # moving-head-on HO-CBF runs, as recorded for the benchmark's gate
 DIGESTS = json.loads(
@@ -181,7 +181,7 @@ def test_c03_barrier_derivatives_match_finite_differences():
             1000,
             random_sphere,
             lambda frame, o, t: barrier_ho(
-                frame, o, PARAMS, kappa, HocbfConfig(gamma_penalty=1.0), t
+                frame, o, PARAMS, kappa, 1.0, t
             ),
             lambda o: (
                 encompassing_radius(o) + 0.5 * PARAMS.body_width,
@@ -327,7 +327,7 @@ def test_c06_speed_matched_penalty_recovers_cone():
             continue
         cone, _ = barrier_3d(frame, obs, PARAMS, kappa, t)
         matched, _ = barrier_ho(
-            frame, obs, PARAMS, kappa, HocbfConfig(gamma_penalty=v_norm), t
+            frame, obs, PARAMS, kappa, v_norm, t
         )
         worst_eq = max(worst_eq, abs(matched.h - cone.h))
         gamma = float(rng.uniform(0.1, 3.0))
@@ -338,7 +338,7 @@ def test_c06_speed_matched_penalty_recovers_cone():
             if float(p_rel @ v_rel) < 0.0:
                 approaching += 1
                 ho, _ = barrier_ho(
-                    frame, obs, PARAMS, kappa, HocbfConfig(gamma_penalty=gamma), t
+                    frame, obs, PARAMS, kappa, gamma, t
                 )
                 ok = ok and ho.h < cone.h
                 below += 1 if ho.h < cone.h else 0
@@ -363,7 +363,7 @@ def test_c07_ho_baseline_more_conservative(builtin_runs, tmp_path):
     moved = []
     for gamma in (0.5, 1.0, 2.0):
         ho_config = replace(
-            config, filter_kind="hocbf", hocbf=HocbfConfig(gamma_penalty=gamma)
+            config, filter_kind="hocbf", hocbf_gamma=gamma
         )
         ho_trace = run(ho_config)
         ho_sep[gamma] = compute_metrics(ho_trace).min_separation

@@ -197,6 +197,24 @@ CYLINDER_YAML = HOVER_YAML + textwrap.dedent(
             HOVER_YAML.replace("dt: 0.004166666666666667", 'dt: "4e-3"'),
             id="dt-quoted-string",
         ),
+        pytest.param(
+            HOVER_YAML.replace(HOVER_REFERENCE, "  type: hover\n"),
+            id="hover-without-point",
+        ),
+        pytest.param(
+            HOVER_YAML.replace(HOVER_REFERENCE, "  type: line\n  start: [0, 0, 1]\n"),
+            id="line-without-velocity",
+        ),
+        pytest.param(
+            HOVER_YAML.replace(
+                HOVER_REFERENCE, "  type: waypoints\n  points: [[0, 0, 1], [1, 0, 1]]\n"
+            ),
+            id="waypoints-without-speed",
+        ),
+        pytest.param(
+            HOVER_YAML.replace("dt: 0.004166666666666667", "dt: 1" + "0" * 400),
+            id="dt-int-overflow",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

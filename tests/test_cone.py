@@ -19,9 +19,8 @@ from coneguard.cone import (
 )
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import InvalidObstacleError
-from coneguard.qp import ClassKappa
 
-kappa = ClassKappa(1.0)
+kappa = 1.0
 vec3 = st.tuples(
     st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)
 )
@@ -198,7 +197,20 @@ def test_barrier_3d_golden_values(params):
         )
     ) < 1e-11
     assert abs(terms.phi - 0.13422094632755224) < 1e-14
-    assert abs(con.offset - (drift + kappa(terms.h))) < 1e-15
+    assert abs(con.offset - (drift + kappa * terms.h)) < 1e-15
+
+
+def test_kappa_is_linear(params):
+    """The row offset is drift + kappa_gamma h, with the bits of gamma * h."""
+    state = QuadrotorState.from_vector(
+        np.array([0.3, -0.2, 1.1, 0.4, 0.1, -0.3, 0.05, -0.08, 0.3, 0.2, -0.1, 0.15])
+    )
+    obs = Obstacle(kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15)
+    frame = BodyFrame(state, params)
+    for gamma in (1.0, 3.0, 0.5):
+        terms, con = barrier_3d(frame, obs, params, gamma, 0.25)
+        drift, _ = contract(frame, terms, "")
+        assert con.offset == drift + gamma * terms.h
 
 
 def test_barrier_3d_derivative_row(rng, params):

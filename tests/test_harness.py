@@ -26,7 +26,6 @@ from coneguard.harness import (
     separation_distance,
 )
 from coneguard.qp import AffineSafetyConstraint, QpSolution
-from coneguard.hocbf import HocbfConfig
 from coneguard.reference import HoverReference, LineReference, WaypointReference
 from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.tracking import ControllerGains
@@ -474,7 +473,7 @@ def test_compare_runs_the_c3bf_side_once(monkeypatch):
     monkeypatch.setattr(harness, "run", spy)
     reports = list(compare(config, (0.5, 1.0, 2.0)))
     assert [c.filter_kind for c in flown] == ["c3bf"] + ["hocbf"] * 3
-    assert [c.hocbf.gamma_penalty for c in flown[1:]] == [0.5, 1.0, 2.0]
+    assert [c.hocbf_gamma for c in flown[1:]] == [0.5, 1.0, 2.0]
     assert all(report.trace_a is reports[0].trace_a for report in reports)
     assert [report.trace_b.filter_kind for report in reports] == ["hocbf"] * 3
     flown.clear()
@@ -562,7 +561,7 @@ def test_phi_ratio_matches_the_per_row_oracle(name, duration, gamma):
         get_scenario(name),
         duration=duration,
         filter_kind="hocbf",
-        hocbf=HocbfConfig(gamma_penalty=gamma),
+        hocbf_gamma=gamma,
     )
     trace = run(config)
     labels, ratio = harness._phi_ratio(trace, config)

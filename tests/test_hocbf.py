@@ -1,5 +1,7 @@
 """Higher-order barrier baseline: formulas, chain, and relation to the cone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,18 @@ from helpers import hover_thrust, random_sphere, random_state, random_thrusts
 from coneguard.cone import BodyFrame, Obstacle, barrier_3d, contract, inflated_radius
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError
-from coneguard.hocbf import HocbfConfig, barrier_ho, encompassing_radius
-from coneguard.qp import ClassKappa
+from coneguard.hocbf import barrier_ho, encompassing_radius
+from coneguard.scenarios import get_scenario
 
-kappa = ClassKappa(1.0)
+kappa = 1.0
 
 
 def test_config_validation():
+    config = get_scenario("moving-head-on")
     with pytest.raises(ValueError):
-        HocbfConfig(gamma_penalty=0.0)
+        replace(config, hocbf_gamma=0.0)
     with pytest.raises(ConfigError):
-        HocbfConfig("x")
+        replace(config, hocbf_gamma="x")
 
 
 def test_encompassing_radius_takes_larger_half_extent():
@@ -41,7 +44,7 @@ def test_b_distance_hand_value():
 
 
 def test_h_ho_matches_oracle(rng, params):
-    cfg = HocbfConfig(gamma_penalty=1.3)
+    cfg = 1.3
     for _ in range(200):
         state = random_state(rng)
         frame = BodyFrame(state, params)
@@ -64,7 +67,7 @@ def test_barrier_ho_golden_values(params):
     )
     frame = BodyFrame(state, params)
     terms, con = barrier_ho(
-        frame, obs, params, kappa, HocbfConfig(gamma_penalty=1.0), 0.25
+        frame, obs, params, kappa, 1.0, 0.25
     )
     drift, _ = contract(frame, terms, "")
     assert abs(terms.h - 0.171380510434469) < 1e-14
@@ -82,11 +85,11 @@ def test_barrier_ho_golden_values(params):
             )
         )
     ) < 1e-10
-    assert abs(con.offset - (drift + kappa(terms.h))) < 1e-15
+    assert abs(con.offset - (drift + kappa * terms.h)) < 1e-15
 
 
 def test_barrier_ho_derivative_row(rng, params):
-    cfg = HocbfConfig(gamma_penalty=1.0)
+    cfg = 1.0
     checked = 0
     while checked < 80:
         state = random_state(rng)
@@ -120,7 +123,7 @@ def test_matching_penalty_recovers_cone_barrier(rng, params):
         norm_v = float(np.linalg.norm(v_rel))
         if float(np.linalg.norm(p_rel)) < r + 0.01 or norm_v < 1e-3:
             continue
-        cfg = HocbfConfig(gamma_penalty=norm_v)
+        cfg = norm_v
         cone, _ = barrier_3d(frame, obs, params, kappa, t)
         ho, _ = barrier_ho(frame, obs, params, kappa, cfg, t)
         assert abs(ho.h - cone.h) <= 1e-12
@@ -130,7 +133,7 @@ def test_matching_penalty_recovers_cone_barrier(rng, params):
 def test_constant_penalty_is_conservative_when_slower(rng, params):
     """gamma < ||v_rel|| and approaching: the HO value sits below the cone's."""
     gamma = 1.0
-    cfg = HocbfConfig(gamma_penalty=gamma)
+    cfg = gamma
     checked = 0
     while checked < 300:
         state = random_state(rng)

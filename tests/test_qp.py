@@ -26,7 +26,6 @@ from coneguard.qp import (
     KKT_RTOL,
     SAFE_MIN,
     AffineSafetyConstraint,
-    ClassKappa,
     QpProblem,
     _feasible_start,
     _screen,
@@ -46,21 +45,15 @@ def feasible_instance(rng, m):
     return rng.normal(size=4), cons, A, b, z
 
 
-def test_kappa_is_linear():
-    assert ClassKappa(1.0)(0.0) == 0.0
-    assert ClassKappa(3.0)(2.0) == 6.0
-    assert ClassKappa(0.5)(-4.0) == -2.0
-
-
 def test_kappa_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
-        ClassKappa(0.0)
+        replace(builtin_scenarios()[0], kappa_gamma=0.0)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: ClassKappa("x"),
+        lambda: replace(builtin_scenarios()[0], kappa_gamma="x"),
         lambda: AffineSafetyConstraint([1, 0, 0, 0], "x"),
         lambda: AffineSafetyConstraint("abcd", 0.0),
         lambda: QpProblem([1, 2]),

@@ -1,14 +1,20 @@
-"""Records built from checked values match the ones their constructors build."""
+"""Records built from checked values match the ones their constructors build,
+and every constructor refuses a wrong-typed argument with a typed error."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import assert_same_bits, random_state
 from coneguard.cone import Obstacle
-from coneguard.dynamics import ControlInput, QuadrotorParams, control_of
-from coneguard.harness import _as_obstacle
+from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, control_of
+from coneguard.errors import ConeguardError
+from coneguard.harness import AgentSpec, _as_obstacle
 from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem, checked_row
 from coneguard.records import prebuilt
+from coneguard.reference import HoverReference, WaypointReference
+from coneguard.scenarios import get_scenario
 
 
 def _assert_same_record(built, constructed):
@@ -55,3 +61,33 @@ def test_prebuilt_takes_exactly_the_fields():
         prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="", x=1)
     row = prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="")
     assert row.gradient_row is a and (row.offset, row.label) == (0.0, "")
+
+
+LINE = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+ZERO = np.zeros(3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda c: replace(c, duration="x"), id="duration-str"),
+        pytest.param(lambda c: replace(c, dt=None), id="dt-none"),
+        pytest.param(lambda c: replace(c, initial_state=None), id="state-none"),
+        pytest.param(lambda c: replace(c, obstacles=(1,)), id="obstacle-int"),
+        pytest.param(lambda c: replace(c, gains="x"), id="gains-str"),
+        pytest.param(lambda c: replace(c, partner=1), id="partner-int"),
+        pytest.param(lambda c: replace(c, reference=None), id="reference-none"),
+        pytest.param(lambda c: replace(c, kappa_gamma="2.0"), id="kappa-str"),
+        pytest.param(lambda c: replace(c, hocbf_gamma=None), id="hocbf-none"),
+        pytest.param(lambda c: AgentSpec(None, c.reference), id="agent-state-none"),
+        pytest.param(lambda c: WaypointReference(LINE, "x"), id="speed-str"),
+        pytest.param(lambda c: HoverReference("abc"), id="hover-str"),
+        pytest.param(lambda c: ControlInput("abcd"), id="thrusts-str"),
+        pytest.param(lambda c: QuadrotorState("abc", ZERO, ZERO, ZERO), id="state-str"),
+        pytest.param(lambda c: QpProblem(np.ones(4), (1, 2)), id="qp-rows-int"),
+    ],
+)
+def test_wrong_typed_arguments_raise_one_line_package_errors(build):
+    with pytest.raises(ConeguardError) as exc_info:
+        build(get_scenario("static-overtake"))
+    assert "\n" not in str(exc_info.value)

@@ -203,8 +203,8 @@ def test_full_yaml_dict():
     )
     config = scenario_from_dict(data)
     assert config.filter_kind == "hocbf"
-    assert config.kappa.gamma == 2.0
-    assert config.hocbf.gamma_penalty == 0.5
+    assert config.kappa_gamma == 2.0
+    assert config.hocbf_gamma == 0.5
     assert isinstance(config.reference, WaypointReference)
     # axis arrives normalized
     assert np.allclose(config.obstacles[0].axis, [0, 0, 1], atol=0.0)
