@@ -12,7 +12,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConeguardError
-from .harness import ScenarioConfig, compare, compute_metrics, run, run_pair
+from .harness import (
+    FILTER_KINDS,
+    ScenarioConfig,
+    compare,
+    compute_metrics,
+    run,
+    run_pair,
+)
 from .scenarios import builtin_scenarios, get_scenario
 from .traceio import (
     comparison_text,
@@ -47,7 +54,7 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     add_source(p_run)
-    p_run.add_argument("--filter", choices=["none", "c3bf", "hocbf"])
+    p_run.add_argument("--filter", choices=FILTER_KINDS)
     p_run.add_argument("--hocbf-gamma", type=float, help="HO-CBF penalty gamma")
 
     p_cmp = sub.add_parser("compare", help="run c3bf vs hocbf on one scenario")

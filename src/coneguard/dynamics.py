@@ -309,12 +309,15 @@ def step(
     order of its array form x + (h k), x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
 
     Raises:
-        ConfigError: dt <= 0.
+        ConfigError: dt is not a number > 0.
         AttitudeSingularError: gimbal lock reached at any stage.
         NonFiniteStateError: the step diverged.
     """
-    if dt <= 0.0:
-        raise ConfigError("dt must be > 0")
+    try:
+        if not dt > 0.0:  # true for nan
+            raise TypeError
+    except TypeError:  # dt is not a number, or not > 0
+        raise ConfigError(f"dt must be a number > 0, got {dt!r}") from None
     x = state.as_vector().tolist()
     u = control.thrusts
     u0, u1, u2, u3 = u.tolist()

@@ -60,7 +60,7 @@ from .dynamics import (
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .hocbf import barrier_ho
 from .qp import AffineSafetyConstraint, checked_problem, solve
-from .records import checked_real, checked_records, checked_types, prebuilt
+from .records import checked_real, checked_records, checked_type, checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 
@@ -133,7 +133,7 @@ class ScenarioConfig:
                 raise ConfigError("obstacle label 'partner' is reserved")
         checked_types(self, initial_state=QuadrotorState, reference=Reference)
         checked_types(self, gains=ControllerGains, params=QuadrotorParams)
-        checked_types(self, partner=AgentSpec | None)
+        checked_types(self, partner=AgentSpec | None, description=str)
         starts = [("initial_state", self.initial_state)]
         if self.partner is not None:
             starts.append(("partner.initial_state", self.partner.initial_state))
@@ -412,12 +412,12 @@ def run(config: ScenarioConfig) -> SimTrace:
     Deterministic given the config. Solver or dynamics errors abort the run
     with the step index recorded on the raised SimulationAbort.
     """
-    return _simulate(config)[0]
+    return _simulate(checked_type(config, ScenarioConfig, "config"))[0]
 
 
 def run_pair(config: ScenarioConfig) -> tuple[SimTrace, SimTrace]:
     """Simulate both agents of a two-agent scenario synchronously."""
-    if config.partner is None:
+    if checked_type(config, ScenarioConfig, "config").partner is None:
         raise ConfigError("run_pair needs a partner agent")
     return _simulate(config)
 
@@ -496,9 +496,11 @@ def compare(
 
     The C3BF side runs once and every report shares its trace; the HO-CBF
     runs follow one per gamma, each report yielded before the next run.
-    Every gamma is checked before the first run, so a bad one fails before
-    any flight.
+    The config and every gamma are checked before the first run, so a bad
+    one fails before any flight.
     """
+    checked_type(config, ScenarioConfig, "config")
+    checked_type(gammas, Iterable, "gammas")
     ho_configs = [
         replace(config, filter_kind="hocbf", hocbf_gamma=gamma) for gamma in gammas
     ]

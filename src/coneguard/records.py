@@ -6,7 +6,9 @@ here: ``checked_real`` for a number and ``checked_array`` for a float array
 of a fixed shape, each returning the converted value (an array read-only),
 and ``checked_records`` and ``checked_types`` for the records it holds. Any
 other value, one of the wrong type included, raises the caller's
-``ConeguardError`` subclass with a one-line message.
+``ConeguardError`` subclass with a one-line message. A boolean is not a
+number here, alone or in a list. The scenario loader has no value checks
+of its own: each value it reads is checked here, by the record it builds.
 
 Where a value was checked where it was made, ``prebuilt`` stores it in the
 record as it is, without running ``__init__`` or ``__post_init__``. It takes
@@ -24,6 +26,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_BOOLS = (bool, np.bool_)
+
 
 def _shown(value) -> str:
     """value's repr if it is short and one line, else its type's name."""
@@ -36,9 +40,11 @@ def checked_real(value, what: str, error=ConfigError, *, above=None, at_least=No
     or >= at_least.
 
     Raises:
-        error: value is not a real number, or is not finite or in bounds.
+        error: value is not a real number or is a boolean, or not finite or in bounds.
     """
     try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
         valid = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         valid = False
@@ -59,18 +65,28 @@ def checked_array(
 ) -> np.ndarray:
     """A read-only float copy of values in the given shape, checked finite.
 
-    copy=False checks values, a float array of that shape, in place and
-    makes it read-only; finite=False leaves the finite check to the caller.
+    shape is n, or (-1, n) for rows of n; values must have it as given. copy=False
+    checks values, a float array of that shape, in place and makes it read-only;
+    finite=False leaves the finite check to the caller.
 
     Raises:
-        error: values are not numbers of that shape, or not all finite.
+        error: values are not numbers (nor booleans) of that shape, or not all finite.
     """
     if copy:
         try:
             raw = np.asarray(values)
-            if raw.dtype.kind not in "biuf":  # strings, objects, None
+            if raw.dtype.kind not in "iuf":  # booleans, strings, objects, None
                 raise TypeError
-            array = raw.astype(float).reshape(shape)
+            # a list mixing booleans and numbers converts to an int or float
+            # array, so only the elements themselves show the booleans
+            if not isinstance(values, np.ndarray) and any(
+                isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat
+            ):
+                raise TypeError
+            array = raw.astype(float)
+            exact = (shape,) if isinstance(shape, int) else (len(array), shape[1])
+            if array.shape != exact:
+                raise ValueError
         except (TypeError, ValueError):
             count = shape if isinstance(shape, int) else f"rows of {shape[-1]}"
             message = f"{what} must be {count} numbers, got {_shown(values)}"
@@ -95,12 +111,17 @@ def checked_records(values, cls: type, what: str) -> tuple:
     return records
 
 
+def checked_type(value, kind, what: str):
+    """value, if it has the type (or union) kind; else ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} may not be of type {type(value).__name__}")
+    return value
+
+
 def checked_types(record, **kinds) -> None:
     """ConfigError unless each named field of record has its type (or union)."""
     for field, kind in kinds.items():
-        value = getattr(record, field)
-        if not isinstance(value, kind):
-            raise ConfigError(f"{field} may not be of type {type(value).__name__}")
+        checked_type(getattr(record, field), kind, field)
 
 
 @lru_cache(maxsize=None)

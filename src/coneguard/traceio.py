@@ -12,9 +12,13 @@ order, already quantized to that precision by the run; so a trace is written
 and parsed as one table, re-parsing reproduces it exactly and re-writing is
 byte-identical.
 
-Scenario files are YAML mappings of the ScenarioConfig fields. Unknown keys
-are rejected at every nesting level so typos fail loudly instead of being
-silently ignored.
+Scenario files are YAML mappings of the ScenarioConfig fields. The loader
+checks only the file's schema: mappings, unknown keys (rejected at every
+nesting level, so typos fail loudly), required keys, the reference type,
+the state parts that default to zero and the normalisation of a cylinder
+axis. Every value goes as it is to the constructor of the record it
+belongs to, which is the one place it is checked; an error is reported
+with its YAML path first, as in ``obstacles[0]: center must be 3 numbers``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import yaml
 
 from .cone import Obstacle
 from .dynamics import QuadrotorParams, QuadrotorState
-from .errors import ConfigError
+from .errors import ConeguardError, ConfigError
 from .harness import (
     FLOAT_FORMAT,
     AgentSpec,
@@ -38,7 +42,7 @@ from .harness import (
     SimTrace,
     trace_columns,
 )
-from .records import checked_real
+from .records import checked_array
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains
 
@@ -161,127 +165,89 @@ def _check_keys(mapping: dict, allowed, context: str, required=()) -> None:
             raise ConfigError(f"{context}: {key} is required")
 
 
-def _number(data, context: str) -> float:
-    if isinstance(data, bool) or not isinstance(data, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {data!r}")
-    return checked_real(data, context)
-
-
-def _vector(data, length: int, context: str) -> np.ndarray:
-    if not isinstance(data, (list, tuple)) or len(data) != length:
-        raise ConfigError(f"{context}: expected a list of {length} numbers")
-    return np.array([_number(v, context) for v in data])
+def _at(context: str, build, *args, **kwargs):
+    """build(*args, **kwargs); any package error it raises becomes a
+    ConfigError whose message starts with the YAML path context."""
+    try:
+        return build(*args, **kwargs)
+    except ConeguardError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _parse_state(data, context: str) -> QuadrotorState:
     parts = ("position", "velocity", "attitude", "body_rates")
     _check_keys(data, parts, context, required=("position",))
-    return QuadrotorState(
-        *(_vector(data.get(key, [0, 0, 0]), 3, f"{context}.{key}") for key in parts)
-    )
+    return _at(context, QuadrotorState, *(data.get(key, (0, 0, 0)) for key in parts))
+
+
+# reference type -> its class and the keys of its arguments, in order
+_REFERENCES = {
+    "hover": (HoverReference, ("point",)),
+    "line": (LineReference, ("start", "velocity")),
+    "waypoints": (WaypointReference, ("points", "speed")),
+}
 
 
 def _parse_reference(data, context: str):
     if not isinstance(data, dict) or "type" not in data:
         raise ConfigError(f"{context}: reference needs a 'type'")
     kind = data["type"]
-    if kind == "hover":
-        _check_keys(data, {"type", "point"}, context, required=("point",))
-        return HoverReference(_vector(data["point"], 3, f"{context}.point"))
-    if kind == "line":
-        keys = ("start", "velocity")
-        _check_keys(data, {"type", *keys}, context, required=keys)
-        return LineReference(
-            _vector(data["start"], 3, f"{context}.start"),
-            _vector(data["velocity"], 3, f"{context}.velocity"),
-        )
-    if kind == "waypoints":
-        keys = ("points", "speed")
-        _check_keys(data, {"type", *keys}, context, required=keys)
-        points = data["points"]
-        if not isinstance(points, list) or len(points) < 2:
-            raise ConfigError(f"{context}.points: need at least two waypoints")
-        points = [_vector(p, 3, f"{context}.points[{i}]") for i, p in enumerate(points)]
-        return WaypointReference(points, _number(data["speed"], f"{context}.speed"))
-    raise ConfigError(f"{context}: unknown reference type {kind!r}")
+    if not isinstance(kind, str) or kind not in _REFERENCES:
+        raise ConfigError(f"{context}: unknown reference type {kind!r}")
+    cls, keys = _REFERENCES[kind]
+    _check_keys(data, {"type", *keys}, context, required=keys)
+    return _at(context, cls, *(data[key] for key in keys))
 
 
-def _parse_obstacle(data, index: int) -> Obstacle:
-    context = f"obstacles[{index}]"
+def _parse_obstacle(data, context: str) -> Obstacle:
     allowed = {f.name for f in fields(Obstacle)}
     _check_keys(data, allowed, context, required=("kind", "center", "radius_raw"))
-    kwargs = {key: data[key] for key in ("kind", "label") if key in data}
-    for key in ("center", "velocity", "axis"):
-        if key in data:
-            kwargs[key] = _vector(data[key], 3, f"{context}.{key}")
-    for key in ("radius_raw", "height"):
-        if key in data:
-            kwargs[key] = _number(data[key], f"{context}.{key}")
-    if "axis" in kwargs:
+    if "axis" in data:
         # scaled by its largest component first, so that the squares in the
         # norm neither overflow nor underflow for any finite direction
-        largest = float(np.max(np.abs(kwargs["axis"])))
+        axis = _at(context, checked_array, data["axis"], 3, "axis")
+        largest = float(np.max(np.abs(axis)))
         if largest <= 0.0:
-            raise ConfigError(f"{context}.axis: zero vector")
-        axis = kwargs["axis"] / largest
-        kwargs["axis"] = axis / float(np.linalg.norm(axis))
-    if "," in str(kwargs.get("label", "")):
+            raise ConfigError(f"{context}: axis must be nonzero")
+        axis = axis / largest
+        data = {**data, "axis": axis / float(np.linalg.norm(axis))}
+    obstacle = _at(context, Obstacle, **data)
+    if "," in obstacle.label:
         raise ConfigError(f"{context}.label: must be a comma-free string")
-    return Obstacle(**kwargs)
-
-
-def _parse_record(data, cls: type, context: str):
-    """The gains or params record of a mapping of its field names to numbers
-    and lists of 3 numbers; the record checks which field takes which."""
-    _check_keys(data, {f.name for f in fields(cls)}, context)
-    return cls(
-        **{
-            key: _vector(value, 3, f"{context}.{key}")
-            if isinstance(value, list)
-            else _number(value, f"{context}.{key}")
-            for key, value in data.items()
-        }
-    )
-
-
-SCENARIO_KEYS = {
-    "name", "description", "duration", "dt", "initial_state",
-    "reference", "obstacles", "filter", "kappa_gamma", "hocbf_gamma",
-    "gains", "params", "partner",
-}
+    return obstacle
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed mapping."""
+    """Build and validate a ScenarioConfig from a parsed mapping.
+
+    The keys are ScenarioConfig's field names, with ``filter`` for
+    filter_kind; a key left out takes the field's default.
+    """
+    allowed = {f.name for f in fields(ScenarioConfig)} - {"filter_kind"} | {"filter"}
     required = ("name", "duration", "dt", "initial_state", "reference")
-    _check_keys(data, SCENARIO_KEYS, "scenario", required)
-    raw_obstacles = data.get("obstacles", [])
-    if not isinstance(raw_obstacles, list):
-        raise ConfigError("obstacles: expected a list")
-    obstacles = [_parse_obstacle(entry, i) for i, entry in enumerate(raw_obstacles)]
-    partner = None
+    _check_keys(data, allowed, "scenario", required)
+    config = {"filter_kind" if key == "filter" else key: v for key, v in data.items()}
+    config["initial_state"] = _parse_state(data["initial_state"], "initial_state")
+    config["reference"] = _parse_reference(data["reference"], "reference")
+    if "obstacles" in data:
+        if not isinstance(data["obstacles"], list):
+            raise ConfigError("obstacles: expected a list")
+        config["obstacles"] = tuple(
+            _parse_obstacle(entry, f"obstacles[{i}]")
+            for i, entry in enumerate(data["obstacles"])
+        )
+    for key, cls in (("gains", ControllerGains), ("params", QuadrotorParams)):
+        if key in data:
+            _check_keys(data[key], {f.name for f in fields(cls)}, key)
+            config[key] = _at(key, cls, **data[key])
     if "partner" in data:
         raw, keys = data["partner"], ("initial_state", "reference")
         _check_keys(raw, keys, "partner", required=keys)
-        partner = AgentSpec(
+        config["partner"] = AgentSpec(
             _parse_state(raw["initial_state"], "partner.initial_state"),
             _parse_reference(raw["reference"], "partner.reference"),
         )
-    return ScenarioConfig(
-        name=str(data["name"]),
-        description=str(data.get("description", "")),
-        duration=_number(data["duration"], "duration"),
-        dt=_number(data["dt"], "dt"),
-        initial_state=_parse_state(data["initial_state"], "initial_state"),
-        reference=_parse_reference(data["reference"], "reference"),
-        obstacles=tuple(obstacles),
-        filter_kind=data.get("filter", "c3bf"),
-        kappa_gamma=_number(data.get("kappa_gamma", 1.0), "kappa_gamma"),
-        hocbf_gamma=_number(data.get("hocbf_gamma", 1.0), "hocbf_gamma"),
-        gains=_parse_record(data.get("gains", {}), ControllerGains, "gains"),
-        params=_parse_record(data.get("params", {}), QuadrotorParams, "params"),
-        partner=partner,
-    )
+    return ScenarioConfig(**config)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

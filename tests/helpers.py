@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from coneguard.cone import Obstacle
@@ -9,6 +11,8 @@ from coneguard.dynamics import QuadrotorState
 from coneguard.harness import ScenarioConfig
 from coneguard.reference import HoverReference, LineReference
 from coneguard.scenarios import ALTITUDE, DT
+
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # The rotor allocation matrix M of the ``tracking`` module docstring.
 ALLOCATION = np.array(

@@ -1,17 +1,15 @@
 """End-to-end CLI checks through main(argv) with short scenario files."""
 
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import CONFIGS_DIR
 from coneguard import harness, qp
 from coneguard.cli import main
 from coneguard.scenarios import scenario_names
 from coneguard.traceio import parse_trace
-
-CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 HOVER_YAML = textwrap.dedent(
     """\
@@ -151,39 +149,56 @@ CYLINDER_YAML = HOVER_YAML + textwrap.dedent(
 
 
 @pytest.mark.parametrize(
-    "text",
+    ("text", "path"),
     [
         pytest.param(
             HOVER_YAML.replace(
                 HOVER_REFERENCE,
                 "  type: waypoints\n  points: [[0, 0, 1], [1, 0, 1]]\n  speed: .nan\n",
             ),
+            "reference: speed ",
             id="waypoint-speed-nan",
         ),
         pytest.param(
-            HOVER_YAML.replace("point: [0.0,", "point: [.nan,"), id="hover-point-nan"
+            HOVER_YAML.replace("point: [0.0,", "point: [.nan,"),
+            "reference: hover point ",
+            id="hover-point-nan",
         ),
         pytest.param(
             HOVER_YAML.replace(
                 HOVER_REFERENCE,
                 "  type: line\n  start: [0, 0, 1]\n  velocity: [.inf, 0, 0]\n",
             ),
+            "reference: line velocity ",
             id="line-velocity-inf",
         ),
-        pytest.param(HOVER_YAML + "gains:\n  pos_p: [-1, 0, 0]\n", id="gains"),
-        pytest.param(HOVER_YAML + "params:\n  mass: 0\n", id="params"),
-        pytest.param(CYLINDER_YAML + "    axis: [.nan, 0.0, 1.0]\n", id="axis-nan"),
-        pytest.param(CYLINDER_YAML + "    axis: [.inf, 0.0, 0.0]\n", id="axis-inf"),
+        pytest.param(
+            HOVER_YAML + "gains:\n  pos_p: [-1, 0, 0]\n", "gains: pos_p ", id="gains"
+        ),
+        pytest.param(HOVER_YAML + "params:\n  mass: 0\n", "params: mass ", id="params"),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [.nan, 0.0, 1.0]\n",
+            "obstacles[0]: axis ",
+            id="axis-nan",
+        ),
+        pytest.param(
+            CYLINDER_YAML + "    axis: [.inf, 0.0, 0.0]\n",
+            "obstacles[0]: axis ",
+            id="axis-inf",
+        ),
         pytest.param(
             CYLINDER_YAML + "    axis: [0.0, 0.0, 1.0]\n    height: .nan\n",
+            "obstacles[0]: cylinder height ",
             id="height-nan",
         ),
         pytest.param(
             CYLINDER_YAML + "    axis: [0.0, 0.0, 1.0]\n    height: .inf\n",
+            "obstacles[0]: cylinder height ",
             id="height-inf",
         ),
         pytest.param(
             HOVER_YAML.replace("position: [0.1,", "position: [.nan,"),
+            "initial_state: ",
             id="initial-position-nan",
         ),
         pytest.param(
@@ -191,37 +206,62 @@ CYLINDER_YAML = HOVER_YAML + textwrap.dedent(
                 "  position: [0.1, 0.0, 1.0]\n",
                 "  position: [0.1, 0.0, 1.0]\n  attitude: [2.0, 0.0, 0.0]\n",
             ),
+            "initial_state: attitude ",
             id="initial-attitude-out-of-range",
         ),
         pytest.param(
             HOVER_YAML.replace("dt: 0.004166666666666667", 'dt: "4e-3"'),
+            "dt ",
             id="dt-quoted-string",
         ),
         pytest.param(
             HOVER_YAML.replace(HOVER_REFERENCE, "  type: hover\n"),
+            "reference: point ",
             id="hover-without-point",
         ),
         pytest.param(
             HOVER_YAML.replace(HOVER_REFERENCE, "  type: line\n  start: [0, 0, 1]\n"),
+            "reference: velocity ",
             id="line-without-velocity",
         ),
         pytest.param(
             HOVER_YAML.replace(
                 HOVER_REFERENCE, "  type: waypoints\n  points: [[0, 0, 1], [1, 0, 1]]\n"
             ),
+            "reference: speed ",
             id="waypoints-without-speed",
         ),
         pytest.param(
             HOVER_YAML.replace("dt: 0.004166666666666667", "dt: 1" + "0" * 400),
+            "dt ",
             id="dt-int-overflow",
+        ),
+        pytest.param(
+            HOVER_YAML.replace("duration: 0.5", "duration: true"),
+            "duration ",
+            id="duration-bool",
+        ),
+        pytest.param(
+            HOVER_YAML.replace(
+                "  position: [0.1, 0.0, 1.0]\n",
+                "  position: [0.1, 0.0, 1.0]\n  velocity: [true, 0, 0]\n",
+            ),
+            "initial_state: velocity ",
+            id="velocity-bool",
+        ),
+        pytest.param(
+            HOVER_YAML.replace("point: [0.0, 0.0, 1.0]", "point: [[0.0, 0.0, 1.0]]"),
+            "reference: hover point ",
+            id="hover-point-nested",
         ),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_validate_rejects_bad_values(tmp_path, capsys, text):
+def test_validate_rejects_bad_values(tmp_path, capsys, text, path):
+    """One error line, which starts with the YAML path of the bad value."""
     assert main(["validate-config", "--config", _write(tmp_path, text)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: " + path)
 
 
 @pytest.mark.parametrize(

@@ -347,6 +347,11 @@ def test_attitude_leaving_its_range_aborts_at_the_step_that_reads_it():
 LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+def _step_at_rest(dt):
+    state = QuadrotorState.from_vector(np.zeros(12))
+    return step(state, ControlInput(np.zeros(4)), dt, QuadrotorParams())
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -375,15 +380,9 @@ LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
             ),
             id="partner-initial-attitude",
         ),
-        pytest.param(
-            lambda: step(
-                QuadrotorState.from_vector(np.zeros(12)),
-                ControlInput(np.zeros(4)),
-                0.0,
-                QuadrotorParams(),
-            ),
-            id="step-dt",
-        ),
+        pytest.param(lambda: _step_at_rest(0.0), id="step-dt"),
+        pytest.param(lambda: _step_at_rest(np.nan), id="step-dt-nan"),
+        pytest.param(lambda: _step_at_rest("x"), id="step-dt-str"),
     ],
 )
 def test_library_validators_raise_config_error(build):

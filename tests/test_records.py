@@ -10,7 +10,7 @@ from helpers import assert_same_bits, random_state
 from coneguard.cone import Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, control_of
 from coneguard.errors import ConeguardError
-from coneguard.harness import AgentSpec, _as_obstacle
+from coneguard.harness import AgentSpec, _as_obstacle, compare, run, run_pair
 from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem, checked_row
 from coneguard.records import prebuilt
 from coneguard.reference import HoverReference, WaypointReference
@@ -71,6 +71,7 @@ ZERO = np.zeros(3)
     "build",
     [
         pytest.param(lambda c: replace(c, duration="x"), id="duration-str"),
+        pytest.param(lambda c: replace(c, duration=True), id="duration-bool"),
         pytest.param(lambda c: replace(c, dt=None), id="dt-none"),
         pytest.param(lambda c: replace(c, initial_state=None), id="state-none"),
         pytest.param(lambda c: replace(c, obstacles=(1,)), id="obstacle-int"),
@@ -82,9 +83,25 @@ ZERO = np.zeros(3)
         pytest.param(lambda c: AgentSpec(None, c.reference), id="agent-state-none"),
         pytest.param(lambda c: WaypointReference(LINE, "x"), id="speed-str"),
         pytest.param(lambda c: HoverReference("abc"), id="hover-str"),
+        pytest.param(lambda c: HoverReference([[0, 0, 1]]), id="hover-nested"),
         pytest.param(lambda c: ControlInput("abcd"), id="thrusts-str"),
         pytest.param(lambda c: QuadrotorState("abc", ZERO, ZERO, ZERO), id="state-str"),
+        pytest.param(
+            lambda c: QuadrotorState(ZERO, [True, 0, 0], ZERO, ZERO),
+            id="velocity-bools",
+        ),
+        pytest.param(
+            lambda c: ControlInput(np.ones(4, dtype=bool)), id="thrusts-bools"
+        ),
+        pytest.param(
+            lambda c: WaypointReference([[0, 0, 0], [1, 0, True]], 1.0),
+            id="waypoint-bool",
+        ),
         pytest.param(lambda c: QpProblem(np.ones(4), (1, 2)), id="qp-rows-int"),
+        pytest.param(lambda c: run(None), id="run-none"),
+        pytest.param(lambda c: run_pair(None), id="run-pair-none"),
+        pytest.param(lambda c: list(compare(None, (1.0,))), id="compare-none"),
+        pytest.param(lambda c: list(compare(c, 5)), id="compare-gammas-int"),
     ],
 )
 def test_wrong_typed_arguments_raise_one_line_package_errors(build):

@@ -1,12 +1,20 @@
 """Built-in scenario registry checks (geometry, not full runs)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import hover_scenario, line_tracking_scenario
+from helpers import (
+    CONFIGS_DIR,
+    assert_same_bits,
+    hover_scenario,
+    line_tracking_scenario,
+)
 from coneguard.cone import BodyFrame
 from coneguard.harness import separation_distance
 from coneguard.scenarios import get_scenario, scenario_names
+from coneguard.traceio import load_scenario
 
 EXPECTED = (
     "static-overtake",
@@ -68,3 +76,36 @@ def test_helper_scenarios_are_unfiltered():
     line = line_tracking_scenario()
     assert line.filter_kind == "none"
     assert line.duration == 5.0
+
+
+def _assert_same(got, want, path):
+    """Same types, bit-equal arrays and equal other values, down through
+    every attribute of every record, reference and tuple element."""
+    assert type(got) is type(want), path
+    if isinstance(want, np.ndarray):
+        assert_same_bits(got, want, path)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{path}[{i}]")
+    elif hasattr(want, "__dict__"):
+        assert vars(got).keys() == vars(want).keys(), path
+        for key, value in vars(want).items():
+            _assert_same(vars(got)[key], value, f"{path}.{key}")
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize(
+    ("file", "name"),
+    [
+        ("moving_head_on.yaml", "moving-head-on"),
+        ("static_overtake.yaml", "static-overtake"),
+        ("two_agent.yaml", "two-agent"),
+    ],
+)
+def test_yaml_equivalents_match_the_builtins(file, name):
+    """Every field but the prose description, the partner's included."""
+    builtin = get_scenario(name)
+    loaded = load_scenario(CONFIGS_DIR / file)
+    _assert_same(replace(loaded, description=builtin.description), builtin, name)
