@@ -36,6 +36,20 @@ Constant-velocity obstacles enter through p and v only.
 the inflated radius, no projector or the axis projector, and weight ||v||.
 Like ``hocbf.barrier_ho`` they return the cone terms, which carry h and phi,
 and the row.
+
+``barrier_stack`` is the same collision cone for all N obstacles of a step
+at once: (N, 3) relative states, cylinder rows already projected, and (N,)
+inflated radii in; h, clearance, phi, the (N, 4) input rows and the (N,)
+offsets out. It keeps the scalar path's operation order and its operand
+layouts: every dot product is a stacked matmul of (N, 1, k) by (N, k, 1),
+and R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), so
+each value has the bits ``barrier_3d`` and ``barrier_projection`` give it.
+``cone_angles``, its p -> ||p||, s, phi steps, is shared with the
+harness's phi'/phi replay. The kernel checks each row as ``barrier_row``
+does and raises the first bad row's error in obstacle order, the vanished
+gradient before the finite check. The harness takes it for C3BF steps
+with at least ``harness.STACK_MIN_ROWS`` rows and the scalar adapters below
+that.
 """
 
 from __future__ import annotations
@@ -94,6 +108,8 @@ class Obstacle:
             raise error(f"unknown obstacle kind {self.kind!r}")
         if not isinstance(self.label, str):
             raise error("obstacle label must be a string")
+        if "," in self.label:  # a trace CSV column name
+            raise error(f"obstacle label {self.label!r} may not contain commas")
         for name in ("center", "velocity"):
             value = checked_array(getattr(self, name), 3, name, error)
             object.__setattr__(self, name, value)
@@ -291,6 +307,74 @@ def barrier_row(
     if not (math.isfinite(offset) and all(map(math.isfinite, input_row.tolist()))):
         raise ConfigError("constraint row must be finite")
     return checked_row(input_row, offset, label)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for the rows of two (N, k) arrays, each the 1-D dot's bits."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def cone_angles(p: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||p||, s, phi) of each row of an (N, 3) p for the radius r, a float
+    or (N,): ``cone_terms``'s collision-cone steps, rowwise, with its bits."""
+    p_norm = np.sqrt(_dots(p, p))
+    s = np.sqrt(np.maximum(p_norm * p_norm - r * r, 0.0))
+    cos_phi = s / np.maximum(p_norm, EPS_SQRT)
+    return p_norm, s, np.arccos(np.minimum(np.maximum(cos_phi, 0.0), 1.0))
+
+
+class ConeStack(NamedTuple):
+    """The collision-cone barrier of N obstacles, one entry or row each."""
+
+    h: np.ndarray  # (N,)
+    clearance: np.ndarray  # (N,) ||p|| - r
+    phi: np.ndarray  # (N,)
+    input_rows: np.ndarray  # (N, 4), read-only
+    offsets: np.ndarray  # (N,) drift + kappa_gamma h
+
+
+def barrier_stack(
+    frame: BodyFrame,
+    p: np.ndarray,
+    v: np.ndarray,
+    r: np.ndarray,
+    kappa_gamma: float,
+    labels: tuple[str, ...],
+) -> ConeStack:
+    """The rows input_row . f + drift + kappa_gamma h >= 0 of N obstacles.
+
+    p and v are the (N, 3) relative states as ``cone_geometry`` gives them
+    (cylinder rows projected) and r the (N,) inflated radii. Each value has
+    the bits of ``cone_terms``, ``contract`` and ``barrier_row`` on its row.
+    numpy's floating-point warnings are off: a non-finite value fails its
+    row's finite check.
+
+    Raises:
+        DegenerateGradientError: a row with ||input_row|| <= 1e-10.
+        ConfigError: a non-finite row entry or offset.
+        The first bad row decides, and on one row the gradient check.
+    """
+    with np.errstate(all="ignore"):
+        pv = _dots(p, v)
+        norm_v = np.sqrt(_dots(v, v))
+        p_norm, s, phi = cone_angles(p, r)
+        w = p + v * (s / np.maximum(norm_v, EPS_V))[:, None]
+        rate = norm_v * norm_v + norm_v * pv / np.maximum(s, S_FLOOR)
+        y = np.matmul(frame.R.T, w[:, :, None])
+        input_rows = np.matmul(-frame.M.T, y)[:, :, 0]
+        h = pv + norm_v * s
+        drift = rate + np.matmul(w[:, None, :], frame.a_d[:, None])[:, 0, 0]
+        offsets = drift + kappa_gamma * h
+        gradient = np.sqrt(_dots(input_rows, input_rows))
+    checks = zip(labels, gradient.tolist(), input_rows.tolist(), offsets.tolist())
+    for label, norm, row, offset in checks:
+        if norm <= GRADIENT_MIN:
+            message = f"obstacle {label!r}: barrier gradient vanished"
+            raise DegenerateGradientError(message)
+        if not (math.isfinite(offset) and all(map(math.isfinite, row))):
+            raise ConfigError("constraint row must be finite")
+    input_rows.setflags(write=False)
+    return ConeStack(h, p_norm - r, phi, input_rows, offsets)
 
 
 def projection_operator(axis: np.ndarray) -> np.ndarray:

@@ -211,10 +211,7 @@ def _parse_obstacle(data, context: str) -> Obstacle:
             raise ConfigError(f"{context}: axis must be nonzero")
         axis = axis / largest
         data = {**data, "axis": axis / float(np.linalg.norm(axis))}
-    obstacle = _at(context, Obstacle, **data)
-    if "," in obstacle.label:
-        raise ConfigError(f"{context}.label: must be a comma-free string")
-    return obstacle
+    return _at(context, Obstacle, **data)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:

@@ -216,6 +216,15 @@ def test_derivative_matches_oracle_everywhere(att, wx, wy, wz):
 
 def test_cross_is_bit_equal_to_numpy():
     """Same formula as np.cross, so the same bits: signs of zero, inf and nan too."""
+    _assert_cross_is_numpy_cross(cross)
+
+
+def test_oracle_cross_is_bit_equal_to_numpy():
+    """The oracles' cross stands in for np.cross, so c03 and c04 keep their bits."""
+    _assert_cross_is_numpy_cross(oracles.cross)
+
+
+def _assert_cross_is_numpy_cross(cross):
     rng = np.random.default_rng(6)
     signs = rng.choice([-1.0, 1.0], (4000, 3))
     draws = signs * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 3))

@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import assert_same_bits, random_cylinder, random_sphere, random_state
-from coneguard import cone, harness
+from helpers import (
+    assert_same_bits,
+    field_scenario,
+    random_cylinder,
+    random_sphere,
+    random_state,
+)
+from coneguard import cone, harness, qp
 from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import (
     AttitudeSingularError,
+    ConeguardError,
     ConfigError,
+    DegenerateGradientError,
     NonFiniteStateError,
     SimulationAbort,
 )
@@ -570,28 +578,212 @@ def test_phi_ratio_matches_the_per_row_oracle(name, duration, gamma):
     assert_same_bits(ratio, want, name)
 
 
+def _wide(rng, shape):
+    """Signed draws whose magnitudes span 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
 def test_batched_products_are_bit_equal_to_per_row_ones():
-    """_phi_ratio relies on these: the projector as a broadcast matmul over
-    (N, 3, 1), the stacked p.p, and arccos over an array, each equal to the
-    per-row call of the scalar path. The operands keep the scalar path's
-    layout (a contiguous projector, rows of p), since BLAS may sum in
-    another order for another layout."""
+    """_phi_ratio and cone.barrier_stack rely on these: the projector as a
+    broadcast matmul over (N, 3, 1) and one projector per row stacked, the
+    stacked dot of a row with itself and of two rows, R^T w and -M^T y with
+    the step's matrices broadcast over (N, 3, 1), w.a_d against one 3-vector,
+    and arccos over an array, each equal to the per-row call of the scalar
+    path. The operands keep the scalar path's layout (a contiguous
+    projector, a transposed R and -M^T, rows of p), since BLAS may sum in
+    another order for another layout: w @ a_d as an (N, 3) by (3,) product,
+    for one, does not give the per-row bits."""
     rng = np.random.default_rng(12)
     n = 4000
-    signs = rng.choice([-1.0, 1.0], (n, 3))
-    p = signs * 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+    p, v, rows = _wide(rng, (n, 3)), _wide(rng, (n, 3)), _wide(rng, (n, 4))
+    projectors = []
     for _ in range(5):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         cylinder = Obstacle(kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=axis)
         P = cylinder._projector
+        projectors.append(P)
         projected = np.matmul(P, p[:, :, None])[:, :, 0]
         assert_same_bits(projected, np.array([P @ row for row in p]))
         for q in (p, projected):
             dots = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
             assert_same_bits(dots, np.array([float(row @ row) for row in q]))
+    stacked = np.array([projectors[i % 5] for i in range(n)])
+    assert_same_bits(
+        np.matmul(stacked, p[:, :, None])[:, :, 0],
+        np.array([P @ row for P, row in zip(stacked, p)]),
+    )
+    for a, b in ((p, v), (rows, rows)):
+        dots = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+        assert_same_bits(dots, np.array([float(x @ y) for x, y in zip(a, b)]))
+    for _ in range(5):
+        frame = BodyFrame(random_state(rng, att_max=1.4, rate=50.0), QuadrotorParams())
+        y = np.matmul(frame.R.T, v[:, :, None])
+        assert_same_bits(y[:, :, 0], np.array([frame.R.T @ w for w in v]))
+        input_rows = np.matmul(-frame.M.T, y)[:, :, 0]
+        assert_same_bits(input_rows, np.array([-frame.M.T @ x for x in y[:, :, 0]]))
+        drifts = np.matmul(v[:, None, :], frame.a_d[:, None])[:, 0, 0]
+        assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
     cos_phi = np.concatenate(
         [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
     )
     angles = np.arccos(cos_phi)
     assert_same_bits(angles, np.array([float(np.arccos(c)) for c in cos_phi.tolist()]))
+
+
+def _survey_outcome(state, obstacles, config, t, stack=None):
+    """The survey's cells, angles and rows as arrays, or its error."""
+    labels = harness._obstacle_labels(config)
+    try:
+        cells, angles, rows = harness._survey(state, obstacles, labels, config, t, stack)
+    except ConeguardError as exc:
+        return type(exc), str(exc)
+    assert all(type(row.offset) is float for row in rows)
+    return (
+        np.asarray(cells),
+        np.asarray(angles),
+        np.array([row.gradient_row for row in rows]).reshape(-1, 4),
+        np.array([row.offset for row in rows]),
+        [row.label for row in rows],
+    )
+
+
+def _assert_same_survey(got, want, context=""):
+    assert len(got) == len(want), context
+    if len(want) == 2:  # an error: its type and message
+        assert got == want, context
+        return
+    for got_part, want_part in zip(got[:4], want[:4]):
+        assert_same_bits(got_part, want_part, context)
+    assert got[4] == want[4], context
+
+
+def _wide_obstacle(rng, i):
+    """A sphere or a cylinder on a random axis, static or moving, placed
+    at magnitudes from 1e-8 to 1e8 m."""
+    moving = i % 3 != 0
+    velocity = _wide(rng, 3) if moving else (0.0, 0.0, 0.0)
+    radius = float(rng.uniform(0.05, 1.0))
+    if i % 2:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        return Obstacle(kind="cylinder", center=_wide(rng, 3), radius_raw=radius,
+                        axis=axis, velocity=velocity)
+    return Obstacle(kind="sphere", center=_wide(rng, 3), radius_raw=radius,
+                    velocity=velocity)
+
+
+def test_stacked_survey_is_bit_equal_to_the_per_row_one():
+    """barrier_stack through the survey against barrier_3d and
+    barrier_projection one row at a time, for 1 to 8 rows on the same frame:
+    every cell, phi and QP row has the same bits, sign bits included."""
+    rng = np.random.default_rng(14)
+    for m in range(1, 9):
+        for _ in range(40):
+            obstacles = tuple(_wide_obstacle(rng, i + m) for i in range(m))
+            config = line_config(obstacles=obstacles)
+            state = QuadrotorState.from_vector(
+                np.concatenate(
+                    [
+                        _wide(rng, 3),
+                        _wide(rng, 3),
+                        rng.uniform(-1.4, 1.4, 3),
+                        _wide(rng, 3) * 1e-4,
+                    ]
+                )
+            )
+            t = float(rng.uniform(0.0, 5.0))
+            want = _survey_outcome(state, obstacles, config, t)
+            assert len(want) == 5  # no row of these draws is refused
+            got = _survey_outcome(state, obstacles, config, t, harness._Stack(config))
+            _assert_same_survey(got, want, (m, state, t))
+
+
+def _spied_runs(monkeypatch, config, stack_min_rows):
+    """The traces of run_pair or run and the QP problem of every step."""
+    monkeypatch.setattr(harness, "STACK_MIN_ROWS", stack_min_rows)
+    problems, stacked = [], []
+    solve, barrier_stack = qp.solve, cone.barrier_stack  # not an earlier spy
+
+    def spy_solve(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    def spy_stack(*args):
+        stacked.append(args)
+        return barrier_stack(*args)
+
+    monkeypatch.setattr(harness, "solve", spy_solve)
+    monkeypatch.setattr(harness, "barrier_stack", spy_stack)
+    traces = run_pair(config) if config.partner is not None else (run(config),)
+    rows = len(harness._obstacle_labels(config))
+    assert len(stacked) == (len(problems) if rows >= stack_min_rows else 0)
+    return traces, problems
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["field", "field-pair"])
+def test_stacked_closed_loop_is_bit_equal_to_the_per_row_one(monkeypatch, paired):
+    """Every step of an 8-obstacle C3BF run, and of the same field flown by
+    a pair (whose partner row the stack fills in each step), gives the same
+    trace bytes, phi and QP rows on either survey path."""
+    config = field_scenario()
+    if paired:
+        start = np.array([4.0, 0.3, 1.0])
+        config = replace(
+            config,
+            duration=2.0,
+            partner=AgentSpec(
+                initial_state=QuadrotorState.from_vector(
+                    np.concatenate([start, [-1.0, 0.0, 0.0], np.zeros(6)])
+                ),
+                reference=LineReference(start, np.array([-1.0, 0.0, 0.0])),
+            ),
+        )
+    assert len(harness._obstacle_labels(config)) >= harness.STACK_MIN_ROWS
+    stacked, stacked_problems = _spied_runs(monkeypatch, config, harness.STACK_MIN_ROWS)
+    per_row, per_row_problems = _spied_runs(monkeypatch, config, 10**9)
+    assert len(stacked_problems) == len(per_row_problems)
+    assert max(len(p.constraints) for p in per_row_problems) == 8 + paired
+    for got, want in zip(stacked, per_row):
+        assert_same_bits(got.table, want.table)
+        assert_same_bits(got.half_angles, want.half_angles)
+    for got, want in zip(stacked_problems, per_row_problems):
+        assert_same_bits(got.u_des, want.u_des)
+        assert [c.label for c in got.constraints] == [c.label for c in want.constraints]
+        for a, b in zip(got.constraints, want.constraints):
+            assert_same_bits(a.gradient_row, b.gradient_row)
+            assert_same_bits(np.array(a.offset), np.array(b.offset))
+
+
+@pytest.mark.parametrize(
+    "bad, want",
+    [
+        ({1: "vanished", 2: "infinite"}, DegenerateGradientError),
+        ({1: "infinite", 2: "vanished"}, ConfigError),
+        ({1: "vanished", 3: "vanished"}, DegenerateGradientError),
+        ({3: "infinite"}, ConfigError),
+    ],
+)
+def test_stacked_survey_raises_the_per_row_error(bad, want):
+    """Rows whose gradient vanishes (the obstacle center on the body center,
+    at its velocity) or whose offset is infinite (closing at 1e154 m/s): both
+    paths raise the first bad row's error, with its label."""
+    state = QuadrotorState.from_vector(np.array([0.0, 0.0, 1.0] + [0.0] * 9))
+    frame = BodyFrame(state, QuadrotorParams())
+    obstacles = []
+    for i, label in enumerate("abcd"):
+        kind = bad.get(i)
+        if kind == "vanished":
+            center, velocity = frame.position, frame.velocity
+        else:
+            center = (2.0 + i, 0.1 * i, 1.0)
+            velocity = (-1e154, 0.0, 0.0) if kind == "infinite" else (0.0, 0.0, 0.0)
+        obstacles.append(Obstacle(kind="sphere", center=center, radius_raw=0.2,
+                                  velocity=velocity, label=label))
+    config = line_config(obstacles=tuple(obstacles))
+    expected = _survey_outcome(state, config.obstacles, config, 0.0)
+    assert expected[0] is want
+    if want is DegenerateGradientError:
+        assert expected[1] == f"obstacle {'abcd'[min(bad)]!r}: barrier gradient vanished"
+    got = _survey_outcome(state, config.obstacles, config, 0.0, harness._Stack(config))
+    _assert_same_survey(got, expected)

@@ -100,8 +100,8 @@ ZERO = np.zeros(3)
         pytest.param(lambda c: QpProblem(np.ones(4), (1, 2)), id="qp-rows-int"),
         pytest.param(lambda c: run(None), id="run-none"),
         pytest.param(lambda c: run_pair(None), id="run-pair-none"),
-        pytest.param(lambda c: list(compare(None, (1.0,))), id="compare-none"),
-        pytest.param(lambda c: list(compare(c, 5)), id="compare-gammas-int"),
+        pytest.param(lambda c: compare(None, (1.0,)), id="compare-none"),
+        pytest.param(lambda c: compare(c, 5), id="compare-gammas-int"),
     ],
 )
 def test_wrong_typed_arguments_raise_one_line_package_errors(build):
