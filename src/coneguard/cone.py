@@ -352,7 +352,7 @@ def barrier_stack(
     Raises:
         DegenerateGradientError: a row with ||input_row|| <= 1e-10.
         ConfigError: a non-finite row entry or offset.
-        The first bad row decides, and on one row the gradient check.
+        The first bad row raises; one that fails both raises the gradient error.
     """
     with np.errstate(all="ignore"):
         pv = _dots(p, v)

@@ -15,7 +15,10 @@ rows evaluates every obstacle at once in ``cone.barrier_stack``, on arrays
 of the run's obstacles built once per run (``_Stack``); every other step,
 and every HO-CBF or unfiltered one, goes obstacle by obstacle through
 ``barrier_3d``, ``barrier_projection`` or ``barrier_ho``. Both paths give
-each trace cell, phi and QP row the same bits, so the choice is speed only.
+each trace cell, phi and QP row the same bits, so the choice is speed only:
+STACK_MIN_ROWS = 4 is the measured crossover, where the stacked survey
+turns from a tie (3 rows) into a win. The built-ins (1-2 rows) stay on
+the per-obstacle path.
 A trace is one table in the CSV's column order (``trace_columns``, the only
 place that layout is spelled). The recorder fills it raw and ``_quantize``
 rounds it once per run to 9 significant digits (``FLOAT_FORMAT``), so a

@@ -595,7 +595,7 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
     for one, does not give the per-row bits."""
     rng = np.random.default_rng(12)
     n = 4000
-    p, v, rows = _wide(rng, (n, 3)), _wide(rng, (n, 3)), _wide(rng, (n, 4))
+    p = _wide(rng, (n, 3))
     projectors = []
     for _ in range(5):
         axis = rng.normal(size=3)
@@ -608,6 +608,12 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         for q in (p, projected):
             dots = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
             assert_same_bits(dots, np.array([float(row @ row) for row in q]))
+    cos_phi = np.concatenate(
+        [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
+    )
+    angles = np.arccos(cos_phi)
+    assert_same_bits(angles, np.array([float(np.arccos(c)) for c in cos_phi.tolist()]))
+    v, rows = _wide(rng, (n, 3)), _wide(rng, (n, 4))
     stacked = np.array([projectors[i % 5] for i in range(n)])
     assert_same_bits(
         np.matmul(stacked, p[:, :, None])[:, :, 0],
@@ -624,11 +630,6 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(input_rows, np.array([-frame.M.T @ x for x in y[:, :, 0]]))
         drifts = np.matmul(v[:, None, :], frame.a_d[:, None])[:, 0, 0]
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
-    cos_phi = np.concatenate(
-        [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
-    )
-    angles = np.arccos(cos_phi)
-    assert_same_bits(angles, np.array([float(np.arccos(c)) for c in cos_phi.tolist()]))
 
 
 def _survey_outcome(state, obstacles, config, t, stack=None):
@@ -731,7 +732,7 @@ def test_stacked_closed_loop_is_bit_equal_to_the_per_row_one(monkeypatch, paired
         start = np.array([4.0, 0.3, 1.0])
         config = replace(
             config,
-            duration=2.0,
+            duration=1.0,
             partner=AgentSpec(
                 initial_state=QuadrotorState.from_vector(
                     np.concatenate([start, [-1.0, 0.0, 0.0], np.zeros(6)])

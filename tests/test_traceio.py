@@ -254,7 +254,7 @@ def test_yaml_rejects_comma_label():
     data["obstacles"] = [
         {"kind": "sphere", "center": [1, 0, 1], "radius_raw": 0.1, "label": "a,b"}
     ]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: obstacle label 'a,b'"):
         scenario_from_dict(data)
 
 
