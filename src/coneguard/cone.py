@@ -45,11 +45,11 @@ layouts: every dot product is a stacked matmul of (N, 1, k) by (N, k, 1),
 and R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), so
 each value has the bits ``barrier_3d`` and ``barrier_projection`` give it.
 ``cone_angles``, its p -> ||p||, s, phi steps, is shared with the
-harness's phi'/phi replay. The kernel checks each row as ``barrier_row``
-does and raises the first bad row's error in obstacle order, the vanished
-gradient before the finite check. The harness takes it for C3BF steps
-with at least ``harness.STACK_MIN_ROWS`` rows and the scalar adapters below
-that.
+harness's phi'/phi replay. The kernel checks each row with the helpers
+``contract`` and ``barrier_row`` call and raises the first bad row's error
+in obstacle order, the vanished gradient before the finite check. The
+harness takes it for C3BF steps with at least ``harness.STACK_MIN_ROWS``
+rows and the scalar adapters below that.
 """
 
 from __future__ import annotations
@@ -284,8 +284,7 @@ def contract(
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
     input_row = -frame.M.T @ (frame.R.T @ terms.w)
-    if math.sqrt(float(input_row @ input_row)) <= GRADIENT_MIN:
-        raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
+    _check_gradient(math.sqrt(float(input_row @ input_row)), label)
     return terms.rate + float(terms.w @ frame.a_d), input_row
 
 
@@ -304,9 +303,20 @@ def barrier_row(
     """
     drift, input_row = contract(frame, terms, label)
     offset = drift + kappa_gamma * terms.h
-    if not (math.isfinite(offset) and all(map(math.isfinite, input_row.tolist()))):
-        raise ConfigError("constraint row must be finite")
+    _check_finite(input_row.tolist(), offset)
     return checked_row(input_row, offset, label)
+
+
+def _check_gradient(norm: float, label: str) -> None:
+    """Refuse a row whose ||input_row|| is at most GRADIENT_MIN."""
+    if norm <= GRADIENT_MIN:
+        raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
+
+
+def _check_finite(row: list[float], offset: float) -> None:
+    """Refuse a row with a non-finite entry or offset."""
+    if not (math.isfinite(offset) and all(map(math.isfinite, row))):
+        raise ConfigError("constraint row must be finite")
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,11 +378,8 @@ def barrier_stack(
         gradient = np.sqrt(_dots(input_rows, input_rows))
     checks = zip(labels, gradient.tolist(), input_rows.tolist(), offsets.tolist())
     for label, norm, row, offset in checks:
-        if norm <= GRADIENT_MIN:
-            message = f"obstacle {label!r}: barrier gradient vanished"
-            raise DegenerateGradientError(message)
-        if not (math.isfinite(offset) and all(map(math.isfinite, row))):
-            raise ConfigError("constraint row must be finite")
+        _check_gradient(norm, label)
+        _check_finite(row, offset)
     input_rows.setflags(write=False)
     return ConeStack(h, p_norm - r, phi, input_rows, offsets)
 

@@ -39,7 +39,7 @@ on as the array it is, with no copy and no second check:
   u_des itself;
 - each next state by ``step`` (finite), and its attitude range at the
   start of the step that uses it.
-The partner sphere is made from the other vehicle's checked state.
+The partner row is made from the other vehicle's checked state.
 """
 
 from __future__ import annotations
@@ -285,32 +285,34 @@ class _Stack:
 
     Centers, velocities and inflated radii, one row per obstacle, and the
     cylinders' projectors are built once per run. A pair's partner is the
-    last row; its center and velocity are filled in each step from the
-    sphere ``_as_obstacle`` makes of the other vehicle.
+    last row, whose (p, v) each step takes from the other vehicle's state,
+    as ``cone_geometry`` does for the sphere ``_as_obstacle`` makes of it.
     """
 
     def __init__(self, config: ScenarioConfig):
-        obstacles = config.obstacles
-        self.paired = config.partner is not None
-        if self.paired:
-            obstacles += (_as_obstacle(config.partner.initial_state, config.params),)
-        self.centers = np.array([o.center for o in obstacles])
-        self.velocities = np.array([o.velocity for o in obstacles])
-        width = config.params.body_width
-        self.radii = np.array([inflated_radius(o, width) for o in obstacles])
+        obstacles, width = config.obstacles, config.params.body_width
+        rows = len(obstacles) + (config.partner is not None)
+        self.centers, self.velocities = np.zeros((rows, 3)), np.zeros((rows, 3))
+        self.radii = np.empty(rows)
+        for i, o in enumerate(obstacles):
+            self.centers[i], self.velocities[i] = o.center, o.velocity
+            self.radii[i] = inflated_radius(o, width)
+        if config.partner is not None:  # _as_obstacle's sphere, inflated
+            self.radii[-1] = 0.5 * width + 0.5 * width
         cylinders = [i for i, o in enumerate(obstacles) if o.kind == "cylinder"]
         self.cylinders = np.array(cylinders, dtype=np.intp)
         self.projectors = np.array([obstacles[i]._projector for i in cylinders])
 
     def relative(
-        self, frame: BodyFrame, obstacles: tuple[Obstacle, ...], t: float
+        self, frame: BodyFrame, other: QuadrotorState | None, t: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(p, v) of every row as ``cone_geometry`` gives them, stacked."""
-        if self.paired:
-            self.centers[-1] = obstacles[-1].center
-            self.velocities[-1] = obstacles[-1].velocity
+        """(p, v) of every row as ``cone_geometry`` gives them, stacked;
+        ``other`` is the partner vehicle's state, None for a solo run."""
         p = self.centers + self.velocities * t - frame.position
         v = self.velocities - frame.velocity
+        if other is not None:
+            p[-1] = other.position + other.velocity * t - frame.position
+            v[-1] = other.velocity - frame.velocity
         if self.cylinders.size:
             cylinders, P = self.cylinders, self.projectors
             p[cylinders] = np.matmul(P, p[cylinders, :, None])[:, :, 0]
@@ -320,7 +322,7 @@ class _Stack:
 
 def _survey(
     state: QuadrotorState,
-    obstacles: tuple[Obstacle, ...],
+    other: QuadrotorState | None,
     labels: tuple[str, ...],
     config: ScenarioConfig,
     t: float,
@@ -328,12 +330,14 @@ def _survey(
 ) -> tuple[Sequence[float], Sequence[float], list[AffineSafetyConstraint]]:
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
-    Returns the trace's obstacle cells (h, separation per obstacle, in
-    column order), the half angles and the rows. The vehicle terms are
-    computed once for the step and shared by every obstacle. Given the
-    run's stack (a C3BF run with at least STACK_MIN_ROWS rows), all
-    obstacles go through ``barrier_stack`` at once, and cells and angles
-    are arrays; else each goes through its own barrier. Unfiltered runs
+    The obstacles are the config's, then for a pair the other vehicle
+    (``other``, None for a solo run). Returns the trace's obstacle cells
+    (h, separation per obstacle, in column order), the half angles and the
+    rows. The vehicle terms are computed once for the step and shared by
+    every obstacle. Given the run's stack (a C3BF run with at least
+    STACK_MIN_ROWS rows), all obstacles go through ``barrier_stack`` at
+    once, and cells and angles are arrays; else each goes through its own
+    barrier, the partner as the sphere ``_as_obstacle`` makes. Unfiltered runs
     record the collision-cone h and phi, so their traces are comparable with
     filtered ones, but build no rows. The clearance is the terms' ||p||
     minus the inflated radius wherever the terms were built on the cone's
@@ -343,7 +347,7 @@ def _survey(
     frame = BodyFrame(state, config.params)
     params, kappa_gamma = config.params, config.kappa_gamma
     if stack is not None:
-        p, v = stack.relative(frame, obstacles, t)
+        p, v = stack.relative(frame, other, t)
         terms = barrier_stack(frame, p, v, stack.radii, kappa_gamma, labels)
         cells = np.empty(2 * len(labels))
         cells[0::2], cells[1::2] = terms.h, terms.clearance
@@ -352,6 +356,9 @@ def _survey(
             for a, b, label in zip(terms.input_rows, terms.offsets.tolist(), labels)
         ]
         return cells, terms.phi, rows
+    obstacles = config.obstacles
+    if other is not None:
+        obstacles += (_as_obstacle(other, params),)
     cells, angles, rows = [], [], []
     for obstacle, label in zip(obstacles, labels):
         if config.filter_kind == "none":
@@ -453,15 +460,11 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
             controls = []
             for a, state in enumerate(states):
                 check_attitude(state)
-                obstacles = config.obstacles
-                if config.partner is not None:
-                    obstacles += (_as_obstacle(states[1 - a], config.params),)
+                other = states[1 - a] if config.partner is not None else None
                 ref = references[a].sample(t)
                 control = track(state, ref, config.gains, config.params)
                 u_des = control.thrusts
-                cells, angles, rows = _survey(
-                    state, obstacles, labels, config, t, stack
-                )
+                cells, angles, rows = _survey(state, other, labels, config, t, stack)
                 u_star = solve(checked_problem(u_des, tuple(rows))).u_star
                 recorders[a].add(
                     k, t, state, u_des, u_star, cells, angles, ref.position

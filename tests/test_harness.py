@@ -216,7 +216,7 @@ def test_survey_separation_is_separation_distance(filter_kind):
     for _ in range(50):
         state = random_state(rng, att_max=0.5)
         t = float(rng.uniform(0.0, 2.0))
-        cells, _, _ = harness._survey(state, obstacles, labels, config, t)
+        cells, _, _ = harness._survey(state, None, labels, config, t)
         frame = BodyFrame(state, params)
         want = [separation_distance(frame, o, params, t) for o in obstacles]
         assert cells[1::2] == want
@@ -632,11 +632,11 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
 
 
-def _survey_outcome(state, obstacles, config, t, stack=None):
+def _survey_outcome(state, config, t, stack=None, other=None):
     """The survey's cells, angles and rows as arrays, or its error."""
     labels = harness._obstacle_labels(config)
     try:
-        cells, angles, rows = harness._survey(state, obstacles, labels, config, t, stack)
+        cells, angles, rows = harness._survey(state, other, labels, config, t, stack)
     except ConeguardError as exc:
         return type(exc), str(exc)
     assert all(type(row.offset) is float for row in rows)
@@ -674,30 +674,39 @@ def _wide_obstacle(rng, i):
                     velocity=velocity)
 
 
+def _wide_state(rng):
+    """A vehicle state at magnitudes from 1e-8 to 1e8, attitude in range."""
+    return QuadrotorState.from_vector(
+        np.concatenate(
+            [
+                _wide(rng, 3),
+                _wide(rng, 3),
+                rng.uniform(-1.4, 1.4, 3),
+                _wide(rng, 3) * 1e-4,
+            ]
+        )
+    )
+
+
 def test_stacked_survey_is_bit_equal_to_the_per_row_one():
     """barrier_stack through the survey against barrier_3d and
-    barrier_projection one row at a time, for 1 to 8 rows on the same frame:
+    barrier_projection one row at a time, for 1 to 8 obstacle rows on the
+    same frame, every other draw with a partner vehicle's row after them:
     every cell, phi and QP row has the same bits, sign bits included."""
     rng = np.random.default_rng(14)
     for m in range(1, 9):
-        for _ in range(40):
+        for draw in range(40):
             obstacles = tuple(_wide_obstacle(rng, i + m) for i in range(m))
             config = line_config(obstacles=obstacles)
-            state = QuadrotorState.from_vector(
-                np.concatenate(
-                    [
-                        _wide(rng, 3),
-                        _wide(rng, 3),
-                        rng.uniform(-1.4, 1.4, 3),
-                        _wide(rng, 3) * 1e-4,
-                    ]
-                )
-            )
+            state, other = _wide_state(rng), None
+            if draw % 2:
+                other = _wide_state(rng)
+                config = replace(config, partner=AgentSpec(other, config.reference))
             t = float(rng.uniform(0.0, 5.0))
-            want = _survey_outcome(state, obstacles, config, t)
+            want = _survey_outcome(state, config, t, other=other)
             assert len(want) == 5  # no row of these draws is refused
-            got = _survey_outcome(state, obstacles, config, t, harness._Stack(config))
-            _assert_same_survey(got, want, (m, state, t))
+            got = _survey_outcome(state, config, t, harness._Stack(config), other)
+            _assert_same_survey(got, want, (m, state, other, t))
 
 
 def _spied_runs(monkeypatch, config, stack_min_rows):
@@ -782,9 +791,9 @@ def test_stacked_survey_raises_the_per_row_error(bad, want):
         obstacles.append(Obstacle(kind="sphere", center=center, radius_raw=0.2,
                                   velocity=velocity, label=label))
     config = line_config(obstacles=tuple(obstacles))
-    expected = _survey_outcome(state, config.obstacles, config, 0.0)
+    expected = _survey_outcome(state, config, 0.0)
     assert expected[0] is want
     if want is DegenerateGradientError:
         assert expected[1] == f"obstacle {'abcd'[min(bad)]!r}: barrier gradient vanished"
-    got = _survey_outcome(state, config.obstacles, config, 0.0, harness._Stack(config))
+    got = _survey_outcome(state, config, 0.0, harness._Stack(config))
     _assert_same_survey(got, expected)
