@@ -23,26 +23,58 @@ so the winner both certifies feasibility and starts the active-set loop at
 (or next to) the solution. If no candidate is feasible the problem is
 infeasible and the most-violated labels are reported.
 
-With three or more rows that search is done as a screen and an exact
-re-check. The screen factors every subset's Gram system, truncated where
-``lstsq`` truncates: a 1-row Gram is its own SVD, and the Grams of each
-larger size go through one batched SVD. Everything after the SVDs runs once
-over all subsets: the candidates, and bounds, from each subset's
-conditioning, on how far its candidate's slack and distance can lie from
-the ``lstsq`` values. Only the finalists, subsets that may be feasible and
-may be closest within those bounds, are solved again with ``lstsq``, in the
-original order and with the same strict rule. The winner of the full search
-is always a finalist, and no finalist before it in the order has a smaller
-or equal distance (or it would have won), so the re-check returns the very
-same array: the start, and every trace byte after it, do not depend on the
-screen. With one or two rows (at most three subsets) every subset is a
-finalist and nothing is screened.
+With three or more rows the search is capped. Its reference is c, the
+projection onto the row w most violated at u_des (slack over ||a_w||),
+computed as the search computes it; in exact arithmetic only such a row's
+projection can be feasible. If c fails the feasibility test, every subset
+is solved. Otherwise let delta = ||c - u_des||, c - u_des = lam a_w + r
+(lam > 0, r the rounding of c off the line of a_w) and s = A c + b. A
+candidate u that can still win is feasible, a_w . u + b_w >= -FEAS_TOL,
+and no farther from u_des than c, up to the rounding eps_d of both
+distances, so
 
-One ``solve`` projects each row tuple at most once. Every projection, of a
-finalist or of a working set of the loop, is kept under its row tuple, and
-the loop reuses one only for the same rows in the same order: the same
-``lstsq`` input, so the same array. Most often the winner is a single row,
-and that row is the loop's first working set.
+    ||u - c||^2 = ||u - u_des||^2 - 2 (u - u_des) . (c - u_des) + delta^2
+               <= (delta + eps_d)^2 - delta^2 + 2 lam (s_w - a_w . u - b_w)
+                  + 2 ||r|| (||r|| + delta + eps_d)
+               <= 2 delta eps_d + eps_d^2 + 2 lam (s_w + FEAS_TOL + rounding)
+                  + 2 ||r|| (||r|| + delta + eps_d) = rho^2,
+
+a cap of radius rho, about sqrt(2 lam FEAS_TOL), around c. The lstsq
+candidate u_S = u_des + A_S^T mu of a subset S leaves residuals
+e_S = A_S u_S + b_S = G_S mu - r_S, with r_S = -(A_S u_des + b_S), that
+A_S^T all but annihilates: lstsq leaves G_S mu - r_S only along the
+directions it drops, on which A_S^T has norm at most sqrt(cut-off), so
+
+    ||A_S^T e_S|| <= sqrt(eta) ||r_S|| + ||A_S||^2 kappa + rounding,
+
+eta = k eps s_1 (the cut-off) + e_G, e_G = 10 k eps s_1 bounding the
+Gram's rounding and lstsq's backward error, and kappa that backward error
+acting on mu, to first order: a winner has ||A_S^T mu|| <= delta + eps_d
+and every direction lstsq keeps has a singular value above the cut-off,
+so ||mu|| <= (delta + eps_d) / sqrt(cut-off). If u_S lies in the cap, then
+A_S^T s_S = A_S^T e_S + A_S^T A_S (c - u_S), so
+
+    ||sum_{j in S} s_j a_j|| <= ||A_S||^2 rho + ||A_S^T e_S||.
+
+A subset whose left side exceeds the bound on the right (with ||A_S||^2
+<= sum_{j in S} ||a_j||^2) cannot win and is not solved; the left side
+and the bound of every subset come from one matrix product with the
+subset membership table. The survivors are solved in the search order
+with the same strict rule: the winner is a survivor, and no survivor
+before it is as close (or it would have won), so the capped search
+returns the very array of the exhaustive one, and the start, and every
+trace byte after it, do not depend on the cap. kappa is first order:
+where lstsq keeps a direction within its own backward error of singular,
+mu is undetermined along it, and such a candidate lands in the cap only
+by chance (the tests compare the recorded field runs' starts with the
+exhaustive search). With one or two rows (at most three subsets) every
+subset is solved.
+
+One ``solve`` projects each row tuple at most once. Every projection, of
+the reference, a survivor or a working set of the loop, is kept under its
+row tuple, and the loop reuses one only for the same rows in the same
+order: the same ``lstsq`` input, so the same array. Most often the winner
+is the single row of c, and that row is the loop's first working set.
 
 Single rows in closed form. The Gram system of a 1-row subset is 1x1,
 g mu = rhs, and ``_gram_solve`` returns mu = rhs * (1.0 / g) without calling
@@ -94,11 +126,6 @@ FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
 MAX_ITER = 100
 MAX_SUBSET = 4  # rows per feasible-start subset; u has 4 components
 EPS = float(np.finfo(float).eps)
-# Relative half-width of the band around lstsq's rank cut-off in which the
-# screen leaves the rank decision to lstsq. Bidiagonal QR computes each
-# singular value to a relative error near 90 k^2 eps (LAPACK dbdsqr), so the
-# ratios s_j / s_1 of two runs on the same Gram agree to well inside 1e-12.
-RANK_BAND = 1e-12
 # dgelsd's SMLNUM: a Gram entry or right-hand side below it (or above its
 # reciprocal) is rescaled before the solve.
 SAFE_MIN = float(np.finfo(float).tiny / EPS)
@@ -217,147 +244,84 @@ def _multipliers(W: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 class _Search(NamedTuple):
-    """The subsets of at most MAX_SUBSET of m rows, and the screen's tables.
+    """The subsets of at most MAX_SUBSET of m rows, in search order."""
 
-    The tables put the subset last: column n of ``rows`` lists subset n's
-    rows, padded with m, which the screen maps to a zero row.
-    """
-
-    keys: tuple[tuple[int, ...], ...]  # search order: by size, then combinations
-    rows: np.ndarray  # (MAX_SUBSET, N) row indices, padded with m
+    keys: tuple[tuple[int, ...], ...]  # by size, then combinations order
     member: np.ndarray  # (m, N) 1.0 where row i is in subset n, else 0.0
-    size: np.ndarray  # (N,) k, as a float
-    blocks: tuple[tuple[int, int, int], ...]  # (k, first, stop) for k >= 2
-    gather: np.ndarray  # flat m x m Gram indices of every k >= 2 subset Gram
 
 
 @lru_cache(maxsize=None)
 def _search(m: int) -> _Search:
-    """Index tables of the feasible-start search over m rows, built once per m."""
+    """The feasible-start search over m rows, built once per m."""
     sizes = range(1, min(MAX_SUBSET, m) + 1)
     keys = tuple(itertools.chain(*(itertools.combinations(range(m), k) for k in sizes)))
-    rows = np.full((MAX_SUBSET, len(keys)), m, dtype=np.intp)
+    member = np.zeros((m, len(keys)))
     for n, key in enumerate(keys):
-        rows[: len(key), n] = key
-    member = np.zeros((m + 1, len(keys)))
-    member[rows, np.arange(len(keys))] = 1.0
-    member = member[:m]
-    size = np.array([len(key) for key in keys], dtype=float)
-    blocks, gather, first = [], [np.zeros(0, dtype=np.intp)], m
-    for k in sizes[1:]:
-        stop = first + math.comb(m, k)
-        idx = rows[:k, first:stop].T
-        blocks.append((k, first, stop))
-        gather.append((idx[:, :, None] * m + idx[:, None, :]).ravel())
-        first = stop
-    gather = np.concatenate(gather)
-    for table in (rows, member, size, gather):
-        table.setflags(write=False)
-    return _Search(keys, rows, member, size, tuple(blocks), gather)
+        member[list(key), n] = 1.0
+    member.setflags(write=False)
+    return _Search(keys, member)
 
 
-def _screen(u_des: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Finalists of the feasible-start search (positions in search order).
+def _capped(
+    u_des: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    projections: dict[tuple[int, ...], np.ndarray],
+) -> range | list[int]:
+    """Positions, in search order, of the subsets the cap cannot exclude.
 
-    Solve. The Gram systems G mu = -(A_S u_des + b_S) of all subsets S of
-    k <= MAX_SUBSET rows are solved by SVD, G = U diag(s) V^T, keeping the
-    s_j > k eps s_1: the cut-off of lstsq with rcond=None. A 1-row Gram [g]
-    is its own SVD (s = g, U = V = 1); the Grams of each size k >= 2 go
-    through one batched SVD. The factors are zero-padded to MAX_SUBSET, a
-    padded s_j being dropped with zero weight, so everything after the SVDs
-    is evaluated once over all subsets. The candidate is u_des + d with
-    d = A_S^T mu. The Gram entries are taken from A A^T, the same row
-    products lstsq is handed (bit-identical in practice).
-
-    Error bound. lstsq solves the same Gram with another backward-stable
-    factorisation. To first order the two displacements d differ by at most
-
-        du = (e_G ||mu|| + e_rhs) / sqrt(s_r) + e_G t / s_r^1.5 + rounding,
-
-    s_r being the smallest kept singular value and t the norm of the
-    right-hand side along the dropped ones. e_G = 10 k eps s_1 bounds the
-    Gram's rounding in both paths (4-term dot products) and both
-    factorisations' backward errors; e_rhs bounds the right-hand side's
-    rounding. The first term is the perturbation of G^+ seen through A_S^T,
-    whose norm on the kept range is 1/sqrt(s_r); the second is the turn of
-    the kept subspace, by up to e_G / s_r, that leaks the dropped part t in.
-    ||mu|| is doubled to stand for the lstsq solution. The minimum slack over
-    all rows then moves by at most max ||a_i|| du and the distance by du,
-    each plus the rounding of evaluating it. du grows with the subset's
-    conditioning s_1 / s_r; a subset with s_r <= 4 e_G, where first order
-    fails, gets no bound and is always a finalist.
-
-    Rank-deficient subsets. Rows sharing a 3-D range (every barrier row
-    -M^T R^T w does) make every 4-row Gram singular up to rounding, and lstsq
-    drops its smallest singular value. The screen drops the same one: both
-    bidiagonalise the same Gram, and the singular values of a bidiagonal
-    come out to high relative accuracy, so the two runs' ratios s_j / s_1
-    agree to a relative RANK_BAND however small s_j is. Both then solve the
-    same truncated system, which the bound covers, t holding the
-    inconsistent part both drop. Only where a ratio lies within RANK_BAND of
-    the cut-off could lstsq keep a direction the screen drops, or drop one
-    it keeps; its candidate can then be anywhere, so the subset is a
-    finalist and lstsq decides. No rank decision can thus hide a winner.
-
-    Finalists. D is the smallest screened distance plus bound among the
-    surely feasible subsets (slack - bound >= -FEAS_TOL). A subset is a
-    finalist if slack + bound >= -FEAS_TOL and distance - bound <= D. The
-    winner of the exhaustive search is feasible, so it passes the first
-    test, and is no further than any feasible candidate, so the second.
+    The reference c is the projection onto the row w most violated at
+    u_des, stored in ``projections``. If c is infeasible, every position.
+    Otherwise the subsets S with ||A_S^T s_S|| <= ||A_S||^2 (rho + kappa)
+    + sqrt(eta) ||r_S|| + rounding (module docstring), where s are the
+    slacks at c, r the negated slacks at u_des, ||A_S||^2 <= sigma_S =
+    sum_{j in S} ||a_j||^2 and eta = 11 k eps sigma_S: the cut-off k eps
+    s_1 plus e_G = 10 k eps s_1, with k = MAX_SUBSET for every size. Every
+    per-subset sum is one product of an (8, m) table with ``member``.
     """
     m = A.shape[0]
     search = _search(m)
-    gram = A @ A.T
     resid = A @ u_des + b  # row slacks at u_des
-    diag = gram.diagonal()
-    a_max = math.sqrt(float(diag.max()))
-    b_max = float(np.abs(b).max())
+    norm2 = (A * A).sum(axis=1)
+    w = int(np.argmin(resid / np.sqrt(norm2)))
+    c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
+    s = A @ c + b
+    if not s.min() >= -FEAS_TOL:
+        return range(len(search.keys))
+    step = c - u_des
+    delta = math.sqrt(float(step @ step))
     u_norm = math.sqrt(float(u_des @ u_des))
-    # subset n's factors: U[:, i, n] and Vt[i, :, n] are singular vectors i
-    U = np.zeros((MAX_SUBSET, MAX_SUBSET, len(search.keys)))
-    Vt, s = U.copy(), np.zeros(U.shape[1:])
-    U[0, 0, :m] = Vt[0, 0, :m] = 1.0
-    s[0, :m] = diag
-    grams, offset = gram.take(search.gather), 0
-    for k, first, stop in search.blocks:
-        n = (stop - first) * k * k
-        factors = np.linalg.svd(grams[offset : offset + n].reshape(-1, k, k))
-        offset += n
-        U[:k, :k, first:stop] = factors.U.transpose(1, 2, 0)
-        s[:k, first:stop] = factors.S.T
-        Vt[:k, :k, first:stop] = factors.Vh.transpose(1, 2, 0)
-    k = search.size
-    rhs = -np.append(resid, 0.0)[search.rows]
-    s1 = s[0]
-    ratio = s / s1
-    keep = ratio > k * EPS
-    proj = np.sum(U * rhs[:, None], axis=0)  # U^T rhs
-    coef = np.where(keep, proj / np.where(keep, s, 1.0), 0.0)
-    mu = np.sum(Vt * coef[:, None], axis=0)
-    mu_rows = np.zeros((m + 1, len(k)))  # mu over all m rows, 0 off the subset
-    mu_rows[search.rows, np.arange(len(k))] = mu
-    d = A.T @ mu_rows[:m]
-    dist = np.sqrt(np.sum(d * d, axis=0))
-    s_r = np.min(np.where(keep, s, np.inf), axis=0)
-    t = np.sqrt(np.sum(np.where(keep, 0.0, proj) ** 2, axis=0))
-    mu_norm = 2.0 * np.sqrt(np.sum(mu * mu, axis=0))
-    e_G = 10.0 * k * EPS * s1
-    b_norm = np.sqrt((b * b) @ search.member)
-    e_rhs = 10.0 * EPS * (np.sqrt(k) * a_max * u_norm + b_norm)
-    bound = (
-        (e_G * mu_norm + e_rhs) / np.sqrt(s_r)
-        + e_G * t / s_r**1.5
-        + 2.0 * k * EPS * np.sqrt(k * s1) * mu_norm  # forming A_S^T mu
-        + 4.0 * EPS * (u_norm + dist)  # u_des + d, and back
+    a_w = math.sqrt(float(norm2[w]))
+    eps_d = 16.0 * EPS * delta  # the rounding of both distances
+    reach = delta + eps_d  # no winner is farther from u_des
+    lam = (1.0 + 16.0 * EPS) * delta / a_w  # c - u_des = lam a_w + r
+    r_off = 3.0 * EPS * (u_norm + delta)  # ||r||, the rounding of c
+    e_slack = 12.0 * EPS * (a_w * (u_norm + 2.0 * delta) + abs(float(b[w])))
+    rho2 = (
+        2.0 * reach * eps_d
+        + eps_d * eps_d
+        + 2.0 * lam * (float(s[w]) + FEAS_TOL + e_slack)
+        + 2.0 * r_off * (r_off + reach)
     )
-    undecided = np.any(np.abs(ratio - k * EPS) <= RANK_BAND * k * EPS, axis=0)
-    bound[undecided | (s_r <= 4.0 * e_G)] = np.inf
-    slack = np.min(resid[:, None] + A @ d, axis=0)
-    slack_bound = a_max * bound + 12.0 * EPS * (a_max * (u_norm + dist) + b_max)
-    sure = slack - slack_bound >= -FEAS_TOL
-    best = np.min(dist[sure] + bound[sure], initial=np.inf)
-    finalist = (slack + slack_bound >= -FEAS_TOL) & (dist - bound <= best)
-    return np.flatnonzero(finalist)
+    rho = math.sqrt(max(rho2, 0.0))
+    k = MAX_SUBSET
+    # per subset S: A_S^T s_S, then ||A_S||_F^2, ||r_S||^2, ||b_S||^2, ||s_S||^2
+    table = np.vstack([(A * s[:, None]).T, norm2, resid * resid, b * b, s * s])
+    sums = table @ search.member
+    pull = np.sqrt(np.sum(sums[:4] * sums[:4], axis=0))
+    root, r_norm, b_norm, s_norm = np.sqrt(sums[4:])
+    radius = (
+        rho
+        + 12.0 * k * math.sqrt(EPS) * reach  # kappa: lstsq's error through mu
+        + 22.0 * EPS * (u_norm + reach)  # rounding of u_S and of both slacks
+    )
+    bound = root * (
+        root * radius
+        + math.sqrt(11.0 * k * EPS) * r_norm  # sqrt(eta) ||r_S||
+        + 22.0 * EPS * b_norm
+        + m * EPS * s_norm  # the product itself
+    )
+    return np.flatnonzero(~(pull > bound)).tolist()
 
 
 def _feasible_start(
@@ -370,20 +334,29 @@ def _feasible_start(
     """Closest feasible equality-projection of u_des over row subsets.
 
     Every subset of at most MAX_SUBSET rows is a candidate (module
-    docstring). With three or more rows only the screen's finalists are
-    solved, which returns the same array as solving every subset. Every
-    projection made is stored in ``projections`` under its row tuple, where
-    the active-set loop finds it.
+    docstring). With three or more rows, and a feasible single-row
+    reference c, a subset S is solved only if the cap cannot exclude it:
+    a winner u_S is feasible and no farther from u_des than c, so
+
+        ||A_S^T s_S|| <= ||A_S^T e_S|| + ||A_S||^2 ||u_S - c||
+                      <= sqrt(eta) ||r_S|| + ||A_S||^2 (kappa + rho) + rounding,
+
+    s being the slacks at c. That returns the same array as solving every
+    subset, which is done when c is infeasible. Every projection made is
+    stored in ``projections`` under its row tuple, where the active-set
+    loop finds it.
     """
     m = A.shape[0]
     keys = _search(m).keys
-    # at most three subsets with two rows: solving them all costs less than a screen
-    order = range(len(keys)) if m <= 2 else _screen(u_des, A, b).tolist()
+    # at most three subsets with two rows: solving them all costs less than a cap
+    order = range(len(keys)) if m <= 2 else _capped(u_des, A, b, projections)
     best = None
     best_dist = np.inf
     for n in order:
         rows = keys[n]
-        cand = projections[rows] = _project_equalities(u_des, A, b, rows)
+        cand = projections.get(rows)
+        if cand is None:
+            cand = projections[rows] = _project_equalities(u_des, A, b, rows)
         if (A @ cand + b).min() >= -FEAS_TOL:
             step = cand - u_des
             dist = math.sqrt(float(step @ step))

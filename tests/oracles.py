@@ -10,7 +10,7 @@ from b = ||c - x||^2 - r^2, and the safety QP is solved by projected
 gradient on the dual (or, for one row, in closed form). Agreement is then
 evidence, not circularity. The two exceptions must be matched bit for
 bit, so they keep the package's own calls: ``feasible_start_exhaustive``,
-the search the QP's feasible start screens, and ``phi_ratio_per_row``, the
+the search the QP's feasible start caps, and ``phi_ratio_per_row``, the
 row-by-row form of ``harness._phi_ratio``.
 """
 
@@ -259,10 +259,10 @@ def solve_single(u_des, row, offset):
 def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
     """The safety QP's feasible start by solving every subset of <= 4 rows.
 
-    This is the search ``qp._feasible_start`` screens: each subset's
+    This is the search ``qp._feasible_start`` caps: each subset's
     projection of u_des onto {A_S u = -b_S} by lstsq on the Gram system,
     visited in combinations order, keeping the closest feasible one under a
-    strict ``<``. The numpy calls are the search's own, so a correct screen
+    strict ``<``. The numpy calls are the search's own, so a correct cap
     reproduces the returned array bit for bit. Returns (start, None), or
     (None, blocking labels most violated first) when no candidate is feasible.
     """

@@ -444,6 +444,25 @@ def test_run_pair_point_symmetry(params):
     assert compute_metrics(trace_b).min_separation > 0.0
 
 
+@pytest.mark.xfail(
+    strict=True, reason="the partner row sees the partner at position + velocity * t"
+)
+def test_partner_clearance_is_from_the_partner_position():
+    """The recorded partner clearance is the distance from the vehicle's
+    body centre to the partner's position, less the two half-widths. At
+    t = 2 s of two-agent that is +0.012 m, but the partner sphere is
+    centred at the partner's position and the row then moves it by
+    velocity * t, so the trace reads +1.871 m. Mending it moves the
+    two-agent digest."""
+    config = get_scenario("two-agent")
+    trace_a, trace_b = run_pair(replace(config, duration=2.5))
+    k = int(np.argmin(np.abs(trace_a.t - 2.0)))
+    state = trace_a.states[k]
+    centre = state[:3] + oracles.rot_zyx(state[6:9]) @ [0.0, 0.0, oracles.OFFSET]
+    gap = np.linalg.norm(trace_b.states[k, :3] - centre) - config.params.body_width
+    assert trace_a.separation[k, -1] == pytest.approx(gap, abs=1e-6)
+
+
 def test_compare_reports_both_sides():
     # offset below the flight line so the baseline's radial push has a
     # thrust-axis component; dead-center geometry flips the HO side over

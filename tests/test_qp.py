@@ -28,7 +28,6 @@ from coneguard.qp import (
     AffineSafetyConstraint,
     QpProblem,
     _feasible_start,
-    _screen,
     solve,
 )
 
@@ -190,14 +189,19 @@ def test_solution_feasible_and_certified(seed, m):
     assert sol.kkt_residual <= 1e-8
 
 
-def _shared_range_rows(rng, m, z_scale=1.0):
-    """Rows -M^T R^T w, built as the cone barriers build them: all lie in the
-    3-D range of M^T, so every 4-row Gram is singular up to rounding. The
-    z-components of w are scaled by z_scale."""
+def _barrier_rows(R, w):
+    """Rows -M^T R^T w_i of the (m, 3) w, built as the cone barriers build
+    them: all lie in the 3-D range of M^T, so every 4-row Gram is singular
+    up to rounding."""
     M = thrust_acceleration_map(QuadrotorParams())
-    R = rotation_matrix(rng.uniform(-0.5, 0.5, 3))
-    w = rng.normal(size=(m, 3)) * [1.0, 1.0, z_scale]
     return -(M.T @ (R.T @ w.T)).T
+
+
+def _shared_range_rows(rng, m, z_scale=1.0):
+    """Barrier rows of a random attitude and random w, whose z-components
+    are scaled by z_scale."""
+    R = rotation_matrix(rng.uniform(-0.5, 0.5, 3))
+    return _barrier_rows(R, rng.normal(size=(m, 3)) * [1.0, 1.0, z_scale])
 
 
 def _rows(rng, m):
@@ -267,7 +271,7 @@ def weak_ties(rng, m):
 def near_singular_triple(rng, m):
     """Three rows active at the optimum, whose Gram has s_3 / s_1
     log-uniform in [3 eps, 3e5 eps]: the decades just above lstsq's rank
-    cut-off for a 3-row subset, where a screen that cut too high would drop
+    cut-off for a 3-row subset, where a rank cut-off set too high would drop
     the winner's third direction. The rows are on the barrier rows' scale
     (s_1 = 1e4) and the multipliers large enough that dropping that
     direction moves the slack past FEAS_TOL. The other rows are slack at
@@ -286,6 +290,30 @@ def near_singular_triple(rng, m):
     return u_des, A[order], b[order]
 
 
+def single_row_ties(rng, m):
+    """Barrier rows nearly parallel in one 3-D range (every w within a
+    relative 1e-9 to 1e-2 of one direction, on scales from 1e-4 to 10)
+    whose optimum u* is the projection onto one of them, so a single row
+    is feasible. Each other row is, at u*, one of: slack by a clear margin,
+    weakly active (slack uniform in [0, 1e-9]), or tied (slack 0 in exact
+    arithmetic). The violation a_i . u_des + b_i = -t of the optimum's row
+    is log-uniform in [1e-8, 1], so ||u_des - u*|| ||a_i|| spans the
+    regimes where a tie wins by the feasibility tolerance and where it wins
+    by rounding."""
+    R = rotation_matrix(rng.uniform(-0.5, 0.5, 3))
+    spread = 10.0 ** rng.uniform(-9, -2) * rng.normal(size=(m, 3))
+    w = (rng.normal(size=3) + spread) * 10.0 ** rng.uniform(-4, 1)
+    A = _barrier_rows(R, w)
+    u_star = rng.normal(size=4) * 0.05
+    margin, weak = np.abs(_offsets_for(rng, A)), rng.uniform(0.0, 1e-9, m)
+    slack = np.choose(rng.integers(3, size=m), [margin, weak, 0.0])
+    b = slack - A @ u_star
+    i = int(rng.integers(m))
+    b[i] = -(A[i] @ u_star)
+    t = 10.0 ** rng.uniform(-8, 0)
+    return u_star - t * A[i] / (A[i] @ A[i]), A, b
+
+
 FAMILIES = (
     shared_range,
     generic,
@@ -294,14 +322,17 @@ FAMILIES = (
     weak_ties,
     near_planar,
     near_singular_triple,
+    single_row_ties,
 )
 
 
 def test_feasible_start_matches_exhaustive_oracle():
-    """The screened search returns the exhaustive search's start bit for bit,
-    and the same blocking labels when no subset is feasible."""
+    """The capped search returns the exhaustive search's start bit for bit,
+    and the same blocking labels when no subset is feasible. Both paths
+    are taken: the cap leaves subsets unsolved, and with no feasible
+    single-row reference every subset is solved."""
     rng = np.random.default_rng(20261018)
-    infeasible = 0
+    infeasible = capped = exhaustive = 0
     for family in FAMILIES:
         drawn = 0
         while drawn < 80:
@@ -312,15 +343,49 @@ def test_feasible_start_matches_exhaustive_oracle():
             drawn += 1
             labels = [f"c{i}" for i in range(m)]
             want, blocking = oracles.feasible_start_exhaustive(u_des, A, b, labels)
+            projections = {}
             if want is None:
                 infeasible += 1
                 with pytest.raises(InfeasibleQpError) as exc_info:
-                    _feasible_start(u_des, A, b, labels, {})
+                    _feasible_start(u_des, A, b, labels, projections)
                 assert exc_info.value.blocking_labels == tuple(blocking)
             else:
-                got = _feasible_start(u_des, A, b, labels, {})
+                got = _feasible_start(u_des, A, b, labels, projections)
                 assert np.array_equal(got, want), (family.__name__, m)
+            if len(projections) < len(qp._search(m).keys):
+                capped += 1
+            else:
+                exhaustive += 1
     assert infeasible > 0
+    assert capped >= 20 and exhaustive >= 20, (capped, exhaustive)
+
+
+def test_recorded_field_starts_match_exhaustive_oracle(monkeypatch):
+    """Every feasible start of a 1 s field run, on the run's own 8-row
+    problems, is the exhaustive search's array, or raises with its
+    blocking labels."""
+    recorded = []
+    feasible_start = qp._feasible_start
+
+    def spy(u_des, A, b, labels, projections):
+        try:
+            start = feasible_start(u_des, A, b, labels, projections)
+        except InfeasibleQpError as exc:
+            recorded.append((u_des, A, b, labels, exc))
+            raise
+        recorded.append((u_des, A, b, labels, start))
+        return start
+
+    monkeypatch.setattr(qp, "_feasible_start", spy)
+    harness.run(replace(field_scenario(), duration=1.0))
+    assert len(recorded) > 100
+    for u_des, A, b, labels, got in recorded:
+        want, blocking = oracles.feasible_start_exhaustive(u_des, A, b, labels)
+        if want is None:
+            assert isinstance(got, InfeasibleQpError)
+            assert got.blocking_labels == tuple(blocking)
+        else:
+            assert np.array_equal(got, want)
 
 
 def _intervening_problem(rng, family):
@@ -384,25 +449,6 @@ def test_near_planar_draw_is_uncertified():
     assert 2.5e4 < err.residual < 2.6e4
     assert err.bound == pytest.approx(_kkt_bound(problem), rel=1e-12)
     assert "\n" not in str(err)
-
-
-def test_screen_factors_only_multi_row_grams(monkeypatch):
-    """The 1-row Grams are their own SVD: one batched SVD per size 2-4."""
-    rng = np.random.default_rng(8)
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    for m in range(3, 9):
-        u_des, A, b = shared_range(rng, m)
-        calls.clear()
-        _screen(u_des, A, b)
-        assert len(calls) <= 3
-        assert all(shape[-1] >= 2 for shape in calls)
 
 
 def _lstsq(a, b):
