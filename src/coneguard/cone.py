@@ -45,11 +45,25 @@ layouts: every dot product is a stacked matmul of (N, 1, k) by (N, k, 1),
 and R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), so
 each value has the bits ``barrier_3d`` and ``barrier_projection`` give it.
 ``cone_angles``, its p -> ||p||, s, phi steps, is shared with the
-harness's phi'/phi replay. The kernel checks each row with the helpers
-``contract`` and ``barrier_row`` call and raises the first bad row's error
-in obstacle order, the vanished gradient before the finite check. The
-harness takes it for C3BF steps with at least ``harness.STACK_MIN_ROWS``
-rows and the scalar adapters below that.
+harness's phi'/phi replay. The kernel checks every row in one array test:
+min ||input_row|| > GRADIENT_MIN, and a finite sum of all entries and
+offsets (a nan or an inf makes it non-finite). Only when that fails does it
+check row by row, with the helpers ``contract`` and ``barrier_row`` call,
+and raise the first bad row's error in obstacle order, the vanished
+gradient before the finite check. The harness takes it for C3BF steps with
+at least ``harness.STACK_MIN_ROWS`` rows and the scalar adapters below that.
+
+The gradient check rests on a lemma. M's rows are orthogonal, M M^T =
+diag(2 b^2, 2 a^2, 4/m^2) with a = l L/Ixx and b = l L/Iyy, so with y = R^T w
+
+    ||input_row||^2 = 2 b^2 y_0^2 + 2 a^2 y_1^2 + (4/m^2) y_2^2
+                   >= sigma_min^2 ||w||^2,   sigma_min = min(sqrt(2) a, sqrt(2) b, 2/m).
+
+For the cone ||w|| >= ||p|| - s = r^2 / (||p|| + s) outside the radius and
+||w|| = ||p|| inside it; for a constant weight w = p. A row can vanish only
+where p does (the obstacle center on the body center) or sigma_min does,
+as l -> 0 (``QuadrotorParams`` refuses l = 0, not a tiny l). Those, and
+non-finite states, are what ``DegenerateGradientError`` still catches.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ import numpy as np
 
 from .dynamics import QuadrotorParams, QuadrotorState, _cross, cross, rotation_matrix
 from .errors import ConfigError, DegenerateGradientError, InvalidObstacleError
-from .qp import GRADIENT_MIN, AffineSafetyConstraint, checked_row
+from .qp import GRADIENT_MIN
 from .records import checked_array, checked_real
 
 EPS_V = 1e-6  # ||v_rel|| regularization floor (m/s)
@@ -290,8 +304,9 @@ def contract(
 
 def barrier_row(
     frame: BodyFrame, terms: ConeTerms, kappa_gamma: float, label: str
-) -> AffineSafetyConstraint:
-    """The QP row input_row . f + drift + kappa_gamma h >= 0.
+) -> tuple[np.ndarray, float]:
+    """(input_row, offset) of the QP row input_row . f + offset >= 0, with
+    offset = drift + kappa_gamma h.
 
     The row is checked here, where it is made, and handed to the QP as it
     is: ``contract`` bounds ||input_row|| away from 0, and this checks that
@@ -304,7 +319,7 @@ def barrier_row(
     drift, input_row = contract(frame, terms, label)
     offset = drift + kappa_gamma * terms.h
     _check_finite(input_row.tolist(), offset)
-    return checked_row(input_row, offset, label)
+    return input_row, offset
 
 
 def _check_gradient(norm: float, label: str) -> None:
@@ -340,7 +355,7 @@ class ConeStack(NamedTuple):
     clearance: np.ndarray  # (N,) ||p|| - r
     phi: np.ndarray  # (N,)
     input_rows: np.ndarray  # (N, 4), read-only
-    offsets: np.ndarray  # (N,) drift + kappa_gamma h
+    offsets: np.ndarray  # (N,) drift + kappa_gamma h, read-only
 
 
 def barrier_stack(
@@ -357,7 +372,10 @@ def barrier_stack(
     (cylinder rows projected) and r the (N,) inflated radii. Each value has
     the bits of ``cone_terms``, ``contract`` and ``barrier_row`` on its row.
     numpy's floating-point warnings are off: a non-finite value fails its
-    row's finite check.
+    row's finite check. Every row is checked in one array test (module
+    docstring); only when a row fails are the rows checked one by one, as
+    ``contract`` and ``barrier_row`` check them, for the first bad row's
+    error.
 
     Raises:
         DegenerateGradientError: a row with ||input_row|| <= 1e-10.
@@ -376,11 +394,18 @@ def barrier_stack(
         drift = rate + np.matmul(w[:, None, :], frame.a_d[:, None])[:, 0, 0]
         offsets = drift + kappa_gamma * h
         gradient = np.sqrt(_dots(input_rows, input_rows))
-    checks = zip(labels, gradient.tolist(), input_rows.tolist(), offsets.tolist())
-    for label, norm, row, offset in checks:
-        _check_gradient(norm, label)
-        _check_finite(row, offset)
+        # a nan or inf entry makes the sum non-finite (an overflowing sum of
+        # finite ones only sends the rows to the per-row checks)
+        checked = gradient.min(initial=np.inf) > GRADIENT_MIN and math.isfinite(
+            input_rows.sum() + offsets.sum()
+        )
+    if not checked:
+        checks = zip(labels, gradient.tolist(), input_rows.tolist(), offsets.tolist())
+        for label, norm, row, offset in checks:
+            _check_gradient(norm, label)
+            _check_finite(row, offset)
     input_rows.setflags(write=False)
+    offsets.setflags(write=False)
     return ConeStack(h, p_norm - r, phi, input_rows, offsets)
 
 
@@ -414,7 +439,7 @@ def barrier_3d(
     kappa_gamma: float,
     t: float,
     label: str = "",
-) -> tuple[ConeTerms, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
     """Spherical-obstacle barrier row for the safety QP.
 
     Args:
@@ -427,8 +452,9 @@ def barrier_3d(
         label: label of the QP row.
 
     Returns:
-        (ConeTerms, AffineSafetyConstraint): the terms carry h and phi, and
-        the constraint encodes input_row . f + drift + kappa_gamma h >= 0.
+        (ConeTerms, (input_row, offset)): the terms carry h and phi, and
+        the row is ``barrier_row``'s, input_row . f + offset >= 0 with
+        offset = drift + kappa_gamma h.
 
     Raises:
         InvalidObstacleError: called with a cylinder.
@@ -447,7 +473,7 @@ def barrier_projection(
     kappa_gamma: float,
     t: float,
     label: str = "",
-) -> tuple[ConeTerms, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
     """Cylindrical-obstacle barrier row: the cone in the plane ⊥ to the axis.
 
     The projector P = I - n n^T is constant, so the projected relative state

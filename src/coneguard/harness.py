@@ -32,9 +32,10 @@ on as the array it is, with no copy and no second check:
   and the type of every record it holds;
 - u_des by the tracking controller (finite thrusts);
 - each QP row by ``cone.barrier_row``, or on a stacked step by
-  ``cone.barrier_stack`` with the same checks in the same row order
-  (||a|| > 1e-10, then finite), so the step's ``QpProblem`` is built by
-  ``qp.checked_problem``;
+  ``cone.barrier_stack`` with the same checks (||a|| > 1e-10, then finite;
+  on a failure, row by row in the same order). The survey hands the rows
+  to ``qp.checked_problem`` as arrays, A (m, 4), b (m,) and their labels,
+  and builds no row record;
 - u* by ``solve``'s certificate, and once more as thrusts when it is not
   u_des itself;
 - each next state by ``step`` (finite), and its attitude range at the
@@ -71,7 +72,7 @@ from .dynamics import (
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .hocbf import barrier_ho
-from .qp import AffineSafetyConstraint, checked_problem, checked_row, solve
+from .qp import checked_problem, solve
 from .records import checked_real, checked_records, checked_type, checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
@@ -83,9 +84,11 @@ VIOLATION_TOL = 1e-3  # separation below -tol flags the step as a violation
 MAX_STEPS = 1_000_000
 # C3BF steps with at least this many rows survey all obstacles at once
 # (cone.barrier_stack); fewer go row by row. The crossover, timed with the
-# two paths interleaved on random states: the stacked survey takes 1.34x the
-# per-row time at 2 rows, ties at 3 (faster in 18 of 41 rounds) and takes
-# 0.75x at 4 (faster in 39 of 41), with Python 3.11 and numpy 2.4.6.
+# two paths interleaved on random states (two sets of 41 rounds of 300
+# surveys, both paths ending in the rows as arrays): the stacked survey
+# takes 1.17x the per-row time at 2 rows (faster in 0 and 5 rounds), ties
+# at 3 (1.00x and 0.99x, faster in 19 and 22) and takes 0.81x at 4 (faster
+# in 38 and 40), with Python 3.11 and numpy 2.4.6 on 2 shared cores.
 STACK_MIN_ROWS = 4
 FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 STATE_COLUMNS = (
@@ -93,6 +96,10 @@ STATE_COLUMNS = (
 )
 _QUANTIZE_ROWS = 256  # rows per block of _quantize
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact as doubles
+# The QP rows (A, b, labels) of a step that builds none.
+_NO_ROWS = (np.empty((0, 4)), np.empty(0), ())
+for _array in _NO_ROWS[:2]:
+    _array.setflags(write=False)
 
 Reference = HoverReference | LineReference | WaypointReference
 
@@ -327,14 +334,17 @@ def _survey(
     config: ScenarioConfig,
     t: float,
     stack: _Stack | None = None,
-) -> tuple[Sequence[float], Sequence[float], list[AffineSafetyConstraint]]:
+) -> tuple[
+    Sequence[float], Sequence[float], tuple[np.ndarray, np.ndarray, tuple[str, ...]]
+]:
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
     The obstacles are the config's, then for a pair the other vehicle
     (``other``, None for a solo run). Returns the trace's obstacle cells
     (h, separation per obstacle, in column order), the half angles and the
-    rows. The vehicle terms are computed once for the step and shared by
-    every obstacle. Given the run's stack (a C3BF run with at least
+    rows as read-only arrays with their labels, (A, b, labels), for
+    ``qp.checked_problem``. The vehicle terms are computed once for the step
+    and shared by every obstacle. Given the run's stack (a C3BF run with at least
     STACK_MIN_ROWS rows), all obstacles go through ``barrier_stack`` at
     once, and cells and angles are arrays; else each goes through its own
     barrier, the partner as the sphere ``_as_obstacle`` makes. Unfiltered runs
@@ -351,29 +361,28 @@ def _survey(
         terms = barrier_stack(frame, p, v, stack.radii, kappa_gamma, labels)
         cells = np.empty(2 * len(labels))
         cells[0::2], cells[1::2] = terms.h, terms.clearance
-        rows = [
-            checked_row(a, b, label)
-            for a, b, label in zip(terms.input_rows, terms.offsets.tolist(), labels)
-        ]
-        return cells, terms.phi, rows
+        return cells, terms.phi, (terms.input_rows, terms.offsets, labels)
     obstacles = config.obstacles
     if other is not None:
         obstacles += (_as_obstacle(other, params),)
-    cells, angles, rows = [], [], []
+    cells, angles, input_rows, offsets = [], [], [], []
     for obstacle, label in zip(obstacles, labels):
         if config.filter_kind == "none":
             terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
         else:
             if config.filter_kind == "hocbf":
-                terms, row = barrier_ho(
+                terms, (input_row, offset) = barrier_ho(
                     frame, obstacle, params, kappa_gamma, config.hocbf_gamma, t, label
                 )
             else:
                 barrier = (
                     barrier_3d if obstacle.kind == "sphere" else barrier_projection
                 )
-                terms, row = barrier(frame, obstacle, params, kappa_gamma, t, label)
-            rows.append(row)
+                terms, (input_row, offset) = barrier(
+                    frame, obstacle, params, kappa_gamma, t, label
+                )
+            input_rows.append(input_row)
+            offsets.append(offset)
         if config.filter_kind == "hocbf" and obstacle.kind == "cylinder":
             # the baseline's terms see the unprojected p and the encompassing radius
             separation = separation_distance(frame, obstacle, params, t)
@@ -381,7 +390,12 @@ def _survey(
             separation = terms.p_norm - inflated_radius(obstacle, params.body_width)
         cells += (terms.h, separation)
         angles.append(terms.phi)
-    return cells, angles, rows
+    if not input_rows:
+        return cells, angles, _NO_ROWS
+    A, b = np.array(input_rows), np.array(offsets)
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return cells, angles, (A, b, labels)
 
 
 class _Recorder:
@@ -465,7 +479,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                 control = track(state, ref, config.gains, config.params)
                 u_des = control.thrusts
                 cells, angles, rows = _survey(state, other, labels, config, t, stack)
-                u_star = solve(checked_problem(u_des, tuple(rows))).u_star
+                u_star = solve(checked_problem(u_des, *rows)).u_star
                 recorders[a].add(
                     k, t, state, u_des, u_star, cells, angles, ref.position
                 )

@@ -25,9 +25,10 @@ checks finite and > 0, as it does the class-K gain ``kappa_gamma``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cone import BodyFrame, ConeTerms, Obstacle, barrier_row, cone_terms
 from .dynamics import QuadrotorParams
-from .qp import AffineSafetyConstraint
 
 
 def encompassing_radius(obstacle: Obstacle) -> float:
@@ -45,7 +46,7 @@ def barrier_ho(
     hocbf_gamma: float,
     t: float,
     label: str = "",
-) -> tuple[ConeTerms, AffineSafetyConstraint]:
+) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
     """QP row for the higher-order barrier; hocbf_gamma is the penalty gamma,
     the other arguments are as for cone.barrier_3d.
 

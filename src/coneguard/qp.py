@@ -11,7 +11,9 @@ KKT stationarity of the objective 0.5 ||u - u_des||^2.
 If u_des satisfies every row (slack >= -FEAS_TOL), it is the optimum and
 ``solve`` returns it at once, with no active rows, no multipliers and the
 KKT residual max(0, -min slack): what the active-set loop returns on its
-first iteration from that start, without building it.
+first iteration from that start, without building it. Those slacks,
+A u_des + b, are computed once; the cap and the infeasibility report read
+them.
 
 If u_des is infeasible, the loop starts from the closest feasible candidate
 among the projections of u_des onto the affine sets {A_S u = -b_S}, one per
@@ -76,17 +78,33 @@ row tuple, and the loop reuses one only for the same rows in the same
 order: the same ``lstsq`` input, so the same array. Most often the winner
 is the single row of c, and that row is the loop's first working set.
 
-Single rows in closed form. The Gram system of a 1-row subset is 1x1,
-g mu = rhs, and ``_gram_solve`` returns mu = rhs * (1.0 / g) without calling
-``lstsq``. Those are lstsq's own bits: LAPACK's dgelsd leaves the system
-unscaled when g and |rhs| lie in [SAFE_MIN, 1 / SAFE_MIN] (SAFE_MIN being
-its SMLNUM, the smallest normal double over eps), and then rescales rhs by
-the reciprocal 1.0 / g (dlascl), a signed zero included. Outside that range
-dgelsd scales first, which moves the last bits, so ``lstsq`` is called
-there. A 1-row working set's multiplier, the least-squares lambda of
-a lambda = u - u_des, is taken as (a . (u - u_des)) / (a . a). Its last bits
-can differ from the 4x1 ``lstsq``, but only the returned multipliers and
-KKT residual read them; u* and the active set do not.
+Single rows in closed form. The projection onto one row a is u_des + a mu
+with the 1x1 Gram system g mu = r, g = a . a and r = -(a . u_des + b), and
+``_project_equalities`` computes it as u_des + (a (r * (1.0 / g)) + 0.0)
+without calling ``lstsq``. Those are the lstsq path's own bits. numpy takes
+the 1-row products A_S A_S^T and A_S u_des to the 1-D dots of the
+(contiguous) row. LAPACK's dgelsd leaves the system unscaled when g and |r|
+lie in [SAFE_MIN, 1 / SAFE_MIN] (SAFE_MIN being its SMLNUM, the smallest
+normal double over eps), and then rescales r by the reciprocal 1.0 / g
+(dlascl), a signed zero included (``_row_multiplier``). The one-term sum
+A_S^T mu starts from +0.0, so a zero product a_i mu adds as +0.0, hence the
++ 0.0. Outside that range dgelsd scales first, which moves the last bits,
+so ``lstsq`` is called there. A 1-row working set's multiplier, the
+least-squares lambda of a lambda = u - u_des, is taken as
+(a . (u - u_des)) / (a . a). Its last bits can differ from the 4x1
+``lstsq``, but only the returned multipliers and KKT residual read them;
+u* and the active set do not.
+
+The blocking scan. Each step of the loop needs, for every row j outside
+the working set, the rate a_j . d and the slack a_j . u + b_j. Both come
+from one stacked product each, A[:, None, :] @ d[:, None] (``_row_dots``):
+an (m, 1, 4) by (4, 1) matmul is m 1-D dots of the same contiguous rows, so
+entry j has the bits of a_j @ d, which the scan reads. A plain A @ d does
+not: BLAS may sum a matrix-vector product in another order. A single row
+takes its 1-D dot directly, the same bits for less call overhead. Only the
+selection, the first strictly smaller step and its tie rule, runs in
+Python, over the rows whose rate is not >= -1e-14 (nan included), in row
+order as before.
 
 The certificate. Every answer that leaves u_des is checked against its own
 KKT residual (stationarity, feasibility, complementarity): above
@@ -96,11 +114,15 @@ residual of at most FEAS_TOL, below any such bound.
 
 Validation. The public constructors of ``AffineSafetyConstraint`` and
 ``QpProblem`` copy and check what they are given with the ``records``
-checks; ``QpProblem`` also rejects rows with ||a|| <= GRADIENT_MIN.
-``checked_row`` and ``checked_problem`` take values already checked where
-they were made (a barrier row by ``cone.barrier_row``, u_des by the tracking
-controller) and build the same records (``records.prebuilt``) without a
-copy or a second check, so ``solve`` checks nothing on entry.
+checks; ``QpProblem`` also rejects rows with ||a|| <= GRADIENT_MIN and
+stacks the records it accepts. A ``QpProblem`` holds u_des, the rows A
+(m, 4), the offsets b (m,) and the labels, read-only; its ``constraints``
+are records rebuilt from those arrays when something reads them (the
+benchmark's tracer, tests, error reports), never by a step.
+``checked_problem`` takes arrays already checked where they were made (the
+rows by ``cone.barrier_row`` or ``cone.barrier_stack``, u_des by the
+tracking controller) and holds them without a copy or a second check
+(``records.prebuilt``), so ``solve`` checks nothing on entry.
 """
 
 from __future__ import annotations
@@ -108,7 +130,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -148,9 +170,14 @@ class AffineSafetyConstraint:
         object.__setattr__(self, "offset", checked_real(self.offset, "constraint row"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QpProblem:
-    """The QP of u_des and its rows.
+    """The QP of u_des and its rows a_i . u + b_i >= 0, held as arrays.
+
+    ``QpProblem(u_des, constraints)`` copies and checks u_des and the
+    ``AffineSafetyConstraint`` records and stacks them into A, b and labels;
+    ``checked_problem`` takes those arrays as they are. ``constraints`` gives
+    the rows back as records, built when first read.
 
     Raises:
         ConfigError: u_des is not 4 finite numbers, or a row is not an
@@ -158,39 +185,44 @@ class QpProblem:
         DegenerateGradientError: a row with ||a|| <= GRADIENT_MIN.
     """
 
-    u_des: np.ndarray
-    constraints: tuple[AffineSafetyConstraint, ...] = ()
+    u_des: np.ndarray  # (4,), read-only
+    A: np.ndarray  # (m, 4), read-only
+    b: np.ndarray  # (m,), read-only
+    labels: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "u_des", checked_array(self.u_des, 4, "u_des"))
-        constraints = checked_records(
-            self.constraints, AffineSafetyConstraint, "QP rows"
-        )
-        object.__setattr__(self, "constraints", constraints)
-        for c in constraints:
+    def __init__(self, u_des, constraints=()):
+        u_des = checked_array(u_des, 4, "u_des")
+        rows = checked_records(constraints, AffineSafetyConstraint, "QP rows")
+        for c in rows:
             if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
                 raise DegenerateGradientError(
                     f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
                 )
+        A = np.array([c.gradient_row for c in rows]).reshape(len(rows), 4)
+        b = np.array([c.offset for c in rows], dtype=float)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        labels = tuple(c.label for c in rows)
+        for name, value in zip(("u_des", "A", "b", "labels"), (u_des, A, b, labels)):
+            object.__setattr__(self, name, value)
 
-
-def checked_row(
-    gradient_row: np.ndarray, offset: float, label: str
-) -> AffineSafetyConstraint:
-    """The row a.u + b >= 0 of a fresh finite 4-vector a, which it takes
-    (read-only, no copy), and a finite float offset b; nothing is checked."""
-    gradient_row.setflags(write=False)
-    return prebuilt(
-        AffineSafetyConstraint, gradient_row=gradient_row, offset=offset, label=label
-    )
+    @cached_property
+    def constraints(self) -> tuple[AffineSafetyConstraint, ...]:
+        """The rows as records, each a read-only row of A."""
+        rows = zip(self.A, self.b.tolist(), self.labels)
+        return tuple(
+            prebuilt(AffineSafetyConstraint, gradient_row=a, offset=b, label=label)
+            for a, b, label in rows
+        )
 
 
 def checked_problem(
-    u_des: np.ndarray, constraints: tuple[AffineSafetyConstraint, ...]
+    u_des: np.ndarray, A: np.ndarray, b: np.ndarray, labels: tuple[str, ...]
 ) -> QpProblem:
-    """The problem of a read-only finite 4-vector u_des and rows with finite
-    entries and ||a|| > GRADIENT_MIN, held as given; nothing is checked."""
-    return prebuilt(QpProblem, u_des=u_des, constraints=constraints)
+    """The problem of a read-only finite 4-vector u_des, read-only rows A
+    (m, 4) and offsets b (m,), all finite with ||a_i|| > GRADIENT_MIN, and
+    one label per row, held as given; nothing is checked."""
+    return prebuilt(QpProblem, u_des=u_des, A=A, b=b, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -201,37 +233,44 @@ class QpSolution:
     kkt_residual: float
 
 
-def _stack_rows(
-    rows: tuple[AffineSafetyConstraint, ...],
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The rows a.u + b >= 0 as (A, b, labels)."""
-    A = np.array([c.gradient_row for c in rows]).reshape(len(rows), 4)
-    b = np.array([c.offset for c in rows], dtype=float)
-    return A, b, [c.label for c in rows]
-
-
 def _project_equalities(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, rows: tuple[int, ...]
 ) -> np.ndarray:
     """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
     if inconsistent)."""
     # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
-    A_S, b_S = A[list(rows)], b[list(rows)]
+    A_S = A[list(rows)]
+    if len(rows) == 1:
+        a = A_S[0]
+        mu = _row_multiplier(float(a @ a), -(float(a @ u_des) + float(b[rows[0]])))
+        if mu is not None:
+            # + 0.0: the one-term sum A_S^T mu starts from +0.0, so a zero
+            # product adds as +0.0 (module docstring)
+            return u_des + (a * mu + 0.0)
+    b_S = b[list(rows)]
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
-    return u_des + A_S.T @ _gram_solve(gram, rhs)
+    return u_des + A_S.T @ np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
-def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lstsq(gram, rhs, rcond=None)[0], in closed form for a 1x1 system in
-    LAPACK's no-rescale range (module docstring)."""
-    if gram.shape[0] == 1:
-        g, r = float(gram[0, 0]), float(rhs[0])
-        if SAFE_MIN <= g <= 1.0 / SAFE_MIN and (
-            r == 0.0 or SAFE_MIN <= abs(r) <= 1.0 / SAFE_MIN
-        ):
-            return np.array([r * (1.0 / g)])
-    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+def _row_multiplier(g: float, r: float) -> float | None:
+    """lstsq([[g]], [r], rcond=None)[0][0] in closed form, r * (1 / g),
+    where LAPACK leaves the system unscaled (module docstring); None
+    elsewhere, where lstsq itself is called."""
+    if SAFE_MIN <= g <= 1.0 / SAFE_MIN and (
+        r == 0.0 or SAFE_MIN <= abs(r) <= 1.0 / SAFE_MIN
+    ):
+        return r * (1.0 / g)
+    return None
+
+
+def _row_dots(A: np.ndarray, x: np.ndarray) -> list[float]:
+    """[A[j] @ x for every row j], each with the 1-D dot's bits: one stacked
+    product (a plain A @ x may sum in another order), or for a single row
+    the dot itself, which costs less than the stacked call."""
+    if len(A) == 1:
+        return [float(A[0] @ x)]
+    return np.matmul(A[:, None, :], x[:, None])[:, 0, 0].tolist()
 
 
 def _multipliers(W: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -266,12 +305,14 @@ def _capped(
     u_des: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
+    resid: np.ndarray,
     projections: dict[tuple[int, ...], np.ndarray],
 ) -> range | list[int]:
     """Positions, in search order, of the subsets the cap cannot exclude.
 
     The reference c is the projection onto the row w most violated at
-    u_des, stored in ``projections``. If c is infeasible, every position.
+    u_des (resid = A u_des + b), stored in ``projections``. If c is
+    infeasible, every position.
     Otherwise the subsets S with ||A_S^T s_S|| <= ||A_S||^2 (rho + kappa)
     + sqrt(eta) ||r_S|| + rounding (module docstring), where s are the
     slacks at c, r the negated slacks at u_des, ||A_S||^2 <= sigma_S =
@@ -281,7 +322,6 @@ def _capped(
     """
     m = A.shape[0]
     search = _search(m)
-    resid = A @ u_des + b  # row slacks at u_des
     norm2 = (A * A).sum(axis=1)
     w = int(np.argmin(resid / np.sqrt(norm2)))
     c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
@@ -306,7 +346,12 @@ def _capped(
     rho = math.sqrt(max(rho2, 0.0))
     k = MAX_SUBSET
     # per subset S: A_S^T s_S, then ||A_S||_F^2, ||r_S||^2, ||b_S||^2, ||s_S||^2
-    table = np.vstack([(A * s[:, None]).T, norm2, resid * resid, b * b, s * s])
+    table = np.empty((8, m))
+    np.multiply(A.T, s, out=table[:4])
+    table[4] = norm2
+    np.multiply(resid, resid, out=table[5])
+    np.multiply(b, b, out=table[6])
+    np.multiply(s, s, out=table[7])
     sums = table @ search.member
     pull = np.sqrt(np.sum(sums[:4] * sums[:4], axis=0))
     root, r_norm, b_norm, s_norm = np.sqrt(sums[4:])
@@ -328,7 +373,8 @@ def _feasible_start(
     u_des: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    labels: list[str],
+    labels: tuple[str, ...],
+    resid: np.ndarray,
     projections: dict[tuple[int, ...], np.ndarray],
 ) -> np.ndarray:
     """Closest feasible equality-projection of u_des over row subsets.
@@ -342,14 +388,15 @@ def _feasible_start(
                       <= sqrt(eta) ||r_S|| + ||A_S||^2 (kappa + rho) + rounding,
 
     s being the slacks at c. That returns the same array as solving every
-    subset, which is done when c is infeasible. Every projection made is
-    stored in ``projections`` under its row tuple, where the active-set
-    loop finds it.
+    subset, which is done when c is infeasible. resid holds the row
+    slacks at u_des, A u_des + b. Every projection made is stored in
+    ``projections`` under its row tuple, where the active-set loop finds
+    it.
     """
     m = A.shape[0]
     keys = _search(m).keys
     # at most three subsets with two rows: solving them all costs less than a cap
-    order = range(len(keys)) if m <= 2 else _capped(u_des, A, b, projections)
+    order = range(len(keys)) if m <= 2 else _capped(u_des, A, b, resid, projections)
     best = None
     best_dist = np.inf
     for n in order:
@@ -363,9 +410,8 @@ def _feasible_start(
             if dist < best_dist:
                 best, best_dist = cand, dist
     if best is None:
-        slack = A @ u_des + b
-        order = np.argsort(slack)
-        worst = [labels[i] for i in order if slack[i] < 0.0]
+        order = np.argsort(resid)
+        worst = [labels[i] for i in order if resid[i] < 0.0]
         raise InfeasibleQpError(
             "safety QP infeasible; blocking constraints: " + ", ".join(worst),
             blocking_labels=worst,
@@ -390,26 +436,23 @@ def solve(problem: QpProblem) -> QpSolution:
         UncertifiedSolutionError: the answer's KKT residual exceeds
             KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||).
     """
-    u_des = problem.u_des
-    constraints = problem.constraints
-    if len(constraints) == 1:
-        # the one-row case, most steps' problem, skips stacking its row:
-        # numpy takes a 1-row matrix product to the dot product, so this is
-        # the bits of (A @ u_des + b)[0]
-        row = constraints[0]
-        min_slack = float(row.gradient_row @ u_des) + float(row.offset)
+    u_des, A, b, labels = problem.u_des, problem.A, problem.b, problem.labels
+    m = len(b)
+    if m == 1:
+        # one row, most steps' problem: numpy takes the 1-row product to the
+        # 1-D dot, so this is the bits of (A @ u_des + b)[0] without the array
+        min_slack = float(A[0] @ u_des) + float(b[0])
     else:
-        A, b, labels = _stack_rows(constraints)
-        min_slack = float((A @ u_des + b).min(initial=np.inf))
+        resid = A @ u_des + b  # row slacks at u_des
+        min_slack = float(resid.min()) if m else math.inf
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
         return QpSolution(u_des, (), (), max(0.0, -min_slack))
-    if len(constraints) == 1:
-        A, b, labels = _stack_rows(constraints)
-    m = A.shape[0]
+    if m == 1:
+        resid = A @ u_des + b
 
     projections: dict[tuple[int, ...], np.ndarray] = {}
-    u = _feasible_start(u_des, A, b, labels, projections)
+    u = _feasible_start(u_des, A, b, labels, resid, projections)
 
     working: list[int] = []
     lam_w = np.zeros(0)
@@ -433,18 +476,20 @@ def solve(problem: QpProblem) -> QpSolution:
             drop = int(np.argmin(lam_w))
             working.pop(drop)
             continue
-        # Step toward u_eq, blocked by rows outside the working set.
+        # Step toward u_eq, blocked by rows outside the working set that
+        # d moves toward their bound (a rate that is not >= -1e-14, nan too).
+        rates = _row_dots(A, d)
+        closing = [
+            j for j, rate in enumerate(rates) if not rate >= -1e-14 and j not in working
+        ]
         alpha = 1.0
         block = -1
         block_rate = 0.0
-        for j in range(m):
-            if j in working:
-                continue
-            rate = float(A[j] @ d)
-            if rate >= -1e-14:
-                continue
-            slack = float(A[j] @ u) + b[j]
-            alpha_j = max(slack, 0.0) / (-rate)
+        if closing:
+            slacks = [dot + offset for dot, offset in zip(_row_dots(A, u), b.tolist())]
+        for j in closing:
+            rate = rates[j]
+            alpha_j = max(slacks[j], 0.0) / (-rate)
             if alpha_j < alpha - 1e-14:
                 alpha, block, block_rate = alpha_j, j, rate
             elif abs(alpha_j - alpha) <= 1e-14 and block >= 0:

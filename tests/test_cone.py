@@ -12,12 +12,15 @@ from coneguard.cone import (
     Obstacle,
     barrier_3d,
     barrier_projection,
+    barrier_stack,
+    cone_angles,
     cone_terms,
     contract,
     inflated_radius,
     projection_operator,
 )
-from coneguard.dynamics import QuadrotorState
+from coneguard.cone import EPS_V
+from coneguard.dynamics import QuadrotorParams, QuadrotorState
 from coneguard.errors import InvalidObstacleError
 
 kappa = 1.0
@@ -198,13 +201,13 @@ def test_barrier_3d_golden_values(params):
         kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15, velocity=(-0.5, 0, 0)
     )
     frame = BodyFrame(state, params)
-    terms, con = barrier_3d(frame, obs, params, kappa, 0.25)
+    terms, (input_row, offset) = barrier_3d(frame, obs, params, kappa, 0.25)
     drift, _ = contract(frame, terms, "")
     assert abs(terms.h - 0.09691647109101309) < 1e-14
     assert abs(drift - 5.822522303260628) < 1e-12
     assert np.max(
         np.abs(
-            con.gradient_row
+            input_row
             - np.array(
                 [
                     -10.477513235376128,
@@ -216,7 +219,7 @@ def test_barrier_3d_golden_values(params):
         )
     ) < 1e-11
     assert abs(terms.phi - 0.13422094632755224) < 1e-14
-    assert abs(con.offset - (drift + kappa * terms.h)) < 1e-15
+    assert abs(offset - (drift + kappa * terms.h)) < 1e-15
 
 
 def test_kappa_is_linear(params):
@@ -227,9 +230,9 @@ def test_kappa_is_linear(params):
     obs = Obstacle(kind="sphere", center=(2.0, 0.1, 1.2), radius_raw=0.15)
     frame = BodyFrame(state, params)
     for gamma in (1.0, 3.0, 0.5):
-        terms, con = barrier_3d(frame, obs, params, gamma, 0.25)
+        terms, (_, offset) = barrier_3d(frame, obs, params, gamma, 0.25)
         drift, _ = contract(frame, terms, "")
-        assert con.offset == drift + gamma * terms.h
+        assert offset == drift + gamma * terms.h
 
 
 def test_barrier_3d_derivative_row(rng, params):
@@ -245,11 +248,11 @@ def test_barrier_3d_derivative_row(rng, params):
             continue  # clear of the sqrt clamp and the drift floor
         f = random_thrusts(rng, params)
         frame = BodyFrame(state, params)
-        terms, row = barrier_3d(frame, obs, params, kappa, t)
+        terms, (input_row, _) = barrier_3d(frame, obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t, "sphere"
         )
-        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(input_row @ f)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
@@ -266,12 +269,12 @@ def test_barrier_projection_derivative_row(rng, params):
             continue
         f = random_thrusts(rng, params)
         frame = BodyFrame(state, params)
-        terms, row = barrier_projection(frame, obs, params, kappa, t)
+        terms, (input_row, _) = barrier_projection(frame, obs, params, kappa, t)
         fd = oracles.fd_hdot(
             state.as_vector(), f, obs.center, obs.velocity, r, t,
             "cylinder", axis=(0.0, 0.0, 1.0),
         )
-        analytic = contract(frame, terms, "")[0] + float(row.gradient_row @ f)
+        analytic = contract(frame, terms, "")[0] + float(input_row @ f)
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(fd))
         checked += 1
 
@@ -289,12 +292,12 @@ def test_barrier_projection_golden_values(params):
         velocity=(0.2, 0.1, 0.0),
     )
     frame = BodyFrame(state, params)
-    terms, row = barrier_projection(frame, cyl, params, kappa, 0.25)
+    terms, (input_row, _) = barrier_projection(frame, cyl, params, kappa, 0.25)
     assert abs(terms.h - (-0.003713037797007518)) < 1e-14
     assert abs(contract(frame, terms, "")[0] - (-0.0006190861194795526)) < 1e-12
     assert np.max(
         np.abs(
-            row.gradient_row
+            input_row
             - np.array(
                 [
                     -11.985172870219811,
@@ -313,7 +316,7 @@ def test_projection_kills_axis_components(params, rng):
         frame = BodyFrame(random_state(rng), params)
         obs = random_cylinder(rng)
         t = float(rng.uniform(0, 2))
-        base, base_row = barrier_projection(frame, obs, params, kappa, t)
+        base, (base_row, _) = barrier_projection(frame, obs, params, kappa, t)
         # shift the obstacle along its own axis and give it axial velocity
         moved = Obstacle(
             kind="cylinder",
@@ -323,10 +326,10 @@ def test_projection_kills_axis_components(params, rng):
             height=obs.height,
             velocity=obs.velocity + np.array([0.0, 0.0, rng.uniform(-2, 2)]),
         )
-        terms, row = barrier_projection(frame, moved, params, kappa, t)
+        terms, (input_row, _) = barrier_projection(frame, moved, params, kappa, t)
         assert terms.h == base.h
         assert contract(frame, terms, "")[0] == contract(frame, base, "")[0]
-        assert np.array_equal(row.gradient_row, base_row.gradient_row)
+        assert np.array_equal(input_row, base_row)
 
 
 def test_projection_operator_idempotent():
@@ -370,3 +373,53 @@ def test_half_angle_inside_is_right_angle(params):
     terms, _ = barrier_3d(BodyFrame(state, params), obs, params, kappa, 0.0)
     assert terms.phi == np.pi / 2
 
+
+
+def test_stacked_row_norm_identity(rng):
+    """On barrier_stack rows, ||input_row||^2 = 2 b^2 y0^2 + 2 a^2 y1^2 +
+    (4/m^2) y2^2 with y = R^T w, a = l L/Ixx and b = l L/Iyy (M's rows are
+    orthogonal), so ||input_row|| >= sigma_min ||w||, sigma_min =
+    min(sqrt(2) a, sqrt(2) b, 2/m). Both hold to a few ulps of the squared
+    norm, on and off the default parameters, near tangency, inside the
+    radius and with ||v|| below EPS_V."""
+    eps = float(np.finfo(float).eps)
+    for trial in range(200):
+        params = QuadrotorParams()
+        if trial % 2:
+            params = QuadrotorParams(
+                mass=float(rng.uniform(0.01, 2.0)),
+                arm_span=float(rng.uniform(0.05, 0.5)),
+                center_offset=float(rng.uniform(1e-4, 0.1)),
+                inertia_diag=tuple(rng.uniform(1e-5, 1e-2, 3)),
+            )
+        frame = BodyFrame(random_state(rng, att_max=1.4, rate=20.0), params)
+        n = 8
+        r = rng.uniform(0.1, 1.0, n)
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        # clear of the radius, within 1e-9 of it, and inside it
+        clear, tangent = rng.uniform(1.1, 5.0, n), 1.0 + rng.uniform(0.0, 1e-9, n)
+        inside = rng.uniform(0.1, 1.0, n)
+        scale = np.choose(rng.integers(3, size=n), [clear, tangent, inside])
+        p = direction * (r * scale)[:, None]
+        v = rng.normal(size=(n, 3)) * np.where(rng.random(n) < 0.25, 1e-8, 1.0)[:, None]
+        rows = barrier_stack(frame, p, v, r, kappa, tuple("abcdefgh")).input_rows
+        # w and y = R^T w with barrier_stack's own bits, so that only the
+        # product -M^T y and the identity itself round: each row entry is a
+        # two-term sum, so to first order the two sides differ by at most
+        # (8 + 4 + 4) eps times the identity (entries, squares and sum, and
+        # the identity's products and sum)
+        _, s, _ = cone_angles(p, r)
+        norm_v = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+        w = p + v * (s / np.maximum(norm_v, EPS_V))[:, None]
+        y = np.matmul(frame.R.T, w[:, :, None])[:, :, 0]
+        ixx, iyy, _ = params.inertia_diag
+        lever = params.center_offset * params.arm_span
+        a, b, m = lever / ixx, lever / iyy, params.mass
+        y0, y1, y2 = y.T
+        identity = 2 * b**2 * y0**2 + 2 * a**2 * y1**2 + (4 / m**2) * y2**2
+        norm2 = np.sum(rows * rows, axis=1)
+        assert np.all(np.abs(norm2 - identity) <= 16 * eps * identity), trial
+        sigma_min = min(np.sqrt(2) * a, np.sqrt(2) * b, 2 / m)
+        w_norm = np.linalg.norm(w, axis=1)
+        assert np.all(np.sqrt(norm2) >= sigma_min * w_norm * (1 - 16 * eps)), trial

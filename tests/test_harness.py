@@ -655,17 +655,14 @@ def _survey_outcome(state, config, t, stack=None, other=None):
     """The survey's cells, angles and rows as arrays, or its error."""
     labels = harness._obstacle_labels(config)
     try:
-        cells, angles, rows = harness._survey(state, other, labels, config, t, stack)
+        cells, angles, (A, b, row_labels) = harness._survey(
+            state, other, labels, config, t, stack
+        )
     except ConeguardError as exc:
         return type(exc), str(exc)
-    assert all(type(row.offset) is float for row in rows)
-    return (
-        np.asarray(cells),
-        np.asarray(angles),
-        np.array([row.gradient_row for row in rows]).reshape(-1, 4),
-        np.array([row.offset for row in rows]),
-        [row.label for row in rows],
-    )
+    assert A.dtype == b.dtype == float and A.shape == (len(b), 4)
+    assert not (A.flags.writeable or b.flags.writeable)
+    return np.asarray(cells), np.asarray(angles), A, b, row_labels
 
 
 def _assert_same_survey(got, want, context=""):

@@ -347,10 +347,10 @@ def test_feasible_start_matches_exhaustive_oracle():
             if want is None:
                 infeasible += 1
                 with pytest.raises(InfeasibleQpError) as exc_info:
-                    _feasible_start(u_des, A, b, labels, projections)
+                    _feasible_start(u_des, A, b, labels, A @ u_des + b, projections)
                 assert exc_info.value.blocking_labels == tuple(blocking)
             else:
-                got = _feasible_start(u_des, A, b, labels, projections)
+                got = _feasible_start(u_des, A, b, labels, A @ u_des + b, projections)
                 assert np.array_equal(got, want), (family.__name__, m)
             if len(projections) < len(qp._search(m).keys):
                 capped += 1
@@ -367,9 +367,9 @@ def test_recorded_field_starts_match_exhaustive_oracle(monkeypatch):
     recorded = []
     feasible_start = qp._feasible_start
 
-    def spy(u_des, A, b, labels, projections):
+    def spy(u_des, A, b, labels, resid, projections):
         try:
-            start = feasible_start(u_des, A, b, labels, projections)
+            start = feasible_start(u_des, A, b, labels, resid, projections)
         except InfeasibleQpError as exc:
             recorded.append((u_des, A, b, labels, exc))
             raise
@@ -458,7 +458,7 @@ def _lstsq(a, b):
 def test_single_row_gram_solve_is_lstsq():
     """The 1x1 closed form has lstsq's bits: over a log-uniform sweep of g
     and rhs, at signed zeros, and on both sides of both edges of the
-    no-rescale range (beyond them lstsq itself is called)."""
+    no-rescale range (beyond them it gives way to lstsq itself)."""
     rng = np.random.default_rng(11)
     g = 10.0 ** rng.uniform(-291.0, 291.0, 4000)
     rhs = rng.choice((-1.0, 1.0), 4000) * 10.0 ** rng.uniform(-291.0, 291.0, 4000)
@@ -474,9 +474,72 @@ def test_single_row_gram_solve_is_lstsq():
     pairs += [(x, r) for x in (1.0, 3.0, *edges) for r in (0.0, -0.0, 0.7, -3.0)]
     pairs += [(x, r) for x in (0.3, 7.0) for r in edges + [-e for e in edges]]
     pairs += [(x, y) for x in edges for y in edges]
+    closed = 0
     for x, r in pairs:
-        gram, b = np.array([[x]]), np.array([r])
-        assert_same_bits(qp._gram_solve(gram, b), _lstsq(gram, b), (x, r))
+        mu = qp._row_multiplier(float(x), float(r))
+        unscaled = SAFE_MIN <= x <= 1.0 / SAFE_MIN and (
+            r == 0.0 or SAFE_MIN <= abs(r) <= 1.0 / SAFE_MIN
+        )
+        assert (mu is not None) == unscaled, (x, r)
+        if mu is not None:
+            closed += 1
+            want = _lstsq(np.array([[x]]), np.array([r]))
+            assert_same_bits(np.array([mu]), want, (x, r))
+    assert closed > len(g) // 2
+
+
+def _scaled_rows(rng, shape):
+    """Signed normal draws, each row scaled by 10^k with k uniform in
+    [-150, 150], a fifth of the entries zeros of either sign."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape[:-1] + (1,))
+    zero = rng.random(shape) < 0.2
+    x[zero] = rng.choice((0.0, -0.0), int(zero.sum()))
+    return x
+
+
+def test_stacked_row_dots_are_the_per_row_dots():
+    """The blocking scan's stacked product has, row by row, the bits of the
+    1-D dot A[j] @ x, on rows and vectors of any scale and signed zeros."""
+    rng = np.random.default_rng(16)
+    for trial in range(4000):
+        m = (1, 2, 3, 5, 8, 9)[trial % 6]
+        A = _scaled_rows(rng, (m, 4)) if trial % 2 else rng.normal(size=(m, 4))
+        x = _scaled_rows(rng, (1, 4))[0] if trial % 3 else rng.normal(size=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = qp._row_dots(A, x)
+            want = [float(a @ x) for a in A]
+        assert_same_bits(np.array(got), np.array(want), (A, x))
+
+
+def test_single_row_projection_is_the_lstsq_projection():
+    """The closed-form 1-row projection u_des + a (r (1/g)) has the bits of
+    the Gram system solved by lstsq, u_des + A_S^T mu, signed zeros
+    included; outside LAPACK's no-rescale range lstsq itself is called."""
+    rng = np.random.default_rng(17)
+    closed = 0
+    for trial in range(6000):
+        m = int(rng.integers(1, 5))
+        if trial % 2:
+            A, u_des = _scaled_rows(rng, (m, 4)), _scaled_rows(rng, (1, 4))[0]
+            b = _scaled_rows(rng, (m, 1))[:, 0]
+        else:
+            A, b = rng.normal(size=(m, 4)), rng.normal(size=m)
+            u_des = rng.normal(size=4)
+            A[rng.random((m, 4)) < 0.2] = 0.0
+            u_des[rng.random(4) < 0.3] = -0.0
+        i = int(rng.integers(m))
+        if not A[i].any():
+            continue
+        with np.errstate(all="ignore"):
+            A_S, b_S = A[[i]], b[[i]]
+            gram, rhs = A_S @ A_S.T, -(A_S @ u_des + b_S)
+            if not np.isfinite(gram).all() or not np.isfinite(rhs).all():
+                continue
+            want = u_des + A_S.T @ _lstsq(gram, rhs)
+            got = qp._project_equalities(u_des, A, b, (i,))
+        closed += qp._row_multiplier(float(gram[0, 0]), float(rhs[0])) is not None
+        assert_same_bits(got, want, (A[i], b[i], u_des))
+    assert closed > 3000
 
 
 def _intervening_solves(configs):
@@ -515,7 +578,7 @@ def test_closed_forms_leave_u_star_and_active_set_unchanged(monkeypatch):
                 cases.append((problem, solve(problem)))
             except UncertifiedSolutionError:
                 pass
-    monkeypatch.setattr(qp, "_gram_solve", _lstsq)
+    monkeypatch.setattr(qp, "_row_multiplier", lambda g, r: None)
     monkeypatch.setattr(qp, "_multipliers", lambda W, step: _lstsq(W.T, step))
     for problem, solution in cases:
         reference = solve(problem)

@@ -11,7 +11,7 @@ from coneguard.cone import Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, control_of
 from coneguard.errors import ConeguardError
 from coneguard.harness import AgentSpec, _as_obstacle, compare, run, run_pair
-from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem, checked_row
+from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem
 from coneguard.records import prebuilt
 from coneguard.reference import HoverReference, WaypointReference
 from coneguard.scenarios import get_scenario
@@ -34,13 +34,16 @@ def _assert_same_record(built, constructed):
 def test_checked_constructions_match_the_constructors():
     rng = np.random.default_rng(3)
     params = QuadrotorParams()
-    a, u = rng.normal(size=4), rng.normal(size=4)
-    row = checked_row(a.copy(), 0.25, "obs")
-    _assert_same_record(row, AffineSafetyConstraint(a, 0.25, label="obs"))
-    u_read_only = u.copy()
-    u_read_only.setflags(write=False)
-    rows = (row,)
-    _assert_same_record(checked_problem(u_read_only, rows), QpProblem(u, rows))
+    a, u = rng.normal(size=(2, 4)), rng.normal(size=4)
+    rows = [AffineSafetyConstraint(a[i], 0.25 * i, label=f"obs{i}") for i in range(2)]
+    u_read_only, A, b = u.copy(), a.copy(), np.array([0.0, 0.25])
+    for array in (u_read_only, A, b):
+        array.setflags(write=False)
+    problem = checked_problem(u_read_only, A, b, ("obs0", "obs1"))
+    _assert_same_record(problem, QpProblem(u, rows))
+    # the records a problem gives back are the rows it was built from
+    for got, want in zip(problem.constraints, rows, strict=True):
+        _assert_same_record(got, want)
     _assert_same_record(control_of(u.copy()), ControlInput(u))
     state = random_state(rng)
     partner = Obstacle(
