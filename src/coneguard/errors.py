@@ -34,7 +34,8 @@ class InfeasibleQpError(ConeguardError):
 
     Attributes:
         blocking_labels: labels of the constraints that could not be
-            satisfied simultaneously (most violated first).
+            satisfied simultaneously (most violated first, tied rows in
+            row order).
     """
 
     def __init__(self, message, blocking_labels=()):

@@ -12,71 +12,34 @@ If u_des satisfies every row (slack >= -FEAS_TOL), it is the optimum and
 ``solve`` returns it at once, with no active rows, no multipliers and the
 KKT residual max(0, -min slack): what the active-set loop returns on its
 first iteration from that start, without building it. Those slacks,
-A u_des + b, are computed once; the cap and the infeasibility report read
-them.
+A u_des + b, are computed once; the feasible start and the infeasibility
+report read them.
 
-If u_des is infeasible, the loop starts from the closest feasible candidate
-among the projections of u_des onto the affine sets {A_S u = -b_S}, one per
-subset S of at most 4 rows, each computed by ``lstsq`` on the Gram system and
-visited in ``itertools.combinations`` order with a strict ``dist <
-best_dist`` rule. If the problem is feasible, the optimum's linearly
-independent active subset yields exactly the optimum under this projection,
-so the winner both certifies feasibility and starts the active-set loop at
-(or next to) the solution. If no candidate is feasible the problem is
-infeasible and the most-violated labels are reported.
-
-With three or more rows the search is capped. Its reference is c, the
-projection onto the row w most violated at u_des (slack over ||a_w||),
-computed as the search computes it; in exact arithmetic only such a row's
-projection can be feasible. If c fails the feasibility test, every subset
-is solved. Otherwise let delta = ||c - u_des||, c - u_des = lam a_w + r
-(lam > 0, r the rounding of c off the line of a_w) and s = A c + b. A
-candidate u that can still win is feasible, a_w . u + b_w >= -FEAS_TOL,
-and no farther from u_des than c, up to the rounding eps_d of both
-distances, so
-
-    ||u - c||^2 = ||u - u_des||^2 - 2 (u - u_des) . (c - u_des) + delta^2
-               <= (delta + eps_d)^2 - delta^2 + 2 lam (s_w - a_w . u - b_w)
-                  + 2 ||r|| (||r|| + delta + eps_d)
-               <= 2 delta eps_d + eps_d^2 + 2 lam (s_w + FEAS_TOL + rounding)
-                  + 2 ||r|| (||r|| + delta + eps_d) = rho^2,
-
-a cap of radius rho, about sqrt(2 lam FEAS_TOL), around c. The lstsq
-candidate u_S = u_des + A_S^T mu of a subset S leaves residuals
-e_S = A_S u_S + b_S = G_S mu - r_S, with r_S = -(A_S u_des + b_S), that
-A_S^T all but annihilates: lstsq leaves G_S mu - r_S only along the
-directions it drops, on which A_S^T has norm at most sqrt(cut-off), so
-
-    ||A_S^T e_S|| <= sqrt(eta) ||r_S|| + ||A_S||^2 kappa + rounding,
-
-eta = k eps s_1 (the cut-off) + e_G, e_G = 10 k eps s_1 bounding the
-Gram's rounding and lstsq's backward error, and kappa that backward error
-acting on mu, to first order: a winner has ||A_S^T mu|| <= delta + eps_d
-and every direction lstsq keeps has a singular value above the cut-off,
-so ||mu|| <= (delta + eps_d) / sqrt(cut-off). If u_S lies in the cap, then
-A_S^T s_S = A_S^T e_S + A_S^T A_S (c - u_S), so
-
-    ||sum_{j in S} s_j a_j|| <= ||A_S||^2 rho + ||A_S^T e_S||.
-
-A subset whose left side exceeds the bound on the right (with ||A_S||^2
-<= sum_{j in S} ||a_j||^2) cannot win and is not solved; the left side
-and the bound of every subset come from one matrix product with the
-subset membership table. The survivors are solved in the search order
-with the same strict rule: the winner is a survivor, and no survivor
-before it is as close (or it would have won), so the capped search
-returns the very array of the exhaustive one, and the start, and every
-trace byte after it, do not depend on the cap. kappa is first order:
-where lstsq keeps a direction within its own backward error of singular,
-mu is undetermined along it, and such a candidate lands in the cap only
-by chance (the tests compare the recorded field runs' starts with the
-exhaustive search). With one or two rows (at most three subsets) every
-subset is solved.
+If u_des is infeasible, the loop starts from c, the projection of u_des
+onto the row w most violated at u_des (slack over ||a_w||), when c passes
+the feasibility test. In exact arithmetic c is then the optimum: every
+feasible point lies in w's halfspace {a_w . u + b_w >= 0}, which u_des
+does not, and c is that halfspace's closest point to u_des. The test
+admits slacks down to -FEAS_TOL, so the subset search below could accept
+a point that violates w within that band and is closer to u_des than c,
+by at most FEAS_TOL / ||a_w|| plus rounding; the start is c, the exact
+optimum, instead. If c fails the test, the start is
+the closest feasible candidate among the projections of u_des onto the
+affine sets {A_S u = -b_S}, one per subset S of at most 4 rows, each
+computed by ``lstsq`` on the Gram system and visited in
+``itertools.combinations`` order with a strict ``dist < best_dist`` rule.
+If the problem is feasible, the optimum's linearly independent active
+subset yields exactly the optimum under this projection, so the winner
+both certifies feasibility and starts the active-set loop at (or next to)
+the solution. If no candidate is feasible the problem is infeasible and
+the violated labels are reported, most violated first and tied rows in
+row order.
 
 One ``solve`` projects each row tuple at most once. Every projection, of
-the reference, a survivor or a working set of the loop, is kept under its
-row tuple, and the loop reuses one only for the same rows in the same
-order: the same ``lstsq`` input, so the same array. Most often the winner
-is the single row of c, and that row is the loop's first working set.
+c, a search candidate or a working set of the loop, is kept under its row
+tuple, and the loop reuses one only for the same rows in the same order:
+the same ``lstsq`` input, so the same array. Most often the start is c,
+and its row is the loop's first working set.
 
 Single rows in closed form. The projection onto one row a is u_des + a mu
 with the 1x1 Gram system g mu = r, g = a . a and r = -(a . u_des + b), and
@@ -131,7 +94,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -282,91 +244,12 @@ def _multipliers(W: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(W.T, step, rcond=None)[0]
 
 
-class _Search(NamedTuple):
-    """The subsets of at most MAX_SUBSET of m rows, in search order."""
-
-    keys: tuple[tuple[int, ...], ...]  # by size, then combinations order
-    member: np.ndarray  # (m, N) 1.0 where row i is in subset n, else 0.0
-
-
 @lru_cache(maxsize=None)
-def _search(m: int) -> _Search:
-    """The feasible-start search over m rows, built once per m."""
+def _subsets(m: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of at most MAX_SUBSET of m rows, in search order: by
+    size, then combinations order."""
     sizes = range(1, min(MAX_SUBSET, m) + 1)
-    keys = tuple(itertools.chain(*(itertools.combinations(range(m), k) for k in sizes)))
-    member = np.zeros((m, len(keys)))
-    for n, key in enumerate(keys):
-        member[list(key), n] = 1.0
-    member.setflags(write=False)
-    return _Search(keys, member)
-
-
-def _capped(
-    u_des: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    resid: np.ndarray,
-    projections: dict[tuple[int, ...], np.ndarray],
-) -> range | list[int]:
-    """Positions, in search order, of the subsets the cap cannot exclude.
-
-    The reference c is the projection onto the row w most violated at
-    u_des (resid = A u_des + b), stored in ``projections``. If c is
-    infeasible, every position.
-    Otherwise the subsets S with ||A_S^T s_S|| <= ||A_S||^2 (rho + kappa)
-    + sqrt(eta) ||r_S|| + rounding (module docstring), where s are the
-    slacks at c, r the negated slacks at u_des, ||A_S||^2 <= sigma_S =
-    sum_{j in S} ||a_j||^2 and eta = 11 k eps sigma_S: the cut-off k eps
-    s_1 plus e_G = 10 k eps s_1, with k = MAX_SUBSET for every size. Every
-    per-subset sum is one product of an (8, m) table with ``member``.
-    """
-    m = A.shape[0]
-    search = _search(m)
-    norm2 = (A * A).sum(axis=1)
-    w = int(np.argmin(resid / np.sqrt(norm2)))
-    c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
-    s = A @ c + b
-    if not s.min() >= -FEAS_TOL:
-        return range(len(search.keys))
-    step = c - u_des
-    delta = math.sqrt(float(step @ step))
-    u_norm = math.sqrt(float(u_des @ u_des))
-    a_w = math.sqrt(float(norm2[w]))
-    eps_d = 16.0 * EPS * delta  # the rounding of both distances
-    reach = delta + eps_d  # no winner is farther from u_des
-    lam = (1.0 + 16.0 * EPS) * delta / a_w  # c - u_des = lam a_w + r
-    r_off = 3.0 * EPS * (u_norm + delta)  # ||r||, the rounding of c
-    e_slack = 12.0 * EPS * (a_w * (u_norm + 2.0 * delta) + abs(float(b[w])))
-    rho2 = (
-        2.0 * reach * eps_d
-        + eps_d * eps_d
-        + 2.0 * lam * (float(s[w]) + FEAS_TOL + e_slack)
-        + 2.0 * r_off * (r_off + reach)
-    )
-    rho = math.sqrt(max(rho2, 0.0))
-    k = MAX_SUBSET
-    # per subset S: A_S^T s_S, then ||A_S||_F^2, ||r_S||^2, ||b_S||^2, ||s_S||^2
-    table = np.empty((8, m))
-    np.multiply(A.T, s, out=table[:4])
-    table[4] = norm2
-    np.multiply(resid, resid, out=table[5])
-    np.multiply(b, b, out=table[6])
-    np.multiply(s, s, out=table[7])
-    sums = table @ search.member
-    pull = np.sqrt(np.sum(sums[:4] * sums[:4], axis=0))
-    root, r_norm, b_norm, s_norm = np.sqrt(sums[4:])
-    radius = (
-        rho
-        + 12.0 * k * math.sqrt(EPS) * reach  # kappa: lstsq's error through mu
-        + 22.0 * EPS * (u_norm + reach)  # rounding of u_S and of both slacks
-    )
-    bound = root * (
-        root * radius
-        + math.sqrt(11.0 * k * EPS) * r_norm  # sqrt(eta) ||r_S||
-        + 22.0 * EPS * b_norm
-        + m * EPS * s_norm  # the product itself
-    )
-    return np.flatnonzero(~(pull > bound)).tolist()
+    return tuple(itertools.chain(*(itertools.combinations(range(m), k) for k in sizes)))
 
 
 def _feasible_start(
@@ -377,30 +260,23 @@ def _feasible_start(
     resid: np.ndarray,
     projections: dict[tuple[int, ...], np.ndarray],
 ) -> np.ndarray:
-    """Closest feasible equality-projection of u_des over row subsets.
+    """A feasible start for the active-set loop (module docstring).
 
-    Every subset of at most MAX_SUBSET rows is a candidate (module
-    docstring). With three or more rows, and a feasible single-row
-    reference c, a subset S is solved only if the cap cannot exclude it:
-    a winner u_S is feasible and no farther from u_des than c, so
-
-        ||A_S^T s_S|| <= ||A_S^T e_S|| + ||A_S||^2 ||u_S - c||
-                      <= sqrt(eta) ||r_S|| + ||A_S||^2 (kappa + rho) + rounding,
-
-    s being the slacks at c. That returns the same array as solving every
-    subset, which is done when c is infeasible. resid holds the row
-    slacks at u_des, A u_des + b. Every projection made is stored in
-    ``projections`` under its row tuple, where the active-set loop finds
-    it.
+    c, the projection of u_des onto the row w most violated at u_des, if
+    it passes the feasibility test: every feasible point lies in w's
+    halfspace, whose closest point to u_des is c. Otherwise the closest
+    feasible projection of u_des onto a subset of at most MAX_SUBSET rows.
+    resid holds the row slacks at u_des, A u_des + b. Every projection
+    made is stored in ``projections`` under its row tuple, where the
+    active-set loop finds it.
     """
-    m = A.shape[0]
-    keys = _search(m).keys
-    # at most three subsets with two rows: solving them all costs less than a cap
-    order = range(len(keys)) if m <= 2 else _capped(u_des, A, b, resid, projections)
+    w = int(np.argmin(resid / np.sqrt((A * A).sum(axis=1))))
+    c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
+    if (A @ c + b).min() >= -FEAS_TOL:
+        return c
     best = None
     best_dist = np.inf
-    for n in order:
-        rows = keys[n]
+    for rows in _subsets(len(b)):
         cand = projections.get(rows)
         if cand is None:
             cand = projections[rows] = _project_equalities(u_des, A, b, rows)
@@ -410,7 +286,7 @@ def _feasible_start(
             if dist < best_dist:
                 best, best_dist = cand, dist
     if best is None:
-        order = np.argsort(resid)
+        order = np.argsort(resid, kind="stable")
         worst = [labels[i] for i in order if resid[i] < 0.0]
         raise InfeasibleQpError(
             "safety QP infeasible; blocking constraints: " + ", ".join(worst),
@@ -424,8 +300,8 @@ def solve(problem: QpProblem) -> QpSolution:
 
     When u_des already satisfies every row (and with no rows) the problem's
     own read-only u_des is returned, with an empty active set and the
-    residual max(0, -min slack); only otherwise are the feasible-start
-    search and the loop run, and their answer certified.
+    residual max(0, -min slack); only otherwise are the feasible start and
+    the loop run, and their answer certified.
 
     Blocking-constraint ties are broken toward the fastest-violating row and
     then by label order, keeping the iteration deterministic.

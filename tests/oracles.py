@@ -8,10 +8,11 @@ derivative is reassembled from Newton-Euler, barrier values are recomputed
 from their defining formulas, the HO-CBF derivative chain is written out
 from b = ||c - x||^2 - r^2, and the safety QP is solved by projected
 gradient on the dual (or, for one row, in closed form). Agreement is then
-evidence, not circularity. The two exceptions must be matched bit for
-bit, so they keep the package's own calls: ``feasible_start_exhaustive``,
-the search the QP's feasible start caps, and ``phi_ratio_per_row``, the
-row-by-row form of ``harness._phi_ratio``.
+evidence, not circularity. The exceptions must be matched bit for bit,
+so they keep the package's own calls: ``feasible_start_exhaustive``, the
+search the QP's feasible start falls back to, with
+``most_violated_projection``, the start it tries first, and
+``phi_ratio_per_row``, the row-by-row form of ``harness._phi_ratio``.
 """
 
 from __future__ import annotations
@@ -256,15 +257,36 @@ def solve_single(u_des, row, offset):
     return u_des + lam * a
 
 
+def _subset_projection(u_des, A, b, subset):
+    """The projection of u_des onto {A_S u = -b_S}, S = subset, by lstsq on
+    the Gram system."""
+    idx = list(subset)
+    A_s, b_s = A[idx], b[idx]
+    gram = A_s @ A_s.T
+    rhs = -(A_s @ u_des + b_s)
+    return u_des + A_s.T @ np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
+def most_violated_projection(u_des, rows, offsets):
+    """(c, w): the row w most violated at u_des, slack over ||a_w|| (the
+    package's expression, so that ties resolve alike), and the projection c
+    of u_des onto it, which the exhaustive search also solves."""
+    A = np.asarray(rows, dtype=float)
+    b = np.asarray(offsets, dtype=float)
+    w = int(np.argmin((A @ u_des + b) / np.sqrt((A * A).sum(axis=1))))
+    return _subset_projection(u_des, A, b, (w,)), w
+
+
 def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
     """The safety QP's feasible start by solving every subset of <= 4 rows.
 
-    This is the search ``qp._feasible_start`` caps: each subset's
-    projection of u_des onto {A_S u = -b_S} by lstsq on the Gram system,
-    visited in combinations order, keeping the closest feasible one under a
-    strict ``<``. The numpy calls are the search's own, so a correct cap
-    reproduces the returned array bit for bit. Returns (start, None), or
-    (None, blocking labels most violated first) when no candidate is feasible.
+    This is the search ``qp._feasible_start`` runs when the most violated
+    row's projection is infeasible: each subset's projection of u_des onto
+    {A_S u = -b_S} by lstsq on the Gram system, visited in combinations
+    order, keeping the closest feasible one under a strict ``<``. The
+    numpy calls are the search's own, so the package returns this array bit
+    for bit. Returns (start, None), or (None, blocking labels most violated
+    first, tied rows in row order) when no candidate is feasible.
     """
     A = np.asarray(rows, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -273,12 +295,7 @@ def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
     best_dist = np.inf
     for size in range(1, min(4, m) + 1):
         for subset in itertools.combinations(range(m), size):
-            idx = list(subset)
-            A_s, b_s = A[idx], b[idx]
-            gram = A_s @ A_s.T
-            rhs = -(A_s @ u_des + b_s)
-            mu = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            cand = u_des + A_s.T @ mu
+            cand = _subset_projection(u_des, A, b, subset)
             if np.min(A @ cand + b) >= -feas_tol:
                 dist = float(np.linalg.norm(cand - u_des))
                 if dist < best_dist:
@@ -286,7 +303,7 @@ def feasible_start_exhaustive(u_des, rows, offsets, labels, feas_tol=1e-10):
     if best is not None:
         return best, None
     slack = A @ u_des + b
-    order = np.argsort(slack)
+    order = np.argsort(slack, kind="stable")
     return None, [labels[i] for i in order if slack[i] < 0.0]
 
 

@@ -1,8 +1,8 @@
 """The obstacle-field benchmark's traces against their recorded digests.
 
 The 8-obstacle fields are the only flights that reach the stacked survey
-and the capped feasible-start search on most steps, so their trace bytes
-pin both. The generator and the digests are the benchmark's own files,
+and an 8-row feasible start on most steps, so their trace bytes pin
+both. The generator and the digests are the benchmark's own files,
 read as they are.
 """
 
