@@ -20,20 +20,19 @@ onto the row w most violated at u_des (slack over ||a_w||), when c passes
 the feasibility test. In exact arithmetic c is then the optimum: every
 feasible point lies in w's halfspace {a_w . u + b_w >= 0}, which u_des
 does not, and c is that halfspace's closest point to u_des. The test
-admits slacks down to -FEAS_TOL, so the subset search below could accept
-a point that violates w within that band and is closer to u_des than c,
-by at most FEAS_TOL / ||a_w|| plus rounding; the start is c, the exact
-optimum, instead. If c fails the test, the start is
-the closest feasible candidate among the projections of u_des onto the
-affine sets {A_S u = -b_S}, one per subset S of at most 4 rows, each
-computed by ``lstsq`` on the Gram system and visited in
-``itertools.combinations`` order with a strict ``dist < best_dist`` rule.
-If the problem is feasible, the optimum's linearly independent active
-subset yields exactly the optimum under this projection, so the winner
-both certifies feasibility and starts the active-set loop at (or next to)
-the solution. If no candidate is feasible the problem is infeasible and
-the violated labels are reported, most violated first and tied rows in
-row order.
+admits slacks down to -FEAS_TOL, so the subset search below could accept a
+point that violates w within that band and is closer to u_des than c, by
+at most FEAS_TOL / ||a_w|| plus rounding; the start is c, the exact
+optimum, instead. If c fails the test, the start is the closest feasible
+candidate among the projections of u_des onto the affine sets
+{A_S u = -b_S}, one per subset S of at most 4 rows, each computed by
+``lstsq`` on the Gram system and visited in ``itertools.combinations``
+order with a strict ``dist < best_dist`` rule. If the problem is
+feasible, the optimum's linearly independent active subset yields exactly
+the optimum under this projection, so the winner both certifies
+feasibility and starts the active-set loop at (or next to) the solution.
+If no candidate is feasible the problem is infeasible and the violated
+labels are reported, most violated first and tied rows in row order.
 
 One ``solve`` projects each row tuple at most once. Every projection, of
 c, a search candidate or a working set of the loop, is kept under its row
