@@ -7,8 +7,7 @@ that lead to impact. A higher-order CBF baseline is included for
 conservativeness comparisons.
 
 The package root exports the run-level surface; the layers (``dynamics``,
-``tracking``, ``cone``, ``hocbf``, ``qp``, ``traceio``) are imported as
-submodules.
+``tracking``, ``cone``, ``qp``, ``traceio``) are imported as submodules.
 """
 
 from .errors import ConeguardError

@@ -11,9 +11,9 @@ the variant:
 - the projector: none for a sphere, or P = I - n n^T for a cylinder with
   axis n, applied to p and v so that nothing along the axis enters;
 - the weight: ||v|| for the collision cone, or a constant gamma for the
-  higher-order baseline in ``hocbf``. With weight ||v||, h >= 0 exactly when
-  v points outside the cone of half-angle phi, cos(phi) = s/||p||, so keeping
-  h >= 0 keeps the relative velocity off every collision course.
+  higher-order baseline. With weight ||v||, h >= 0 exactly when v points
+  outside the cone of half-angle phi, cos(phi) = s/||p||, so keeping h >= 0
+  keeps the relative velocity off every collision course.
 
 ``cone_terms`` evaluates the formula on (p, v, r, weight) alone. Along the
 closed loop its time derivative is affine in the rotor thrusts f,
@@ -34,8 +34,14 @@ Constant-velocity obstacles enter through p and v only.
 
 ``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
 the inflated radius, no projector or the axis projector, and weight ||v||.
-Like ``hocbf.barrier_ho`` they return the cone terms, which carry h and phi,
-and the row.
+``barrier_ho`` is the higher-order baseline (Xiao & Belta, CDC 2019): from
+b = ||p||^2 - r^2, one derivative chain with a square-root class-K function
+collapses to h = <p, v> + gamma s, no projector and the constant weight
+gamma, so dh/dv = p. Its effective half angle phi' has cos(phi') =
+(gamma/||v||) cos(phi): above a closing speed of gamma its cone is wider than
+the true one, and gamma = ||v|| pointwise recovers the cone barrier. It sees
+each obstacle as its encompassing sphere, so it misjudges elongated shapes.
+All three adapters return the cone terms, which carry h and phi, and the row.
 
 ``barrier_stack`` is the same collision cone for all N obstacles of a step
 at once: (N, 3) relative states, cylinder rows already projected, and (N,)
@@ -122,8 +128,7 @@ class Obstacle:
             raise error(f"unknown obstacle kind {self.kind!r}")
         if not isinstance(self.label, str):
             raise error("obstacle label must be a string")
-        if "," in self.label:  # a trace CSV column name
-            raise error(f"obstacle label {self.label!r} may not contain commas")
+        check_label(self.label, error)
         for name in ("center", "velocity"):
             value = checked_array(getattr(self, name), 3, name, error)
             object.__setattr__(self, name, value)
@@ -149,6 +154,12 @@ class Obstacle:
 
     def center_at(self, t: float) -> np.ndarray:
         return self.center + self.velocity * t
+
+
+def check_label(label: str, error: type[Exception]) -> None:
+    """Refuse a label that cannot name a trace column: a comma or a line break."""
+    if any(c in label for c in ",\r\n"):
+        raise error(f"obstacle label {label!r} may not contain commas or line breaks")
 
 
 def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
@@ -257,11 +268,10 @@ def cone_terms(
 
     gamma=None is the collision cone: weight ||v||, floor S_FLOOR, and phi
     with cos(phi) = s/||p||. A float gamma is the higher-order baseline:
-    weight gamma, floor S_FLOOR_HO, and the effective half angle with
-    cos(phi') = (gamma/||v||) cos(phi). Inside the radius s is clamped to 0,
-    which leaves the plain closing-speed term and phi = pi/2; the floor
-    bounds the 1/s in rate there. The cone squares ||p|| and the baseline
-    takes <p, p>, as each has always rounded.
+    weight gamma, floor S_FLOOR_HO, and the effective half angle phi'.
+    Inside the radius s is clamped to 0, which leaves the plain closing-speed
+    term and phi = pi/2; the floor bounds the 1/s in rate there. The cone
+    squares ||p|| and the baseline takes <p, p>, as each has always rounded.
 
     Scalars are Python floats: a norm is sqrt(x @ x), which is how numpy's
     norm computes a 1-D one, and the clip of cos(phi) is min/max. The dots
@@ -488,4 +498,32 @@ def barrier_projection(
     if obstacle.kind != "cylinder":
         raise InvalidObstacleError("barrier_projection expects a cylinder")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
+    return terms, barrier_row(frame, terms, kappa_gamma, label)
+
+
+def encompassing_radius(obstacle: Obstacle) -> float:
+    """Largest half-extent: the sphere that contains the whole obstacle."""
+    if obstacle.kind == "cylinder" and obstacle.height is not None:
+        return max(obstacle.radius_raw, 0.5 * obstacle.height)
+    return obstacle.radius_raw
+
+
+def barrier_ho(
+    frame: BodyFrame,
+    obstacle: Obstacle,
+    params: QuadrotorParams,
+    kappa_gamma: float,
+    hocbf_gamma: float,
+    t: float,
+    label: str = "",
+) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
+    """Higher-order baseline row: the cone terms with the encompassing radius,
+    no projector and weight hocbf_gamma; other arguments as for barrier_3d.
+
+    Raises:
+        DegenerateGradientError: ||input_row|| <= 1e-10.
+    """
+    p, v = frame.relative(obstacle, t)
+    r = encompassing_radius(obstacle) + 0.5 * params.body_width
+    terms = cone_terms(p, v, r, hocbf_gamma)
     return terms, barrier_row(frame, terms, kappa_gamma, label)

@@ -10,12 +10,12 @@ as one more obstacle: a constant-velocity sphere at its position and
 velocity, which is how the constant-velocity obstacle assumption is applied
 receding-horizon style. ``run`` returns the first vehicle's trace and
 ``run_pair`` both. The survey builds QP rows only when a filter reads them.
-It takes one of two paths. A C3BF step with at least ``STACK_MIN_ROWS``
-rows evaluates every obstacle at once in ``cone.barrier_stack``, on arrays
-of the run's obstacles built once per run (``_Stack``); every other step,
-and every HO-CBF or unfiltered one, goes obstacle by obstacle through
-``barrier_3d``, ``barrier_projection`` or ``barrier_ho``. Both paths give
-each trace cell, phi and QP row the same bits, so the choice is speed only:
+It takes one of two paths. A solo C3BF run with at least STACK_MIN_ROWS
+rows surveys every obstacle of a step at once in ``cone.barrier_stack``, on
+arrays of its obstacles built once per run (``_Stack``); every other run,
+a pair's included, goes obstacle by obstacle through ``barrier_3d``,
+``barrier_projection`` or ``barrier_ho``. Both paths give each trace cell,
+phi and QP row the same bits, so the choice is speed only:
 STACK_MIN_ROWS = 4 is the measured crossover, where the stacked survey
 turns from a tie (3 rows) into a win. The built-ins (1-2 rows) stay on
 the per-obstacle path.
@@ -55,6 +55,7 @@ from .cone import (
     BodyFrame,
     Obstacle,
     barrier_3d,
+    barrier_ho,
     barrier_projection,
     barrier_stack,
     cone_angles,
@@ -71,7 +72,6 @@ from .dynamics import (
     thrust_axes,
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
-from .hocbf import barrier_ho
 from .qp import checked_problem, solve
 from .records import checked_real, checked_records, checked_type, checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
@@ -156,6 +156,10 @@ class ScenarioConfig:
         for obstacle in obstacles:
             if obstacle.label == "partner":
                 raise ConfigError("obstacle label 'partner' is reserved")
+        labels = _obstacle_labels(self)  # trace column names, one row each
+        twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if twice:
+            raise ConfigError(f"obstacle label {twice[0]!r} names two rows")
         checked_types(self, initial_state=QuadrotorState, reference=Reference)
         checked_types(self, gains=ControllerGains, params=QuadrotorParams)
         checked_types(self, partner=AgentSpec | None, description=str)
@@ -288,38 +292,26 @@ def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
 
 
 class _Stack:
-    """A run's obstacles as arrays, for the stacked survey of its C3BF steps.
+    """A solo run's obstacles as arrays, for the stacked survey of C3BF steps.
 
     Centers, velocities and inflated radii, one row per obstacle, and the
-    cylinders' projectors are built once per run. A pair's partner is the
-    last row, whose (p, v) each step takes from the other vehicle's state,
-    as ``cone_geometry`` does for the sphere ``_as_obstacle`` makes of it.
+    cylinders' projectors are built once per run. A pair never stacks, so
+    its partner has one spelling, the sphere ``_as_obstacle`` makes of it.
     """
 
     def __init__(self, config: ScenarioConfig):
         obstacles, width = config.obstacles, config.params.body_width
-        rows = len(obstacles) + (config.partner is not None)
-        self.centers, self.velocities = np.zeros((rows, 3)), np.zeros((rows, 3))
-        self.radii = np.empty(rows)
-        for i, o in enumerate(obstacles):
-            self.centers[i], self.velocities[i] = o.center, o.velocity
-            self.radii[i] = inflated_radius(o, width)
-        if config.partner is not None:  # _as_obstacle's sphere, inflated
-            self.radii[-1] = 0.5 * width + 0.5 * width
+        self.centers = np.array([o.center for o in obstacles])
+        self.velocities = np.array([o.velocity for o in obstacles])
+        self.radii = np.array([inflated_radius(o, width) for o in obstacles])
         cylinders = [i for i, o in enumerate(obstacles) if o.kind == "cylinder"]
         self.cylinders = np.array(cylinders, dtype=np.intp)
         self.projectors = np.array([obstacles[i]._projector for i in cylinders])
 
-    def relative(
-        self, frame: BodyFrame, other: QuadrotorState | None, t: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(p, v) of every row as ``cone_geometry`` gives them, stacked;
-        ``other`` is the partner vehicle's state, None for a solo run."""
+    def relative(self, frame: BodyFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(p, v) of every row as ``cone_geometry`` gives them, stacked."""
         p = self.centers + self.velocities * t - frame.position
         v = self.velocities - frame.velocity
-        if other is not None:
-            p[-1] = other.position + other.velocity * t - frame.position
-            v[-1] = other.velocity - frame.velocity
         if self.cylinders.size:
             cylinders, P = self.cylinders, self.projectors
             p[cylinders] = np.matmul(P, p[cylinders, :, None])[:, :, 0]
@@ -340,24 +332,23 @@ def _survey(
     """Evaluate every obstacle once: barrier h, clearance, phi, and QP rows.
 
     The obstacles are the config's, then for a pair the other vehicle
-    (``other``, None for a solo run). Returns the trace's obstacle cells
-    (h, separation per obstacle, in column order), the half angles and the
-    rows as read-only arrays with their labels, (A, b, labels), for
-    ``qp.checked_problem``. The vehicle terms are computed once for the step
-    and shared by every obstacle. Given the run's stack (a C3BF run with at least
-    STACK_MIN_ROWS rows), all obstacles go through ``barrier_stack`` at
-    once, and cells and angles are arrays; else each goes through its own
-    barrier, the partner as the sphere ``_as_obstacle`` makes. Unfiltered runs
-    record the collision-cone h and phi, so their traces are comparable with
-    filtered ones, but build no rows. The clearance is the terms' ||p||
-    minus the inflated radius wherever the terms were built on the cone's
-    geometry, which is every obstacle but an HO-CBF cylinder; that one keeps
-    separation_distance.
+    (``other``, None for a solo run) as the sphere ``_as_obstacle`` makes.
+    Returns the trace's obstacle cells (h, separation per obstacle, in
+    column order), the half angles and the rows as read-only arrays with
+    their labels, (A, b, labels), for ``qp.checked_problem``. The vehicle
+    terms are computed once for the step and shared by every obstacle. Given
+    a solo run's stack, all obstacles go through ``barrier_stack`` at once,
+    and cells and angles are arrays; else each goes through its own barrier.
+    Unfiltered runs record the collision-cone h and phi, so their traces are
+    comparable with filtered ones, but build no rows. The clearance is the
+    terms' ||p|| minus the inflated radius wherever the terms were built on
+    the cone's geometry, which is every obstacle but an HO-CBF cylinder;
+    that one keeps separation_distance.
     """
     frame = BodyFrame(state, config.params)
     params, kappa_gamma = config.params, config.kappa_gamma
     if stack is not None:
-        p, v = stack.relative(frame, other, t)
+        p, v = stack.relative(frame, t)
         terms = barrier_stack(frame, p, v, stack.radii, kappa_gamma, labels)
         cells = np.empty(2 * len(labels))
         cells[0::2], cells[1::2] = terms.h, terms.clearance
@@ -466,8 +457,8 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
     labels = _obstacle_labels(config)
     n_steps = int(round(config.duration / config.dt))
     recorders = [_Recorder(n_steps + 1, labels) for _ in states]
-    stacked = config.filter_kind == "c3bf" and len(labels) >= STACK_MIN_ROWS
-    stack = _Stack(config) if stacked else None
+    solo_c3bf = config.filter_kind == "c3bf" and config.partner is None
+    stack = _Stack(config) if solo_c3bf and len(labels) >= STACK_MIN_ROWS else None
     for k in range(n_steps + 1):
         t = k * config.dt
         try:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .cone import Obstacle
+from .cone import Obstacle, check_label
 from .dynamics import QuadrotorParams, QuadrotorState
 from .errors import ConeguardError, ConfigError
 from .harness import (
@@ -56,27 +56,26 @@ def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
     row_format = ",".join(["%" + FLOAT_FORMAT] * table.shape[1])
     lines = [",".join(header)]
     lines += [row_format % tuple(row.tolist()) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_trace(path: str | Path, trace: SimTrace) -> None:
     """Write the CSV trace contract (9 significant digits per float)."""
     for label in trace.obstacle_labels:
-        if "," in label:
-            raise ConfigError(f"obstacle label {label!r} may not contain commas")
+        check_label(label, ConfigError)
     _write_csv(path, trace_columns(trace.obstacle_labels), trace.table)
 
 
 def parse_trace(path: str | Path) -> SimTrace:
-    """Read a trace CSV back into a SimTrace.
+    """Read a UTF-8 trace CSV back into a SimTrace.
 
     Only the contract payload survives the file format: half angles and
     reference positions come back empty.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"{path}: empty trace file")
@@ -248,14 +247,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a YAML scenario file."""
+    """Parse and validate a UTF-8 YAML scenario file."""
     path = Path(path)
     try:
-        data = yaml.load(path.read_text(), Loader=_Loader)
-    except OSError as exc:
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # PyYAML's own message spans several lines
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario file must be a mapping")
     return scenario_from_dict(data)

@@ -27,13 +27,14 @@ from coneguard.cone import (
     BodyFrame,
     Obstacle,
     barrier_3d,
+    barrier_ho,
     barrier_projection,
     contract,
+    encompassing_radius,
     inflated_radius,
 )
 from coneguard.dynamics import QuadrotorParams
 from coneguard.harness import VIOLATION_TOL, compute_metrics, run, run_pair
-from coneguard.hocbf import barrier_ho, encompassing_radius
 from coneguard.qp import AffineSafetyConstraint, QpProblem, solve
 from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.traceio import parse_trace, write_trace

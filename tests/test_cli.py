@@ -136,6 +136,26 @@ def test_validate_missing_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        (b"\xffname: x\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"duration: [1", "invalid YAML at line 1, column 13: "),
+    ],
+    ids=["not-utf8", "yaml-syntax"],
+)
+def test_validate_unreadable_file_prints_one_error_line(
+    tmp_path, capsys, content, problem
+):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    assert main(["validate-config", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: {problem}")
+
+
 HOVER_REFERENCE = "  type: hover\n  point: [0.0, 0.0, 1.0]\n"
 # the hover scene plus one cylinder; a case appends its axis and height lines
 CYLINDER_YAML = HOVER_YAML + textwrap.dedent(

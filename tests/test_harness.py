@@ -651,12 +651,12 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
 
 
-def _survey_outcome(state, config, t, stack=None, other=None):
+def _survey_outcome(state, config, t, stack=None):
     """The survey's cells, angles and rows as arrays, or its error."""
     labels = harness._obstacle_labels(config)
     try:
         cells, angles, (A, b, row_labels) = harness._survey(
-            state, other, labels, config, t, stack
+            state, None, labels, config, t, stack
         )
     except ConeguardError as exc:
         return type(exc), str(exc)
@@ -707,26 +707,23 @@ def _wide_state(rng):
 def test_stacked_survey_is_bit_equal_to_the_per_row_one():
     """barrier_stack through the survey against barrier_3d and
     barrier_projection one row at a time, for 1 to 8 obstacle rows on the
-    same frame, every other draw with a partner vehicle's row after them:
-    every cell, phi and QP row has the same bits, sign bits included."""
+    same frame: every cell, phi and QP row has the same bits, sign bits
+    included."""
     rng = np.random.default_rng(14)
     for m in range(1, 9):
-        for draw in range(40):
+        for _ in range(40):
             obstacles = tuple(_wide_obstacle(rng, i + m) for i in range(m))
             config = line_config(obstacles=obstacles)
-            state, other = _wide_state(rng), None
-            if draw % 2:
-                other = _wide_state(rng)
-                config = replace(config, partner=AgentSpec(other, config.reference))
+            state = _wide_state(rng)
             t = float(rng.uniform(0.0, 5.0))
-            want = _survey_outcome(state, config, t, other=other)
+            want = _survey_outcome(state, config, t)
             assert len(want) == 5  # no row of these draws is refused
-            got = _survey_outcome(state, config, t, harness._Stack(config), other)
-            _assert_same_survey(got, want, (m, state, other, t))
+            got = _survey_outcome(state, config, t, harness._Stack(config))
+            _assert_same_survey(got, want, (m, state, t))
 
 
 def _spied_runs(monkeypatch, config, stack_min_rows):
-    """The traces of run_pair or run and the QP problem of every step."""
+    """The trace of run and the QP problem of every step."""
     monkeypatch.setattr(harness, "STACK_MIN_ROWS", stack_min_rows)
     problems, stacked = [], []
     solve, barrier_stack = qp.solve, cone.barrier_stack  # not an earlier spy
@@ -741,44 +738,59 @@ def _spied_runs(monkeypatch, config, stack_min_rows):
 
     monkeypatch.setattr(harness, "solve", spy_solve)
     monkeypatch.setattr(harness, "barrier_stack", spy_stack)
-    traces = run_pair(config) if config.partner is not None else (run(config),)
+    trace = run(config)
     rows = len(harness._obstacle_labels(config))
     assert len(stacked) == (len(problems) if rows >= stack_min_rows else 0)
-    return traces, problems
+    return trace, problems
 
 
-@pytest.mark.parametrize("paired", [False, True], ids=["field", "field-pair"])
-def test_stacked_closed_loop_is_bit_equal_to_the_per_row_one(monkeypatch, paired):
-    """Every step of an 8-obstacle C3BF run, and of the same field flown by
-    a pair (whose partner row the stack fills in each step), gives the same
-    trace bytes, phi and QP rows on either survey path."""
+def test_stacked_closed_loop_is_bit_equal_to_the_per_row_one(monkeypatch):
+    """Every step of an 8-obstacle C3BF run gives the same trace bytes, phi
+    and QP rows on either survey path."""
     config = field_scenario()
-    if paired:
-        start = np.array([4.0, 0.3, 1.0])
-        config = replace(
-            config,
-            duration=1.0,
-            partner=AgentSpec(
-                initial_state=QuadrotorState.from_vector(
-                    np.concatenate([start, [-1.0, 0.0, 0.0], np.zeros(6)])
-                ),
-                reference=LineReference(start, np.array([-1.0, 0.0, 0.0])),
-            ),
-        )
     assert len(harness._obstacle_labels(config)) >= harness.STACK_MIN_ROWS
     stacked, stacked_problems = _spied_runs(monkeypatch, config, harness.STACK_MIN_ROWS)
     per_row, per_row_problems = _spied_runs(monkeypatch, config, 10**9)
     assert len(stacked_problems) == len(per_row_problems)
-    assert max(len(p.constraints) for p in per_row_problems) == 8 + paired
-    for got, want in zip(stacked, per_row):
-        assert_same_bits(got.table, want.table)
-        assert_same_bits(got.half_angles, want.half_angles)
+    assert max(len(p.constraints) for p in per_row_problems) == 8
+    assert_same_bits(stacked.table, per_row.table)
+    assert_same_bits(stacked.half_angles, per_row.half_angles)
     for got, want in zip(stacked_problems, per_row_problems):
         assert_same_bits(got.u_des, want.u_des)
         assert [c.label for c in got.constraints] == [c.label for c in want.constraints]
         for a, b in zip(got.constraints, want.constraints):
             assert_same_bits(a.gradient_row, b.gradient_row)
             assert_same_bits(np.array(a.offset), np.array(b.offset))
+
+
+def test_a_pair_surveys_row_by_row(monkeypatch):
+    """A pair flying the 8-obstacle field builds no stack and never calls
+    barrier_stack, though it has more than STACK_MIN_ROWS rows: each
+    vehicle hands solve its 8 obstacle rows and then the partner's, every
+    step."""
+    start = np.array([4.0, 0.3, 1.0])
+    config = replace(
+        field_scenario(),
+        duration=1.0,
+        partner=AgentSpec(
+            initial_state=QuadrotorState.from_vector(
+                np.concatenate([start, [-1.0, 0.0, 0.0], np.zeros(6)])
+            ),
+            reference=LineReference(start, np.array([-1.0, 0.0, 0.0])),
+        ),
+    )
+    labels = harness._obstacle_labels(config)
+    assert len(labels) == 9 > harness.STACK_MIN_ROWS and labels[-1] == "partner"
+    built, stacked, problems = [], [], []
+    solve = qp.solve  # not an earlier spy
+    monkeypatch.setattr(harness, "_Stack", lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "barrier_stack", lambda *args: stacked.append(args))
+    monkeypatch.setattr(harness, "solve", lambda p: problems.append(p) or solve(p))
+    run_pair(config)
+    assert built == [] and stacked == []
+    assert len(problems) == 2 * (round(config.duration / config.dt) + 1)
+    for problem in problems:
+        assert tuple(c.label for c in problem.constraints) == labels
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,17 @@ import pytest
 
 import oracles
 from helpers import hover_thrust, random_sphere, random_state, random_thrusts
-from coneguard.cone import BodyFrame, Obstacle, barrier_3d, contract, inflated_radius
+from coneguard.cone import (
+    BodyFrame,
+    Obstacle,
+    barrier_3d,
+    barrier_ho,
+    contract,
+    encompassing_radius,
+    inflated_radius,
+)
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError
-from coneguard.hocbf import barrier_ho, encompassing_radius
 from coneguard.scenarios import get_scenario
 
 kappa = 1.0

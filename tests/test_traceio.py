@@ -1,5 +1,6 @@
 """Trace CSV contract and strict YAML scenario parsing."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorState
-from coneguard.errors import ConfigError
+from coneguard.errors import ConfigError, InvalidObstacleError
 from coneguard.harness import (
     VIOLATION_TOL,
     ScenarioConfig,
@@ -116,6 +117,18 @@ def test_comma_label_rejected(tmp_path):
     tampered = replace(trace, obstacle_labels=("a,b",))
     with pytest.raises(ConfigError):
         write_trace(tmp_path / "x.csv", tampered)
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"], ids=["lf", "cr"])
+def test_line_break_label_rejected(tmp_path, label):
+    """A line break in a label would split the trace header in two, so both
+    the obstacle and write_trace refuse it, as they refuse a comma."""
+    with pytest.raises(InvalidObstacleError, match="may not contain commas or line"):
+        Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, label=label)
+    tampered = replace(short_trace(), obstacle_labels=(label,))
+    with pytest.raises(ConfigError, match="may not contain commas or line"):
+        write_trace(tmp_path / "x.csv", tampered)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_metrics_text_lists_fields():
@@ -258,6 +271,23 @@ def test_yaml_rejects_comma_label():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "labels, twice",
+    [(("sphere1", ""), "sphere1"), (("post", "post"), "post")],
+    ids=["default-label", "user-labels"],
+)
+def test_yaml_rejects_duplicate_row_labels(labels, twice):
+    """Two rows of one label would write two h_ and two sep_ columns of one
+    name; a user label may also collide with another obstacle's default."""
+    data = dict(MINIMAL)
+    data["obstacles"] = [
+        {"kind": "sphere", "center": [1 + i, 0, 1], "radius_raw": 0.1, "label": label}
+        for i, label in enumerate(labels)
+    ]
+    with pytest.raises(ConfigError, match=f"^obstacle label '{twice}' names two rows$"):
+        scenario_from_dict(data)
+
+
 def test_yaml_rejects_fractional_seed():
     data = dict(MINIMAL)
     data["seed"] = 1.5
@@ -277,6 +307,37 @@ def test_load_scenario_from_file(tmp_path):
     config = load_scenario(path)
     assert config.name == "from-file"
     assert abs(config.duration - 0.5) < 1e-15
+
+
+def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"\xffname: x\n")
+    want = f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"
+    for read in (load_scenario, parse_trace):
+        with pytest.raises(ConfigError, match=want) as exc_info:
+            read(path)
+        assert "\n" not in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("duration: [1", " at line 1, column 13: expected ',' or ']'"),
+        ("name: x\nduration: 1: 2\n", " at line 2, column 12: mapping values"),
+        ("name: \x00\n", ": unacceptable character #x0000"),
+    ],
+    ids=["unclosed-list", "nested-mapping", "control-character"],
+)
+def test_yaml_syntax_error_is_one_line(tmp_path, text, where):
+    """PyYAML's own message adds context and caret lines; the error keeps
+    the problem and, where PyYAML has one, its line and column."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc_info:
+        load_scenario(path)
+    message = str(exc_info.value)
+    assert message.startswith(f"{path}: invalid YAML{where}")
+    assert "\n" not in message
 
 
 def test_load_scenario_rejects_non_mapping(tmp_path):
