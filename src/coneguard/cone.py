@@ -156,9 +156,13 @@ class Obstacle:
         return self.center + self.velocity * t
 
 
+# Every character str.splitlines breaks a line at, which parse_trace splits on.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def check_label(label: str, error: type[Exception]) -> None:
     """Refuse a label that cannot name a trace column: a comma or a line break."""
-    if any(c in label for c in ",\r\n"):
+    if any(c in label for c in "," + LINE_BREAKS):
         raise error(f"obstacle label {label!r} may not contain commas or line breaks")
 
 

@@ -64,10 +64,10 @@ from .cone import (
     inflated_radius,
 )
 from .dynamics import (
-    ControlInput,
     QuadrotorParams,
     QuadrotorState,
     check_attitude,
+    control_of,
     step,
     thrust_axes,
 )
@@ -238,36 +238,50 @@ class ComparisonReport:
         return self.trace_a.t
 
 
+def _nine_digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, n, k) of every entry v of block: where fast, FLOAT_FORMAT
+    prints v as its sign, the 9-digit significand n (a float in [1e8, 1e9))
+    and the exponent 8 - k, so the value it parses back is n 10^-k.
+
+    With e = floor(log10|v|) and the power of ten 10^|k|, k = 8 - e, exact
+    (|k| <= 22), x = |v| 10^k is the correctly rounded scaled value and n =
+    rint(x). n is the significand the exact |v| rounds to, and e its
+    exponent, wherever x in [1e8, 1e9 - 1) lies more than 1e-6 (far beyond
+    x's rounding error, under 1e-7) from a half-integer; then the quotient
+    or product of n and that power is the correctly rounded n 10^-k. fast is
+    false elsewhere: zeros, non-finite values, subnormals, exponents outside
+    [-14, 30], near ties and carries into a tenth digit. Those entries take
+    the string rule itself, and their n and k are stand-ins.
+    """
+    a = np.abs(block)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
+        e = np.floor(np.log10(a))
+    fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
+    k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
+    a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
+    scale = _POW10[np.abs(k)]
+    x = np.where(k >= 0, a * scale, a / scale)
+    n = np.rint(x)
+    fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
+    return fast, n, k
+
+
 def _quantize(table: np.ndarray) -> None:
     """Round every entry in place to 9 significant digits: float(format(v, ".8e")).
 
     Elementwise, so one pass per run equals rounding each step as recorded.
     The string rule is done as array arithmetic, in blocks of rows so that
-    the temporaries stay small. With e = floor(log10|v|) and the power of
-    ten 10^|8 - e| exact (|8 - e| <= 22), x = |v| 10^(8 - e) is the correctly
-    rounded scaled value, n = rint(x) is the 9-digit significand, and the
-    quotient or product of n and that power is the correctly rounded
-    n 10^(e - 8): what the string rule parses back. rint(x) is the
-    significand the exact |v| rounds to wherever x in [1e8, 1e9 - 1) lies
-    more than 1e-6 (far beyond x's rounding error, under 1e-7) from a
-    half-integer. Every other entry takes the string rule itself:
-    zeros, non-finite values, subnormals, exponents outside [-14, 30], near
-    ties and carries into a tenth digit.
+    the temporaries stay small: where ``_nine_digits`` finds the entry's
+    significand n and power k, the entry becomes sign(v) n 10^-k, the value
+    the string parses back; every other entry takes the string rule itself.
+    The trace writer prints from the same rule (``traceio``).
     """
     for start in range(0, table.shape[0], _QUANTIZE_ROWS):
         block = table[start : start + _QUANTIZE_ROWS]
-        a = np.abs(block)
-        with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
-            e = np.floor(np.log10(a))
-        fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
-        k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
-        a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
+        fast, n, k = _nine_digits(block)
         scale = _POW10[np.abs(k)]
-        up = k >= 0
-        x = np.where(up, a * scale, a / scale)
-        n = np.rint(x)
-        fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
-        np.copyto(block, np.copysign(np.where(up, n / scale, n * scale), block), where=fast)
+        value = np.where(k >= 0, n / scale, n * scale)
+        np.copyto(block, np.copysign(value, block), where=fast)
         slow = np.nonzero(~fast)
         if slow[0].size:
             block[slow] = [float(format(v, FLOAT_FORMAT)) for v in block[slow].tolist()]
@@ -383,7 +397,9 @@ def _survey(
         angles.append(terms.phi)
     if not input_rows:
         return cells, angles, _NO_ROWS
-    A, b = np.array(input_rows), np.array(offsets)
+    # one row, most steps' survey: a view of it, the row is made fresh per step
+    A = input_rows[0][None] if len(input_rows) == 1 else np.array(input_rows)
+    b = np.array(offsets)
     A.setflags(write=False)
     b.setflags(write=False)
     return cells, angles, (A, b, labels)
@@ -474,7 +490,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                 recorders[a].add(
                     k, t, state, u_des, u_star, cells, angles, ref.position
                 )
-                controls.append(control if u_star is u_des else ControlInput(u_star))
+                controls.append(control if u_star is u_des else control_of(u_star))
             if k < n_steps:
                 states = [
                     step(state, control, config.dt, config.params)

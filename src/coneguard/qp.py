@@ -57,22 +57,38 @@ least-squares lambda of a lambda = u - u_des, is taken as
 ``lstsq``, but only the returned multipliers and KKT residual read them;
 u* and the active set do not.
 
-The blocking scan. Each step of the loop needs, for every row j outside
-the working set, the rate a_j . d and the slack a_j . u + b_j. Both come
-from one stacked product each, A[:, None, :] @ d[:, None] (``_row_dots``):
-an (m, 1, 4) by (4, 1) matmul is m 1-D dots of the same contiguous rows, so
-entry j has the bits of a_j @ d, which the scan reads. A plain A @ d does
-not: BLAS may sum a matrix-vector product in another order. A single row
-takes its 1-D dot directly, the same bits for less call overhead. Only the
-selection, the first strictly smaller step and its tie rule, runs in
-Python, over the rows whose rate is not >= -1e-14 (nan included), in row
-order as before.
+The blocking scan. The loop holds u, its target u_eq and the step d =
+u_eq - u as lists of four Python floats, and makes each update (d, u +
+alpha d, u - u_des) elementwise in the operation order of its array form:
+numpy's elementwise operations round each IEEE operation once, as Python
+does, so every float has the array's bits. Only the dot products go to
+numpy, on arrays built from those floats. Each step of the loop needs,
+for every row j outside the working set, the rate a_j . d and the slack
+a_j . u + b_j. Both come from one stacked product each, A[:, None, :] @
+d[:, None] (``_row_dots``): an (m, 1, 4) by (4, 1) matmul is m 1-D dots of
+the same contiguous rows, so entry j has the bits of a_j @ d, which the
+scan reads. A plain A @ d does not: BLAS may sum a matrix-vector product
+in another order. A single row takes its 1-D dot directly, the same bits
+for less call overhead; every 1-D dot is ``ndarray.dot``, the ddot ``@``
+calls, for less still. A d of four zeros skips its norm, as d . d is +0.0
+in any summation order. Only the selection, the first strictly smaller
+step and its tie rule, runs in Python, over the rows whose rate is not >=
+-1e-14 (nan included), in row order as before.
 
 The certificate. Every answer that leaves u_des is checked against its own
 KKT residual (stationarity, feasibility, complementarity): above
 KKT_RTOL (1 + ||u_des||) (1 + max_i ||a_i||) ``solve`` raises
 ``UncertifiedSolutionError`` rather than return it. A returned u_des has a
-residual of at most FEAS_TOL, below any such bound.
+residual of at most FEAS_TOL, below any such bound. With one active row a,
+the loop's last answer on most intervening steps, the residual is built
+from the loop's floats: the multiplier max(lambda, 0) as np.maximum gives
+it (+0.0 for -0.0, nan kept), the gap (u - u_des) - a lambda elementwise,
+whose one-term product has the bits of W^T lambda up to the sign of a
+zero, which the gap's square drops, and the row's slack a . u + b as a
+1-D dot. The gap's squared norm is a 1-D dot and the feasibility the min
+of A u + b, both as in the array form. With two or more active rows, the
+gap and the slacks of the active rows stay array expressions, as BLAS
+sums their products over rows.
 
 Validation. The public constructors of ``AffineSafetyConstraint`` and
 ``QpProblem`` copy and check what they are given with the ``records``
@@ -181,8 +197,9 @@ def checked_problem(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, labels: tuple[str, ...]
 ) -> QpProblem:
     """The problem of a read-only finite 4-vector u_des, read-only rows A
-    (m, 4) and offsets b (m,), all finite with ||a_i|| > GRADIENT_MIN, and
-    one label per row, held as given; nothing is checked."""
+    (m, 4), each row contiguous, and offsets b (m,), all finite with
+    ||a_i|| > GRADIENT_MIN, and one label per row, held as given; nothing is
+    checked."""
     return prebuilt(QpProblem, u_des=u_des, A=A, b=b, labels=labels)
 
 
@@ -200,15 +217,16 @@ def _project_equalities(
     """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
     if inconsistent)."""
     # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
-    A_S = A[list(rows)]
     if len(rows) == 1:
-        a = A_S[0]
-        mu = _row_multiplier(float(a @ a), -(float(a @ u_des) + float(b[rows[0]])))
+        # contiguous, as the lstsq path's copy A_S[0]: a strided row's dot
+        # may sum in another order
+        a = np.ascontiguousarray(A[rows[0]])
+        mu = _row_multiplier(float(a.dot(a)), -(float(a.dot(u_des)) + float(b[rows[0]])))
         if mu is not None:
             # + 0.0: the one-term sum A_S^T mu starts from +0.0, so a zero
             # product adds as +0.0 (module docstring)
             return u_des + (a * mu + 0.0)
-    b_S = b[list(rows)]
+    A_S, b_S = A[list(rows)], b[list(rows)]
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
     return u_des + A_S.T @ np.linalg.lstsq(gram, rhs, rcond=None)[0]
@@ -230,17 +248,25 @@ def _row_dots(A: np.ndarray, x: np.ndarray) -> list[float]:
     product (a plain A @ x may sum in another order), or for a single row
     the dot itself, which costs less than the stacked call."""
     if len(A) == 1:
-        return [float(A[0] @ x)]
+        return [float(A[0].dot(x))]
     return np.matmul(A[:, None, :], x[:, None])[:, 0, 0].tolist()
 
 
-def _multipliers(W: np.ndarray, step: np.ndarray) -> np.ndarray:
+def _min_slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """min (A x + b) over m >= 1 rows; a single row takes the 1-D dot, which
+    numpy takes the 1-row product to, so the same bits without the matmul."""
+    if len(b) == 1:
+        return float(A[0].dot(x)) + float(b[0])
+    return float((A @ x + b).min())
+
+
+def _multipliers(W: np.ndarray, step: np.ndarray) -> list[float]:
     """Least-squares lambda of W^T lambda = step; for one row a, in closed
     form (a . step) / (a . a)."""
     if W.shape[0] == 1:
         a = W[0]
-        return np.array([float(a @ step) / float(a @ a)])
-    return np.linalg.lstsq(W.T, step, rcond=None)[0]
+        return [float(a.dot(step)) / float(a.dot(a))]
+    return np.linalg.lstsq(W.T, step, rcond=None)[0].tolist()
 
 
 @lru_cache(maxsize=None)
@@ -269,9 +295,9 @@ def _feasible_start(
     made is stored in ``projections`` under its row tuple, where the
     active-set loop finds it.
     """
-    w = int(np.argmin(resid / np.sqrt((A * A).sum(axis=1))))
+    w = int(np.argmin(resid / np.sqrt((A * A).sum(axis=1)))) if len(b) > 1 else 0
     c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
-    if (A @ c + b).min() >= -FEAS_TOL:
+    if _min_slack(A, b, c) >= -FEAS_TOL:
         return c
     best = None
     best_dist = np.inf
@@ -279,7 +305,7 @@ def _feasible_start(
         cand = projections.get(rows)
         if cand is None:
             cand = projections[rows] = _project_equalities(u_des, A, b, rows)
-        if (A @ cand + b).min() >= -FEAS_TOL:
+        if _min_slack(A, b, cand) >= -FEAS_TOL:
             step = cand - u_des
             dist = math.sqrt(float(step @ step))
             if dist < best_dist:
@@ -313,43 +339,51 @@ def solve(problem: QpProblem) -> QpSolution:
     """
     u_des, A, b, labels = problem.u_des, problem.A, problem.b, problem.labels
     m = len(b)
-    if m == 1:
-        # one row, most steps' problem: numpy takes the 1-row product to the
-        # 1-D dot, so this is the bits of (A @ u_des + b)[0] without the array
-        min_slack = float(A[0] @ u_des) + float(b[0])
-    else:
+    if m > 1:
         resid = A @ u_des + b  # row slacks at u_des
-        min_slack = float(resid.min()) if m else math.inf
+        min_slack = float(resid.min())
+    else:  # one row, most steps' problem, takes no matmul
+        min_slack = _min_slack(A, b, u_des) if m else math.inf
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
         return QpSolution(u_des, (), (), max(0.0, -min_slack))
     if m == 1:
-        resid = A @ u_des + b
+        resid = np.array([min_slack])  # the bits of A @ u_des + b
 
     projections: dict[tuple[int, ...], np.ndarray] = {}
     u = _feasible_start(u_des, A, b, labels, resid, projections)
 
+    # u, u_eq, d and u - u_des as floats; u and d also as arrays for the
+    # dots (module docstring, the blocking scan)
+    ud, uf, offsets = u_des.tolist(), u.tolist(), b.tolist()
     working: list[int] = []
-    lam_w = np.zeros(0)
+    lam_w: list[float] = []
     for _ in range(MAX_ITER):
         if working:
             rows = tuple(working)
             u_eq = projections.get(rows)
             if u_eq is None:
                 u_eq = projections[rows] = _project_equalities(u_des, A, b, rows)
+            goal = u_eq.tolist()
         else:
-            u_eq = u_des
-        d = u_eq - u
-        if math.sqrt(float(d @ d)) <= 1e-12:
+            goal = ud
+        df = [g - x for g, x in zip(goal, uf)]  # d = u_eq - u
+        if any(df):  # nan is true
+            d = np.array(df)
+            arrived = math.sqrt(float(d.dot(d))) <= 1e-12
+        else:
+            arrived = True  # d @ d is +0.0 in any summation order
+        if arrived:
             # At the working-set minimizer: check signs of the multipliers.
-            if working:
-                lam_w = _multipliers(A[working], u - u_des)
-            else:
-                lam_w = np.zeros(0)
-            if lam_w.size == 0 or lam_w.min() >= -1e-12:
+            sf = [x - y for x, y in zip(uf, ud)]  # u - u_des
+            if not working:
                 break
-            drop = int(np.argmin(lam_w))
-            working.pop(drop)
+            j = working[0]  # one row is taken as a view, not a copy
+            W = A[j : j + 1] if len(working) == 1 else A[working]
+            lam_w = _multipliers(W, np.array(sf))
+            if all(lam >= -1e-12 for lam in lam_w):  # nan fails, as in min()
+                break
+            working.pop(int(np.argmin(lam_w)))
             continue
         # Step toward u_eq, blocked by rows outside the working set that
         # d moves toward their bound (a rate that is not >= -1e-14, nan too).
@@ -361,7 +395,7 @@ def solve(problem: QpProblem) -> QpSolution:
         block = -1
         block_rate = 0.0
         if closing:
-            slacks = [dot + offset for dot, offset in zip(_row_dots(A, u), b.tolist())]
+            slacks = [dot + offset for dot, offset in zip(_row_dots(A, u), offsets)]
         for j in closing:
             rate = rates[j]
             alpha_j = max(slacks[j], 0.0) / (-rate)
@@ -373,19 +407,33 @@ def solve(problem: QpProblem) -> QpSolution:
                     abs(rate - block_rate) <= 1e-14 and labels[j] < labels[block]
                 ):
                     block, block_rate = j, rate
-        u = u + alpha * d
+        uf = [x + alpha * y for x, y in zip(uf, df)]
+        u = np.array(uf)
         if block >= 0 and alpha < 1.0:
             working.append(block)
     else:
         raise IterationLimitError("active-set iteration exceeded 100 iterations")
 
-    lam = np.maximum(lam_w, 0.0) if lam_w.size else np.zeros(0)
+    # The certificate, from the loop's floats with at most one active row
     act_labels = tuple(labels[i] for i in working)
-    W = A[working]
-    gap = (u - u_des) - (W.T @ lam if working else 0.0)
-    stationarity = math.sqrt(float(gap @ gap))
-    feas = max(0.0, -float((A @ u + b).min()))
-    comp = float(np.abs(lam * (W @ u + b[working])).max()) if working else 0.0
+    if len(working) > 1:
+        lam = np.maximum(lam_w, 0.0)
+        W = A[working]
+        gap = np.array(sf) - W.T @ lam
+        comp = float(np.abs(lam * (W @ u + b[working])).max())
+        multipliers = tuple(lam.tolist())
+    elif working:
+        (j,) = working
+        lam = 0.0 if lam_w[0] <= 0.0 else lam_w[0]  # np.maximum's bits, +0.0 and nan
+        gap = np.array([s - x * lam for s, x in zip(sf, A[j].tolist())])
+        comp = abs(lam * (float(A[j].dot(u)) + offsets[j]))
+        multipliers = (float(lam),)
+    else:
+        gap = np.array(sf)
+        comp = 0.0
+        multipliers = ()
+    stationarity = math.sqrt(float(gap.dot(gap)))
+    feas = max(0.0, -_min_slack(A, b, u))
     kkt = max(stationarity, feas, comp)
     if not kkt <= KKT_RTOL:  # the bound is at least KKT_RTOL; nan fails too
         u_norm = math.sqrt(float(u_des @ u_des))
@@ -399,4 +447,4 @@ def solve(problem: QpProblem) -> QpSolution:
                 residual=kkt,
                 bound=bound,
             )
-    return QpSolution(u, act_labels, tuple(float(v) for v in lam), kkt)
+    return QpSolution(u, act_labels, multipliers, kkt)

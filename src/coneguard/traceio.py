@@ -12,11 +12,20 @@ order, already quantized to that precision by the run; so a trace is written
 and parsed as one table, re-parsing reproduces it exactly and re-writing is
 byte-identical.
 
+A table is printed in blocks of ``harness._QUANTIZE_ROWS`` rows, as byte
+arrays. Where the quantize rule (``harness._nine_digits``) finds a cell's
+9-digit significand n and exponent, those are the digits "%.8e" prints, so
+the cell is spelled from them: its sign, n's first digit, ".", its other
+eight digits, "e" and the signed two-digit exponent. Every other cell
+(zeros, nan, +-inf, subnormals, exponents outside [-14, 30], near ties) is
+printed by format(v, ".8e") itself. The file has the bytes of one
+%-format per row on any table, quantized or not (the phi-ratio CSV).
+
 Scenario files are YAML mappings of the ScenarioConfig fields. The loader
-checks only the file's schema: mappings, unknown keys (rejected at every
-nesting level, so typos fail loudly), required keys, the reference type,
-the state parts that default to zero and the normalisation of a cylinder
-axis. Every value goes as it is to the constructor of the record it
+checks only the file's schema: mappings, unknown and repeated keys
+(rejected at every nesting level, so typos fail loudly), required keys,
+the reference type, the state parts that default to zero and the
+normalisation of a cylinder axis. Every value goes as it is to the constructor of the record it
 belongs to, which is the one place it is checked; an error is reported
 with its YAML path first, as in ``obstacles[0]: center must be 3 numbers``.
 """
@@ -25,21 +34,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .cone import Obstacle, check_label
 from .dynamics import QuadrotorParams, QuadrotorState
 from .errors import ConeguardError, ConfigError
 from .harness import (
+    _QUANTIZE_ROWS,
     FLOAT_FORMAT,
     AgentSpec,
     ComparisonReport,
     Metrics,
     ScenarioConfig,
     SimTrace,
+    _nine_digits,
     trace_columns,
 )
 from .records import checked_array
@@ -51,12 +62,53 @@ def _fmt(value: float) -> str:
     return format(value, FLOAT_FORMAT)
 
 
+# A cell is 17 bytes: its text right-aligned in the first 16, then "," or,
+# at the end of a row, "\n". A cell spelled from its digits is " ", "-" or
+# " ", the first digit, ".", eight digits, "e", the exponent's sign and two
+# digits. No printed cell holds a space, so the output drops every " ".
+_CELL = np.frombuffer(b"  0.00000000e+00,", np.uint8)
+
+
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(the 4 ASCII digits of 0..9999, "e-14".."e+30"), built on first write."""
+    quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    exponents = [f"e{e:+03d}" for e in range(-14, 31)]
+    powers = np.frombuffer("".join(exponents).encode(), np.uint8).reshape(-1, 4)
+    return (quads + ord("0")).astype(np.uint8), powers
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a block of rows, every cell as FLOAT_FORMAT prints it.
+
+    A cell the quantize rule covers (``harness._nine_digits``) is spelled
+    from its sign, significand n and exponent 8 - k as uint8 planes; every
+    other cell is the string rule's own text.
+    """
+    quads, powers = _digit_tables()
+    fast, n, k = _nine_digits(block)
+    cells = np.empty(block.shape + _CELL.shape, np.uint8)
+    cells[...] = _CELL
+    cells[:, -1, -1] = ord("\n")
+    cells[..., 1] = np.where(np.signbit(block), ord("-"), ord(" "))
+    high, low = np.divmod(n.astype(np.int64), 10_000)  # 5 and 4 digits
+    cells[..., 2] = high // 10_000 + ord("0")
+    cells[..., 4:8] = np.take(quads, high % 10_000, axis=0)
+    cells[..., 8:12] = np.take(quads, low, axis=0)
+    cells[..., 12:16] = np.take(powers, 22 - k, axis=0)  # e + 14, e = 8 - k
+    slow = np.nonzero(~fast)
+    if slow[0].size:
+        text = "".join([format(v, ">16" + FLOAT_FORMAT) for v in block[slow].tolist()])
+        cells[slow[0], slow[1], :16] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 16)
+    return cells.tobytes().translate(None, b" ")
+
+
 def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
-    # one %-format per row, which prints a float as _fmt does
-    row_format = ",".join(["%" + FLOAT_FORMAT] * table.shape[1])
-    lines = [",".join(header)]
-    lines += [row_format % tuple(row.tolist()) for row in table]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """The header line, then one line per row, in blocks of _QUANTIZE_ROWS."""
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, table.shape[0], _QUANTIZE_ROWS):
+            out.write(_csv_rows(table[start : start + _QUANTIZE_ROWS]))
 
 
 def write_trace(path: str | Path, trace: SimTrace) -> None:
@@ -136,21 +188,45 @@ def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
 # --- scenario files ---------------------------------------------------------
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 4e-3 and 1e200.
+@cache
+def _loader():
+    """The scenario-file loader, built on first use, so that only a run that
+    reads a scenario file imports PyYAML.
 
-    YAML 1.1 wants a dot and a signed exponent, so PyYAML loads an unquoted
-    4e-3 as a string. The added resolver takes every plain scalar of the
-    YAML 1.2 float form; integers, .nan/.inf and quoted strings load as
-    before.
+    A SafeLoader that refuses a key repeated in one mapping (at any nesting
+    level, reported at the repeat's line) and also reads YAML 1.2 floats
+    such as 4e-3 and 1e200. YAML 1.1 wants a dot and a signed exponent, so
+    PyYAML loads an unquoted 4e-3 as a string; the added resolver takes
+    every plain scalar of the YAML 1.2 float form. Integers, .nan/.inf and
+    quoted strings load as before.
     """
+    import yaml
 
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # a merge (<<) may override, as YAML allows
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:  # unhashable: SafeLoader reports it
+                    continue
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"found duplicate key {key!r}",
+                        problem_mark=key_node.start_mark,
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
-    list("-+0123456789."),
-)
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+        list("-+0123456789."),
+    )
+    return Loader
 
 
 def _check_keys(mapping: dict, allowed, context: str, required=()) -> None:
@@ -248,9 +324,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a UTF-8 YAML scenario file."""
+    import yaml  # PyYAML is imported only where a scenario file is read
+
     path = Path(path)
     try:
-        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_loader())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except yaml.YAMLError as exc:  # PyYAML's own message spans several lines

@@ -145,3 +145,28 @@ def field_scenario(dt: float = DT) -> ScenarioConfig:
         reference=LineReference(start, np.array([1.0, 0.0, 0.0])),
         obstacles=tuple(obstacles),
     )
+
+
+def quantize_edge_values() -> np.ndarray:
+    """Values the quantize rule hands to the string rule or could misround,
+    and one ulp either side of each, with both signs: decimal ties between
+    two 9-digit values, powers of ten, carries into a tenth digit, zeros and
+    subnormals."""
+    rng = np.random.default_rng(13)
+    digits = rng.integers(10**8, 10**9, 400).tolist()
+    exponents = rng.integers(-14, 31, 400).tolist()
+    ties = [float(f"{n}5e{k - 9}") for n, k in zip(digits, exponents)]
+    ties += [1234567895.0, 9999999995.0, 123456789.5]  # exact in binary
+    powers = [float(f"1e{k}") for k in range(-14, 31)]
+    carries = [float(f"9.999999995e{k}") for k in range(-16, 33)]
+    near = np.array(ties + powers + carries)
+    values = np.concatenate(
+        [
+            near,
+            np.nextafter(near, np.inf),
+            np.nextafter(near, -np.inf),
+            [0.0, 5e-324, 2.2250738585072e-310, 2.2250738585072014e-308],
+            [np.nextafter(2.2250738585072014e-308, 0.0), 1e-15, 1e31],
+        ]
+    )
+    return np.concatenate([values, -values])

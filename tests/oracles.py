@@ -11,19 +11,30 @@ gradient on the dual (or, for one row, in closed form). Agreement is then
 evidence, not circularity. The exceptions must be matched bit for bit,
 so they keep the package's own calls: ``feasible_start_exhaustive``, the
 search the QP's feasible start falls back to, with
-``most_violated_projection``, the start it tries first, and
-``phi_ratio_per_row``, the row-by-row form of ``harness._phi_ratio``.
+``most_violated_projection``, the start it tries first;
+``solve_with_arrays``, the active-set loop and certificate with every
+4-vector update as a numpy call; ``write_csv_per_row``, the trace writer
+as one %-format per row; and ``phi_ratio_per_row``, the row-by-row form of
+``harness._phi_ratio``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 
+from coneguard import qp
 from coneguard.cone import BodyFrame, cone_geometry, cone_terms
 from coneguard.dynamics import QuadrotorState
-from coneguard.errors import ConeguardError, ConfigError
+from coneguard.errors import (
+    ConeguardError,
+    ConfigError,
+    IterationLimitError,
+    UncertifiedSolutionError,
+)
 
 GRAVITY = 9.81
 MASS = 0.027
@@ -321,3 +332,99 @@ def phi_ratio_per_row(trace, config):
             phi = cone_terms(*geometry).phi
             ratio[k, i] = trace.half_angles[k, i] / max(phi, 1e-12)
     return labels, ratio
+
+
+def _multipliers_as_array(W, step):
+    """The least-squares lambda of W^T lambda = step as an array; for one row
+    a, (a . step) / (a . a)."""
+    if W.shape[0] == 1:
+        a = W[0]
+        return np.array([float(a @ step) / float(a @ a)])
+    return np.linalg.lstsq(W.T, step, rcond=None)[0]
+
+
+def solve_with_arrays(problem):
+    """``qp.solve`` with its active-set loop and KKT certificate on arrays:
+    every 4-vector update, the multiplier checks and the certificate are
+    numpy calls, and the certificate indexes A[working] again after the
+    loop. It keeps the package's feasible start, projections and row dots,
+    so ``solve``, whose loop runs on floats, must return this answer bit for
+    bit, or raise the same error. Returns a ``qp.QpSolution``."""
+    u_des, A, b, labels = problem.u_des, problem.A, problem.b, problem.labels
+    m = len(b)
+    resid = A @ u_des + b
+    min_slack = float(resid.min()) if m else math.inf
+    if min_slack >= -qp.FEAS_TOL:
+        return qp.QpSolution(u_des, (), (), max(0.0, -min_slack))
+    projections = {}
+    u = qp._feasible_start(u_des, A, b, labels, resid, projections)
+    working = []
+    lam_w = np.zeros(0)
+    for _ in range(qp.MAX_ITER):
+        if working:
+            rows = tuple(working)
+            u_eq = projections.get(rows)
+            if u_eq is None:
+                u_eq = projections[rows] = qp._project_equalities(u_des, A, b, rows)
+        else:
+            u_eq = u_des
+        d = u_eq - u
+        if math.sqrt(float(d @ d)) <= 1e-12:
+            if working:
+                lam_w = _multipliers_as_array(A[working], u - u_des)
+            else:
+                lam_w = np.zeros(0)
+            if lam_w.size == 0 or lam_w.min() >= -1e-12:
+                break
+            working.pop(int(np.argmin(lam_w)))
+            continue
+        rates = qp._row_dots(A, d)
+        closing = [
+            j for j, rate in enumerate(rates) if not rate >= -1e-14 and j not in working
+        ]
+        alpha = 1.0
+        block = -1
+        block_rate = 0.0
+        if closing:
+            slacks = [dot + offset for dot, offset in zip(qp._row_dots(A, u), b.tolist())]
+        for j in closing:
+            rate = rates[j]
+            alpha_j = max(slacks[j], 0.0) / (-rate)
+            if alpha_j < alpha - 1e-14:
+                alpha, block, block_rate = alpha_j, j, rate
+            elif abs(alpha_j - alpha) <= 1e-14 and block >= 0:
+                if rate < block_rate - 1e-14 or (
+                    abs(rate - block_rate) <= 1e-14 and labels[j] < labels[block]
+                ):
+                    block, block_rate = j, rate
+        u = u + alpha * d
+        if block >= 0 and alpha < 1.0:
+            working.append(block)
+    else:
+        raise IterationLimitError("active-set iteration exceeded 100 iterations")
+
+    lam = np.maximum(lam_w, 0.0) if lam_w.size else np.zeros(0)
+    act_labels = tuple(labels[i] for i in working)
+    W = A[working]
+    gap = (u - u_des) - (W.T @ lam if working else 0.0)
+    stationarity = math.sqrt(float(gap @ gap))
+    feas = max(0.0, -float((A @ u + b).min()))
+    comp = float(np.abs(lam * (W @ u + b[working])).max()) if working else 0.0
+    kkt = max(stationarity, feas, comp)
+    u_norm = math.sqrt(float(u_des @ u_des))
+    a_max = math.sqrt(float((A * A).sum(axis=1).max()))
+    bound = qp.KKT_RTOL * (1.0 + u_norm) * (1.0 + a_max)
+    if not kkt <= bound:
+        raise UncertifiedSolutionError(
+            "uncertified", labels=act_labels, residual=kkt, bound=bound
+        )
+    return qp.QpSolution(u, act_labels, tuple(float(v) for v in lam), kkt)
+
+
+def write_csv_per_row(path, header, table):
+    """The trace CSV as one %-format per row, each float printed with
+    "%.8e": the writer ``traceio`` prints from the quantize rule's digits."""
+    row_format = ",".join(["%.8e"] * table.shape[1])
+    lines = [",".join(header)]
+    lines += [row_format % tuple(row.tolist()) for row in table]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -156,6 +156,24 @@ def test_validate_unreadable_file_prints_one_error_line(
     assert captured.err.startswith(f"error: {path}: {problem}")
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_validate_refuses_a_repeated_key(tmp_path, capsys, path):
+    """A shipped config with its duration repeated at the end exits 1 with
+    one line naming the key and its line, instead of flying the last
+    value."""
+    text = path.read_text()
+    bad = tmp_path / path.name
+    bad.write_text(text + "duration: 0.5\n")
+    line = text.count("\n") + 1
+    assert main(["validate-config", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {bad}: invalid YAML at line {line}, column 1:"
+        " found duplicate key 'duration'\n"
+    )
+
+
 HOVER_REFERENCE = "  type: hover\n  point: [0.0, 0.0, 1.0]\n"
 # the hover scene plus one cylinder; a case appends its axis and height lines
 CYLINDER_YAML = HOVER_YAML + textwrap.dedent(

@@ -9,6 +9,7 @@ import oracles
 from helpers import (
     assert_same_bits,
     field_scenario,
+    quantize_edge_values,
     random_cylinder,
     random_sphere,
     random_state,
@@ -533,44 +534,15 @@ def test_quantize_matches_the_string_rule():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_quantize_edge_cases_match_the_string_rule(monkeypatch):
+def test_quantize_edge_cases_match_the_string_rule(raw_builtin_tables):
     """The entries the array rule hands to the string rule or could misround,
     and one ulp either side of each: decimal ties between two 9-digit values,
     powers of ten, carries into a tenth digit, zeros and subnormals; and
     every raw value of the eight built-ins' tables."""
-    rng = np.random.default_rng(13)
-    digits = rng.integers(10**8, 10**9, 400).tolist()
-    exponents = rng.integers(-14, 31, 400).tolist()
-    ties = [float(f"{n}5e{k - 9}") for n, k in zip(digits, exponents)]
-    ties += [1234567895.0, 9999999995.0, 123456789.5]  # exact in binary
-    powers = [float(f"1e{k}") for k in range(-14, 31)]
-    carries = [float(f"9.999999995e{k}") for k in range(-16, 33)]
-    near = np.array(ties + powers + carries)
-    values = np.concatenate(
-        [
-            near,
-            np.nextafter(near, np.inf),
-            np.nextafter(near, -np.inf),
-            [0.0, 5e-324, 2.2250738585072e-310, 2.2250738585072014e-308],
-            [np.nextafter(2.2250738585072014e-308, 0.0), 1e-15, 1e31],
-        ]
-    )
-    values = np.concatenate([values, -values])
-    raw = []
-    quantize = harness._quantize
-
-    def capture(table):
-        raw.append(table.copy())
-        quantize(table)
-
-    monkeypatch.setattr(harness, "_quantize", capture)
-    for config in builtin_scenarios():
-        (run_pair if config.partner is not None else run)(config)
-    assert len(raw) == 9  # two-agent records both vehicles
-    for table in [values.reshape(-1, 2)] + raw:
+    for table in [quantize_edge_values().reshape(-1, 2)] + raw_builtin_tables:
         want = [float(format(v, harness.FLOAT_FORMAT)) for v in table.ravel().tolist()]
         got = table.copy()
-        quantize(got)
+        harness._quantize(got)
         assert_same_bits(got.ravel(), np.array(want))
 
 

@@ -707,3 +707,56 @@ def test_closed_forms_leave_u_star_and_active_set_unchanged(monkeypatch):
         reference = solve(problem)
         assert reference.active_set == solution.active_set
         assert_same_bits(solution.u_star, reference.u_star)
+
+
+def _assert_solve_is_the_array_loop(problem, context):
+    """solve's answer is ``oracles.solve_with_arrays``'s bit for bit: u*,
+    active set, multipliers and KKT residual; or both raise the same error,
+    with the same blocking labels, or active labels and residual."""
+    got = _outcome(problem)
+    try:
+        want = oracles.solve_with_arrays(problem)
+    except (InfeasibleQpError, IterationLimitError, UncertifiedSolutionError) as exc:
+        want = exc
+    assert type(got) is type(want), context
+    if isinstance(want, qp.QpSolution):
+        assert_same_bits(got.u_star, want.u_star, context)
+        assert got.active_set == want.active_set, context
+        assert_same_bits(np.array(got.multipliers), np.array(want.multipliers), context)
+        assert_same_bits(np.array(got.kkt_residual), np.array(want.kkt_residual), context)
+    elif isinstance(want, InfeasibleQpError):
+        assert got.blocking_labels == want.blocking_labels, context
+    elif isinstance(want, UncertifiedSolutionError):
+        assert got.labels == want.labels, context
+        assert_same_bits(np.array(got.residual), np.array(want.residual), context)
+
+
+# the fewest rows each family draws
+_MIN_ROWS = {duplicated: 2, near_parallel: 2, weak_ties: 2, near_singular_triple: 3}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_solve_is_the_array_loop_on_the_families(family):
+    """The float loop and certificate against the array form they replace,
+    on 20 draws of every row count from 1 (or the family's least) to 8
+    whose u_des is unsafe."""
+    rng = np.random.default_rng(20)
+    for m in range(_MIN_ROWS.get(family, 1), 9):
+        drawn = 0
+        while drawn < 20:
+            u_des, A, b = family(rng, m)
+            if np.min(A @ u_des + b) >= -FEAS_TOL:
+                continue
+            drawn += 1
+            rows = [AffineSafetyConstraint(A[i], b[i], f"c{i}") for i in range(m)]
+            _assert_solve_is_the_array_loop(QpProblem(u_des, rows), (m, drawn))
+
+
+def test_solve_is_the_array_loop_on_recorded_problems():
+    """The same on every intervening problem of the built-ins and a field,
+    which end with one active row on most calls and two on corridor's."""
+    configs = [replace(c, dt=1.0 / 60.0) for c in builtin_scenarios()]
+    cases = _intervening_solves(configs + [field_scenario(1.0 / 120.0)])
+    assert {len(s.active_set) for _, s in cases} == {1, 2}
+    for i, (problem, _) in enumerate(cases):
+        _assert_solve_is_the_array_loop(problem, i)

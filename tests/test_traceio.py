@@ -1,12 +1,19 @@
 """Trace CSV contract and strict YAML scenario parsing."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coneguard.cone import Obstacle
+import oracles
+from helpers import quantize_edge_values
+from coneguard import harness, traceio
+from coneguard.cone import LINE_BREAKS, Obstacle
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError, InvalidObstacleError
 from coneguard.harness import (
@@ -39,6 +46,40 @@ MINIMAL = {
     "initial_state": {"position": [0.0, 0.0, 1.0]},
     "reference": {"type": "hover", "point": [0.0, 0.0, 1.0]},
 }
+
+
+_DUPLICATE_TOP = """\
+name: dup
+duration: 1.0
+dt: 0.004166666666666667
+duration: 2.0
+initial_state: {position: [0.0, 0.0, 1.0]}
+reference: {type: hover, point: [0.0, 0.0, 1.0]}
+"""
+_DUPLICATE_NESTED = """\
+name: dup
+duration: 1.0
+dt: 0.004166666666666667
+initial_state:
+  position: [0.0, 0.0, 1.0]
+  position: [0.0, 0.0, 2.0]
+reference: {type: hover, point: [0.0, 0.0, 1.0]}
+"""
+_DUPLICATE_OBSTACLE = """\
+name: dup
+duration: 1.0
+dt: 0.004166666666666667
+initial_state: {position: [0.0, 0.0, 1.0]}
+reference: {type: hover, point: [0.0, 0.0, 1.0]}
+obstacles:
+  - kind: sphere
+    center: [1.0, 0.0, 1.0]
+    radius_raw: 0.2
+  - kind: sphere
+    center: [2.0, 0.0, 1.0]
+    radius_raw: 0.2
+    radius_raw: 0.3
+"""
 
 
 def short_trace():
@@ -119,7 +160,19 @@ def test_comma_label_rejected(tmp_path):
         write_trace(tmp_path / "x.csv", tampered)
 
 
-@pytest.mark.parametrize("label", ["a\nb", "a\rb"], ids=["lf", "cr"])
+# every character str.splitlines breaks at, the two of "\r\n" included
+_BREAKS = {"\n": "lf", "\r": "cr", "\x0b": "vt", "\x0c": "ff", "\x1c": "fs"}
+_BREAKS |= {"\x1d": "gs", "\x1e": "rs", "\x85": "nel", "\u2028": "ls", "\u2029": "ps"}
+
+
+def test_line_breaks_are_those_of_splitlines():
+    """The label rule refuses exactly the characters parse_trace's
+    str.splitlines breaks a line at."""
+    breaks = {chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1}
+    assert breaks == set(LINE_BREAKS) == set(_BREAKS)
+
+
+@pytest.mark.parametrize("label", [f"a{c}b" for c in _BREAKS], ids=_BREAKS.values())
 def test_line_break_label_rejected(tmp_path, label):
     """A line break in a label would split the trace header in two, so both
     the obstacle and write_trace refuse it, as they refuse a comma."""
@@ -129,6 +182,61 @@ def test_line_break_label_rejected(tmp_path, label):
     with pytest.raises(ConfigError, match="may not contain commas or line"):
         write_trace(tmp_path / "x.csv", tampered)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_labels_round_trip_through_the_trace(tmp_path):
+    """Labels of characters that break no line, a tab, \x1f, non-ASCII
+    letters and a line separator's neighbours, are written and parsed back
+    as they were."""
+    labels = ("a\tb", "unit\x1fsep", "café", "Δx", "\u2027")
+    trace = short_trace()
+    h, sep = trace.table[:, 21:22], trace.table[:, 22:23]
+    table = np.hstack([trace.table[:, :21]] + [h, sep] * len(labels))
+    tampered = replace(trace, obstacle_labels=labels, table=table)
+    path = tmp_path / "trace.csv"
+    write_trace(path, tampered)
+    back = parse_trace(path)
+    assert back.obstacle_labels == labels
+    assert np.array_equal(back.table, table)
+
+
+def _write_both(tmp_path, header, table):
+    """The bytes _write_csv and the per-row %-format oracle write."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    traceio._write_csv(got, header, table)
+    oracles.write_csv_per_row(want, header, table)
+    return got.read_bytes(), want.read_bytes()
+
+
+def test_csv_writer_is_the_per_row_format_on_edge_values(tmp_path, raw_builtin_tables):
+    """The block writer prints what "%.8e" prints, byte for byte: on the
+    quantize tests' edge values with nan and +-inf, one and two to a row,
+    and on the built-ins' trace tables, raw and quantized."""
+    values = np.concatenate([quantize_edge_values(), [np.nan, np.inf, -np.inf]])
+    tables = [values[:, None], values[:-1].reshape(-1, 2)]
+    for raw in raw_builtin_tables:
+        quantized = raw.copy()
+        harness._quantize(quantized)
+        tables += [raw, quantized]
+    for i, table in enumerate(tables):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        got, want = _write_both(tmp_path, header, table)
+        assert got == want, i
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257])
+def test_csv_writer_is_the_per_row_format_on_unquantized_tables(tmp_path, rows):
+    """The same on random unquantized tables around the block size,
+    exponents from 1e-30 to 1e40 of either sign, some zeros, and a header
+    with non-ASCII labels."""
+    assert harness._QUANTIZE_ROWS == 256
+    rng = np.random.default_rng(rows)
+    table = rng.choice((-1.0, 1.0), (rows, 9)) * 10.0 ** rng.uniform(-30, 40, (rows, 9))
+    table[rng.random((rows, 9)) < 0.05] = 0.0
+    header = ["t"] + [f"h_Δ{j}" for j in range(8)]
+    got, want = _write_both(tmp_path, header, table)
+    assert got == want
+    assert got.count(b"\n") == rows + 1
 
 
 def test_metrics_text_lists_fields():
@@ -338,6 +446,55 @@ def test_yaml_syntax_error_is_one_line(tmp_path, text, where):
     message = str(exc_info.value)
     assert message.startswith(f"{path}: invalid YAML{where}")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "text, where, key",
+    [
+        (_DUPLICATE_TOP, "line 4, column 1", "duration"),
+        (_DUPLICATE_NESTED, "line 6, column 3", "position"),
+        (_DUPLICATE_OBSTACLE, "line 13, column 5", "radius_raw"),
+    ],
+    ids=["top", "nested", "in-list"],
+)
+def test_yaml_rejects_duplicate_keys(tmp_path, text, where, key):
+    """A key repeated in one mapping, at any nesting level, fails with one
+    line naming the key and the line of the repeat, rather than loading the
+    last value."""
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc_info:
+        load_scenario(path)
+    message = str(exc_info.value)
+    assert message == f"{path}: invalid YAML at {where}: found duplicate key {key!r}"
+
+
+def test_yaml_merge_key_may_be_overridden(tmp_path):
+    """A key given beside a merge (<<) overrides the merged one, as YAML
+    allows; it is not a repeated key."""
+    path = tmp_path / "merge.yaml"
+    path.write_text(
+        "name: merge\nduration: 1.0\ndt: 0.01\n"
+        "reference: {type: hover, point: [0.0, 0.0, 1.0]}\n"
+        "initial_state:\n  <<: {position: [0.0, 0.0, 2.0]}\n"
+        "  position: [0.0, 0.0, 1.0]\n"
+    )
+    assert load_scenario(path).initial_state.position.tolist() == [0.0, 0.0, 1.0]
+
+
+def test_import_leaves_yaml_unloaded():
+    """Importing the package does not import PyYAML; reading a scenario
+    file does."""
+    code = (
+        "import sys, coneguard; assert 'yaml' not in sys.modules;"
+        " from helpers import CONFIGS_DIR;"
+        " coneguard.load_scenario(CONFIGS_DIR / 'hover.yaml');"
+        " assert 'yaml' in sys.modules"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_load_scenario_rejects_non_mapping(tmp_path):
