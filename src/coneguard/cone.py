@@ -81,10 +81,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadrotorParams, QuadrotorState, _cross, cross, rotation_matrix
+from .dynamics import QuadrotorParams, QuadrotorState, _cross, rotation_matrix
 from .errors import ConfigError, DegenerateGradientError, InvalidObstacleError
 from .qp import GRADIENT_MIN
-from .records import checked_array, checked_real
+from .records import check_utf8, checked_array, checked_real
 
 EPS_V = 1e-6  # ||v_rel|| regularization floor (m/s)
 EPS_SQRT = 1e-9  # guard for the ||p_rel|| division in cos(phi)
@@ -149,11 +149,8 @@ class Obstacle:
         if self.height is not None:
             height = checked_real(self.height, "cylinder height", error, above=0.0)
             object.__setattr__(self, "height", height)
-        # the constant projector of every cylinder row, built once
-        object.__setattr__(self, "_projector", projection_operator(axis))
-
-    def center_at(self, t: float) -> np.ndarray:
-        return self.center + self.velocity * t
+        # the constant projector P = I - n n^T of every cylinder row, built once
+        object.__setattr__(self, "_projector", np.eye(3) - np.outer(axis, axis))
 
 
 # Every character str.splitlines breaks a line at, which parse_trace splits on.
@@ -161,9 +158,11 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def check_label(label: str, error: type[Exception]) -> None:
-    """Refuse a label that cannot name a trace column: a comma or a line break."""
+    """Refuse a label that cannot name a trace column: a comma, a line break
+    or a character UTF-8 cannot encode."""
     if any(c in label for c in "," + LINE_BREAKS):
         raise error(f"obstacle label {label!r} may not contain commas or line breaks")
+    check_utf8(label, "obstacle label", error)
 
 
 def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
@@ -212,47 +211,31 @@ class BodyFrame:
         contributes nothing).
     M: thrust_acceleration_map(params).
 
-    a_d is computed on first use, so a frame that only places obstacles
-    (the survey of an unfiltered run) never pays for it, and kept in a plain
-    attribute (a frame belongs to one step of one thread, so it needs no
-    lock). Its elementwise terms run on Python floats in the operation order
-    of their array form, and R @ spin stays a numpy product.
+    The frame is built whole, every term on construction. The elementwise
+    terms run on Python floats in the operation order of their array form
+    (the cross products are numpy's formula), and the R products stay numpy
+    products.
     """
 
     def __init__(self, state: QuadrotorState, params: QuadrotorParams):
-        self._state, self._params = state, params
         self.R = R = rotation_matrix(state.attitude)
-        l = params.center_offset
+        l, inertia = params.center_offset, params.inertia_diag
+        omega = state.body_rates.tolist()
+        omega_e3 = _cross(omega, _E3_FLOATS)
         self.position = state.position + R @ _E3 * l
-        self.velocity = state.velocity + R @ cross(state.body_rates, _E3) * l
+        self.velocity = state.velocity + R @ np.array(omega_e3) * l
         self.M = thrust_acceleration_map(params)
-        self._a_d = None
-
-    @property
-    def a_d(self) -> np.ndarray:
-        if self._a_d is None:
-            self._a_d = self._drift_acceleration()
-        return self._a_d
-
-    def _drift_acceleration(self) -> np.ndarray:
-        omega, params = self._state.body_rates.tolist(), self._params
-        inertia = params.inertia_diag
         gyro = _cross(omega, [i * w for i, w in zip(inertia, omega)])
         omega_dot_drift = [-c / i for c, i in zip(gyro, inertia)]
-        spin = [
-            a + b
-            for a, b in zip(
-                _cross(omega, _cross(omega, _E3_FLOATS)),
-                _cross(omega_dot_drift, _E3_FLOATS),
-            )
-        ]
-        l = params.center_offset
-        r0, r1, r2 = (self.R @ np.array(spin)).tolist()
-        return np.array([0.0 - l * r0, 0.0 - l * r1, params.gravity - l * r2])
+        drift_e3 = _cross(omega_dot_drift, _E3_FLOATS)
+        spin = [a + b for a, b in zip(_cross(omega, omega_e3), drift_e3)]
+        r0, r1, r2 = (R @ np.array(spin)).tolist()
+        self.a_d = np.array([0.0 - l * r0, 0.0 - l * r1, params.gravity - l * r2])
 
     def relative(self, obstacle: Obstacle, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(p_rel, v_rel): the obstacle center at time t minus the body center."""
-        return obstacle.center_at(t) - self.position, obstacle.velocity - self.velocity
+        center = obstacle.center + obstacle.velocity * t
+        return center - self.position, obstacle.velocity - self.velocity
 
 
 class ConeTerms(NamedTuple):
@@ -421,12 +404,6 @@ def barrier_stack(
     input_rows.setflags(write=False)
     offsets.setflags(write=False)
     return ConeStack(h, p_norm - r, phi, input_rows, offsets)
-
-
-def projection_operator(axis: np.ndarray) -> np.ndarray:
-    """P = I - n n^T: projects onto the plane perpendicular to the unit axis n."""
-    n = np.asarray(axis, dtype=float).reshape(3)
-    return np.eye(3) - np.outer(n, n)
 
 
 def cone_geometry(

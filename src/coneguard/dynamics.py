@@ -243,16 +243,6 @@ def _cross(a, b) -> tuple[float, float, float]:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vector arrays, computed on Python floats.
-
-    numpy's cross spends most of a 3-vector call on axis handling. This is
-    its formula, the same three differences of products in the same order,
-    so the result is bit-equal to numpy's.
-    """
-    return np.array(_cross(a.tolist(), b.tolist()))
-
-
 def _derivative(
     x: list[float],
     thrust_accel: float,

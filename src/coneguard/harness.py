@@ -73,7 +73,14 @@ from .dynamics import (
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .qp import checked_problem, solve
-from .records import checked_real, checked_records, checked_type, checked_types, prebuilt
+from .records import (
+    check_utf8,
+    checked_real,
+    checked_records,
+    checked_type,
+    checked_types,
+    prebuilt,
+)
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 
@@ -141,6 +148,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise ConfigError("scenario name must be a nonempty string")
+        check_utf8(self.name, "scenario name")
         for field in ("duration", "dt", "kappa_gamma", "hocbf_gamma"):
             value = checked_real(getattr(self, field), field, above=0.0)
             object.__setattr__(self, field, value)
@@ -455,13 +463,16 @@ def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
     )
 
 
+@np.errstate(all="ignore")
 def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
     """The step loop: one trace per vehicle, the scenario's own vehicle first.
 
     Every vehicle runs its control step on the states at the start of the
     step; only then does RK4 advance them all. Any package error aborts the
     run as SimulationAbort with the step index. Where each value is checked
-    is in the module docstring.
+    is in the module docstring. numpy's floating-point warnings are off for
+    the run: a value that overflows fails the finite check where it is made,
+    or is recorded as the inf or nan it is.
     """
     states = [config.initial_state]
     references = [config.reference]

@@ -229,7 +229,7 @@ def _project_equalities(
     A_S, b_S = A[list(rows)], b[list(rows)]
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
-    return u_des + A_S.T @ np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return u_des + A_S.T @ _lstsq(gram, rhs)
 
 
 def _row_multiplier(g: float, r: float) -> float | None:
@@ -266,7 +266,17 @@ def _multipliers(W: np.ndarray, step: np.ndarray) -> list[float]:
     if W.shape[0] == 1:
         a = W[0]
         return [float(a.dot(step)) / float(a.dot(a))]
-    return np.linalg.lstsq(W.T, step, rcond=None)[0].tolist()
+    return _lstsq(W.T, step).tolist()
+
+
+def _lstsq(M: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares solution of M x = y; all nan where M or y holds an
+    inf or nan (products of finite rows that overflowed), which LAPACK
+    refuses with a LinAlgError and a line of its own on stderr. The nan
+    fails the feasibility test and the certificate."""
+    if np.isfinite(M).all() and np.isfinite(y).all():
+        return np.linalg.lstsq(M, y, rcond=None)[0]
+    return np.full(M.shape[1], np.nan)
 
 
 @lru_cache(maxsize=None)

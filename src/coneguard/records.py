@@ -100,6 +100,15 @@ def checked_array(
     return array
 
 
+def check_utf8(text: str, what: str, error=ConfigError) -> None:
+    """Refuse text that UTF-8 cannot encode, such as a lone surrogate: every
+    file the package writes is UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{what} {text!r} is not UTF-8 text") from None
+
+
 def checked_records(values, cls: type, what: str) -> tuple:
     """values, an iterable of cls records, as a tuple; else ConfigError."""
     try:

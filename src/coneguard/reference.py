@@ -65,12 +65,17 @@ class WaypointReference:
             raise ConfigError("waypoint reference needs at least two points")
         self.points = pts
         self.speed = checked_real(speed, "speed", above=0.0)
-        seg = np.diff(pts, axis=0)
-        seg_len = np.linalg.norm(seg, axis=1)
+        # a segment whose length overflows is refused below; a knot time
+        # that overflows is a waypoint never reached
+        with np.errstate(over="ignore"):
+            seg = np.diff(pts, axis=0)
+            seg_len = np.linalg.norm(seg, axis=1)
+            self._t_knots = np.concatenate([[0.0], np.cumsum(seg_len) / self.speed])
         if np.any(seg_len == 0.0):
             raise ConfigError("consecutive waypoints must be distinct")
+        if not np.all(np.isfinite(seg_len)):
+            raise ConfigError("waypoint segment length overflows")
         self._seg_dir = seg / seg_len[:, None]
-        self._t_knots = np.concatenate([[0.0], np.cumsum(seg_len) / self.speed])
 
     def sample(self, t: float) -> ReferenceSample:
         if t >= self._t_knots[-1]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -20,11 +23,17 @@ def rng():
     return np.random.default_rng(20260817)
 
 
+class BuiltinFlights(NamedTuple):
+    runs: dict  # scenario name -> (config, traces, wall seconds)
+    raw_tables: list  # the nine trace tables before harness._quantize
+
+
 @pytest.fixture(scope="session")
-def raw_builtin_tables():
-    """The nine trace tables of the eight built-ins (two-agent records both
-    vehicles) as recorded, before ``harness._quantize`` rounds them."""
-    raw = []
+def builtin_flights():
+    """One filtered run of every built-in scenario, each with its traces and
+    wall time, and the nine trace tables (two-agent records both vehicles)
+    as recorded, before ``harness._quantize`` rounds them."""
+    runs, raw = {}, []
     quantize = harness._quantize
 
     def capture(table):
@@ -34,7 +43,11 @@ def raw_builtin_tables():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_quantize", capture)
         for config in builtin_scenarios():
-            runner = harness.run_pair if config.partner is not None else harness.run
-            runner(config)
+            start = time.perf_counter()
+            if config.partner is not None:
+                traces = harness.run_pair(config)
+            else:
+                traces = (harness.run(config),)
+            runs[config.name] = (config, traces, time.perf_counter() - start)
     assert len(raw) == 9
-    return raw
+    return BuiltinFlights(runs, raw)

@@ -57,9 +57,9 @@ def random_thrusts(rng, params, spread=0.5):
 def random_sphere(rng, center_scale=4.0, radius_range=(0.1, 0.6)):
     return Obstacle(
         kind="sphere",
-        center=tuple(rng.uniform(-center_scale, center_scale, size=3)),
+        center=rng.uniform(-center_scale, center_scale, size=3),
         radius_raw=float(rng.uniform(*radius_range)),
-        velocity=tuple(rng.uniform(-1.0, 1.0, size=3)),
+        velocity=rng.uniform(-1.0, 1.0, size=3),
     )
 
 
@@ -68,11 +68,11 @@ def random_cylinder(rng, center_scale=4.0, radius_range=(0.1, 0.6)):
     # use, and the projection math is axis-agnostic anyway
     return Obstacle(
         kind="cylinder",
-        center=tuple(rng.uniform(-center_scale, center_scale, size=3)),
+        center=rng.uniform(-center_scale, center_scale, size=3),
         radius_raw=float(rng.uniform(*radius_range)),
-        axis=(0.0, 0.0, 1.0),
+        axis=np.array([0.0, 0.0, 1.0]),
         height=2.0,
-        velocity=tuple(rng.uniform(-1.0, 1.0, size=3)),
+        velocity=rng.uniform(-1.0, 1.0, size=3),
     )
 
 

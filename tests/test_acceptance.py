@@ -7,7 +7,6 @@ then asserts. Tolerances live here, next to the checks, not in the library.
 
 import hashlib
 import json
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,22 +57,7 @@ def _trace_digest(trace, path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def builtin_runs():
-    """One filtered run of every built-in scenario, with wall times."""
-    results = {}
-    for config in builtin_scenarios():
-        start = time.perf_counter()
-        if config.partner is not None:
-            traces = run_pair(config)
-        else:
-            traces = (run(config),)
-        wall = time.perf_counter() - start
-        results[config.name] = (config, traces, wall)
-    return results
-
-
-def test_c01_builtins_safe_and_fast(builtin_runs):
+def test_c01_builtins_safe_and_fast(builtin_flights):
     """All built-ins: separation >= -1e-3 everywhere, h stays >= -1e-6 for
     any obstacle that starts outside its cone, and each 10 s run at
     dt = 1/240 simulates in under 10 s of wall time.
@@ -89,7 +73,7 @@ def test_c01_builtins_safe_and_fast(builtin_runs):
     worst_suffix = np.inf
     max_wall = 0.0
     ok = True
-    for name, (config, traces, wall) in builtin_runs.items():
+    for name, (config, traces, wall) in builtin_flights.runs.items():
         max_wall = max(max_wall, wall)
         ok = ok and wall <= 10.0
         for trace in traces:
@@ -353,12 +337,12 @@ def test_c06_speed_matched_penalty_recovers_cone():
     _verdict("c06 penalty matching", ok, detail)
 
 
-def test_c07_ho_baseline_more_conservative(builtin_runs, tmp_path):
+def test_c07_ho_baseline_more_conservative(builtin_flights, tmp_path):
     """Head-on moving obstacle: the HO filter at gamma = 1 ends up strictly
     closer to the obstacle than the cone filter, and the |gap| between the
     two shrinks monotonically as gamma grows through {0.5, 1, 2}. Each HO
     trace file is byte-identical to the recorded compare-cli one."""
-    config, traces, _ = builtin_runs["moving-head-on"]
+    config, traces, _ = builtin_flights.runs["moving-head-on"]
     cone_sep = compute_metrics(traces[0]).min_separation
     ho_sep = {}
     moved = []
@@ -395,11 +379,11 @@ def test_c08_tracking_quality_unfiltered():
     _verdict("c08 tracking", ok, detail)
 
 
-def test_c09_projection_ignores_axis_direction(builtin_runs):
+def test_c09_projection_ignores_axis_direction(builtin_flights):
     """Vertical-cylinder runs are invariant (to 1e-9 in the h trace) under
     any change of the obstacle's position and velocity along its own axis:
     the projected barrier must not see the axial direction at all."""
-    config, traces, _ = builtin_runs["cylinder-side"]
+    config, traces, _ = builtin_flights.runs["cylinder-side"]
     base = traces[0]
     worst = 0.0
     for dz, vz in ((0.7, 0.4), (-1.3, -2.0)):
@@ -421,11 +405,11 @@ def test_c09_projection_ignores_axis_direction(builtin_runs):
     )
 
 
-def test_c10_deterministic_and_round_trip(builtin_runs, tmp_path):
+def test_c10_deterministic_and_round_trip(builtin_flights, tmp_path):
     """The same config byte-for-byte reproduces its trace file, parsing
     a written trace returns exactly the recorded arrays, and every built-in
     trace file (partner included) is byte-identical to the recorded one."""
-    _, traces, _ = builtin_runs["static-overtake"]
+    _, traces, _ = builtin_flights.runs["static-overtake"]
     again = run(get_scenario("static-overtake"))
     path_a = tmp_path / "static-overtake.csv"
     path_b = tmp_path / "again.csv"
@@ -443,12 +427,12 @@ def test_c10_deterministic_and_round_trip(builtin_runs, tmp_path):
     exact = exact and parsed.obstacle_labels == traces[0].obstacle_labels
     moved = [
         trace.name
-        for _, runs, _ in builtin_runs.values()
+        for _, runs, _ in builtin_flights.runs.values()
         for trace in runs
         if _trace_digest(trace, tmp_path / f"{trace.name}.csv")
         != DIGESTS["builtins"][trace.name]
     ]
-    checked = sum(len(runs) for _, runs, _ in builtin_runs.values())
+    checked = sum(len(runs) for _, runs, _ in builtin_flights.runs.values())
     ok = identical and exact and not moved
     detail = (
         f"byte_identical={identical}, parse_round_trip_exact={exact}, "

@@ -349,6 +349,37 @@ def test_run_writes_trace_and_metrics(tmp_path, capsys):
     assert "min_separation" in stdout
 
 
+# static-overtake cut to 0.05 s, its sphere's label or its name a lone surrogate
+_OVERTAKE = (CONFIGS_DIR / "static_overtake.yaml").read_text()
+_OVERTAKE = _OVERTAKE.replace("duration: 10.0", "duration: 0.05")
+_SURROGATES = {
+    "label": (
+        _OVERTAKE + '    label: "a\\udc80b"\n',
+        "obstacles[0]: obstacle label 'a\\udc80b' is not UTF-8 text",
+    ),
+    "name": (
+        _OVERTAKE.replace("name: static-overtake", 'name: "a\\udc80b"'),
+        "scenario name 'a\\udc80b' is not UTF-8 text",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("where", sorted(_SURROGATES))
+def test_text_that_utf8_cannot_encode_exits_1(tmp_path, capsys, where, command):
+    """A label or name the UTF-8 outputs cannot hold fails as one error
+    line before anything is flown or written."""
+    text, problem = _SURROGATES[where]
+    config = _write(tmp_path, text)
+    out = tmp_path / "out"
+    out_flag = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", config, *out_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {problem}\n"
+    assert not (out / "trace.csv").exists()
+
+
 def test_run_dt_override_changes_grid(tmp_path):
     config = _write(tmp_path, HOVER_YAML)
     out = tmp_path / "out"

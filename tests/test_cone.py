@@ -17,7 +17,6 @@ from coneguard.cone import (
     cone_terms,
     contract,
     inflated_radius,
-    projection_operator,
 )
 from coneguard.cone import EPS_V
 from coneguard.dynamics import QuadrotorParams, QuadrotorState
@@ -172,11 +171,17 @@ def test_obstacle_rejects_non_numbers(fields):
         Obstacle(**fields)
 
 
-def test_obstacle_center_motion():
+def test_obstacle_center_motion(params):
+    """The frame sees the center at time t as center + velocity t; the
+    state puts the body center R e3 l above it at the origin, at rest."""
     obs = Obstacle(
         kind="sphere", center=(1.0, 2.0, 3.0), radius_raw=0.1, velocity=(0.5, 0, -1.0)
     )
-    assert np.allclose(obs.center_at(2.0), [2.0, 2.0, 1.0], atol=0.0)
+    position = (0.0, 0.0, -params.center_offset)
+    state = QuadrotorState(position, np.zeros(3), np.zeros(3), np.zeros(3))
+    p, v = BodyFrame(state, params).relative(obs, 2.0)
+    assert np.allclose(p, [2.0, 2.0, 1.0], atol=0.0)
+    assert np.array_equal(v, obs.velocity)
 
 
 def test_relative_state_includes_center_offset(params, rng):
@@ -333,10 +338,15 @@ def test_projection_kills_axis_components(params, rng):
 
 
 def test_projection_operator_idempotent():
-    P = projection_operator((0.0, 0.0, 1.0))
+    """A cylinder's projector P = I - n n^T, built by the obstacle."""
+
+    def projector(axis):
+        return Obstacle("cylinder", np.zeros(3), 0.1, axis=axis)._projector
+
+    P = projector((0.0, 0.0, 1.0))
     assert np.array_equal(P, np.diag([1.0, 1.0, 0.0]))
     n = np.array([1.0, 2.0, 2.0]) / 3.0
-    P = projection_operator(n)
+    P = projector(n)
     assert np.allclose(P @ P, P, atol=1e-15)
     assert np.allclose(P @ n, 0.0, atol=1e-15)
 

@@ -534,12 +534,12 @@ def test_quantize_matches_the_string_rule():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_quantize_edge_cases_match_the_string_rule(raw_builtin_tables):
+def test_quantize_edge_cases_match_the_string_rule(builtin_flights):
     """The entries the array rule hands to the string rule or could misround,
     and one ulp either side of each: decimal ties between two 9-digit values,
     powers of ten, carries into a tenth digit, zeros and subnormals; and
     every raw value of the eight built-ins' tables."""
-    for table in [quantize_edge_values().reshape(-1, 2)] + raw_builtin_tables:
+    for table in [quantize_edge_values().reshape(-1, 2)] + builtin_flights.raw_tables:
         want = [float(format(v, harness.FLOAT_FORMAT)) for v in table.ravel().tolist()]
         got = table.copy()
         harness._quantize(got)

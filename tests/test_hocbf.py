@@ -182,7 +182,7 @@ def test_psi_chain_first_condition_doubles_h(params, rng):
             state.as_vector(), np.full(4, hover_thrust(params)), obs.center,
             obs.velocity, encompassing_radius(obs), t, p=2.0 * gamma, alpha2=1.0,
         )
-        delta = obs.center_at(t) - state.position
+        delta = (obs.center + obs.velocity * t) - state.position
         delta_dot = obs.velocity - state.velocity
         r_enc = encompassing_radius(obs)
         h_center = float(delta @ delta_dot) + gamma * np.sqrt(

@@ -665,8 +665,12 @@ def test_single_row_projection_is_the_lstsq_projection():
     assert closed > 3000
 
 
-def _intervening_solves(configs):
-    """(problem, solution) of every step whose QP moved u_des."""
+@pytest.fixture(scope="module")
+def recorded_solves():
+    """(problem, solution) of every step whose QP moved u_des, over the
+    built-ins at dt = 1/60 and a field at 1/120."""
+    configs = [replace(c, dt=1.0 / 60.0) for c in builtin_scenarios()]
+    configs.append(field_scenario(1.0 / 120.0))
     recorded = []
     solve_ = harness.solve
 
@@ -685,12 +689,13 @@ def _intervening_solves(configs):
     return recorded
 
 
-def test_closed_forms_leave_u_star_and_active_set_unchanged(monkeypatch):
+def test_closed_forms_leave_u_star_and_active_set_unchanged(
+    monkeypatch, recorded_solves
+):
     """With the 1-row closed forms swapped for lstsq, the recorded built-in
     and field problems and the seven families solve to the same active set
     and a bit-equal u*; only multipliers and residuals may move."""
-    configs = [replace(c, dt=1.0 / 60.0) for c in builtin_scenarios()]
-    cases = _intervening_solves(configs + [field_scenario(1.0 / 120.0)])
+    cases = list(recorded_solves)
     assert len(cases) > 500
     assert any(len(p.constraints) == 8 for p, _ in cases)
     rng = np.random.default_rng(7)
@@ -752,11 +757,9 @@ def test_solve_is_the_array_loop_on_the_families(family):
             _assert_solve_is_the_array_loop(QpProblem(u_des, rows), (m, drawn))
 
 
-def test_solve_is_the_array_loop_on_recorded_problems():
+def test_solve_is_the_array_loop_on_recorded_problems(recorded_solves):
     """The same on every intervening problem of the built-ins and a field,
     which end with one active row on most calls and two on corridor's."""
-    configs = [replace(c, dt=1.0 / 60.0) for c in builtin_scenarios()]
-    cases = _intervening_solves(configs + [field_scenario(1.0 / 120.0)])
-    assert {len(s.active_set) for _, s in cases} == {1, 2}
-    for i, (problem, _) in enumerate(cases):
+    assert {len(s.active_set) for _, s in recorded_solves} == {1, 2}
+    for i, (problem, _) in enumerate(recorded_solves):
         _assert_solve_is_the_array_loop(problem, i)

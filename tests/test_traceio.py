@@ -184,6 +184,20 @@ def test_line_break_label_rejected(tmp_path, label):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_label_that_utf8_cannot_encode_rejected(tmp_path):
+    """A lone surrogate cannot be written to the UTF-8 trace, so the
+    obstacle and write_trace refuse it with one line showing its repr."""
+    message = "obstacle label 'a\\udc80b' is not UTF-8 text"
+    with pytest.raises(InvalidObstacleError) as caught:
+        Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, label="a\udc80b")
+    assert str(caught.value) == message
+    tampered = replace(short_trace(), obstacle_labels=("a\udc80b",))
+    with pytest.raises(ConfigError) as caught:
+        write_trace(tmp_path / "x.csv", tampered)
+    assert str(caught.value) == message
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_labels_round_trip_through_the_trace(tmp_path):
     """Labels of characters that break no line, a tab, \x1f, non-ASCII
     letters and a line separator's neighbours, are written and parsed back
@@ -208,13 +222,13 @@ def _write_both(tmp_path, header, table):
     return got.read_bytes(), want.read_bytes()
 
 
-def test_csv_writer_is_the_per_row_format_on_edge_values(tmp_path, raw_builtin_tables):
+def test_csv_writer_is_the_per_row_format_on_edge_values(tmp_path, builtin_flights):
     """The block writer prints what "%.8e" prints, byte for byte: on the
     quantize tests' edge values with nan and +-inf, one and two to a row,
     and on the built-ins' trace tables, raw and quantized."""
     values = np.concatenate([quantize_edge_values(), [np.nan, np.inf, -np.inf]])
     tables = [values[:, None], values[:-1].reshape(-1, 2)]
-    for raw in raw_builtin_tables:
+    for raw in builtin_flights.raw_tables:
         quantized = raw.copy()
         harness._quantize(quantized)
         tables += [raw, quantized]
