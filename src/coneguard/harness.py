@@ -73,14 +73,8 @@ from .dynamics import (
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
 from .qp import checked_problem, solve
-from .records import (
-    check_utf8,
-    checked_real,
-    checked_records,
-    checked_type,
-    checked_types,
-    prebuilt,
-)
+from .records import check_utf8, checked_real, checked_records, checked_type
+from .records import checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains, track
 

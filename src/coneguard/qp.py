@@ -270,10 +270,8 @@ def _multipliers(W: np.ndarray, step: np.ndarray) -> list[float]:
 
 
 def _lstsq(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The least-squares solution of M x = y; all nan where M or y holds an
-    inf or nan (products of finite rows that overflowed), which LAPACK
-    refuses with a LinAlgError and a line of its own on stderr. The nan
-    fails the feasibility test and the certificate."""
+    """lstsq's solution of M x = y, or all nan where an overflowed product
+    put an inf or nan in M or y, which LAPACK refuses with a stderr line."""
     if np.isfinite(M).all() and np.isfinite(y).all():
         return np.linalg.lstsq(M, y, rcond=None)[0]
     return np.full(M.shape[1], np.nan)

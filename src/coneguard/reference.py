@@ -65,8 +65,7 @@ class WaypointReference:
             raise ConfigError("waypoint reference needs at least two points")
         self.points = pts
         self.speed = checked_real(speed, "speed", above=0.0)
-        # a segment whose length overflows is refused below; a knot time
-        # that overflows is a waypoint never reached
+        # an overflowing length is refused below, an overflowing knot never reached
         with np.errstate(over="ignore"):
             seg = np.diff(pts, axis=0)
             seg_len = np.linalg.norm(seg, axis=1)

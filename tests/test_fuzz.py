@@ -266,6 +266,14 @@ def _assert_one_line(exc: ConeguardError) -> None:
 ).via("body rates whose products overflow in the survey and the QP")
 @example(
     '{name: fuzz, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0], velocity: [0.5, 0.0, 0.0]},'
+    ' reference: {type: line, start: [0.0, 0.0, 1.0], velocity: [1.0, 0.0, 0.0]},'
+    ' obstacles: [{kind: sphere, center: [0.5, 0.05, 1.0], radius_raw: 0.15,'
+    ' velocity: [-0.5, 0.0, 0.0]}, {kind: cylinder, center: [-1e+154, -0.05, 1.0],'
+    ' radius_raw: 0.15, velocity: [0.0, 0.1, 0.0], axis: [0.0, 0.0, 1.0]}]}'
+).via("Gram products that overflow reached lstsq: LinAlgError and a LAPACK line")
+@example(
+    '{name: fuzz, duration: 0.05, dt: 0.004166666666666667,'
     ' initial_state: {position: [0.0, 0.0, 1.0]},'
     ' reference: {type: waypoints, points: [[0.0, 0.0, 1.0],'
     ' [1.7976931348623157e308, 0.0, 1.0]], speed: 1.0}}'
