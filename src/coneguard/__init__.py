@@ -14,14 +14,13 @@ from .errors import ConeguardError
 from .harness import (
     Metrics,
     ScenarioConfig,
-    SimTrace,
     compare,
     compute_metrics,
     run,
     run_pair,
 )
-from .scenarios import builtin_scenarios, get_scenario
-from .traceio import load_scenario, parse_trace, write_trace
+from .scenarios import builtin_scenarios, get_scenario, load_scenario
+from .traceio import SimTrace, parse_trace, write_trace
 
 __all__ = [
     "ConeguardError",

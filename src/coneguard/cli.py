@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConeguardError
+from .errors import ConeguardError, ConfigError
 from .harness import (
     FILTER_KINDS,
     ScenarioConfig,
@@ -20,25 +20,26 @@ from .harness import (
     run,
     run_pair,
 )
-from .scenarios import builtin_scenarios, get_scenario
-from .traceio import (
-    comparison_text,
-    load_scenario,
-    metrics_text,
-    write_phi_ratio,
-    write_trace,
-)
+from .scenarios import builtin_scenarios, get_scenario, load_scenario
+from .traceio import comparison_text, metrics_text, write_phi_ratio, write_trace
 
 SWEEP_GAMMAS = (0.5, 1.0, 2.0)
 
 
+def _print_error(text: str) -> None:
+    """text on one stderr line: a character that is not printable (a line
+    break, a NUL, a lone surrogate) is shown as its escape."""
+    shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+    print(shown, file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the CLI contract reserves 2 for
-    safety violations, so usage errors are remapped to 1."""
+    """argparse exits 2 on usage errors, after a usage block; the CLI contract
+    reserves 2 for safety violations and gives an error one line, so a usage
+    error prints only its error line and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _print_error(f"{self.prog}: error: {message}")
         raise SystemExit(1)
 
 
@@ -88,14 +89,23 @@ def _resolve_config(args) -> ScenarioConfig:
     return config
 
 
+def _out_dir(name: str) -> Path:
+    """The output directory, made with its parents where they are missing."""
+    out = Path(name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
+        raise ConfigError(f"{name}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return out
+
+
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
     if args.filter is not None:
         config = replace(config, filter_kind=args.filter)
     if args.hocbf_gamma is not None:
         config = replace(config, hocbf_gamma=args.hocbf_gamma)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     if config.partner is not None:
         trace, partner_trace = run_pair(config)
         write_trace(out / "trace_partner.csv", partner_trace)
@@ -113,8 +123,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     gammas = SWEEP_GAMMAS if args.sweep_gamma else (args.hocbf_gamma,)
     sections = []
     for gamma, report in zip(gammas, compare(config, gammas)):
@@ -153,7 +162,7 @@ def main(argv=None) -> int:
         if args.command == "validate-config":
             return _cmd_validate(args)
     except ConeguardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return 1
     raise AssertionError("unreachable")
 

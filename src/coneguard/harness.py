@@ -19,10 +19,8 @@ phi and QP row the same bits, so the choice is speed only:
 STACK_MIN_ROWS = 4 is the measured crossover, where the stacked survey
 turns from a tie (3 rows) into a win. The built-ins (1-2 rows) stay on
 the per-obstacle path.
-A trace is one table in the CSV's column order (``trace_columns``, the only
-place that layout is spelled). The recorder fills it raw and ``_quantize``
-rounds it once per run to 9 significant digits (``FLOAT_FORMAT``), so a
-written trace file parses back to exactly the in-memory trace.
+A trace's table is filled raw and rounded once per run to the trace
+format (``traceio._quantize``).
 
 Each value of the loop is checked once, where it is made, and then passed
 on as the array it is, with no copy and no second check:
@@ -52,6 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import (
+    LINE_BREAKS,
     BodyFrame,
     Obstacle,
     barrier_3d,
@@ -76,6 +75,7 @@ from .qp import checked_problem, solve
 from .records import check_utf8, checked_real, checked_records, checked_type
 from .records import checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
+from .traceio import SimTrace, _quantize, trace_columns
 from .tracking import ControllerGains, track
 
 FILTER_KINDS = ("none", "c3bf", "hocbf")
@@ -91,12 +91,6 @@ MAX_STEPS = 1_000_000
 # at 3 (1.00x and 0.99x, faster in 19 and 22) and takes 0.81x at 4 (faster
 # in 38 and 40), with Python 3.11 and numpy 2.4.6 on 2 shared cores.
 STACK_MIN_ROWS = 4
-FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
-STATE_COLUMNS = (
-    "x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "wx", "wy", "wz",
-)
-_QUANTIZE_ROWS = 256  # rows per block of _quantize
-_POW10 = np.array([float(10**k) for k in range(23)])  # exact as doubles
 # The QP rows (A, b, labels) of a step that builds none.
 _NO_ROWS = (np.empty((0, 4)), np.empty(0), ())
 for _array in _NO_ROWS[:2]:
@@ -143,6 +137,8 @@ class ScenarioConfig:
         if not (isinstance(self.name, str) and self.name):
             raise ConfigError("scenario name must be a nonempty string")
         check_utf8(self.name, "scenario name")
+        if any(c in self.name for c in LINE_BREAKS):  # one line in metrics.txt
+            raise ConfigError(f"scenario name {self.name!r} may not contain line breaks")
         for field in ("duration", "dt", "kappa_gamma", "hocbf_gamma"):
             value = checked_real(getattr(self, field), field, above=0.0)
             object.__setattr__(self, field, value)
@@ -175,44 +171,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{field}: {exc}") from exc
 
 
-def trace_columns(labels: tuple[str, ...]) -> list[str]:
-    """The trace CSV header, which is also the column order of SimTrace.table."""
-    columns = ["t", *STATE_COLUMNS]
-    columns += [f"u_des_{i}" for i in range(1, 5)]
-    columns += [f"u_star_{i}" for i in range(1, 5)]
-    for label in labels:
-        columns += [f"h_{label}", f"sep_{label}"]
-    return columns
-
-
-@dataclass(frozen=True)
-class SimTrace:
-    """Per-step record of one closed-loop run (table floats 9-digit quantized).
-
-    ``table`` is the CSV contract, columns ``trace_columns(obstacle_labels)``;
-    t, states, u_des, u_star, h and separation are read-only views of it.
-    half_angles and ref_positions exist in memory only.
-    """
-
-    name: str
-    filter_kind: str
-    obstacle_labels: tuple[str, ...]
-    table: np.ndarray  # (N, 21 + 2 n_obs)
-    half_angles: np.ndarray | None = None  # (N, n_obs), filter's phi
-    ref_positions: np.ndarray | None = None  # (N, 3)
-
-    def __post_init__(self):
-        self.table.setflags(write=False)
-
-    # the column groups of trace_columns, as views of the table
-    t = property(lambda self: self.table[:, 0])
-    states = property(lambda self: self.table[:, 1:13])
-    u_des = property(lambda self: self.table[:, 13:17])
-    u_star = property(lambda self: self.table[:, 17:21])
-    h = property(lambda self: self.table[:, 21::2])  # (N, n_obs)
-    separation = property(lambda self: self.table[:, 22::2])  # (N, n_obs)
-
-
 @dataclass(frozen=True)
 class Metrics:
     min_separation: float
@@ -238,55 +196,6 @@ class ComparisonReport:
     def t(self) -> np.ndarray:
         """The time grid both runs share."""
         return self.trace_a.t
-
-
-def _nine_digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fast, n, k) of every entry v of block: where fast, FLOAT_FORMAT
-    prints v as its sign, the 9-digit significand n (a float in [1e8, 1e9))
-    and the exponent 8 - k, so the value it parses back is n 10^-k.
-
-    With e = floor(log10|v|) and the power of ten 10^|k|, k = 8 - e, exact
-    (|k| <= 22), x = |v| 10^k is the correctly rounded scaled value and n =
-    rint(x). n is the significand the exact |v| rounds to, and e its
-    exponent, wherever x in [1e8, 1e9 - 1) lies more than 1e-6 (far beyond
-    x's rounding error, under 1e-7) from a half-integer; then the quotient
-    or product of n and that power is the correctly rounded n 10^-k. fast is
-    false elsewhere: zeros, non-finite values, subnormals, exponents outside
-    [-14, 30], near ties and carries into a tenth digit. Those entries take
-    the string rule itself, and their n and k are stand-ins.
-    """
-    a = np.abs(block)
-    with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
-        e = np.floor(np.log10(a))
-    fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
-    k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
-    a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
-    scale = _POW10[np.abs(k)]
-    x = np.where(k >= 0, a * scale, a / scale)
-    n = np.rint(x)
-    fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
-    return fast, n, k
-
-
-def _quantize(table: np.ndarray) -> None:
-    """Round every entry in place to 9 significant digits: float(format(v, ".8e")).
-
-    Elementwise, so one pass per run equals rounding each step as recorded.
-    The string rule is done as array arithmetic, in blocks of rows so that
-    the temporaries stay small: where ``_nine_digits`` finds the entry's
-    significand n and power k, the entry becomes sign(v) n 10^-k, the value
-    the string parses back; every other entry takes the string rule itself.
-    The trace writer prints from the same rule (``traceio``).
-    """
-    for start in range(0, table.shape[0], _QUANTIZE_ROWS):
-        block = table[start : start + _QUANTIZE_ROWS]
-        fast, n, k = _nine_digits(block)
-        scale = _POW10[np.abs(k)]
-        value = np.where(k >= 0, n / scale, n * scale)
-        np.copyto(block, np.copysign(value, block), where=fast)
-        slow = np.nonzero(~fast)
-        if slow[0].size:
-            block[slow] = [float(format(v, FLOAT_FORMAT)) for v in block[slow].tolist()]
 
 
 def separation_distance(

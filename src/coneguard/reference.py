@@ -29,6 +29,7 @@ class ReferenceSample:
 
 _ZERO = np.zeros(3)
 _ZERO.setflags(write=False)
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))  # about 1.5e-154
 
 
 class HoverReference:
@@ -69,11 +70,17 @@ class WaypointReference:
         with np.errstate(over="ignore"):
             seg = np.diff(pts, axis=0)
             seg_len = np.linalg.norm(seg, axis=1)
-            self._t_knots = np.concatenate([[0.0], np.cumsum(seg_len) / self.speed])
-        if np.any(seg_len == 0.0):
+        if np.any(np.all(seg == 0.0, axis=1)):
             raise ConfigError("consecutive waypoints must be distinct")
         if not np.all(np.isfinite(seg_len)):
             raise ConfigError("waypoint segment length overflows")
+        # below 1e-154 the squares in the norm underflow: scale those segments first
+        tiny = seg_len < _SQRT_TINY
+        if np.any(tiny):
+            largest = np.max(np.abs(seg[tiny]), axis=1)
+            seg_len[tiny] = largest * np.linalg.norm(seg[tiny] / largest[:, None], axis=1)
+        with np.errstate(over="ignore"):
+            self._t_knots = np.concatenate([[0.0], np.cumsum(seg_len) / self.speed])
         self._seg_dir = seg / seg_len[:, None]
 
     def sample(self, t: float) -> ReferenceSample:

@@ -1,4 +1,5 @@
-"""Trace, metrics, and scenario-file I/O.
+"""The trace CSV and the text reports: one written format, its quantize rule,
+its writer and its parser.
 
 Trace CSV contract: one row per step, columns
 
@@ -6,56 +7,123 @@ Trace CSV contract: one row per step, columns
     u_des_1..u_des_4, u_star_1..u_star_4,
     then h_<label>, sep_<label> per obstacle in obstacle order,
 
-every float printed with 9 significant digits. The layout is spelled once,
-in ``harness.trace_columns``, and ``SimTrace.table`` holds the rows in that
-order, already quantized to that precision by the run; so a trace is written
-and parsed as one table, re-parsing reproduces it exactly and re-writing is
-byte-identical.
+every float printed with 9 significant digits (``FLOAT_FORMAT``). The layout
+is spelled once, in ``trace_columns``, and ``SimTrace.table`` holds the rows
+in that order, already rounded by the run (``_quantize``) to the values the
+file parses back to; so a trace is written and parsed as one table,
+re-parsing reproduces it exactly and re-writing is byte-identical.
 
-A table is printed in blocks of ``harness._QUANTIZE_ROWS`` rows, as byte
-arrays. Where the quantize rule (``harness._nine_digits``) finds a cell's
-9-digit significand n and exponent, those are the digits "%.8e" prints, so
-the cell is spelled from them: its sign, n's first digit, ".", its other
-eight digits, "e" and the signed two-digit exponent. Every other cell
-(zeros, nan, +-inf, subnormals, exponents outside [-14, 30], near ties) is
-printed by format(v, ".8e") itself. The file has the bytes of one
-%-format per row on any table, quantized or not (the phi-ratio CSV).
-
-Scenario files are YAML mappings of the ScenarioConfig fields. The loader
-checks only the file's schema: mappings, unknown and repeated keys
-(rejected at every nesting level, so typos fail loudly), required keys,
-the reference type, the state parts that default to zero and the
-normalisation of a cylinder axis. Every value goes as it is to the constructor of the record it
-belongs to, which is the one place it is checked; an error is reported
-with its YAML path first, as in ``obstacles[0]: center must be 3 numbers``.
+Quantizing and printing share one rule, ``_nine_digits``: where it finds a
+value's 9-digit significand n and exponent, those are the digits "%.8e"
+prints, so ``_quantize`` computes the value the string parses back and the
+writer spells the cell from them: its sign, n's first digit, ".", its other
+eight digits, "e" and the signed two-digit exponent. Every other value takes
+format(v, ".8e") itself. A table is printed in blocks of ``_QUANTIZE_ROWS``
+rows, as byte arrays, and the file has the bytes of one %-format per row on
+any table, quantized or not (the phi-ratio CSV).
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import fields
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .cone import Obstacle, check_label
-from .dynamics import QuadrotorParams, QuadrotorState
-from .errors import ConeguardError, ConfigError
-from .harness import (
-    _QUANTIZE_ROWS,
-    FLOAT_FORMAT,
-    AgentSpec,
-    ComparisonReport,
-    Metrics,
-    ScenarioConfig,
-    SimTrace,
-    _nine_digits,
-    trace_columns,
+from .cone import check_label
+from .errors import ConfigError
+
+FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
+STATE_COLUMNS = (
+    "x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "wx", "wy", "wz",
 )
-from .records import checked_array
-from .reference import HoverReference, LineReference, WaypointReference
-from .tracking import ControllerGains
+_QUANTIZE_ROWS = 256  # rows per block of _quantize and of the writer
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact as doubles
+
+
+def trace_columns(labels: tuple[str, ...]) -> list[str]:
+    """The trace CSV header, which is also the column order of SimTrace.table."""
+    columns = ["t", *STATE_COLUMNS]
+    columns += [f"u_des_{i}" for i in range(1, 5)]
+    columns += [f"u_star_{i}" for i in range(1, 5)]
+    for label in labels:
+        columns += [f"h_{label}", f"sep_{label}"]
+    return columns
+
+
+@dataclass(frozen=True)
+class SimTrace:
+    """Per-step record of one closed-loop run (table floats 9-digit quantized).
+
+    ``table`` is the CSV contract, columns ``trace_columns(obstacle_labels)``;
+    t, states, u_des, u_star, h and separation are read-only views of it.
+    half_angles and ref_positions exist in memory only.
+    """
+
+    name: str
+    filter_kind: str
+    obstacle_labels: tuple[str, ...]
+    table: np.ndarray  # (N, 21 + 2 n_obs)
+    half_angles: np.ndarray | None = None  # (N, n_obs), filter's phi
+    ref_positions: np.ndarray | None = None  # (N, 3)
+
+    def __post_init__(self):
+        self.table.setflags(write=False)
+
+    # the column groups of trace_columns, as views of the table
+    t = property(lambda self: self.table[:, 0])
+    states = property(lambda self: self.table[:, 1:13])
+    u_des = property(lambda self: self.table[:, 13:17])
+    u_star = property(lambda self: self.table[:, 17:21])
+    h = property(lambda self: self.table[:, 21::2])  # (N, n_obs)
+    separation = property(lambda self: self.table[:, 22::2])  # (N, n_obs)
+
+
+def _nine_digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, n, k) of every entry v of block: where fast, FLOAT_FORMAT
+    prints v as its sign, the 9-digit significand n (a float in [1e8, 1e9))
+    and the exponent 8 - k, so the value it parses back is n 10^-k.
+
+    With e = floor(log10|v|) and the power of ten 10^|k|, k = 8 - e, exact
+    (|k| <= 22), x = |v| 10^k is the correctly rounded scaled value and n =
+    rint(x). n is the significand the exact |v| rounds to, and e its
+    exponent, wherever x in [1e8, 1e9 - 1) lies more than 1e-6 (far beyond
+    x's rounding error, under 1e-7) from a half-integer; then the quotient
+    or product of n and that power is the correctly rounded n 10^-k. fast is
+    false elsewhere: zeros, non-finite values, subnormals, exponents outside
+    [-14, 30], near ties and carries into a tenth digit. Those entries take
+    the string rule itself, and their n and k are stand-ins.
+    """
+    a = np.abs(block)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
+        e = np.floor(np.log10(a))
+    fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
+    k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
+    a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
+    scale = _POW10[np.abs(k)]
+    x = np.where(k >= 0, a * scale, a / scale)
+    n = np.rint(x)
+    fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
+    return fast, n, k
+
+
+def _quantize(table: np.ndarray) -> None:
+    """Round every entry in place to 9 significant digits: float(format(v, ".8e")).
+
+    Elementwise, so one pass per run equals rounding each step as recorded.
+    The string rule is done as array arithmetic, in blocks of rows so that
+    the temporaries stay small: a fast entry becomes sign(v) n 10^-k.
+    """
+    for start in range(0, table.shape[0], _QUANTIZE_ROWS):
+        block = table[start : start + _QUANTIZE_ROWS]
+        fast, n, k = _nine_digits(block)
+        scale = _POW10[np.abs(k)]
+        value = np.where(k >= 0, n / scale, n * scale)
+        np.copyto(block, np.copysign(value, block), where=fast)
+        slow = np.nonzero(~fast)
+        if slow[0].size:
+            block[slow] = [float(format(v, FLOAT_FORMAT)) for v in block[slow].tolist()]
 
 
 def _fmt(value: float) -> str:
@@ -79,12 +147,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of a block of rows, every cell as FLOAT_FORMAT prints it.
-
-    A cell the quantize rule covers (``harness._nine_digits``) is spelled
-    from its sign, significand n and exponent 8 - k as uint8 planes; every
-    other cell is the string rule's own text.
-    """
+    """The CSV lines of a block of rows, every cell as FLOAT_FORMAT prints it;
+    a fast cell is spelled from its sign, n and exponent as uint8 planes."""
     quads, powers = _digit_tables()
     fast, n, k = _nine_digits(block)
     cells = np.empty(block.shape + _CELL.shape, np.uint8)
@@ -146,8 +210,8 @@ def parse_trace(path: str | Path) -> SimTrace:
     )
 
 
-def metrics_text(scenario: str, filter_kind: str, metrics: Metrics) -> str:
-    """Key: value rendering of the Metrics fields."""
+def metrics_text(scenario: str, filter_kind: str, metrics) -> str:
+    """Key: value rendering of the fields of a ``harness.Metrics``."""
     lines = [
         f"scenario: {scenario}",
         f"filter: {filter_kind}",
@@ -161,8 +225,9 @@ def metrics_text(scenario: str, filter_kind: str, metrics: Metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_text(report: ComparisonReport, gamma: float) -> str:
-    """One comparison section; gamma labels the HO-CBF sweep point."""
+def comparison_text(report, gamma: float) -> str:
+    """One section of a ``harness.ComparisonReport``; gamma labels the HO-CBF
+    sweep point."""
     lines = [f"scenario: {report.trace_a.name}", f"hocbf_gamma: {_fmt(gamma)}"]
     for tag, trace, metrics in (
         ("a", report.trace_a, report.metrics_a),
@@ -179,163 +244,7 @@ def comparison_text(report: ComparisonReport, gamma: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_phi_ratio(path: str | Path, report: ComparisonReport) -> None:
-    """CSV of the phi'/phi trace for the HO-CBF side of a comparison."""
+def write_phi_ratio(path: str | Path, report) -> None:
+    """CSV of the phi'/phi trace for the HO-CBF side of a ``harness.ComparisonReport``."""
     header = ["t"] + [f"phi_ratio_{label}" for label in report.phi_ratio_labels]
     _write_csv(path, header, np.column_stack((report.t, report.phi_ratio)))
-
-
-# --- scenario files ---------------------------------------------------------
-
-
-@cache
-def _loader():
-    """The scenario-file loader, built on first use, so that only a run that
-    reads a scenario file imports PyYAML.
-
-    A SafeLoader that refuses a key repeated in one mapping (at any nesting
-    level, reported at the repeat's line) and also reads YAML 1.2 floats
-    such as 4e-3 and 1e200. YAML 1.1 wants a dot and a signed exponent, so
-    PyYAML loads an unquoted 4e-3 as a string; the added resolver takes
-    every plain scalar of the YAML 1.2 float form. Integers, .nan/.inf and
-    quoted strings load as before.
-    """
-    import yaml
-
-    class Loader(yaml.SafeLoader):
-        def construct_mapping(self, node, deep=False):
-            seen = set()
-            for key_node, _ in node.value:
-                if key_node.tag == "tag:yaml.org,2002:merge":
-                    continue  # a merge (<<) may override, as YAML allows
-                key = self.construct_object(key_node, deep=deep)
-                try:
-                    repeated = key in seen
-                except TypeError:  # unhashable: SafeLoader reports it
-                    continue
-                if repeated:
-                    raise yaml.constructor.ConstructorError(
-                        problem=f"found duplicate key {key!r}",
-                        problem_mark=key_node.start_mark,
-                    )
-                seen.add(key)
-            return super().construct_mapping(node, deep=deep)
-
-    Loader.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
-        list("-+0123456789."),
-    )
-    return Loader
-
-
-def _check_keys(mapping: dict, allowed, context: str, required=()) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context}: expected a mapping")
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{context}: unknown key {key!r}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"{context}: {key} is required")
-
-
-def _at(context: str, build, *args, **kwargs):
-    """build(*args, **kwargs); any package error it raises becomes a
-    ConfigError whose message starts with the YAML path context."""
-    try:
-        return build(*args, **kwargs)
-    except ConeguardError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_state(data, context: str) -> QuadrotorState:
-    parts = ("position", "velocity", "attitude", "body_rates")
-    _check_keys(data, parts, context, required=("position",))
-    return _at(context, QuadrotorState, *(data.get(key, (0, 0, 0)) for key in parts))
-
-
-# reference type -> its class and the keys of its arguments, in order
-_REFERENCES = {
-    "hover": (HoverReference, ("point",)),
-    "line": (LineReference, ("start", "velocity")),
-    "waypoints": (WaypointReference, ("points", "speed")),
-}
-
-
-def _parse_reference(data, context: str):
-    if not isinstance(data, dict) or "type" not in data:
-        raise ConfigError(f"{context}: reference needs a 'type'")
-    kind = data["type"]
-    if not isinstance(kind, str) or kind not in _REFERENCES:
-        raise ConfigError(f"{context}: unknown reference type {kind!r}")
-    cls, keys = _REFERENCES[kind]
-    _check_keys(data, {"type", *keys}, context, required=keys)
-    return _at(context, cls, *(data[key] for key in keys))
-
-
-def _parse_obstacle(data, context: str) -> Obstacle:
-    allowed = {f.name for f in fields(Obstacle)}
-    _check_keys(data, allowed, context, required=("kind", "center", "radius_raw"))
-    if "axis" in data:
-        # scaled by its largest component first, so that the squares in the
-        # norm neither overflow nor underflow for any finite direction
-        axis = _at(context, checked_array, data["axis"], 3, "axis")
-        largest = float(np.max(np.abs(axis)))
-        if largest <= 0.0:
-            raise ConfigError(f"{context}: axis must be nonzero")
-        axis = axis / largest
-        data = {**data, "axis": axis / float(np.linalg.norm(axis))}
-    return _at(context, Obstacle, **data)
-
-
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed mapping.
-
-    The keys are ScenarioConfig's field names, with ``filter`` for
-    filter_kind; a key left out takes the field's default.
-    """
-    allowed = {f.name for f in fields(ScenarioConfig)} - {"filter_kind"} | {"filter"}
-    required = ("name", "duration", "dt", "initial_state", "reference")
-    _check_keys(data, allowed, "scenario", required)
-    config = {"filter_kind" if key == "filter" else key: v for key, v in data.items()}
-    config["initial_state"] = _parse_state(data["initial_state"], "initial_state")
-    config["reference"] = _parse_reference(data["reference"], "reference")
-    if "obstacles" in data:
-        if not isinstance(data["obstacles"], list):
-            raise ConfigError("obstacles: expected a list")
-        config["obstacles"] = tuple(
-            _parse_obstacle(entry, f"obstacles[{i}]")
-            for i, entry in enumerate(data["obstacles"])
-        )
-    for key, cls in (("gains", ControllerGains), ("params", QuadrotorParams)):
-        if key in data:
-            _check_keys(data[key], {f.name for f in fields(cls)}, key)
-            config[key] = _at(key, cls, **data[key])
-    if "partner" in data:
-        raw, keys = data["partner"], ("initial_state", "reference")
-        _check_keys(raw, keys, "partner", required=keys)
-        config["partner"] = AgentSpec(
-            _parse_state(raw["initial_state"], "partner.initial_state"),
-            _parse_reference(raw["reference"], "partner.reference"),
-        )
-    return ScenarioConfig(**config)
-
-
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a UTF-8 YAML scenario file."""
-    import yaml  # PyYAML is imported only where a scenario file is read
-
-    path = Path(path)
-    try:
-        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_loader())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:  # PyYAML's own message spans several lines
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-        raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: scenario file must be a mapping")
-    return scenario_from_dict(data)

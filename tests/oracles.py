@@ -243,16 +243,6 @@ def qp_dual_batch(u_des, rows, offsets, iters=50_000):
     return u0 + np.einsum("nij,ni->nj", A, lam)
 
 
-def qp_dual_single(u_des, rows, offsets, iters=50_000):
-    u = qp_dual_batch(
-        np.asarray(u_des, dtype=float)[None, :],
-        np.asarray(rows, dtype=float)[None, :, :],
-        np.asarray(offsets, dtype=float)[None, :],
-        iters=iters,
-    )
-    return u[0]
-
-
 def solve_single(u_des, row, offset):
     """Closed-form projection of u_des onto the halfspace row . u + offset >= 0.
 

@@ -380,6 +380,34 @@ def test_text_that_utf8_cannot_encode_exits_1(tmp_path, capsys, where, command):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_name_with_a_line_break_exits_1(tmp_path, capsys, command):
+    config = _write(tmp_path, HOVER_YAML.replace("name: cli-hover", 'name: "a\\nb"'))
+    out = tmp_path / "out"
+    out_flag = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", config, *out_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario name 'a\\nb' may not contain line breaks\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, below, reason",
+    [("run", "", "File exists"), ("compare", "/x", "Not a directory")],
+)
+def test_out_path_that_cannot_be_a_directory_exits_1(
+    tmp_path, capsys, command, below, reason
+):
+    """An --out that is a file, or lies below one, ends in one error line
+    before anything is flown."""
+    config = _write(tmp_path, HOVER_YAML)
+    (tmp_path / "file").write_text("")
+    out = f"{tmp_path / 'file'}{below}"
+    assert main([command, "--config", config, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
 def test_run_dt_override_changes_grid(tmp_path):
     config = _write(tmp_path, HOVER_YAML)
     out = tmp_path / "out"

@@ -1,35 +1,45 @@
-"""Fuzzing the scenario-file boundary.
+"""Fuzzing the scenario-file and command-line boundaries.
 
 The documents are built from the loader's own schema (the record fields and
-``traceio._REFERENCES``) with nominal values, then mutated: leaves and
+``scenarios._REFERENCES``) with nominal values, then mutated: leaves and
 containers replaced by wrong types, nan/inf spellings, values near 0 and
 near the double range, empty and nested containers, and strings from all of
 Unicode (lone surrogates and ``cone.LINE_BREAKS`` included); keys repeated,
 added and dropped. Every document must load or fail as one typed line, and
 one that loads must fly and write a trace that parses back to its table.
+
+The command lines are built from the parser's own subcommands and flags,
+with mutated values, unknown and repeated flags and missing or double
+sources; ``main`` must return 0 or 2, or end with code 1 and one stderr line.
 """
 
+import argparse
 import copy
+import io
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_bits
-from coneguard import traceio
+from helpers import CONFIGS_DIR, assert_same_bits
+from coneguard import cli, harness, scenarios
 from coneguard.cone import LINE_BREAKS, Obstacle
 from coneguard.dynamics import QuadrotorParams
 from coneguard.errors import ConeguardError
 from coneguard.harness import (
     FILTER_KINDS,
+    Metrics,
     ScenarioConfig,
     compute_metrics,
     run,
     run_pair,
 )
-from coneguard.traceio import load_scenario, metrics_text, parse_trace, write_trace
+from coneguard.scenarios import load_scenario
+from coneguard.traceio import metrics_text, parse_trace, write_trace
 from coneguard.tracking import ControllerGains
 
 # A flight lasts at most this long and this many steps.
@@ -117,8 +127,8 @@ def _state(draw, position) -> Pairs:
 
 @st.composite
 def _reference(draw) -> Pairs:
-    kind = draw(st.sampled_from(sorted(traceio._REFERENCES)))
-    _, keys = traceio._REFERENCES[kind]
+    kind = draw(st.sampled_from(sorted(scenarios._REFERENCES)))
+    _, keys = scenarios._REFERENCES[kind]
     return Pairs([(Raw("type"), Raw(kind))] + [(Raw(k), _nominal(k)) for k in keys])
 
 
@@ -227,7 +237,7 @@ def mutated_documents(draw) -> str:
     return to_yaml(doc)
 
 
-# ---- the property ---------------------------------------------------------
+# ---- the scenario-file property -------------------------------------------
 
 def _assert_one_line(exc: ConeguardError) -> None:
     message = str(exc)
@@ -284,11 +294,23 @@ def _assert_one_line(exc: ConeguardError) -> None:
     ' reference: {type: waypoints, points: [[0.0, 0.0, 1.0], [2.0, 0.0, 1.0]],'
     ' speed: 5e-324}}'
 ).via("a waypoint speed whose knot time overflows")
+@example(
+    '{name: "a\\nb", duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}}'
+).via("a line break in the scenario name split its metrics.txt line")
+@example(
+    '{name: fuzz, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: waypoints, points: [[0.0, 0.0, 1.0], [1e-170, 0.0, 1.0]],'
+    ' speed: 1.0}}'
+).via("distinct waypoints 1e-170 m apart were refused as not distinct")
 def test_scenario_files_load_or_fail_as_one_typed_line(text):
     """A document loads, or raises a ConeguardError whose message is one
     line. One that loads flies (at most FLIGHT_SECONDS and FLIGHT_STEPS), or
     fails the same way; its traces are written and parse back to their
-    tables and labels, and its metrics text is UTF-8."""
+    tables and labels, and its metrics text is UTF-8 and one ``key: value``
+    line per Metrics field, after the scenario and the filter."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.yaml"
         path.write_text(text, encoding="utf-8")
@@ -313,4 +335,116 @@ def test_scenario_files_load_or_fail_as_one_typed_line(text):
             assert back.obstacle_labels == trace.obstacle_labels
             assert_same_bits(back.table, trace.table)
             metrics = compute_metrics(trace)
-            metrics_text(config.name, config.filter_kind, metrics).encode("utf-8")
+            text = metrics_text(config.name, config.filter_kind, metrics)
+            text.encode("utf-8")
+            assert [line.split(": ")[0] for line in text.splitlines()] == _METRICS_KEYS
+
+
+_METRICS_KEYS = ["scenario", "filter", *(f.name for f in fields(Metrics))]
+
+
+# ---- the command line -----------------------------------------------------
+
+# The sources: every built-in, and a hover file flown for FLIGHT_SECONDS.
+_HOVER = (CONFIGS_DIR / "hover.yaml").read_text()
+_HOVER = _HOVER.replace("duration: 4.0", f"duration: {FLIGHT_SECONDS}")
+
+
+def _flags() -> dict[str, dict[str, argparse.Action]]:
+    """{subcommand: {flag: its action}}, read from cli._build_parser()."""
+    parser = cli._build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: {flag: action for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
+
+
+_FLAGS = _flags()
+_SOURCES = st.just(("--config", "hover.yaml")) | st.sampled_from(
+    [("--scenario", name) for name in scenarios.scenario_names()]
+)
+
+# Flag values. The test runs in a scratch directory that holds "hover.yaml"
+# and the plain file "file"; a drawn text has no "/", so that every path
+# stays inside that directory or its parent.
+_ARG_VALUES = st.one_of(
+    st.sampled_from(
+        [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "missing.yaml",
+         "file", "file/x", "out", "-", "--", "-1"]
+    ),
+    st.sampled_from(_SPELLINGS),
+    st.floats().map(repr),
+    st.text(st.characters(exclude_categories=(), exclude_characters="/"), max_size=6),
+    st.text(st.sampled_from([*LINE_BREAKS, "\x00", "\ud800", "\udc80", "a", "-"]), max_size=4),
+)
+_UNKNOWN_FLAGS = st.sampled_from(["--bogus", "-x", "--h", "--c", "--out=", "--"])
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand (one time in ten any text), 0-2 sources and 0-3 of its
+    flags or unknown ones, each flag that takes a value with a drawn one."""
+    known = draw(st.integers(0, 9)) > 0
+    command = draw(st.sampled_from(sorted(_FLAGS)) if known else _ARG_VALUES)
+    flags = _FLAGS.get(command, {})
+    flag_names = st.sampled_from(sorted(flags)) | _UNKNOWN_FLAGS if flags else _UNKNOWN_FLAGS
+    args = [list(source) for source in draw(st.lists(_SOURCES, max_size=2))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(flag_names)
+        takes_none = flag in flags and flags[flag].nargs == 0
+        args.append([flag] if takes_none else [flag, draw(_ARG_VALUES)])
+    return [command, *(token for arg in draw(st.permutations(args)) for token in arg)]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(argvs())
+@example(["run", "--scenario", "corridor", "--filter", "bogus"]).via(
+    "argparse printed its usage block before the error line"
+)
+@example(["run", "--config", "hover.yaml", "--out", "file"]).via(
+    "an output directory that is a file: FileExistsError traceback"
+)
+@example(["compare", "--config", "hover.yaml", "--out", "file/x"]).via(
+    "an output directory below a file: NotADirectoryError traceback"
+)
+@example(["run", "--config", "hover.yaml", "--out", "a\x00b"]).via(
+    "a NUL in the output path: ValueError traceback"
+)
+@example(["validate-config", "--config", "a\x00b"]).via(
+    "a NUL in the scenario path: ValueError traceback"
+)
+@example(["validate-config", "--config", "a\u2028b"]).via(
+    "a line break in a missing scenario path split the error line"
+)
+def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
+    """main returns 0 or 2 with nothing on stderr, or ends with code 1,
+    returned or as SystemExit(1), and exactly one stderr line; --help may
+    exit 0. harness.MAX_STEPS is cut to FLIGHT_STEPS, so that a long flight,
+    each built-in's included, is refused as one typed line, not flown."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        work = Path(tmp) / "work"
+        work.mkdir()
+        (work / "hover.yaml").write_text(_HOVER, encoding="utf-8")
+        (work / "file").write_text("", encoding="utf-8")
+        patch.chdir(work)
+        patch.setattr(harness, "MAX_STEPS", FLIGHT_STEPS)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = stderr.getvalue()
+    if code == 1:
+        assert err.endswith("\n") and len(err.splitlines()) == 1, repr(err)
+    else:
+        assert code in (0, 2), code
+        assert err == "", repr(err)

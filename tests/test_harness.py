@@ -14,7 +14,7 @@ from helpers import (
     random_sphere,
     random_state,
 )
-from coneguard import cone, harness, qp
+from coneguard import cone, harness, qp, traceio
 from coneguard.cone import BodyFrame, Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import (
@@ -233,7 +233,7 @@ def test_trace_shape_and_time_grid():
     assert abs(trace.t[1] - trace.t[0] - config.dt) < 1e-9
     assert trace.obstacle_labels == ()
     assert trace.h.shape == (n + 1, 0)
-    assert trace.table.shape == (n + 1, len(harness.trace_columns(())))
+    assert trace.table.shape == (n + 1, len(traceio.trace_columns(())))
     assert not trace.states.flags.writeable  # views of the one table
 
 
@@ -399,6 +399,26 @@ def test_library_validators_raise_config_error(build):
         build()
 
 
+@pytest.mark.parametrize("gap", [1e-170, 1e-160, 5e-324])
+def test_waypoints_closer_than_the_norm_can_square_are_distinct(gap):
+    """A segment whose squares underflow has its length from the scaled norm
+    and its unit direction; only an all-zero segment is refused."""
+    reference = WaypointReference([[0.0, 0.0, 1.0], [gap, 0.0, 1.0]], 1.0)
+    assert reference._t_knots.tolist() == [0.0, gap]
+    assert reference._seg_dir.tolist() == [[1.0, 0.0, 0.0]]
+    assert reference.sample(1.0).position.tolist() == [gap, 0.0, 1.0]
+    with pytest.raises(ConfigError, match="must be distinct"):
+        WaypointReference([[gap, 0.0, 1.0], [gap, 0.0, 1.0]], 1.0)
+
+
+@pytest.mark.parametrize("name", [f"a{c}b" for c in cone.LINE_BREAKS])
+def test_scenario_name_with_a_line_break_rejected(name):
+    """metrics.txt and validate-config print the name on one line."""
+    with pytest.raises(ConfigError) as caught:
+        hover_config(name=name)
+    assert str(caught.value) == f"scenario name {name!r} may not contain line breaks"
+
+
 def test_run_pair_point_symmetry(params):
     """A 180-degree-symmetric two-agent encounter stays symmetric.
 
@@ -527,8 +547,8 @@ def test_quantize_matches_the_string_rule():
         ]
     )
     table = values.reshape(-1, 41).copy()  # a 10-obstacle trace is 41 wide
-    harness._quantize(table)
-    want = np.array([float(format(v, harness.FLOAT_FORMAT)) for v in values.tolist()])
+    traceio._quantize(table)
+    want = np.array([float(format(v, traceio.FLOAT_FORMAT)) for v in values.tolist()])
     got = table.ravel()
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -540,9 +560,9 @@ def test_quantize_edge_cases_match_the_string_rule(builtin_flights):
     powers of ten, carries into a tenth digit, zeros and subnormals; and
     every raw value of the eight built-ins' tables."""
     for table in [quantize_edge_values().reshape(-1, 2)] + builtin_flights.raw_tables:
-        want = [float(format(v, harness.FLOAT_FORMAT)) for v in table.ravel().tolist()]
+        want = [float(format(v, traceio.FLOAT_FORMAT)) for v in table.ravel().tolist()]
         got = table.copy()
-        harness._quantize(got)
+        traceio._quantize(got)
         assert_same_bits(got.ravel(), np.array(want))
 
 

@@ -13,8 +13,7 @@ from helpers import (
 )
 from coneguard.cone import BodyFrame
 from coneguard.harness import separation_distance
-from coneguard.scenarios import get_scenario, scenario_names
-from coneguard.traceio import load_scenario
+from coneguard.scenarios import get_scenario, load_scenario, scenario_names
 
 EXPECTED = (
     "static-overtake",

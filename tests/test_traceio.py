@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from helpers import quantize_edge_values
-from coneguard import harness, traceio
+from coneguard import traceio
 from coneguard.cone import LINE_BREAKS, Obstacle
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError, InvalidObstacleError
@@ -22,19 +22,18 @@ from coneguard.harness import (
     compare,
     compute_metrics,
     run,
-    trace_columns,
 )
 from coneguard.reference import (
     HoverReference,
     LineReference,
     WaypointReference,
 )
+from coneguard.scenarios import load_scenario, scenario_from_dict
 from coneguard.traceio import (
     comparison_text,
-    load_scenario,
     metrics_text,
     parse_trace,
-    scenario_from_dict,
+    trace_columns,
     write_phi_ratio,
     write_trace,
 )
@@ -230,7 +229,7 @@ def test_csv_writer_is_the_per_row_format_on_edge_values(tmp_path, builtin_fligh
     tables = [values[:, None], values[:-1].reshape(-1, 2)]
     for raw in builtin_flights.raw_tables:
         quantized = raw.copy()
-        harness._quantize(quantized)
+        traceio._quantize(quantized)
         tables += [raw, quantized]
     for i, table in enumerate(tables):
         header = [f"c{j}" for j in range(table.shape[1])]
@@ -243,7 +242,7 @@ def test_csv_writer_is_the_per_row_format_on_unquantized_tables(tmp_path, rows):
     """The same on random unquantized tables around the block size,
     exponents from 1e-30 to 1e40 of either sign, some zeros, and a header
     with non-ASCII labels."""
-    assert harness._QUANTIZE_ROWS == 256
+    assert traceio._QUANTIZE_ROWS == 256
     rng = np.random.default_rng(rows)
     table = rng.choice((-1.0, 1.0), (rows, 9)) * 10.0 ** rng.uniform(-30, 40, (rows, 9))
     table[rng.random((rows, 9)) < 0.05] = 0.0
