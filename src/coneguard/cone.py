@@ -23,14 +23,15 @@ closed loop its time derivative is affine in the rotor thrusts f,
 with w = dh/dv (p + v s/||v|| for the cone, p for a constant weight), rate
 the derivative at zero relative acceleration (||v||^2 + weight <p, v>/s),
 a_d the thrust-independent part of -d(v_rel)/dt, and M the map from rotor
-thrust to body-frame acceleration of the body center. R, the body center,
-a_d and M depend on the vehicle only, so ``BodyFrame`` computes them once
-per control step. ``contract`` turns a frame and the cone terms into
-(drift, input_row), and ``barrier_row`` into the QP row
-input_row . f + drift + kappa_gamma h >= 0, whose last term is the linear
-class-K function of h. A constant projector commutes with d/dt and w lies
-in its range, so cylinders contract with the same unprojected maps.
-Constant-velocity obstacles enter through p and v only.
+thrust to body-frame acceleration of the body center. R, the body center
+and a_d depend on the vehicle only, so ``BodyFrame`` computes them once per
+control step; -M^T (``input_map``) is built once per parameter set.
+``contract`` turns a frame and the cone terms into (drift, input_row), and
+``barrier_row`` into the QP row input_row . f + drift + kappa_gamma h >= 0,
+whose last term is the linear class-K function of h. A constant projector
+commutes with d/dt and w lies in its range, so cylinders contract with the
+same unprojected maps. Constant-velocity obstacles enter through p and v
+only.
 
 ``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
 the inflated radius, no projector or the axis projector, and weight ||v||.
@@ -177,13 +178,15 @@ def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def thrust_acceleration_map(params: QuadrotorParams) -> np.ndarray:
-    """Body-frame acceleration of the offset body center per unit rotor thrust.
+def input_map(params: QuadrotorParams) -> np.ndarray:
+    """-M^T, which takes y = R^T w to the input row, for M the body-frame
+    acceleration of the offset body center per unit rotor thrust.
 
-    Column k is m_k = e3/m + l (gk x e3), gk being rotor k's angular
+    Column k of M is m_k = e3/m + l (gk x e3), gk being rotor k's angular
     acceleration column; the lever term comes from differentiating R e3 l
     twice and keeping the f-dependent part of omega_dot. Built once per
-    parameter set (the 16 latest are kept) and returned read-only.
+    parameter set (the 16 latest are kept) and returned read-only, in the
+    column-major layout of -M.T, so every product with it keeps its bits.
     """
     m, L, l = params.mass, params.arm_span, params.center_offset
     ixx, iyy, _ = params.inertia_diag
@@ -195,8 +198,9 @@ def thrust_acceleration_map(params: QuadrotorParams) -> np.ndarray:
             [1.0 / m, 1.0 / m, 1.0 / m, 1.0 / m],
         ]
     )
-    M.setflags(write=False)
-    return M
+    neg_mt = -M.T
+    neg_mt.setflags(write=False)
+    return neg_mt
 
 
 class BodyFrame:
@@ -209,12 +213,12 @@ class BodyFrame:
         (0, 0, g) - l R [omega x (omega x e3) + (I^-1 (-omega x I omega)) x e3],
         so that d(v_rel)/dt = a_d - R M f (a constant obstacle velocity
         contributes nothing).
-    M: thrust_acceleration_map(params).
+    input_map: input_map(params), -M^T.
 
     The frame is built whole, every term on construction. The elementwise
     terms run on Python floats in the operation order of their array form
-    (the cross products are numpy's formula), and the R products stay numpy
-    products.
+    (the cross products are numpy's formula), and the R products are
+    ``ndarray.dot`` (``cone_terms``).
     """
 
     def __init__(self, state: QuadrotorState, params: QuadrotorParams):
@@ -222,14 +226,14 @@ class BodyFrame:
         l, inertia = params.center_offset, params.inertia_diag
         omega = state.body_rates.tolist()
         omega_e3 = _cross(omega, _E3_FLOATS)
-        self.position = state.position + R @ _E3 * l
-        self.velocity = state.velocity + R @ np.array(omega_e3) * l
-        self.M = thrust_acceleration_map(params)
+        self.position = state.position + R.dot(_E3) * l
+        self.velocity = state.velocity + R.dot(np.array(omega_e3)) * l
+        self.input_map = input_map(params)
         gyro = _cross(omega, [i * w for i, w in zip(inertia, omega)])
         omega_dot_drift = [-c / i for c, i in zip(gyro, inertia)]
         drift_e3 = _cross(omega_dot_drift, _E3_FLOATS)
         spin = [a + b for a, b in zip(_cross(omega, omega_e3), drift_e3)]
-        r0, r1, r2 = (R @ np.array(spin)).tolist()
+        r0, r1, r2 = R.dot(np.array(spin)).tolist()
         self.a_d = np.array([0.0 - l * r0, 0.0 - l * r1, params.gravity - l * r2])
 
     def relative(self, obstacle: Obstacle, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -260,13 +264,13 @@ def cone_terms(
     term and phi = pi/2; the floor bounds the 1/s in rate there. The cone
     squares ||p|| and the baseline takes <p, p>, as each has always rounded.
 
-    Scalars are Python floats: a norm is sqrt(x @ x), which is how numpy's
+    Scalars are Python floats: a norm is sqrt(x . x), which is how numpy's
     norm computes a 1-D one, and the clip of cos(phi) is min/max. The dots
-    stay numpy calls, so every value keeps its bits.
+    are ``ndarray.dot``, which keeps ``@``'s bits (``dynamics`` docstring).
     """
-    pv = float(p @ v)
-    norm_v = math.sqrt(float(v @ v))
-    p_norm = math.sqrt(float(p @ p))
+    pv = float(p.dot(v))
+    norm_v = math.sqrt(float(v.dot(v)))
+    p_norm = math.sqrt(float(p.dot(p)))
     if gamma is None:
         weight, floor = norm_v, S_FLOOR
         s = math.sqrt(max(p_norm * p_norm - r * r, 0.0))
@@ -274,7 +278,7 @@ def cone_terms(
         cos_phi = s / max(p_norm, EPS_SQRT)
     else:
         weight, floor = gamma, S_FLOOR_HO
-        s = math.sqrt(max(float(p @ p) - r * r, 0.0))
+        s = math.sqrt(max(float(p.dot(p)) - r * r, 0.0))
         w = p
         cos_phi = gamma * (s / max(p_norm, EPS_SQRT)) / max(norm_v, EPS_V)
     return ConeTerms(
@@ -294,9 +298,9 @@ def contract(
     Raises:
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
-    input_row = -frame.M.T @ (frame.R.T @ terms.w)
-    _check_gradient(math.sqrt(float(input_row @ input_row)), label)
-    return terms.rate + float(terms.w @ frame.a_d), input_row
+    input_row = frame.input_map.dot(frame.R.T.dot(terms.w))
+    _check_gradient(math.sqrt(float(input_row.dot(input_row))), label)
+    return terms.rate + float(terms.w.dot(frame.a_d)), input_row
 
 
 def barrier_row(
@@ -386,7 +390,7 @@ def barrier_stack(
         w = p + v * (s / np.maximum(norm_v, EPS_V))[:, None]
         rate = norm_v * norm_v + norm_v * pv / np.maximum(s, S_FLOOR)
         y = np.matmul(frame.R.T, w[:, :, None])
-        input_rows = np.matmul(-frame.M.T, y)[:, :, 0]
+        input_rows = np.matmul(frame.input_map, y)[:, :, 0]
         h = pv + norm_v * s
         drift = rate + np.matmul(w[:, None, :], frame.a_d[:, None])[:, 0, 0]
         offsets = drift + kappa_gamma * h
@@ -419,7 +423,7 @@ def cone_geometry(
     r = inflated_radius(obstacle, params.body_width)
     if obstacle.kind == "cylinder":
         P = obstacle._projector
-        return P @ p, P @ v, r
+        return P.dot(p), P.dot(v), r
     return p, v, r
 
 

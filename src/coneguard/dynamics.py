@@ -34,8 +34,11 @@ roots from ``math``. That rounds exactly as the array code did. Python
 float arithmetic is the IEEE double arithmetic numpy applies element by
 element, every expression keeps the operation order of its array form, and
 math's cos, sin and sqrt return numpy's bits (tests pin this). Dot and
-matrix-vector products stay numpy calls: numpy hands them to BLAS, whose
-fused multiply-adds a plain Python sum would not reproduce.
+matrix-vector products go to BLAS, whose fused multiply-adds a plain Python
+sum would not reproduce, through ``ndarray.dot``: it calls the routine
+``@`` calls (ddot, dgemv) on the same operands, so the same bits, without
+matmul's generalized-ufunc dispatch (tests pin this for every operand
+layout the step passes).
 
 Validation. The public constructors copy their input and check it with
 the ``records`` checks: ``QuadrotorParams`` and ``ControlInput`` on
@@ -178,6 +181,9 @@ class ControlInput:
         object.__setattr__(self, "thrusts", checked_array(self.thrusts, 4, "thrusts"))
 
 
+_control_input = prebuilt(ControlInput)
+
+
 def control_of(u: np.ndarray) -> ControlInput:
     """The ControlInput that takes the fresh float 4-vector u (no copy),
     checked finite as by the constructor.
@@ -185,7 +191,7 @@ def control_of(u: np.ndarray) -> ControlInput:
     Raises:
         ConfigError: a non-finite thrust.
     """
-    return prebuilt(ControlInput, thrusts=checked_array(u, 4, "thrusts", copy=False))
+    return _control_input(checked_array(u, 4, "thrusts", copy=False))
 
 
 def rotation_matrix(attitude: np.ndarray) -> np.ndarray:
@@ -313,7 +319,7 @@ def step(
     u0, u1, u2, u3 = u.tolist()
     fixed = (
         (u0 + u1 + u2 + u3) / params.mass,
-        (params.arm_span * (MOMENT_MIX @ u)).tolist(),
+        (params.arm_span * MOMENT_MIX.dot(u)).tolist(),
         params.inertia_diag,
         params.gravity,
     )

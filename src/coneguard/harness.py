@@ -207,7 +207,7 @@ def separation_distance(
     perpendicular plane minus r (infinite-cylinder model).
     """
     p, _, r = cone_geometry(frame, obstacle, params, t)
-    return math.sqrt(float(p @ p)) - r
+    return math.sqrt(float(p.dot(p))) - r
 
 
 def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
@@ -347,6 +347,9 @@ class _Recorder:
         )
 
 
+_obstacle = prebuilt(Obstacle)
+
+
 def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
     """The other vehicle, frozen as a constant-velocity sphere for one step.
 
@@ -354,8 +357,7 @@ def _as_obstacle(state: QuadrotorState, params: QuadrotorParams) -> Obstacle:
     parameter, so the sphere is built without the constructor's copies and
     checks.
     """
-    return prebuilt(
-        Obstacle,
+    return _obstacle(
         kind="sphere",
         center=state.position,
         radius_raw=0.5 * params.body_width,

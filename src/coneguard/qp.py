@@ -171,7 +171,7 @@ class QpProblem:
         u_des = checked_array(u_des, 4, "u_des")
         rows = checked_records(constraints, AffineSafetyConstraint, "QP rows")
         for c in rows:
-            if float(c.gradient_row @ c.gradient_row) <= GRADIENT_MIN**2:
+            if float(c.gradient_row.dot(c.gradient_row)) <= GRADIENT_MIN**2:
                 raise DegenerateGradientError(
                     f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
                 )
@@ -187,10 +187,11 @@ class QpProblem:
     def constraints(self) -> tuple[AffineSafetyConstraint, ...]:
         """The rows as records, each a read-only row of A."""
         rows = zip(self.A, self.b.tolist(), self.labels)
-        return tuple(
-            prebuilt(AffineSafetyConstraint, gradient_row=a, offset=b, label=label)
-            for a, b, label in rows
-        )
+        return tuple(_constraint(a, b, label) for a, b, label in rows)
+
+
+_constraint = prebuilt(AffineSafetyConstraint)
+_problem = prebuilt(QpProblem)
 
 
 def checked_problem(
@@ -200,7 +201,7 @@ def checked_problem(
     (m, 4), each row contiguous, and offsets b (m,), all finite with
     ||a_i|| > GRADIENT_MIN, and one label per row, held as given; nothing is
     checked."""
-    return prebuilt(QpProblem, u_des=u_des, A=A, b=b, labels=labels)
+    return _problem(u_des, A, b, labels)
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,9 @@ class QpSolution:
     active_set: tuple[str, ...]
     multipliers: tuple[float, ...]
     kkt_residual: float
+
+
+_solution = prebuilt(QpSolution)
 
 
 def _project_equalities(
@@ -227,6 +231,8 @@ def _project_equalities(
             # product adds as +0.0 (module docstring)
             return u_des + (a * mu + 0.0)
     A_S, b_S = A[list(rows)], b[list(rows)]
+    # @, not ndarray.dot: with one row, A_S^T mu by dot is a plain product,
+    # which keeps a -0.0 that matmul's sum from +0.0 turns into +0.0
     gram = A_S @ A_S.T
     rhs = -(A_S @ u_des + b_S)
     return u_des + A_S.T @ _lstsq(gram, rhs)
@@ -257,7 +263,7 @@ def _min_slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     numpy takes the 1-row product to, so the same bits without the matmul."""
     if len(b) == 1:
         return float(A[0].dot(x)) + float(b[0])
-    return float((A @ x + b).min())
+    return float((A.dot(x) + b).min())
 
 
 def _multipliers(W: np.ndarray, step: np.ndarray) -> list[float]:
@@ -315,7 +321,7 @@ def _feasible_start(
             cand = projections[rows] = _project_equalities(u_des, A, b, rows)
         if _min_slack(A, b, cand) >= -FEAS_TOL:
             step = cand - u_des
-            dist = math.sqrt(float(step @ step))
+            dist = math.sqrt(float(step.dot(step)))
             if dist < best_dist:
                 best, best_dist = cand, dist
     if best is None:
@@ -348,13 +354,13 @@ def solve(problem: QpProblem) -> QpSolution:
     u_des, A, b, labels = problem.u_des, problem.A, problem.b, problem.labels
     m = len(b)
     if m > 1:
-        resid = A @ u_des + b  # row slacks at u_des
+        resid = A.dot(u_des) + b  # row slacks at u_des
         min_slack = float(resid.min())
     else:  # one row, most steps' problem, takes no matmul
         min_slack = _min_slack(A, b, u_des) if m else math.inf
     if min_slack >= -FEAS_TOL:
         # u_des is the unconstrained optimum: the loop would stop at once
-        return QpSolution(u_des, (), (), max(0.0, -min_slack))
+        return _solution(u_des, (), (), max(0.0, -min_slack))
     if m == 1:
         resid = np.array([min_slack])  # the bits of A @ u_des + b
 
@@ -427,8 +433,8 @@ def solve(problem: QpProblem) -> QpSolution:
     if len(working) > 1:
         lam = np.maximum(lam_w, 0.0)
         W = A[working]
-        gap = np.array(sf) - W.T @ lam
-        comp = float(np.abs(lam * (W @ u + b[working])).max())
+        gap = np.array(sf) - W.T.dot(lam)
+        comp = float(np.abs(lam * (W.dot(u) + b[working])).max())
         multipliers = tuple(lam.tolist())
     elif working:
         (j,) = working
@@ -444,7 +450,7 @@ def solve(problem: QpProblem) -> QpSolution:
     feas = max(0.0, -_min_slack(A, b, u))
     kkt = max(stationarity, feas, comp)
     if not kkt <= KKT_RTOL:  # the bound is at least KKT_RTOL; nan fails too
-        u_norm = math.sqrt(float(u_des @ u_des))
+        u_norm = math.sqrt(float(u_des.dot(u_des)))
         a_max = math.sqrt(float((A * A).sum(axis=1).max()))
         bound = KKT_RTOL * (1.0 + u_norm) * (1.0 + a_max)
         if not kkt <= bound:
@@ -455,4 +461,4 @@ def solve(problem: QpProblem) -> QpSolution:
                 residual=kkt,
                 bound=bound,
             )
-    return QpSolution(u, act_labels, multipliers, kkt)
+    return _solution(u, act_labels, multipliers, kkt)

@@ -10,17 +10,16 @@ other value, one of the wrong type included, raises the caller's
 number here, alone or in a list. The scenario loader has no value checks
 of its own: each value it reads is checked here, by the record it builds.
 
-Where a value was checked where it was made, ``prebuilt`` stores it in the
-record as it is, without running ``__init__`` or ``__post_init__``. It takes
-exactly the dataclass's field names, so the record's layout is spelled only
-once, in its class.
+Where a value was checked where it was made, the class's ``prebuilt``
+builder stores it in the record as it is, without running ``__init__`` or
+``__post_init__``. It takes exactly the dataclass's field names, so the
+record's layout is spelled only once, in its class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,6 +108,13 @@ def check_utf8(text: str, what: str, error=ConfigError) -> None:
         raise error(f"{what} {text!r} is not UTF-8 text") from None
 
 
+def shown_path(path) -> str:
+    """path as an error shows it: its repr if a character is not printable
+    (a line break, a NUL), so that the message stays one line."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def checked_records(values, cls: type, what: str) -> tuple:
     """values, an iterable of cls records, as a tuple; else ConfigError."""
     try:
@@ -133,22 +139,25 @@ def checked_types(record, **kinds) -> None:
         checked_type(getattr(record, field), kind, field)
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
+def prebuilt(cls: type):
+    """The builder of the frozen dataclass cls's records from values already
+    checked: a function of exactly cls's fields, by position or by name,
+    that stores them in a new record as they are. Its code is generated once,
+    as dataclasses generates ``__init__``, so a record costs one dict store
+    per field, with no ``__init__``, ``__post_init__`` or frozen
+    ``__setattr__``, and Python's call check keeps it to exactly its fields.
 
-
-def prebuilt(cls: type, **values):
-    """The record of the frozen dataclass cls holding values as given.
-
-    Raises:
-        TypeError: values do not name every field of cls, and only those.
+    Raises (the builder):
+        TypeError: the values do not name every field of cls, and only those.
     """
-    if values.keys() != _field_names(cls):
-        raise TypeError(
-            f"{cls.__name__} takes the fields {sorted(_field_names(cls))},"
-            f" got {sorted(values)}"
-        )
-    record = object.__new__(cls)
-    record.__dict__.update(values)
-    return record
+    names = [f.name for f in fields(cls)]
+    # the builder's own names start with __, which no field's can (mangled)
+    stores = "".join(f"    __values[{n!r}] = {n}\n" for n in names)
+    namespace = {"__new": object.__new__, "__cls": cls}
+    exec(
+        f"def {cls.__name__}_prebuilt({', '.join(names)}):\n"
+        f"    __record = __new(__cls)\n    __values = __record.__dict__\n"
+        f"{stores}    return __record\n",
+        namespace,
+    )
+    return namespace[f"{cls.__name__}_prebuilt"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .records import checked_array, checked_real
+from .records import checked_array, checked_real, prebuilt
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class ReferenceSample:
     acceleration: np.ndarray
 
 
+_sample = prebuilt(ReferenceSample)
 _ZERO = np.zeros(3)
 _ZERO.setflags(write=False)
 _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))  # about 1.5e-154
@@ -39,7 +40,7 @@ class HoverReference:
         self.point = checked_array(point, 3, "hover point")
 
     def sample(self, t: float) -> ReferenceSample:
-        return ReferenceSample(self.point, _ZERO, _ZERO)
+        return _sample(self.point, _ZERO, _ZERO)
 
 
 class LineReference:
@@ -50,7 +51,7 @@ class LineReference:
         self.velocity = checked_array(velocity, 3, "line velocity")
 
     def sample(self, t: float) -> ReferenceSample:
-        return ReferenceSample(self.start + self.velocity * t, self.velocity, _ZERO)
+        return _sample(self.start + self.velocity * t, self.velocity, _ZERO)
 
 
 class WaypointReference:
@@ -85,8 +86,8 @@ class WaypointReference:
 
     def sample(self, t: float) -> ReferenceSample:
         if t >= self._t_knots[-1]:
-            return ReferenceSample(self.points[-1], _ZERO, _ZERO)
+            return _sample(self.points[-1], _ZERO, _ZERO)
         i = int(np.searchsorted(self._t_knots, t, side="right") - 1)
         i = max(i, 0)
         pos = self.points[i] + self._seg_dir[i] * self.speed * (t - self._t_knots[i])
-        return ReferenceSample(pos, self._seg_dir[i] * self.speed, _ZERO)
+        return _sample(pos, self._seg_dir[i] * self.speed, _ZERO)

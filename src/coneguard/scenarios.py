@@ -31,7 +31,7 @@ from .cone import Obstacle
 from .dynamics import QuadrotorParams, QuadrotorState
 from .errors import ConeguardError, ConfigError
 from .harness import AgentSpec, ScenarioConfig
-from .records import checked_array
+from .records import checked_array, shown_path
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains
 
@@ -173,14 +173,28 @@ def _loader():
     import yaml
 
     class Loader(yaml.SafeLoader):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep=deep)
+            except (ValueError, KeyError, AttributeError, TypeError, IndexError):
+                # SafeLoader's untyped errors on values such as 2001-13-14, !!bool x
+                shown = repr(node.value) if isinstance(node, yaml.ScalarNode) else node.id
+                tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+                raise yaml.constructor.ConstructorError(
+                    problem=f"cannot read {shown} as {tag}", problem_mark=node.start_mark
+                ) from None
+
         def construct_mapping(self, node, deep=False):
             seen = set()
-            for key_node, _ in node.value:
+            # a node that is not a mapping (!!set [1]) is SafeLoader's to refuse
+            pairs = node.value if isinstance(node, yaml.MappingNode) else ()
+            for key_node, _ in pairs:
                 if key_node.tag == "tag:yaml.org,2002:merge":
                     continue  # a merge (<<) may override, as YAML allows
                 key = self.construct_object(key_node, deep=deep)
                 try:
                     repeated = key in seen
+                    seen.add(key)  # a set key passes "in" (as a frozenset), not add
                 except TypeError:  # unhashable: SafeLoader reports it
                     continue
                 if repeated:
@@ -188,7 +202,6 @@ def _loader():
                         problem=f"found duplicate key {key!r}",
                         problem_mark=key_node.start_mark,
                     )
-                seen.add(key)
             return super().construct_mapping(node, deep=deep)
 
     Loader.add_implicit_resolver(
@@ -297,17 +310,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     import yaml  # PyYAML is imported only where a scenario file is read
 
     path = Path(path)
+    shown = shown_path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{shown}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:  # PyYAML's own message spans several lines
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-        raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from exc
+        raise ConfigError(f"{shown}: invalid YAML{where}: {problem}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: scenario file must be a mapping")
+        raise ConfigError(f"{shown}: scenario file must be a mapping")
     return scenario_from_dict(data)

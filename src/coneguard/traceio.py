@@ -33,6 +33,7 @@ import numpy as np
 
 from .cone import check_label
 from .errors import ConfigError
+from .records import shown_path
 
 FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 STATE_COLUMNS = (
@@ -189,22 +190,23 @@ def parse_trace(path: str | Path) -> SimTrace:
     reference positions come back empty.
     """
     path = Path(path)
+    shown = shown_path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
+        raise ConfigError(f"{shown}: {exc}") from exc
     if not lines:
-        raise ConfigError(f"{path}: empty trace file")
+        raise ConfigError(f"{shown}: empty trace file")
     header = lines[0].split(",")
     labels = tuple(column[2:] for column in header if column.startswith("h_"))
     if header != trace_columns(labels):
-        raise ConfigError(f"{path}: unexpected trace header")
+        raise ConfigError(f"{shown}: unexpected trace header")
     try:
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad trace row: {exc}") from exc
+        raise ConfigError(f"{shown}: bad trace row: {exc}") from exc
     if table.ndim != 2 or table.shape[1] != len(header):
-        raise ConfigError(f"{path}: ragged trace rows")
+        raise ConfigError(f"{shown}: ragged trace rows")
     return SimTrace(
         name=path.stem, filter_kind="unknown", obstacle_labels=labels, table=table
     )

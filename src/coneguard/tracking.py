@@ -85,9 +85,9 @@ class ControllerGains:
 
 def commanded_acceleration(
     state: QuadrotorState, ref: ReferenceSample, gains: ControllerGains
-) -> tuple[float, float, float]:
+) -> list[float]:
     """a_cmd = a_d + Kd (v_d - v) + Kp (x_d - x), componentwise on floats."""
-    return tuple(
+    return [
         a + kd * (vd - v) + kp * (xd - x)
         for a, kd, vd, v, kp, xd, x in zip(
             ref.acceleration.tolist(),
@@ -98,7 +98,7 @@ def commanded_acceleration(
             ref.position.tolist(),
             state.position.tolist(),
         )
-    )
+    ]
 
 
 def attitude_targets(accel_cmd, gravity: float) -> tuple[float, float]:
@@ -126,7 +126,7 @@ def attitude_pd(
     Angle rates are the exact Euler rates W^-1 @ omega.
     """
     W_inv = euler_rate_matrix(state.attitude)
-    roll_rate, pitch_rate, _ = (W_inv @ state.body_rates).tolist()
+    roll_rate, pitch_rate, _ = W_inv.dot(state.body_rates).tolist()
     roll, pitch, _ = state.attitude.tolist()
     roll_acc = gains.roll_p * (roll_d - roll) + gains.roll_d * (0.0 - roll_rate)
     pitch_acc = gains.pitch_p * (pitch_d - pitch) + gains.pitch_d * (0.0 - pitch_rate)
@@ -162,7 +162,7 @@ def mixer(
             0.0,
         ]
     )
-    return control_of(ALLOCATION_INV @ rhs)
+    return control_of(ALLOCATION_INV.dot(rhs))
 
 
 def track(

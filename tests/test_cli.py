@@ -141,8 +141,9 @@ def test_validate_missing_file_exits_1(capsys):
     [
         (b"\xffname: x\n", "'utf-8' codec can't decode byte 0xff"),
         (b"duration: [1", "invalid YAML at line 1, column 13: "),
+        (b"name: 2001-13-14\n", "invalid YAML at line 1, column 7: cannot read "),
     ],
-    ids=["not-utf8", "yaml-syntax"],
+    ids=["not-utf8", "yaml-syntax", "invalid-date"],
 )
 def test_validate_unreadable_file_prints_one_error_line(
     tmp_path, capsys, content, problem

@@ -181,7 +181,12 @@ _SPELLINGS = (
     " -1e999 1e-999 0 -0 0.0 -0.0 5e-324 -5e-324 2.2250738585072014e-308"
     " 1e-300 1.7976931348623157e308 -1.7976931348623157e308 1e308 0x10 0o17"
     " 1_000 4e-3 1:20 true false yes off null ~ 2001-12-14 '' 'x'"
-).split()
+    " 2001-13-14 2001-02-30 2001-12-14T25:00:00Z"  # dates no calendar has
+).split() + [  # explicit tags on values they may not read
+    f"{tag} {value}"
+    for tag in "!!float !!int !!bool !!null !!timestamp !!str !!binary !!set !!omap".split()
+    for value in ("x", "1", "''", "[1]", "{a: 1}")
+]
 
 _TEXT = st.one_of(
     st.text(st.characters(exclude_categories=()), max_size=6),  # surrogates too
@@ -305,6 +310,31 @@ def _assert_one_line(exc: ConeguardError) -> None:
     ' reference: {type: waypoints, points: [[0.0, 0.0, 1.0], [1e-170, 0.0, 1.0]],'
     ' speed: 1.0}}'
 ).via("distinct waypoints 1e-170 m apart were refused as not distinct")
+@example(
+    '{name: 2001-13-14, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}}'
+).via("an invalid date raised PyYAML's untyped ValueError")
+@example(
+    '{name: fuzz, duration: !!float x, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}}'
+).via("!!float x raised ValueError")
+@example(
+    '{name: fuzz, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}, description: !!bool x}'
+).via("!!bool x raised KeyError")
+@example(
+    '{name: !!timestamp x, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}}'
+).via("!!timestamp x raised AttributeError")
+@example(
+    '{name: fuzz, duration: 0.05, dt: 0.004166666666666667,'
+    ' initial_state: {position: [0.0, 0.0, 1.0]},'
+    ' reference: {type: hover, point: [0.0, 0.0, 1.0]}, obstacles: !!set [1]}'
+).via("!!set [1] raised TypeError in the duplicate-key check")
 def test_scenario_files_load_or_fail_as_one_typed_line(text):
     """A document loads, or raises a ConeguardError whose message is one
     line. One that loads flies (at most FLIGHT_SECONDS and FLIGHT_STEPS), or

@@ -637,8 +637,8 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         frame = BodyFrame(random_state(rng, att_max=1.4, rate=50.0), QuadrotorParams())
         y = np.matmul(frame.R.T, v[:, :, None])
         assert_same_bits(y[:, :, 0], np.array([frame.R.T @ w for w in v]))
-        input_rows = np.matmul(-frame.M.T, y)[:, :, 0]
-        assert_same_bits(input_rows, np.array([-frame.M.T @ x for x in y[:, :, 0]]))
+        input_rows = np.matmul(frame.input_map, y)[:, :, 0]
+        assert_same_bits(input_rows, np.array([frame.input_map @ x for x in y[:, :, 0]]))
         drifts = np.matmul(v[:, None, :], frame.a_d[:, None])[:, 0, 0]
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
 

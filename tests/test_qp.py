@@ -11,7 +11,7 @@ import oracles
 from helpers import assert_same_bits, field_scenario
 from coneguard import harness
 from coneguard.scenarios import builtin_scenarios, get_scenario
-from coneguard.cone import thrust_acceleration_map
+from coneguard.cone import input_map
 from coneguard.dynamics import QuadrotorParams, rotation_matrix
 from coneguard import qp
 from coneguard.errors import (
@@ -194,8 +194,7 @@ def _barrier_rows(R, w):
     """Rows -M^T R^T w_i of the (m, 3) w, built as the cone barriers build
     them: all lie in the 3-D range of M^T, so every 4-row Gram is singular
     up to rounding."""
-    M = thrust_acceleration_map(QuadrotorParams())
-    return -(M.T @ (R.T @ w.T)).T
+    return (input_map(QuadrotorParams()) @ (R.T @ w.T)).T
 
 
 def _shared_range_rows(rng, m, z_scale=1.0):

@@ -11,9 +11,15 @@ from coneguard.cone import Obstacle
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, control_of
 from coneguard.errors import ConeguardError
 from coneguard.harness import AgentSpec, _as_obstacle, compare, run, run_pair
-from coneguard.qp import AffineSafetyConstraint, QpProblem, checked_problem
+from coneguard.qp import (
+    AffineSafetyConstraint,
+    QpProblem,
+    QpSolution,
+    checked_problem,
+    solve,
+)
 from coneguard.records import prebuilt
-from coneguard.reference import HoverReference, WaypointReference
+from coneguard.reference import HoverReference, ReferenceSample, WaypointReference
 from coneguard.scenarios import get_scenario
 
 
@@ -54,16 +60,27 @@ def test_checked_constructions_match_the_constructors():
         label="partner",
     )
     _assert_same_record(_as_obstacle(state, params), partner)
+    # the step's other records: a reference sample and the QP's early exit
+    point = rng.normal(size=3)
+    sample = HoverReference(point).sample(0.0)
+    _assert_same_record(sample, ReferenceSample(sample.position, ZERO, ZERO))
+    u_des = u_read_only
+    solution = solve(checked_problem(u_des, A, b + 1e3, ("obs0", "obs1")))
+    _assert_same_record(solution, QpSolution(u_des, (), (), 0.0))
 
 
 def test_prebuilt_takes_exactly_the_fields():
     a = np.ones(4)
+    build = prebuilt(AffineSafetyConstraint)
     with pytest.raises(TypeError):
-        prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0)
+        build(gradient_row=a, offset=0.0)
     with pytest.raises(TypeError):
-        prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="", x=1)
-    row = prebuilt(AffineSafetyConstraint, gradient_row=a, offset=0.0, label="")
+        build(gradient_row=a, offset=0.0, label="", x=1)
+    with pytest.raises(TypeError):
+        build(a, 0.0, "", 1)
+    row = build(gradient_row=a, offset=0.0, label="")
     assert row.gradient_row is a and (row.offset, row.label) == (0.0, "")
+    assert vars(build(a, 0.0, "")) == vars(row)
 
 
 LINE = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]

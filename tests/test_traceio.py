@@ -430,6 +430,19 @@ def test_load_scenario_from_file(tmp_path):
     assert abs(config.duration - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\x00b"], ids=["line-break", "nul"])
+def test_unprintable_paths_are_shown_as_their_repr(tmp_path, name):
+    """A path with a line break or a NUL is shown as its repr, so that the
+    error stays one line; the NUL's ValueError is a ConfigError too."""
+    for path in (name, tmp_path / name):
+        for read in (load_scenario, parse_trace):
+            with pytest.raises(ConfigError) as exc_info:
+                read(path)
+            message = str(exc_info.value)
+            assert message.startswith(f"{str(path)!r}: "), message
+            assert message.splitlines() == [message]
+
+
 def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
     path = tmp_path / "latin1.yaml"
     path.write_bytes(b"\xffname: x\n")
@@ -446,12 +459,30 @@ def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
         ("duration: [1", " at line 1, column 13: expected ',' or ']'"),
         ("name: x\nduration: 1: 2\n", " at line 2, column 12: mapping values"),
         ("name: \x00\n", ": unacceptable character #x0000"),
+        ("name: 2001-13-14\n", " at line 1, column 7: cannot read '2001-13-14' as !!timestamp"),
+        ("name: x\ndt: !!float x\n", " at line 2, column 5: cannot read 'x' as !!float"),
+        ("name: [1, !!bool x]\n", " at line 1, column 11: cannot read 'x' as !!bool"),
+        ("name: !!timestamp x\n", " at line 1, column 7: cannot read 'x' as !!timestamp"),
+        ("name: !!set [1]\n", " at line 1, column 7: expected a mapping node, but"),
+        ("!!set x: 1\n", " at line 1, column 1: found unhashable key"),
     ],
-    ids=["unclosed-list", "nested-mapping", "control-character"],
+    ids=[
+        "unclosed-list",
+        "nested-mapping",
+        "control-character",
+        "invalid-date",
+        "float-tag",
+        "bool-tag",
+        "timestamp-tag",
+        "set-tag",
+        "set-key",
+    ],
 )
 def test_yaml_syntax_error_is_one_line(tmp_path, text, where):
     """PyYAML's own message adds context and caret lines; the error keeps
-    the problem and, where PyYAML has one, its line and column."""
+    the problem and, where PyYAML has one, its line and column. A value its
+    tag cannot read (SafeLoader raised ValueError, KeyError, AttributeError
+    or TypeError for these) fails the same way."""
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError) as exc_info:
