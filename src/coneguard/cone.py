@@ -55,7 +55,7 @@ each value has the bits ``barrier_3d`` and ``barrier_projection`` give it.
 harness's phi'/phi replay. The kernel checks every row in one array test:
 min ||input_row|| > GRADIENT_MIN, and a finite sum of all entries and
 offsets (a nan or an inf makes it non-finite). Only when that fails does it
-check row by row, with the helpers ``contract`` and ``barrier_row`` call,
+check row by row, with the ``qp`` checks ``contract`` and ``barrier_row`` call,
 and raise the first bad row's error in obstacle order, the vanished
 gradient before the finite check. The harness takes it for C3BF steps with
 at least ``harness.STACK_MIN_ROWS`` rows and the scalar adapters below that.
@@ -83,9 +83,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import QuadrotorParams, QuadrotorState, _cross, rotation_matrix
-from .errors import ConfigError, DegenerateGradientError, InvalidObstacleError
-from .qp import GRADIENT_MIN
-from .records import check_utf8, checked_array, checked_real
+from .errors import InvalidObstacleError
+from .qp import GRADIENT_MIN, _check_finite, _check_gradient
+from .records import check_label, checked_array, checked_real
 
 EPS_V = 1e-6  # ||v_rel|| regularization floor (m/s)
 EPS_SQRT = 1e-9  # guard for the ||p_rel|| division in cos(phi)
@@ -127,8 +127,6 @@ class Obstacle:
         error = InvalidObstacleError
         if self.kind not in ("sphere", "cylinder"):
             raise error(f"unknown obstacle kind {self.kind!r}")
-        if not isinstance(self.label, str):
-            raise error("obstacle label must be a string")
         check_label(self.label, error)
         for name in ("center", "velocity"):
             value = checked_array(getattr(self, name), 3, name, error)
@@ -152,18 +150,6 @@ class Obstacle:
             object.__setattr__(self, "height", height)
         # the constant projector P = I - n n^T of every cylinder row, built once
         object.__setattr__(self, "_projector", np.eye(3) - np.outer(axis, axis))
-
-
-# Every character str.splitlines breaks a line at, which parse_trace splits on.
-LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def check_label(label: str, error: type[Exception]) -> None:
-    """Refuse a label that cannot name a trace column: a comma, a line break
-    or a character UTF-8 cannot encode."""
-    if any(c in label for c in "," + LINE_BREAKS):
-        raise error(f"obstacle label {label!r} may not contain commas or line breaks")
-    check_utf8(label, "obstacle label", error)
 
 
 def inflated_radius(obstacle: Obstacle, body_width: float) -> float:
@@ -311,7 +297,7 @@ def barrier_row(
 
     The row is checked here, where it is made, and handed to the QP as it
     is: ``contract`` bounds ||input_row|| away from 0, and this checks that
-    every entry is finite (``ConfigError``, as the public constructor).
+    every entry is finite, with the row checks of ``qp.QpProblem``.
 
     Raises:
         DegenerateGradientError: ||input_row|| <= 1e-10.
@@ -321,18 +307,6 @@ def barrier_row(
     offset = drift + kappa_gamma * terms.h
     _check_finite(input_row.tolist(), offset)
     return input_row, offset
-
-
-def _check_gradient(norm: float, label: str) -> None:
-    """Refuse a row whose ||input_row|| is at most GRADIENT_MIN."""
-    if norm <= GRADIENT_MIN:
-        raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
-
-
-def _check_finite(row: list[float], offset: float) -> None:
-    """Refuse a row with a non-finite entry or offset."""
-    if not (math.isfinite(offset) and all(map(math.isfinite, row))):
-        raise ConfigError("constraint row must be finite")
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cone import (
-    LINE_BREAKS,
     BodyFrame,
     Obstacle,
     barrier_3d,
@@ -71,9 +70,9 @@ from .dynamics import (
     thrust_axes,
 )
 from .errors import ConeguardError, ConfigError, SimulationAbort
-from .qp import checked_problem, solve
-from .records import check_utf8, checked_real, checked_records, checked_type
-from .records import checked_types, prebuilt
+from .qp import _NO_ROWS, checked_problem, solve
+from .records import LINE_BREAKS, check_utf8, checked_real, checked_records
+from .records import checked_type, checked_types, prebuilt
 from .reference import HoverReference, LineReference, WaypointReference
 from .traceio import SimTrace, _quantize, trace_columns
 from .tracking import ControllerGains, track
@@ -91,10 +90,6 @@ MAX_STEPS = 1_000_000
 # at 3 (1.00x and 0.99x, faster in 19 and 22) and takes 0.81x at 4 (faster
 # in 38 and 40), with Python 3.11 and numpy 2.4.6 on 2 shared cores.
 STACK_MIN_ROWS = 4
-# The QP rows (A, b, labels) of a step that builds none.
-_NO_ROWS = (np.empty((0, 4)), np.empty(0), ())
-for _array in _NO_ROWS[:2]:
-    _array.setflags(write=False)
 
 Reference = HoverReference | LineReference | WaypointReference
 

@@ -90,17 +90,17 @@ of A u + b, both as in the array form. With two or more active rows, the
 gap and the slacks of the active rows stay array expressions, as BLAS
 sums their products over rows.
 
-Validation. The public constructors of ``AffineSafetyConstraint`` and
-``QpProblem`` copy and check what they are given with the ``records``
-checks; ``QpProblem`` also rejects rows with ||a|| <= GRADIENT_MIN and
-stacks the records it accepts. A ``QpProblem`` holds u_des, the rows A
-(m, 4), the offsets b (m,) and the labels, read-only; its ``constraints``
-are records rebuilt from those arrays when something reads them (the
-benchmark's tracer, tests, error reports), never by a step.
-``checked_problem`` takes arrays already checked where they were made (the
-rows by ``cone.barrier_row`` or ``cone.barrier_stack``, u_des by the
-tracking controller) and holds them without a copy or a second check
-(``records.prebuilt``), so ``solve`` checks nothing on entry.
+Validation. ``QpProblem(u_des, A, b, labels)``, the public constructor,
+copies u_des, A and b with the ``records`` array checks and then checks
+each row in order: its label (``records.check_label``), then the survey's
+own row checks, ``_check_gradient`` (||a|| > GRADIENT_MIN) before
+``_check_finite``. ``checked_problem`` takes arrays already checked where
+they were made (the rows by ``cone.barrier_row`` or ``cone.barrier_stack``,
+u_des by the tracking controller) and holds them without a copy or a
+second check (``records.prebuilt``), so ``solve`` checks nothing on entry.
+A problem holds u_des, the rows A (m, 4), the offsets b (m,) and the
+labels, read-only; its ``constraints`` are records rebuilt from those
+arrays when something reads them (the benchmark's tracer), never by a step.
 """
 
 from __future__ import annotations
@@ -113,12 +113,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateGradientError,
     InfeasibleQpError,
     IterationLimitError,
     UncertifiedSolutionError,
 )
-from .records import checked_array, checked_real, checked_records, prebuilt
+from .records import check_label, checked_array, checked_type, prebuilt
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
 FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
@@ -133,32 +134,46 @@ SAFE_MIN = float(np.finfo(float).tiny / EPS)
 KKT_RTOL = 1e-9
 
 
+# The rows (A, b, labels) of a problem with none.
+_NO_ROWS = (np.empty((0, 4)), np.empty(0), ())
+for _array in _NO_ROWS[:2]:
+    _array.setflags(write=False)
+
+
+def _check_gradient(norm: float, label: str) -> None:
+    """Refuse a row whose ||a|| is at most GRADIENT_MIN."""
+    if norm <= GRADIENT_MIN:
+        raise DegenerateGradientError(f"obstacle {label!r}: barrier gradient vanished")
+
+
+def _check_finite(row: list[float], offset: float) -> None:
+    """Refuse a row with a non-finite entry or offset."""
+    if not (math.isfinite(offset) and all(map(math.isfinite, row))):
+        raise ConfigError("constraint row must be finite")
+
+
 @dataclass(frozen=True)
 class AffineSafetyConstraint:
-    """One row a.u + b >= 0 of the safety QP."""
+    """One row a.u + b >= 0 of the safety QP, as QpProblem.constraints gives it."""
 
     gradient_row: np.ndarray
     offset: float
     label: str = ""
-
-    def __post_init__(self):
-        a = checked_array(self.gradient_row, 4, "constraint row")
-        object.__setattr__(self, "gradient_row", a)
-        object.__setattr__(self, "offset", checked_real(self.offset, "constraint row"))
 
 
 @dataclass(frozen=True, init=False)
 class QpProblem:
     """The QP of u_des and its rows a_i . u + b_i >= 0, held as arrays.
 
-    ``QpProblem(u_des, constraints)`` copies and checks u_des and the
-    ``AffineSafetyConstraint`` records and stacks them into A, b and labels;
-    ``checked_problem`` takes those arrays as they are. ``constraints`` gives
-    the rows back as records, built when first read.
+    ``QpProblem(u_des, A, b, labels)`` copies and checks u_des (4 numbers),
+    the rows A (m, 4), the offsets b (m,) and one label per row, with no
+    rows by default; ``checked_problem`` takes those arrays as they are.
+    ``constraints`` gives the rows back as records, built when first read.
 
     Raises:
-        ConfigError: u_des is not 4 finite numbers, or a row is not an
-            AffineSafetyConstraint.
+        ConfigError: an argument is not numbers of its shape or not finite,
+            or labels is not a tuple or list of one label per row, each one
+            that ``records.check_label`` accepts.
         DegenerateGradientError: a row with ||a|| <= GRADIENT_MIN.
     """
 
@@ -167,19 +182,17 @@ class QpProblem:
     b: np.ndarray  # (m,), read-only
     labels: tuple[str, ...]
 
-    def __init__(self, u_des, constraints=()):
+    def __init__(self, u_des, A=_NO_ROWS[0], b=_NO_ROWS[1], labels=()):
         u_des = checked_array(u_des, 4, "u_des")
-        rows = checked_records(constraints, AffineSafetyConstraint, "QP rows")
-        for c in rows:
-            if float(c.gradient_row.dot(c.gradient_row)) <= GRADIENT_MIN**2:
-                raise DegenerateGradientError(
-                    f"constraint {c.label!r} has ||a|| <= {GRADIENT_MIN}"
-                )
-        A = np.array([c.gradient_row for c in rows]).reshape(len(rows), 4)
-        b = np.array([c.offset for c in rows], dtype=float)
-        A.setflags(write=False)
-        b.setflags(write=False)
-        labels = tuple(c.label for c in rows)
+        A = checked_array(A, (-1, 4), "constraint rows", finite=False)
+        b = checked_array(b, len(A), "constraint offsets", finite=False)
+        labels = tuple(checked_type(labels, (tuple, list), "QP labels"))
+        if len(labels) != len(A):
+            raise ConfigError(f"{len(labels)} QP labels for {len(A)} rows, not one each")
+        for row, offset, label in zip(A.tolist(), b.tolist(), labels):
+            check_label(label)
+            _check_gradient(math.hypot(*row), label)  # hypot: a . a may overflow
+            _check_finite(row, offset)
         for name, value in zip(("u_des", "A", "b", "labels"), (u_des, A, b, labels)):
             object.__setattr__(self, name, value)
 
@@ -187,10 +200,9 @@ class QpProblem:
     def constraints(self) -> tuple[AffineSafetyConstraint, ...]:
         """The rows as records, each a read-only row of A."""
         rows = zip(self.A, self.b.tolist(), self.labels)
-        return tuple(_constraint(a, b, label) for a, b, label in rows)
+        return tuple(AffineSafetyConstraint(a, b, label) for a, b, label in rows)
 
 
-_constraint = prebuilt(AffineSafetyConstraint)
 _problem = prebuilt(QpProblem)
 
 

@@ -6,9 +6,10 @@ here: ``checked_real`` for a number and ``checked_array`` for a float array
 of a fixed shape, each returning the converted value (an array read-only),
 and ``checked_records`` and ``checked_types`` for the records it holds. Any
 other value, one of the wrong type included, raises the caller's
-``ConeguardError`` subclass with a one-line message. A boolean is not a
-number here, alone or in a list. The scenario loader has no value checks
-of its own: each value it reads is checked here, by the record it builds.
+``ConeguardError`` subclass with a one-line message, as does a label
+``check_label`` refuses. A boolean is not a number here, alone or in a
+list. The scenario loader has no value checks of its own: each value it
+reads is checked here, by the record it builds.
 
 Where a value was checked where it was made, the class's ``prebuilt``
 builder stores it in the record as it is, without running ``__init__`` or
@@ -62,7 +63,7 @@ def checked_real(value, what: str, error=ConfigError, *, above=None, at_least=No
 def checked_array(
     values, shape, what: str, error=ConfigError, *, copy=True, finite=True
 ) -> np.ndarray:
-    """A read-only float copy of values in the given shape, checked finite.
+    """A read-only C-order float copy of values in the given shape, checked finite.
 
     shape is n, or (-1, n) for rows of n; values must have it as given. copy=False
     checks values, a float array of that shape, in place and makes it read-only;
@@ -82,7 +83,7 @@ def checked_array(
                 isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat
             ):
                 raise TypeError
-            array = raw.astype(float)
+            array = raw.astype(float, order="C")
             exact = (shape,) if isinstance(shape, int) else (len(array), shape[1])
             if array.shape != exact:
                 raise ValueError
@@ -106,6 +107,21 @@ def check_utf8(text: str, what: str, error=ConfigError) -> None:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise error(f"{what} {text!r} is not UTF-8 text") from None
+
+
+# Every character str.splitlines breaks a line at, which parse_trace splits on.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def check_label(label, error=ConfigError) -> None:
+    """Refuse a label that cannot name a trace column: one that is not a
+    string, or holds a comma, a line break or a character UTF-8 cannot
+    encode."""
+    if not isinstance(label, str):
+        raise error("obstacle label must be a string")
+    if any(c in label for c in "," + LINE_BREAKS):
+        raise error(f"obstacle label {label!r} may not contain commas or line breaks")
+    check_utf8(label, "obstacle label", error)
 
 
 def shown_path(path) -> str:

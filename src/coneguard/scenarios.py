@@ -322,6 +322,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         raise ConfigError(f"{shown}: invalid YAML{where}: {problem}") from exc
+    except RecursionError:  # PyYAML composes and constructs nodes recursively
+        raise ConfigError(f"{shown}: invalid YAML: nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{shown}: scenario file must be a mapping")
     return scenario_from_dict(data)

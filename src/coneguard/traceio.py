@@ -31,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cone import check_label
 from .errors import ConfigError
-from .records import shown_path
+from .records import check_label, shown_path
 
 FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 STATE_COLUMNS = (
@@ -179,7 +178,7 @@ def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
 def write_trace(path: str | Path, trace: SimTrace) -> None:
     """Write the CSV trace contract (9 significant digits per float)."""
     for label in trace.obstacle_labels:
-        check_label(label, ConfigError)
+        check_label(label)
     _write_csv(path, trace_columns(trace.obstacle_labels), trace.table)
 
 

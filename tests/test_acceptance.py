@@ -34,7 +34,7 @@ from coneguard.cone import (
 )
 from coneguard.dynamics import QuadrotorParams
 from coneguard.harness import VIOLATION_TOL, compute_metrics, run, run_pair
-from coneguard.qp import AffineSafetyConstraint, QpProblem, solve
+from coneguard.qp import QpProblem, solve
 from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.traceio import parse_trace, write_trace
 
@@ -240,11 +240,8 @@ def test_c05_qp_solver_vs_dual_oracle():
             z = rng.normal(size=4)
             b_all[i] = rng.uniform(0.0, 2.0, m) - a_all[i] @ z
             u_all[i] = rng.normal(size=4)
-            cons = tuple(
-                AffineSafetyConstraint(a_all[i][j], float(b_all[i][j]), label=f"c{j}")
-                for j in range(m)
-            )
-            sol = solve(QpProblem(u_des=u_all[i], constraints=cons))
+            labels = tuple(f"c{j}" for j in range(m))
+            sol = solve(QpProblem(u_all[i], a_all[i], b_all[i], labels))
             sols.append(sol)
             lam_full = np.zeros(m)
             for label, lam in zip(sol.active_set, sol.multipliers):
@@ -261,12 +258,10 @@ def test_c05_qp_solver_vs_dual_oracle():
     for _ in range(1000):
         a = rng.normal(size=4)
         z = rng.normal(size=4)
-        con = AffineSafetyConstraint(
-            a, float(rng.uniform(0.0, 2.0) - a @ z), label="c0"
-        )
+        b = float(rng.uniform(0.0, 2.0) - a @ z)
         u_des = rng.normal(size=4)
-        single = oracles.solve_single(u_des, con.gradient_row, con.offset)
-        general = solve(QpProblem(u_des=u_des, constraints=(con,)))
+        single = oracles.solve_single(u_des, a, b)
+        general = solve(QpProblem(u_des, [a], [b], ("c0",)))
         worst_closed = max(
             worst_closed, float(np.linalg.norm(single - general.u_star))
         )

@@ -4,7 +4,7 @@ The documents are built from the loader's own schema (the record fields and
 ``scenarios._REFERENCES``) with nominal values, then mutated: leaves and
 containers replaced by wrong types, nan/inf spellings, values near 0 and
 near the double range, empty and nested containers, and strings from all of
-Unicode (lone surrogates and ``cone.LINE_BREAKS`` included); keys repeated,
+Unicode (lone surrogates and ``records.LINE_BREAKS`` included); keys repeated,
 added and dropped. Every document must load or fail as one typed line, and
 one that loads must fly and write a trace that parses back to its table.
 
@@ -16,18 +16,20 @@ sources; ``main`` must return 0 or 2, or end with code 1 and one stderr line.
 import argparse
 import copy
 import io
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CONFIGS_DIR, assert_same_bits
 from coneguard import cli, harness, scenarios
-from coneguard.cone import LINE_BREAKS, Obstacle
+from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorParams
 from coneguard.errors import ConeguardError
 from coneguard.harness import (
@@ -38,6 +40,8 @@ from coneguard.harness import (
     run,
     run_pair,
 )
+from coneguard.qp import GRADIENT_MIN, QpProblem
+from coneguard.records import LINE_BREAKS, check_label
 from coneguard.scenarios import load_scenario
 from coneguard.traceio import metrics_text, parse_trace, write_trace
 from coneguard.tracking import ControllerGains
@@ -335,6 +339,9 @@ def _assert_one_line(exc: ConeguardError) -> None:
     ' initial_state: {position: [0.0, 0.0, 1.0]},'
     ' reference: {type: hover, point: [0.0, 0.0, 1.0]}, obstacles: !!set [1]}'
 ).via("!!set [1] raised TypeError in the duplicate-key check")
+@example("{name: " + "[" * 5000 + "]" * 5000 + "}").via(
+    "a document nested 5,000 deep raised RecursionError"
+)
 def test_scenario_files_load_or_fail_as_one_typed_line(text):
     """A document loads, or raises a ConeguardError whose message is one
     line. One that loads flies (at most FLIGHT_SECONDS and FLIGHT_STEPS), or
@@ -478,3 +485,85 @@ def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
     else:
         assert code in (0, 2), code
         assert err == "", repr(err)
+
+
+# ---- the QP constructor ---------------------------------------------------
+
+# Entries: nan, inf, values near 0, 1e-10 and +-1e308, any float, and every
+# leaf above (wrong types, booleans, nan/inf spellings, huge ints, text).
+_EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7976931348623157e308]
+_EDGES += [1e-10, -1e-10, 5e-324]
+_ENTRIES = st.one_of(st.sampled_from(_EDGES), st.floats(), _LEAVES)
+_NUMBERS = st.floats(-10.0, 10.0)
+_ROW = st.lists(_NUMBERS, min_size=4, max_size=4)
+
+
+@st.composite
+def qp_arguments(draw) -> tuple:
+    """(u_des, A, b, labels) of a problem of 1-4 rows, nominal, then mutated
+    0-3 times: an entry of u_des, A or b or a label replaced by any entry,
+    leaf or text, or a row by one of 3-5 numbers or of norm about 1e-10.
+    Last, the rows, the offsets or the labels may get one more or one
+    fewer, or a whole argument be replaced by any value."""
+    m = draw(st.integers(1, 4))
+    u_des = draw(_ROW)
+    A = [draw(_ROW) for _ in range(m)]
+    b = draw(st.lists(_NUMBERS, min_size=m, max_size=m))
+    labels = [f"c{i}" for i in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, m - 1))
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            u_des[draw(st.integers(0, 3))] = draw(_ENTRIES)
+        elif kind == 1:
+            A[i][draw(st.integers(0, len(A[i]) - 1))] = draw(_ENTRIES)
+        elif kind == 2:
+            b[i] = draw(_ENTRIES)
+        elif kind == 3:
+            labels[i] = draw(_TEXT | _LEAVES)
+        elif kind == 4:
+            A[i] = draw(st.lists(_NUMBERS, min_size=3, max_size=5))
+        else:
+            A[i] = draw(st.lists(st.floats(-1e-10, 1e-10), min_size=4, max_size=4))
+    args = [u_des, A, b, labels]
+    last = draw(st.integers(0, 9))
+    if last in (1, 2, 3):  # one count off by one
+        extra = (None, [1.0, 0.0, 0.0, 0.0], 0.0, f"c{m}")[last]
+        args[last] = args[last][:-1] if draw(st.booleans()) else [*args[last], extra]
+    elif last == 9:
+        args[draw(st.integers(0, 3))] = draw(_VALUES | st.just(np.ones(4, dtype=bool)))
+    return tuple(args)
+
+
+_OPPOSED = ([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]], [-1.0, -1.0])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(qp_arguments())
+@example((*_OPPOSED, [5, 6])).via(
+    "labels 5 and 6 were accepted, and solve ended in an untyped TypeError"
+)
+@example((*_OPPOSED, ["a\nb", "c"])).via(
+    "a label with a line break was accepted, and solve's InfeasibleQpError had two lines"
+)
+def test_qp_problem_is_checked_or_fails_as_one_typed_line(args):
+    """QpProblem(u_des, A, b, labels) raises a ConeguardError whose message
+    is one line, or holds read-only finite float arrays of shapes (4,),
+    (m, 4) and (m,), rows with ||a|| > GRADIENT_MIN, and a tuple of m labels
+    that check_label accepts. solve is not called: entries near 1e300 make
+    its products overflow outside a run."""
+    try:
+        problem = QpProblem(*args)
+    except ConeguardError as exc:
+        _assert_one_line(exc)
+        return
+    m = len(problem.labels)
+    arrays = (problem.u_des, problem.A, problem.b)
+    assert [array.shape for array in arrays] == [(4,), (m, 4), (m,)]
+    for array in arrays:
+        assert array.dtype == float and not array.flags.writeable
+        assert np.isfinite(array).all()
+    assert type(problem.labels) is tuple
+    for label in problem.labels:
+        check_label(label)
+    assert all(math.hypot(*row) > GRADIENT_MIN for row in problem.A.tolist())

@@ -34,7 +34,8 @@ from coneguard.harness import (
     run_pair,
     separation_distance,
 )
-from coneguard.qp import AffineSafetyConstraint, QpSolution
+from coneguard.qp import QpProblem, QpSolution
+from coneguard.records import LINE_BREAKS
 from coneguard.reference import HoverReference, LineReference, WaypointReference
 from coneguard.scenarios import builtin_scenarios, get_scenario
 from coneguard.tracking import ControllerGains
@@ -368,7 +369,8 @@ def _step_at_rest(dt):
         pytest.param(lambda: QuadrotorParams(mass=0.0), id="params"),
         pytest.param(lambda: ControlInput([0.0, np.nan, 0.0, 0.0]), id="thrusts"),
         pytest.param(
-            lambda: AffineSafetyConstraint([np.inf, 0.0, 0.0, 0.0], 0.0), id="qp-row"
+            lambda: QpProblem(np.zeros(4), [[np.inf, 0.0, 0.0, 0.0]], [0.0], ("c0",)),
+            id="qp-row",
         ),
         pytest.param(lambda: WaypointReference(LINE[:1], 1.0), id="one-waypoint"),
         pytest.param(lambda: WaypointReference(LINE, 0.0), id="waypoint-speed"),
@@ -411,7 +413,7 @@ def test_waypoints_closer_than_the_norm_can_square_are_distinct(gap):
         WaypointReference([[gap, 0.0, 1.0], [gap, 0.0, 1.0]], 1.0)
 
 
-@pytest.mark.parametrize("name", [f"a{c}b" for c in cone.LINE_BREAKS])
+@pytest.mark.parametrize("name", [f"a{c}b" for c in LINE_BREAKS])
 def test_scenario_name_with_a_line_break_rejected(name):
     """metrics.txt and validate-config print the name on one line."""
     with pytest.raises(ConfigError) as caught:

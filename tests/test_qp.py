@@ -26,7 +26,6 @@ from coneguard.qp import (
     FEAS_TOL,
     KKT_RTOL,
     SAFE_MIN,
-    AffineSafetyConstraint,
     QpProblem,
     _feasible_start,
     solve,
@@ -39,10 +38,12 @@ def feasible_instance(rng, m):
     z = rng.normal(size=4)
     margins = rng.uniform(0.0, 2.0, m)
     b = margins - A @ z
-    cons = tuple(
-        AffineSafetyConstraint(A[i], float(b[i]), label=f"c{i}") for i in range(m)
-    )
-    return rng.normal(size=4), cons, A, b, z
+    u_des = rng.normal(size=4)
+    return u_des, QpProblem(u_des, A, b, _labels(m)), A, b, z
+
+
+def _labels(m):
+    return tuple(f"c{i}" for i in range(m))
 
 
 def test_kappa_rejects_nonpositive_gamma():
@@ -54,8 +55,8 @@ def test_kappa_rejects_nonpositive_gamma():
     "build",
     [
         lambda: replace(builtin_scenarios()[0], kappa_gamma="x"),
-        lambda: AffineSafetyConstraint([1, 0, 0, 0], "x"),
-        lambda: AffineSafetyConstraint("abcd", 0.0),
+        lambda: QpProblem(np.zeros(4), [[1, 0, 0, 0]], ["x"], ("c0",)),
+        lambda: QpProblem(np.zeros(4), "abcd", [0.0], ("c0",)),
         lambda: QpProblem([1, 2]),
     ],
     ids=["kappa-str", "offset-str", "row-str", "u_des-size"],
@@ -75,8 +76,7 @@ def test_unconstrained_returns_u_des():
 
 def test_inactive_constraint_returns_u_des():
     u_des = np.array([1.0, 1.0, 1.0, 1.0])
-    con = AffineSafetyConstraint(np.ones(4), 0.0, label="slack")
-    sol = solve(QpProblem(u_des=u_des, constraints=(con,)))
+    sol = solve(QpProblem(u_des, [np.ones(4)], [0.0], ("slack",)))
     assert np.array_equal(sol.u_star, u_des)
     assert sol.active_set == ()
 
@@ -91,15 +91,10 @@ def test_feasible_u_des_returned_at_once(rng, m):
         if trial % 2:  # a row violated within the feasibility tolerance
             margins[rng.integers(m)] = -rng.uniform(0.0, FEAS_TOL)
         b = margins - A @ u_des
-        cons = tuple(
-            AffineSafetyConstraint(A[i], float(b[i]), label=f"c{i}") for i in range(m)
-        )
-        rows = np.vstack([c.gradient_row for c in cons])
-        offsets = np.array([c.offset for c in cons])
-        min_slack = float(np.min(rows @ u_des + offsets))
+        min_slack = float(np.min(A @ u_des + b))
         if min_slack < -FEAS_TOL:  # rounding pushed the margin past the tolerance
             continue
-        sol = solve(QpProblem(u_des=u_des, constraints=cons))
+        sol = solve(QpProblem(u_des, A, b, _labels(m)))
         assert np.array_equal(sol.u_star, u_des)
         assert sol.active_set == () and sol.multipliers == ()
         assert sol.kkt_residual == max(0.0, -min_slack)
@@ -107,8 +102,7 @@ def test_feasible_u_des_returned_at_once(rng, m):
 
 def test_single_constraint_projection_hand_value():
     # u1 >= 1 from u_des = 0: u* = (1, 0, 0, 0), lambda = 1
-    con = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0, label="floor")
-    sol = solve(QpProblem(u_des=np.zeros(4), constraints=(con,)))
+    sol = solve(QpProblem(np.zeros(4), [[1.0, 0, 0, 0]], [-1.0], ("floor",)))
     assert np.allclose(sol.u_star, [1.0, 0, 0, 0], atol=0.0)
     assert sol.multipliers == (1.0,)
     assert sol.active_set == ("floor",)
@@ -116,9 +110,9 @@ def test_single_constraint_projection_hand_value():
 
 def test_single_constraint_matches_general_solver(rng):
     for _ in range(300):
-        u_des, cons, _, _, _ = feasible_instance(rng, 1)
-        closed = oracles.solve_single(u_des, cons[0].gradient_row, cons[0].offset)
-        general = solve(QpProblem(u_des=u_des, constraints=cons))
+        u_des, problem, A, b, _ = feasible_instance(rng, 1)
+        closed = oracles.solve_single(u_des, A[0], float(b[0]))
+        general = solve(problem)
         assert np.max(np.abs(closed - general.u_star)) <= 1e-12
 
 
@@ -128,8 +122,8 @@ def test_solve_matches_dual_oracle(rng):
         instances = [feasible_instance(rng, m) for _ in range(60)]
         got = np.array(
             [
-                solve(QpProblem(u_des=u_des, constraints=cons)).u_star
-                for u_des, cons, _, _, _ in instances
+                solve(problem).u_star
+                for _, problem, _, _, _ in instances
             ]
         )
         want = oracles.qp_dual_batch(
@@ -144,8 +138,8 @@ def test_solve_matches_dual_oracle(rng):
 def test_kkt_certificate(rng):
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        u_des, cons, A, b, _ = feasible_instance(rng, m)
-        sol = solve(QpProblem(u_des=u_des, constraints=cons))
+        _, problem, A, b, _ = feasible_instance(rng, m)
+        sol = solve(problem)
         assert sol.kkt_residual <= 1e-8
         assert all(lam >= 0.0 for lam in sol.multipliers)
         # feasibility and complementary slackness, recomputed here
@@ -159,23 +153,21 @@ def test_kkt_certificate(rng):
 def test_solution_no_further_from_u_des_than_certificate(rng):
     for _ in range(200):
         m = int(rng.integers(1, 4))
-        u_des, cons, A, b, z = feasible_instance(rng, m)
-        sol = solve(QpProblem(u_des=u_des, constraints=cons))
+        u_des, problem, A, b, z = feasible_instance(rng, m)
+        sol = solve(problem)
         assert np.linalg.norm(sol.u_star - u_des) <= np.linalg.norm(z - u_des) + 1e-9
 
 
 def test_infeasible_reports_blocking_labels():
-    up = AffineSafetyConstraint(np.array([1.0, 0, 0, 0]), -1.0, label="up")
-    down = AffineSafetyConstraint(np.array([-1.0, 0, 0, 0]), -1.0, label="down")
+    A = [[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]
     with pytest.raises(InfeasibleQpError) as exc_info:
-        solve(QpProblem(u_des=np.zeros(4), constraints=(up, down)))
+        solve(QpProblem(np.zeros(4), A, [-1.0, -1.0], ("up", "down")))
     assert set(exc_info.value.blocking_labels) == {"up", "down"}
 
 
 def test_degenerate_row_rejected():
-    con = AffineSafetyConstraint(np.zeros(4), -1.0, label="null")
     with pytest.raises(DegenerateGradientError):
-        solve(QpProblem(u_des=np.zeros(4), constraints=(con,)))
+        solve(QpProblem(np.zeros(4), [np.zeros(4)], [-1.0], ("null",)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,8 +175,8 @@ def test_degenerate_row_rejected():
 def test_solution_feasible_and_certified(seed, m):
     """Any feasible instance: u* feasible, multipliers >= 0, KKT tiny."""
     rng = np.random.default_rng(seed)
-    u_des, cons, A, b, _ = feasible_instance(rng, m)
-    sol = solve(QpProblem(u_des=u_des, constraints=cons))
+    _, problem, A, b, _ = feasible_instance(rng, m)
+    sol = solve(problem)
     assert np.min(A @ sol.u_star + b) >= -1e-9
     assert all(lam >= 0.0 for lam in sol.multipliers)
     assert sol.kkt_residual <= 1e-8
@@ -470,9 +462,7 @@ def test_solve_agrees_with_the_exhaustive_start(monkeypatch, family):
             u_des, A, b = family(rng, m)
             if np.min(A @ u_des + b) < -FEAS_TOL:
                 break
-        problem = QpProblem(
-            u_des, [AffineSafetyConstraint(A[i], b[i], f"c{i}") for i in range(m)]
-        )
+        problem = QpProblem(u_des, A, b, _labels(m))
         got = _outcome(problem)
         with monkeypatch.context() as patch:
             patch.setattr(qp, "_feasible_start", _exhaustive_start)
@@ -500,9 +490,7 @@ def test_blocking_labels_of_tied_rows_are_in_row_order():
     A = np.array([up, up, down, down])
     b = np.array([-1.0, -1.0, -2.0, -2.0])  # u_1 >= 1 twice, u_1 <= -2 twice
     labels = ["c0", "c1", "c2", "c3"]
-    problem = QpProblem(
-        np.zeros(4), [AffineSafetyConstraint(a, o, l) for a, o, l in zip(A, b, labels)]
-    )
+    problem = QpProblem(np.zeros(4), A, b, labels)
     with pytest.raises(InfeasibleQpError) as exc_info:
         solve(problem)
     assert exc_info.value.blocking_labels == ("c2", "c3", "c0", "c1")
@@ -520,8 +508,7 @@ def _intervening_problem(rng, family):
             continue
         if oracles.feasible_start_exhaustive(u_des, A, b, labels)[0] is None:
             continue
-        rows = zip(A, b, labels)
-        return QpProblem(u_des, [AffineSafetyConstraint(*row) for row in rows])
+        return QpProblem(u_des, A, b, labels)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
@@ -752,8 +739,8 @@ def test_solve_is_the_array_loop_on_the_families(family):
             if np.min(A @ u_des + b) >= -FEAS_TOL:
                 continue
             drawn += 1
-            rows = [AffineSafetyConstraint(A[i], b[i], f"c{i}") for i in range(m)]
-            _assert_solve_is_the_array_loop(QpProblem(u_des, rows), (m, drawn))
+            problem = QpProblem(u_des, A, b, _labels(m))
+            _assert_solve_is_the_array_loop(problem, (m, drawn))
 
 
 def test_solve_is_the_array_loop_on_recorded_problems(recorded_solves):

@@ -41,13 +41,13 @@ def test_checked_constructions_match_the_constructors():
     rng = np.random.default_rng(3)
     params = QuadrotorParams()
     a, u = rng.normal(size=(2, 4)), rng.normal(size=4)
-    rows = [AffineSafetyConstraint(a[i], 0.25 * i, label=f"obs{i}") for i in range(2)]
     u_read_only, A, b = u.copy(), a.copy(), np.array([0.0, 0.25])
     for array in (u_read_only, A, b):
         array.setflags(write=False)
     problem = checked_problem(u_read_only, A, b, ("obs0", "obs1"))
-    _assert_same_record(problem, QpProblem(u, rows))
+    _assert_same_record(problem, QpProblem(u, a, [0.0, 0.25], ["obs0", "obs1"]))
     # the records a problem gives back are the rows it was built from
+    rows = [AffineSafetyConstraint(a[i], 0.25 * i, label=f"obs{i}") for i in range(2)]
     for got, want in zip(problem.constraints, rows, strict=True):
         _assert_same_record(got, want)
     _assert_same_record(control_of(u.copy()), ControlInput(u))

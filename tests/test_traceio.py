@@ -13,7 +13,7 @@ import pytest
 import oracles
 from helpers import quantize_edge_values
 from coneguard import traceio
-from coneguard.cone import LINE_BREAKS, Obstacle
+from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorState
 from coneguard.errors import ConfigError, InvalidObstacleError
 from coneguard.harness import (
@@ -28,6 +28,7 @@ from coneguard.reference import (
     LineReference,
     WaypointReference,
 )
+from coneguard.records import LINE_BREAKS
 from coneguard.scenarios import load_scenario, scenario_from_dict
 from coneguard.traceio import (
     comparison_text,
@@ -465,6 +466,7 @@ def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
         ("name: !!timestamp x\n", " at line 1, column 7: cannot read 'x' as !!timestamp"),
         ("name: !!set [1]\n", " at line 1, column 7: expected a mapping node, but"),
         ("!!set x: 1\n", " at line 1, column 1: found unhashable key"),
+        (f"name: {'[' * 5000}{']' * 5000}\n", ": nested too deeply to read"),
     ],
     ids=[
         "unclosed-list",
@@ -476,13 +478,15 @@ def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
         "timestamp-tag",
         "set-tag",
         "set-key",
+        "deep-nesting",
     ],
 )
 def test_yaml_syntax_error_is_one_line(tmp_path, text, where):
     """PyYAML's own message adds context and caret lines; the error keeps
     the problem and, where PyYAML has one, its line and column. A value its
     tag cannot read (SafeLoader raised ValueError, KeyError, AttributeError
-    or TypeError for these) fails the same way."""
+    or TypeError for these) fails the same way, and so does a document
+    nested deeper than Python's recursion limit (RecursionError)."""
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError) as exc_info:
