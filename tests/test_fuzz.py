@@ -1,4 +1,4 @@
-"""Fuzzing the scenario-file and command-line boundaries.
+"""Fuzzing the scenario-file, command-line and QP-constructor boundaries.
 
 The documents are built from the loader's own schema (the record fields and
 ``scenarios._REFERENCES``) with nominal values, then mutated: leaves and
@@ -11,6 +11,11 @@ one that loads must fly and write a trace that parses back to its table.
 The command lines are built from the parser's own subcommands and flags,
 with mutated values, unknown and repeated flags and missing or double
 sources; ``main`` must return 0 or 2, or end with code 1 and one stderr line.
+
+The QP constructor's arguments are a nominal problem's arrays and labels,
+mutated the same way: entries and labels replaced, rows reshaped or sent
+near a zero norm, counts off by one, whole arguments replaced. It must
+raise one typed line or hold read-only finite arrays and valid labels.
 """
 
 import argparse
