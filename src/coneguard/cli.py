@@ -76,12 +76,12 @@ def _build_parser() -> _Parser:
 
 def _resolve_config(args) -> ScenarioConfig:
     if bool(args.scenario) == bool(args.config):
-        raise ConeguardError("exactly one of --scenario/--config is required")
+        raise ConfigError("exactly one of --scenario/--config is required")
     if args.scenario:
         try:
             config = get_scenario(args.scenario)
         except KeyError as exc:
-            raise ConeguardError(str(exc)) from exc
+            raise ConfigError(str(exc)) from exc
     else:
         config = load_scenario(args.config)
     if args.dt is not None:

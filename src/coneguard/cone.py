@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import QuadrotorParams, QuadrotorState, _cross, rotation_matrix
-from .errors import InvalidObstacleError
+from .errors import ConfigError
 from .qp import GRADIENT_MIN, _check_finite, _check_gradient
 from .records import check_label, checked_array, checked_real
 
@@ -124,29 +124,28 @@ class Obstacle:
     label: str = ""
 
     def __post_init__(self):
-        error = InvalidObstacleError
         if self.kind not in ("sphere", "cylinder"):
-            raise error(f"unknown obstacle kind {self.kind!r}")
-        check_label(self.label, error)
+            raise ConfigError(f"unknown obstacle kind {self.kind!r}")
+        check_label(self.label)
         for name in ("center", "velocity"):
-            value = checked_array(getattr(self, name), 3, name, error)
+            value = checked_array(getattr(self, name), 3, name)
             object.__setattr__(self, name, value)
-        radius = checked_real(self.radius_raw, "radius_raw", error, above=0.0)
+        radius = checked_real(self.radius_raw, "radius_raw", above=0.0)
         object.__setattr__(self, "radius_raw", radius)
         if self.kind == "sphere":
             if self.axis is not None or self.height is not None:
-                raise error("sphere takes no axis/height")
+                raise ConfigError("sphere takes no axis/height")
             return
         if self.axis is None:
-            raise error("cylinder needs an axis")
-        axis = checked_array(self.axis, 3, "cylinder axis", error)
+            raise ConfigError("cylinder needs an axis")
+        axis = checked_array(self.axis, 3, "cylinder axis")
         object.__setattr__(self, "axis", axis)
-        if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-            raise error("cylinder axis must be unit length")
+        if abs(math.hypot(*axis.tolist()) - 1.0) > 1e-12:  # hypot: no overflow
+            raise ConfigError("cylinder axis must be unit length")
         # axial velocity is allowed: the column is infinite, so sliding
         # along its own axis never moves the constraint surface
         if self.height is not None:
-            height = checked_real(self.height, "cylinder height", error, above=0.0)
+            height = checked_real(self.height, "cylinder height", above=0.0)
             object.__setattr__(self, "height", height)
         # the constant projector P = I - n n^T of every cylinder row, built once
         object.__setattr__(self, "_projector", np.eye(3) - np.outer(axis, axis))
@@ -426,11 +425,11 @@ def barrier_3d(
         offset = drift + kappa_gamma h.
 
     Raises:
-        InvalidObstacleError: called with a cylinder.
+        ConfigError: called with a cylinder.
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
     if obstacle.kind != "sphere":
-        raise InvalidObstacleError("barrier_3d expects a sphere")
+        raise ConfigError("barrier_3d expects a sphere")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
     return terms, barrier_row(frame, terms, kappa_gamma, label)
 
@@ -451,11 +450,11 @@ def barrier_projection(
     the unprojected acceleration maps. Arguments as for barrier_3d.
 
     Raises:
-        InvalidObstacleError: called with a sphere.
+        ConfigError: called with a sphere.
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
     if obstacle.kind != "cylinder":
-        raise InvalidObstacleError("barrier_projection expects a cylinder")
+        raise ConfigError("barrier_projection expects a cylinder")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
     return terms, barrier_row(frame, terms, kappa_gamma, label)
 

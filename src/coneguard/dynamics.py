@@ -40,14 +40,14 @@ sum would not reproduce, through ``ndarray.dot``: it calls the routine
 matmul's generalized-ufunc dispatch (tests pin this for every operand
 layout the step passes).
 
-Validation. The public constructors copy their input and check it with
-the ``records`` checks: ``QuadrotorParams`` and ``ControlInput`` on
-construction, a ``QuadrotorState`` for 12 numbers on construction and
-through ``validate`` (finite, |roll| and |pitch| below pi/2). Values this
-module makes are checked where they are made and not copied again:
-``control_of`` checks thrusts the tracking controller has just computed and
-keeps their array, ``step`` checks that the state it returns is finite, and
-``check_attitude`` is the rest of ``validate`` for such a state.
+Validation. The public constructors, ``QuadrotorParams``, ``ControlInput``
+and both of ``QuadrotorState`` (12 finite numbers), copy their input and
+check it with the ``records`` checks (``ConfigError``). Values this module
+makes are checked where they are made and not copied again: ``control_of``
+checks thrusts the tracking controller has just computed and keeps their
+array, and ``step`` checks that the state it returns is finite.
+``check_attitude`` refuses |roll| or |pitch| at or past pi/2 in the states
+a run steps from and, as ``ConfigError``, in a scenario's start states.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttitudeSingularError, ConfigError, NonFiniteStateError
-from .records import checked_array, checked_real, prebuilt
+from .records import checked_array, checked_real, float_copy, prebuilt
 
 # Singularity threshold on |cos(theta)| for the Euler-rate transform.
 COS_PITCH_MIN = 1e-9
@@ -110,7 +110,8 @@ class QuadrotorState:
     position, velocity, attitude and body_rates are read-only views of that
     vector. The four-part constructor copies its arguments into it, and
     ``from_vector`` copies its argument, so a state never shares memory
-    with its caller.
+    with its caller. Either refuses values that are not 12 finite numbers
+    (ConfigError).
     """
 
     position: np.ndarray
@@ -119,32 +120,24 @@ class QuadrotorState:
     body_rates: np.ndarray
 
     def __post_init__(self):
-        parts = [checked_array(getattr(self, n), 3, n, finite=False) for n in _PARTS]
-        _hold(self, np.concatenate(parts))
+        parts = [float_copy(getattr(self, n), 3, n) for n in _PARTS]
+        _hold(self, checked_array(np.concatenate(parts), 12, "state", copy=False))
 
     @staticmethod
     def from_vector(x: np.ndarray) -> "QuadrotorState":
         """The state holding a copy of the 12-vector x."""
-        return _wrap(checked_array(x, 12, "state", finite=False))
+        return _wrap(checked_array(x, 12, "state"))
 
     def as_vector(self) -> np.ndarray:
         """The state's own read-only 12-vector (not a copy)."""
         return self._x
 
-    def validate(self) -> None:
-        """Raise if the state leaves the admissible set.
-
-        |roll| and |pitch| must stay below pi/2: the small-angle attitude
-        targets and the Euler-rate transform both assume it. Violation is a
-        simulation fault, not something to clamp.
-        """
-        checked_array(self._x, 12, "state", NonFiniteStateError, copy=False)
-        check_attitude(self)
-
 
 def check_attitude(state: QuadrotorState) -> None:
-    """The attitude half of ``validate``, for a state known to be finite
-    (one that ``step`` returned).
+    """Refuse a state outside the admissible set: |roll| and |pitch| must
+    stay below pi/2, as the small-angle attitude targets and the Euler-rate
+    transform both assume. Violation is a fault of the run, not something
+    to clamp (``ScenarioConfig`` re-raises it for a start state).
 
     Raises:
         AttitudeSingularError: |roll| or |pitch| >= pi/2.

@@ -1,7 +1,8 @@
-"""Exception types shared across the simulator.
-
-Every failure mode that callers are expected to handle gets its own class so
-the CLI can map them onto exit codes without string matching.
+"""Exception types shared across the simulator, all ``ConeguardError``s:
+a bad value from outside the program (``ConfigError``, raised by the
+constructor of the record that holds it), then the faults of a run that
+left its domain, then the safety QP's outcomes other than an answer. A run
+reports any package error a step raises as ``SimulationAbort``.
 """
 
 
@@ -9,8 +10,16 @@ class ConeguardError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(ConeguardError, ValueError):
+    """A bad value, which every library validator raises: scenario, vehicle,
+    state, gain, reference, obstacle, filter and QP-row values, thrusts and
+    the step size. It is also a ValueError, since it reports a bad value, so
+    a caller that catches ValueError from a validator still catches it."""
+
+
 class AttitudeSingularError(ConeguardError):
-    """Euler-rate transform is singular (|cos(pitch)| below threshold)."""
+    """A run's |roll| or |pitch| reached pi/2, or |cos(pitch)| fell below
+    the Euler-rate transform's threshold."""
 
 
 class NonFiniteStateError(ConeguardError):
@@ -61,20 +70,6 @@ class UncertifiedSolutionError(ConeguardError):
         self.labels = tuple(labels)
         self.residual = residual
         self.bound = bound
-
-
-class InvalidObstacleError(ConeguardError):
-    """Obstacle shape is not valid for the requested barrier variant."""
-
-
-class ConfigError(ConeguardError, ValueError):
-    """Scenario configuration is malformed or violates an invariant.
-
-    Every library validator raises it: scenario, vehicle, gain, reference,
-    filter and QP-row values, thrusts and the step size. It is also a
-    ValueError, since it reports a bad value, so a caller that catches
-    ValueError from a validator still catches it.
-    """
 
 
 class SimulationAbort(ConeguardError):

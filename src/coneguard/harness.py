@@ -25,9 +25,9 @@ format (``traceio._quantize``).
 Each value of the loop is checked once, where it is made, and then passed
 on as the array it is, with no copy and no second check:
 - the config, its obstacles, references and initial states by their
-  constructors, before the first step: ``ScenarioConfig`` checks its
-  numbers, the plain-number gains kappa_gamma and hocbf_gamma included,
-  and the type of every record it holds;
+  constructors, before the first step (``ConfigError``): ``ScenarioConfig``
+  checks its numbers, the plain-number gains kappa_gamma and hocbf_gamma
+  included, the type of every record it holds and its start attitudes;
 - u_des by the tracking controller (finite thrusts);
 - each QP row by ``cone.barrier_row``, or on a stacked step by
   ``cone.barrier_stack`` with the same checks (||a|| > 1e-10, then finite;
@@ -69,7 +69,8 @@ from .dynamics import (
     step,
     thrust_axes,
 )
-from .errors import ConeguardError, ConfigError, SimulationAbort
+from .errors import AttitudeSingularError, ConeguardError, ConfigError
+from .errors import SimulationAbort
 from .qp import _NO_ROWS, checked_problem, solve
 from .records import LINE_BREAKS, check_utf8, checked_real, checked_records
 from .records import checked_type, checked_types, prebuilt
@@ -159,10 +160,10 @@ class ScenarioConfig:
         starts = [("initial_state", self.initial_state)]
         if self.partner is not None:
             starts.append(("partner.initial_state", self.partner.initial_state))
-        for field, state in starts:
+        for field, state in starts:  # finite; a stepped one may be out of range
             try:
-                state.validate()
-            except ConeguardError as exc:
+                check_attitude(state)
+            except AttitudeSingularError as exc:
                 raise ConfigError(f"{field}: {exc}") from exc
 
 

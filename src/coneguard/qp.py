@@ -346,6 +346,7 @@ def _feasible_start(
     return best
 
 
+@np.errstate(all="ignore")
 def solve(problem: QpProblem) -> QpSolution:
     """Exact minimizer via primal active-set iteration on 4 variables.
 
@@ -355,7 +356,8 @@ def solve(problem: QpProblem) -> QpSolution:
     the loop run, and their answer certified.
 
     Blocking-constraint ties are broken toward the fastest-violating row and
-    then by label order, keeping the iteration deterministic.
+    then by label order, keeping the iteration deterministic. numpy's
+    warnings are off, as in a run: an overflow is the inf or nan it makes.
 
     Raises:
         InfeasibleQpError: empty feasible set (with blocking labels).

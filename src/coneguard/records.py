@@ -1,15 +1,15 @@
 """Frozen dataclass records: the one spelling of each argument check, and
 records built from values already checked.
 
-A public constructor copies and checks what it is given with the checks
-here: ``checked_real`` for a number and ``checked_array`` for a float array
-of a fixed shape, each returning the converted value (an array read-only),
-and ``checked_records`` and ``checked_types`` for the records it holds. Any
-other value, one of the wrong type included, raises the caller's
-``ConeguardError`` subclass with a one-line message, as does a label
-``check_label`` refuses. A boolean is not a number here, alone or in a
-list. The scenario loader has no value checks of its own: each value it
-reads is checked here, by the record it builds.
+A bad value from outside the program is a ``ConfigError`` with a one-line
+message, raised by the constructor of the record that holds it with the
+checks here: ``checked_real`` for a number, ``checked_array`` for a float
+array of a fixed shape, each returning the converted value (an array
+read-only), ``checked_records`` and ``checked_types`` for the records it
+holds and ``check_label`` for a label. A value of the wrong type is a bad
+value, and a boolean is not a number, alone or in a list. The scenario
+loader has no value checks of its own: each value it reads is checked
+here, by the record it builds.
 
 Where a value was checked where it was made, the class's ``prebuilt``
 builder stores it in the record as it is, without running ``__init__`` or
@@ -35,12 +35,12 @@ def _shown(value) -> str:
     return text if len(text) <= 40 and "\n" not in text else type(value).__name__
 
 
-def checked_real(value, what: str, error=ConfigError, *, above=None, at_least=None):
+def checked_real(value, what: str, *, above=None, at_least=None):
     """value as a float, checked finite and, if a bound is given, > above
     or >= at_least.
 
     Raises:
-        error: value is not a real number or is a boolean, or not finite or in bounds.
+        ConfigError: value is a boolean, or not a finite real number in bounds.
     """
     try:
         if isinstance(value, _BOOLS):
@@ -49,79 +49,81 @@ def checked_real(value, what: str, error=ConfigError, *, above=None, at_least=No
     except OverflowError:  # an int beyond the float range
         valid = False
     except TypeError:  # not a real number
-        raise error(f"{what} must be a number, got {_shown(value)}") from None
+        raise ConfigError(f"{what} must be a number, got {_shown(value)}") from None
     bound = ""
     if above is not None:
         valid, bound = valid and value > above, f" and > {above:g}"
     elif at_least is not None:
         valid, bound = valid and value >= at_least, f" and >= {at_least:g}"
     if not valid:
-        raise error(f"{what} must be finite{bound}")
+        raise ConfigError(f"{what} must be finite{bound}")
     return float(value)
 
 
-def checked_array(
-    values, shape, what: str, error=ConfigError, *, copy=True, finite=True
-) -> np.ndarray:
-    """A read-only C-order float copy of values in the given shape, checked finite.
+def float_copy(values, shape, what: str) -> np.ndarray:
+    """A C-order float copy of values, not yet checked finite; ConfigError
+    unless they are numbers (not booleans) of the shape n, or (-1, n) for
+    rows of n (an empty sequence is no rows)."""
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind not in "iuf":  # booleans, strings, objects, None
+            raise TypeError
+        # a list mixing booleans and numbers converts to an int or float
+        # array, so only the elements themselves show the booleans
+        if not isinstance(values, np.ndarray) and any(
+            isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat
+        ):
+            raise TypeError
+        array = raw.astype(float, order="C")
+        exact = (shape,) if isinstance(shape, int) else (len(array), shape[1])
+        if array.shape == (0,):  # [] converts to (0,), not to no rows (0, n)
+            array = array.reshape(exact)
+        if array.shape != exact:
+            raise ValueError
+    except (TypeError, ValueError):
+        count = shape if isinstance(shape, int) else f"rows of {shape[-1]}"
+        message = f"{what} must be {count} numbers, got {_shown(values)}"
+        raise ConfigError(message) from None
+    return array
 
-    shape is n, or (-1, n) for rows of n; values must have it as given. copy=False
-    checks values, a float array of that shape, in place and makes it read-only;
-    finite=False leaves the finite check to the caller.
 
-    Raises:
-        error: values are not numbers (nor booleans) of that shape, or not all finite.
+def checked_array(values, shape, what: str, *, copy=True, finite=True) -> np.ndarray:
+    """A read-only ``float_copy`` of values, checked finite (ConfigError).
+
+    copy=False checks values, a float array of that shape, in place and
+    makes it read-only; finite=False leaves the finite check to the caller.
     """
-    if copy:
-        try:
-            raw = np.asarray(values)
-            if raw.dtype.kind not in "iuf":  # booleans, strings, objects, None
-                raise TypeError
-            # a list mixing booleans and numbers converts to an int or float
-            # array, so only the elements themselves show the booleans
-            if not isinstance(values, np.ndarray) and any(
-                isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat
-            ):
-                raise TypeError
-            array = raw.astype(float, order="C")
-            exact = (shape,) if isinstance(shape, int) else (len(array), shape[1])
-            if array.shape != exact:
-                raise ValueError
-        except (TypeError, ValueError):
-            count = shape if isinstance(shape, int) else f"rows of {shape[-1]}"
-            message = f"{what} must be {count} numbers, got {_shown(values)}"
-            raise error(message) from None
-    else:
-        array = values
+    array = float_copy(values, shape, what) if copy else values
     flat = array if array.ndim == 1 else array.ravel()
     if finite and not all(map(math.isfinite, flat.tolist())):
-        raise error(f"{what} must be finite")
+        raise ConfigError(f"{what} must be finite")
     array.setflags(write=False)
     return array
 
 
-def check_utf8(text: str, what: str, error=ConfigError) -> None:
+def check_utf8(text: str, what: str) -> None:
     """Refuse text that UTF-8 cannot encode, such as a lone surrogate: every
     file the package writes is UTF-8."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise error(f"{what} {text!r} is not UTF-8 text") from None
+        raise ConfigError(f"{what} {text!r} is not UTF-8 text") from None
 
 
 # Every character str.splitlines breaks a line at, which parse_trace splits on.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def check_label(label, error=ConfigError) -> None:
+def check_label(label) -> None:
     """Refuse a label that cannot name a trace column: one that is not a
     string, or holds a comma, a line break or a character UTF-8 cannot
     encode."""
     if not isinstance(label, str):
-        raise error("obstacle label must be a string")
+        raise ConfigError("obstacle label must be a string")
     if any(c in label for c in "," + LINE_BREAKS):
-        raise error(f"obstacle label {label!r} may not contain commas or line breaks")
-    check_utf8(label, "obstacle label", error)
+        message = f"obstacle label {label!r} may not contain commas or line breaks"
+        raise ConfigError(message)
+    check_utf8(label, "obstacle label")
 
 
 def shown_path(path) -> str:

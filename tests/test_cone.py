@@ -20,7 +20,7 @@ from coneguard.cone import (
 )
 from coneguard.cone import EPS_V
 from coneguard.dynamics import QuadrotorParams, QuadrotorState
-from coneguard.errors import InvalidObstacleError
+from coneguard.errors import ConfigError
 
 kappa = 1.0
 vec3 = st.tuples(
@@ -125,29 +125,29 @@ def test_inflated_radius_adds_half_width(params):
 
 
 def test_obstacle_validation():
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(kind="box", center=(0, 0, 0), radius_raw=0.1)
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=-0.1)
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(kind="sphere", center=(0, 0, np.nan), radius_raw=0.1)
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(kind="cylinder", center=(0, 0, 0), radius_raw=0.1)  # no axis
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(
             kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=(0, 0, 2.0)
         )
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, axis=(0, 0, 1))
     # a label names two trace CSV columns, so a comma is refused before a run
-    with pytest.raises(InvalidObstacleError, match="may not contain commas"):
+    with pytest.raises(ConfigError, match="may not contain commas"):
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, label="a,b")
     # a NaN axis passes a |norm - 1| > tol test, and an inf height "> 0"
     for axis in ((np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)):
-        with pytest.raises(InvalidObstacleError):
+        with pytest.raises(ConfigError):
             Obstacle(kind="cylinder", center=(0, 0, 0), radius_raw=0.1, axis=axis)
     for height in (np.nan, np.inf):
-        with pytest.raises(InvalidObstacleError):
+        with pytest.raises(ConfigError):
             Obstacle(
                 kind="cylinder",
                 center=(0, 0, 0),
@@ -167,7 +167,7 @@ def test_obstacle_validation():
     ids=["radius-str", "center-str", "axis-size"],
 )
 def test_obstacle_rejects_non_numbers(fields):
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         Obstacle(**fields)
 
 
@@ -357,9 +357,9 @@ def test_barrier_kind_cross_checks(params):
     cyl = Obstacle(
         kind="cylinder", center=(2, 0, 0), radius_raw=0.2, axis=(0, 0, 1.0)
     )
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         barrier_3d(BodyFrame(state, params), cyl, params, kappa, 0.0)
-    with pytest.raises(InvalidObstacleError):
+    with pytest.raises(ConfigError):
         barrier_projection(BodyFrame(state, params), sphere, params, kappa, 0.0)
 
 

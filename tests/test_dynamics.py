@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import assert_same_bits, hover_thrust, random_state, random_thrusts
+from helpers import (
+    assert_same_bits,
+    hover_scenario,
+    hover_thrust,
+    random_state,
+    random_thrusts,
+)
 from coneguard.dynamics import (
     ControlInput,
     QuadrotorParams,
     QuadrotorState,
     _cross,
+    check_attitude,
     euler_rate_matrix,
     rotation_matrix,
     step,
@@ -159,18 +167,25 @@ def test_state_arrays_are_read_only():
         state.position[0] = 1.0
 
 
-def test_validate_rejects_non_finite():
+def test_state_constructors_reject_non_finite():
     vec = np.zeros(12)
     vec[3] = np.nan
-    with pytest.raises(NonFiniteStateError):
-        QuadrotorState.from_vector(vec).validate()
+    with pytest.raises(ConfigError, match="^state must be finite$"):
+        QuadrotorState.from_vector(vec)
+    with pytest.raises(ConfigError, match="^state must be finite$"):
+        QuadrotorState(vec[0:3], vec[3:6], vec[6:9], vec[9:12])
 
 
-def test_validate_rejects_flipped_attitude():
+def test_config_rejects_flipped_start_attitude():
+    """A flipped state is finite, so it builds; check_attitude refuses it,
+    and ScenarioConfig refuses it as a start state."""
     vec = np.zeros(12)
     vec[6] = np.pi / 2 + 0.01
+    state = QuadrotorState.from_vector(vec)
     with pytest.raises(AttitudeSingularError):
-        QuadrotorState.from_vector(vec).validate()
+        check_attitude(state)
+    with pytest.raises(ConfigError, match="^initial_state: attitude out of range"):
+        replace(hover_scenario(), initial_state=state)
 
 
 def test_step_reports_an_overflowing_stage_as_non_finite(params):

@@ -15,7 +15,13 @@ sources; ``main`` must return 0 or 2, or end with code 1 and one stderr line.
 The QP constructor's arguments are a nominal problem's arrays and labels,
 mutated the same way: entries and labels replaced, rows reshaped or sent
 near a zero norm, counts off by one, whole arguments replaced. It must
-raise one typed line or hold read-only finite arrays and valid labels.
+raise one typed line or hold read-only finite arrays and valid labels, and
+``solve`` on what it holds must answer or raise one typed line.
+
+The other public constructors (the records a scenario is made of and the
+references) get nominal arguments, with the records inside them, mutated
+by the same leaves: each must build a record whose numbers are finite or
+raise ``ConfigError``, a ValueError, with one line.
 """
 
 import argparse
@@ -23,9 +29,12 @@ import copy
 import io
 import math
 import tempfile
+import warnings
+from collections.abc import Callable
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,18 +44,20 @@ from hypothesis import strategies as st
 from helpers import CONFIGS_DIR, assert_same_bits
 from coneguard import cli, harness, scenarios
 from coneguard.cone import Obstacle
-from coneguard.dynamics import QuadrotorParams
-from coneguard.errors import ConeguardError
+from coneguard.dynamics import QuadrotorParams, QuadrotorState
+from coneguard.errors import ConeguardError, ConfigError
 from coneguard.harness import (
     FILTER_KINDS,
+    AgentSpec,
     Metrics,
     ScenarioConfig,
     compute_metrics,
     run,
     run_pair,
 )
-from coneguard.qp import GRADIENT_MIN, QpProblem
+from coneguard.qp import GRADIENT_MIN, QpProblem, QpSolution, solve
 from coneguard.records import LINE_BREAKS, check_label
+from coneguard.reference import HoverReference, LineReference, WaypointReference
 from coneguard.scenarios import load_scenario
 from coneguard.traceio import metrics_text, parse_trace, write_trace
 from coneguard.tracking import ControllerGains
@@ -551,12 +562,22 @@ _OPPOSED = ([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]], [-1.0, -1.
 @example((*_OPPOSED, ["a\nb", "c"])).via(
     "a label with a line break was accepted, and solve's InfeasibleQpError had two lines"
 )
+@example(([1.0] * 4, [], [], [])).via("an empty row list was refused as not rows of 4")
+@example(([1e300] * 4, [[1e300, 0.0, 0.0, 0.0]], [-1e300], ["c0"])).via(
+    "solve warned on an overflowing product outside a run"
+)
 def test_qp_problem_is_checked_or_fails_as_one_typed_line(args):
     """QpProblem(u_des, A, b, labels) raises a ConeguardError whose message
     is one line, or holds read-only finite float arrays of shapes (4,),
     (m, 4) and (m,), rows with ||a|| > GRADIENT_MIN, and a tuple of m labels
-    that check_label accepts. solve is not called: entries near 1e300 make
-    its products overflow outside a run."""
+    that check_label accepts. solve on it returns a finite u*, or raises a
+    ConeguardError whose message is one line; neither warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_qp_problem(args)
+
+
+def _check_qp_problem(args):
     try:
         problem = QpProblem(*args)
     except ConeguardError as exc:
@@ -572,3 +593,172 @@ def test_qp_problem_is_checked_or_fails_as_one_typed_line(args):
     for label in problem.labels:
         check_label(label)
     assert all(math.hypot(*row) > GRADIENT_MIN for row in problem.A.tolist())
+    try:
+        solution = solve(problem)
+    except ConeguardError as exc:
+        _assert_one_line(exc)
+        return
+    assert type(solution) is QpSolution and np.isfinite(solution.u_star).all()
+
+
+# ---- the public constructors ----------------------------------------------
+
+
+class Call(NamedTuple):
+    """A constructor and its keyword arguments, records among them as
+    Calls too, so that the test builds each inner record, which may fail."""
+
+    build: Callable
+    kwargs: dict
+
+
+def _state_call(position) -> Call:
+    parts = {p: [0.0] * 3 for p in ("velocity", "attitude", "body_rates")}
+    return Call(QuadrotorState, {"position": list(position), **parts})
+
+
+def _obstacle_call(kind: str) -> Call:
+    kwargs = {"kind": kind, "center": _nominal("center"), "radius_raw": 0.15}
+    kwargs |= {"velocity": [0.0] * 3, "label": "o0"}
+    if kind == "cylinder":
+        kwargs |= {"axis": _nominal("axis"), "height": 2.0}
+    return Call(Obstacle, kwargs)
+
+
+def _hover_call() -> Call:
+    return Call(HoverReference, {"point": _nominal("point")})
+
+
+def _agent_call() -> Call:
+    return Call(
+        AgentSpec,
+        {"initial_state": _state_call((4.0, 0.06, 1.0)), "reference": _hover_call()},
+    )
+
+
+def _defaults_call(cls) -> Call:
+    return Call(cls, {f.name: _plain(f.default) for f in fields(cls)})
+
+
+def _nominal_calls() -> dict[str, Call]:
+    """Every public constructor with nominal arguments, none shared."""
+    config = {
+        "name": "fuzz",
+        "duration": FLIGHT_SECONDS,
+        "dt": _NOMINAL["dt"],
+        "initial_state": _state_call((0.0, 0.0, 1.0)),
+        "reference": _hover_call(),
+        "obstacles": [_obstacle_call("sphere")],
+        "filter_kind": "c3bf",
+        "kappa_gamma": 1.0,
+        "hocbf_gamma": 1.0,
+        "gains": _defaults_call(ControllerGains),
+        "params": _defaults_call(QuadrotorParams),
+        "partner": _agent_call(),
+        "description": "",
+    }
+    references = {
+        "line": Call(LineReference, {k: _nominal(k) for k in ("start", "velocity")}),
+        "waypoints": Call(WaypointReference, {k: _nominal(k) for k in ("points", "speed")}),
+    }
+    return {
+        "sphere": _obstacle_call("sphere"),
+        "cylinder": _obstacle_call("cylinder"),
+        "state": _state_call((0.0, 0.0, 1.0)),
+        "state-vector": Call(QuadrotorState.from_vector, {"x": [0.0] * 12}),
+        "params": _defaults_call(QuadrotorParams),
+        "gains": _defaults_call(ControllerGains),
+        "hover": _hover_call(),
+        **references,
+        "agent": _agent_call(),
+        "scenario": Call(ScenarioConfig, config),
+    }
+
+
+def _arguments(node, slots):
+    """Every (container, key) below node that holds an argument, an entry of
+    one or an argument of a record inside it."""
+    if isinstance(node, (Call, list)):
+        container = node.kwargs if isinstance(node, Call) else node
+        keys = list(container) if isinstance(node, Call) else range(len(node))
+        for key in keys:
+            slots.append((container, key))
+            _arguments(container[key], slots)
+    return slots
+
+
+@st.composite
+def constructor_calls(draw) -> Call:
+    """A public constructor with nominal arguments, mutated 0-3 times: an
+    argument, an entry of one or an argument of an inner record replaced by
+    a QP entry, a scenario leaf or container, or a nominal record (of the
+    wrong type, mostly)."""
+    names = st.sampled_from(sorted(_nominal_calls()))
+    call = _nominal_calls()[draw(names)]
+    records = names.map(lambda name: _nominal_calls()[name])  # a fresh one each
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(_arguments(call, [])))
+        container[key] = draw(_ENTRIES | _VALUES | records)
+    return call
+
+
+def _build(node):
+    """node with every Call in it built, innermost first."""
+    if isinstance(node, Call):
+        return node.build(**{k: _build(v) for k, v in node.kwargs.items()})
+    if type(node) is list:
+        return [_build(item) for item in node]
+    return node
+
+
+def _assert_finite(value, where: str) -> None:
+    """Every number value holds, in its public attributes, is finite."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == float and np.isfinite(value).all(), where
+    elif isinstance(value, (int, float)):
+        assert math.isfinite(value) and not isinstance(value, bool), where
+    elif isinstance(value, (tuple, list)):
+        for i, item in enumerate(value):
+            _assert_finite(item, f"{where}[{i}]")
+    elif hasattr(value, "__dict__"):
+        for name, item in vars(value).items():
+            if not name.startswith("_"):
+                _assert_finite(item, f"{where}.{name}")
+
+
+_PITCHED = _nominal_calls()["scenario"]
+_PITCHED.kwargs["initial_state"].kwargs["attitude"] = [0.0, 2.0, 0.0]
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(constructor_calls())
+@example(Call(QuadrotorState.from_vector, {"x": [math.nan] * 12})).via(
+    "a nan state was built, and refused only by a separate validate()"
+)
+@example(
+    Call(Obstacle, {"kind": "sphere", "center": [math.nan, 0, 0], "radius_raw": 0.1})
+).via("a nan obstacle center raised InvalidObstacleError, which is not a ValueError")
+@example(_PITCHED).via("a start state pitched past pi/2")
+@example(
+    Call(Obstacle, {"kind": "cylinder", "center": [0, 0, 0], "radius_raw": 0.1,
+                    "axis": [1e308, 0.0, 1.0]})
+).via("an axis of 1e308 warned on overflow in its norm before it was refused")
+def test_public_constructors_build_finite_records_or_raise_config_error(call):
+    """Obstacle, both QuadrotorState constructors, QuadrotorParams,
+    ControllerGains, AgentSpec, ScenarioConfig and the three references
+    build a record whose numbers are all finite, or raise ConfigError,
+    caught as a ValueError, whose message is one line; no other class."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = _build(call)
+    except ValueError as exc:
+        assert type(exc) is ConfigError, repr(exc)
+        _assert_one_line(exc)
+        return
+    _assert_finite(record, call.build.__qualname__)

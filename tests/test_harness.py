@@ -357,6 +357,14 @@ def test_attitude_leaving_its_range_aborts_at_the_step_that_reads_it():
 LINE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
+def _stepped_past_vertical():
+    """A state that step returned, pitched past pi/2 (finite, so it built)."""
+    state = QuadrotorState.from_vector([0, 0, 1, 0, 0, 0, 0, 1.5, 0, 0, 10.0, 0])
+    stepped = step(state, ControlInput(np.zeros(4)), 0.01, QuadrotorParams())
+    assert stepped.attitude[1] > np.pi / 2
+    return stepped
+
+
 def _step_at_rest(dt):
     state = QuadrotorState.from_vector(np.zeros(12))
     return step(state, ControlInput(np.zeros(4)), dt, QuadrotorParams())
@@ -391,14 +399,28 @@ def _step_at_rest(dt):
             ),
             id="partner-initial-attitude",
         ),
+        pytest.param(
+            lambda: Obstacle(kind="sphere", center=(np.nan, 0, 0), radius_raw=0.1),
+            id="obstacle-center-nan",
+        ),
+        pytest.param(
+            lambda: QuadrotorState.from_vector(np.full(12, np.nan)), id="state-nan"
+        ),
+        pytest.param(
+            lambda: hover_config(initial_state=_stepped_past_vertical()),
+            id="stepped-initial-attitude",
+        ),
         pytest.param(lambda: _step_at_rest(0.0), id="step-dt"),
         pytest.param(lambda: _step_at_rest(np.nan), id="step-dt-nan"),
         pytest.param(lambda: _step_at_rest("x"), id="step-dt-str"),
     ],
 )
 def test_library_validators_raise_config_error(build):
-    with pytest.raises(ConfigError):
+    """Each bad value is a ConfigError, so a ValueError, with one line."""
+    with pytest.raises(ValueError) as caught:
         build()
+    assert isinstance(caught.value, ConfigError)
+    assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("gap", [1e-170, 1e-160, 5e-324])

@@ -58,8 +58,9 @@ def test_kappa_rejects_nonpositive_gamma():
         lambda: QpProblem(np.zeros(4), [[1, 0, 0, 0]], ["x"], ("c0",)),
         lambda: QpProblem(np.zeros(4), "abcd", [0.0], ("c0",)),
         lambda: QpProblem([1, 2]),
+        lambda: QpProblem(np.zeros(4), [[]], [], []),
     ],
-    ids=["kappa-str", "offset-str", "row-str", "u_des-size"],
+    ids=["kappa-str", "offset-str", "row-str", "u_des-size", "row-empty"],
 )
 def test_constructors_reject_non_numbers(build):
     with pytest.raises(ConfigError):
@@ -67,11 +68,14 @@ def test_constructors_reject_non_numbers(build):
 
 
 def test_unconstrained_returns_u_des():
+    """With no rows by default or as empty lists: [] is no rows of 4."""
     u_des = np.array([1.0, -2.0, 0.5, 0.0])
-    sol = solve(QpProblem(u_des=u_des))
-    assert np.array_equal(sol.u_star, u_des)
-    assert sol.active_set == ()
-    assert sol.kkt_residual == 0.0
+    for problem in (QpProblem(u_des=u_des), QpProblem(u_des, [], [], [])):
+        assert problem.A.shape == (0, 4) and problem.b.shape == (0,)
+        sol = solve(problem)
+        assert np.array_equal(sol.u_star, u_des)
+        assert sol.active_set == ()
+        assert sol.kkt_residual == 0.0
 
 
 def test_inactive_constraint_returns_u_des():

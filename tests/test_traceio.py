@@ -15,7 +15,7 @@ from helpers import quantize_edge_values
 from coneguard import traceio
 from coneguard.cone import Obstacle
 from coneguard.dynamics import QuadrotorState
-from coneguard.errors import ConfigError, InvalidObstacleError
+from coneguard.errors import ConfigError
 from coneguard.harness import (
     VIOLATION_TOL,
     ScenarioConfig,
@@ -176,7 +176,7 @@ def test_line_breaks_are_those_of_splitlines():
 def test_line_break_label_rejected(tmp_path, label):
     """A line break in a label would split the trace header in two, so both
     the obstacle and write_trace refuse it, as they refuse a comma."""
-    with pytest.raises(InvalidObstacleError, match="may not contain commas or line"):
+    with pytest.raises(ConfigError, match="may not contain commas or line"):
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, label=label)
     tampered = replace(short_trace(), obstacle_labels=(label,))
     with pytest.raises(ConfigError, match="may not contain commas or line"):
@@ -188,7 +188,7 @@ def test_label_that_utf8_cannot_encode_rejected(tmp_path):
     """A lone surrogate cannot be written to the UTF-8 trace, so the
     obstacle and write_trace refuse it with one line showing its repr."""
     message = "obstacle label 'a\\udc80b' is not UTF-8 text"
-    with pytest.raises(InvalidObstacleError) as caught:
+    with pytest.raises(ConfigError) as caught:
         Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=0.1, label="a\udc80b")
     assert str(caught.value) == message
     tampered = replace(short_trace(), obstacle_labels=("a\udc80b",))
