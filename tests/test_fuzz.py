@@ -742,7 +742,7 @@ _PITCHED.kwargs["initial_state"].kwargs["attitude"] = [0.0, 2.0, 0.0]
 )
 @example(
     Call(Obstacle, {"kind": "sphere", "center": [math.nan, 0, 0], "radius_raw": 0.1})
-).via("a nan obstacle center raised InvalidObstacleError, which is not a ValueError")
+).via("a nan obstacle center raised an obstacle-only error that is not a ValueError")
 @example(_PITCHED).via("a start state pitched past pi/2")
 @example(
     Call(Obstacle, {"kind": "cylinder", "center": [0, 0, 0], "radius_raw": 0.1,
