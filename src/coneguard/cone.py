@@ -47,10 +47,11 @@ All three adapters return the cone terms, which carry h and phi, and the row.
 ``barrier_stack`` is the same collision cone for all N obstacles of a step
 at once: (N, 3) relative states, cylinder rows already projected, and (N,)
 inflated radii in; h, clearance, phi, the (N, 4) input rows and the (N,)
-offsets out. It keeps the scalar path's operation order and its operand
-layouts: every dot product is a stacked matmul of (N, 1, k) by (N, k, 1),
-and R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), so
-each value has the bits ``barrier_3d`` and ``barrier_projection`` give it.
+offsets out. It keeps the scalar path's operation order, and each value
+the bits ``barrier_3d`` and ``barrier_projection`` give it: every row-wise
+dot, w . a_d included, is one ``np.vecdot``, the 1-D dot of each row, and
+R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), the
+matrix-vector product of each row (w @ R may flip the sign of a zero).
 ``cone_angles``, its p -> ||p||, s, phi steps, is shared with the
 harness's phi'/phi replay. The kernel checks every row in one array test:
 min ||input_row|| > GRADIENT_MIN, and a finite sum of all entries and
@@ -296,7 +297,7 @@ def barrier_row(
 
     The row is checked here, where it is made, and handed to the QP as it
     is: ``contract`` bounds ||input_row|| away from 0, and this checks that
-    every entry is finite, with the row checks of ``qp.QpProblem``.
+    every entry is finite, with ``qp``'s row checks.
 
     Raises:
         DegenerateGradientError: ||input_row|| <= 1e-10.
@@ -308,15 +309,10 @@ def barrier_row(
     return input_row, offset
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i for the rows of two (N, k) arrays, each the 1-D dot's bits."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def cone_angles(p: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||p||, s, phi) of each row of an (N, 3) p for the radius r, a float
     or (N,): ``cone_terms``'s collision-cone steps, rowwise, with its bits."""
-    p_norm = np.sqrt(_dots(p, p))
+    p_norm = np.sqrt(np.vecdot(p, p))
     s = np.sqrt(np.maximum(p_norm * p_norm - r * r, 0.0))
     cos_phi = s / np.maximum(p_norm, EPS_SQRT)
     return p_norm, s, np.arccos(np.minimum(np.maximum(cos_phi, 0.0), 1.0))
@@ -357,17 +353,17 @@ def barrier_stack(
         The first bad row raises; one that fails both raises the gradient error.
     """
     with np.errstate(all="ignore"):
-        pv = _dots(p, v)
-        norm_v = np.sqrt(_dots(v, v))
+        pv = np.vecdot(p, v)
+        norm_v = np.sqrt(np.vecdot(v, v))
         p_norm, s, phi = cone_angles(p, r)
         w = p + v * (s / np.maximum(norm_v, EPS_V))[:, None]
         rate = norm_v * norm_v + norm_v * pv / np.maximum(s, S_FLOOR)
         y = np.matmul(frame.R.T, w[:, :, None])
         input_rows = np.matmul(frame.input_map, y)[:, :, 0]
         h = pv + norm_v * s
-        drift = rate + np.matmul(w[:, None, :], frame.a_d[:, None])[:, 0, 0]
+        drift = rate + np.vecdot(w, frame.a_d)
         offsets = drift + kappa_gamma * h
-        gradient = np.sqrt(_dots(input_rows, input_rows))
+        gradient = np.sqrt(np.vecdot(input_rows, input_rows))
         # a nan or inf entry makes the sum non-finite (an overflowing sum of
         # finite ones only sends the rows to the per-row checks)
         checked = gradient.min(initial=np.inf) > GRADIENT_MIN and math.isfinite(

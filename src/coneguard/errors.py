@@ -31,7 +31,7 @@ class DegenerateThrustError(ConeguardError):
 
 
 class DegenerateGradientError(ConeguardError):
-    """A safety-constraint gradient row is (numerically) zero.
+    """A barrier row a run surveyed has a (numerically) zero gradient.
 
     The barrier theory guarantees a nonzero input row on the admissible
     domain, so this is surfaced loudly instead of being regularized away.

@@ -17,7 +17,7 @@ a pair's included, goes obstacle by obstacle through ``barrier_3d``,
 ``barrier_projection`` or ``barrier_ho``. Both paths give each trace cell,
 phi and QP row the same bits, so the choice is speed only:
 STACK_MIN_ROWS = 4 is the measured crossover, where the stacked survey
-turns from a tie (3 rows) into a win. The built-ins (1-2 rows) stay on
+turns from a loss (3 rows) into a win. The built-ins (1-2 rows) stay on
 the per-obstacle path.
 A trace's table is filled raw and rounded once per run to the trace
 format (``traceio._quantize``).
@@ -85,11 +85,11 @@ VIOLATION_TOL = 1e-3  # separation below -tol flags the step as a violation
 MAX_STEPS = 1_000_000
 # C3BF steps with at least this many rows survey all obstacles at once
 # (cone.barrier_stack); fewer go row by row. The crossover, timed with the
-# two paths interleaved on random states (two sets of 41 rounds of 300
-# surveys, both paths ending in the rows as arrays): the stacked survey
-# takes 1.17x the per-row time at 2 rows (faster in 0 and 5 rounds), ties
-# at 3 (1.00x and 0.99x, faster in 19 and 22) and takes 0.81x at 4 (faster
-# in 38 and 40), with Python 3.11 and numpy 2.4.6 on 2 shared cores.
+# paths interleaved on random states and the first N obstacles of the tests'
+# field (two sets of 41 rounds of 300 surveys, both ending in row arrays):
+# the stacked survey takes 1.34x and 1.36x the per-row time at 2 rows (faster
+# in 0 rounds), 1.10x and 1.11x at 3 (in 4 and 2) and 0.89x and 0.85x at 4
+# (in 40 and 40), with Python 3.11 and numpy 2.4.6 on 2 shared cores.
 STACK_MIN_ROWS = 4
 
 Reference = HoverReference | LineReference | WaypointReference
@@ -225,19 +225,20 @@ class _Stack:
         self.centers = np.array([o.center for o in obstacles])
         self.velocities = np.array([o.velocity for o in obstacles])
         self.radii = np.array([inflated_radius(o, width) for o in obstacles])
-        cylinders = [i for i, o in enumerate(obstacles) if o.kind == "cylinder"]
-        self.cylinders = np.array(cylinders, dtype=np.intp)
-        self.projectors = np.array([obstacles[i]._projector for i in cylinders])
+        # the cylinder rows of p, then of v, in the (2N, 3) array of both
+        twice = obstacles * 2
+        self.cylinders = np.flatnonzero([o.kind == "cylinder" for o in twice])
+        self.projectors = np.array([twice[i]._projector for i in self.cylinders])
 
     def relative(self, frame: BodyFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(p, v) of every row as ``cone_geometry`` gives them, stacked."""
+        """(p, v) of every row as ``cone_geometry`` gives them, stacked as the
+        halves of one array, so that one matmul projects the cylinder rows."""
         p = self.centers + self.velocities * t - frame.position
-        v = self.velocities - frame.velocity
+        pv = np.concatenate((p, self.velocities - frame.velocity))
         if self.cylinders.size:
-            cylinders, P = self.cylinders, self.projectors
-            p[cylinders] = np.matmul(P, p[cylinders, :, None])[:, :, 0]
-            v[cylinders] = np.matmul(P, v[cylinders, :, None])[:, :, 0]
-        return p, v
+            rows = self.cylinders
+            pv[rows] = np.matmul(self.projectors, pv[rows, :, None])[:, :, 0]
+        return pv[: len(p)], pv[len(p) :]
 
 
 def _survey(
@@ -476,9 +477,9 @@ def _phi_ratio(
 
     All rows are evaluated at once, in the operation order of the survey's
     scalar path (``BodyFrame``, ``cone_geometry``, ``cone_terms``), so each
-    cell has its bits. R e3 is ``rotation_matrix``'s third column, and the
-    projector and the dot products go through matmul, one 3-vector per row,
-    as in the scalar path.
+    cell has its bits. R e3 is ``rotation_matrix``'s third column, the
+    projector goes through matmul and the dot products through
+    ``np.vecdot``, one 3-vector per row, as in the scalar path.
     """
     labels = trace.obstacle_labels[: len(config.obstacles)]
     params = config.params

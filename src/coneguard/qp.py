@@ -64,16 +64,16 @@ numpy's elementwise operations round each IEEE operation once, as Python
 does, so every float has the array's bits. Only the dot products go to
 numpy, on arrays built from those floats. Each step of the loop needs,
 for every row j outside the working set, the rate a_j . d and the slack
-a_j . u + b_j. Both come from one stacked product each, A[:, None, :] @
-d[:, None] (``_row_dots``): an (m, 1, 4) by (4, 1) matmul is m 1-D dots of
-the same contiguous rows, so entry j has the bits of a_j @ d, which the
-scan reads. A plain A @ d does not: BLAS may sum a matrix-vector product
-in another order. A single row takes its 1-D dot directly, the same bits
-for less call overhead; every 1-D dot is ``ndarray.dot``, the ddot ``@``
-calls, for less still. A d of four zeros skips its norm, as d . d is +0.0
-in any summation order. Only the selection, the first strictly smaller
-step and its tie rule, runs in Python, over the rows whose rate is not >=
--1e-14 (nan included), in row order as before.
+a_j . u + b_j. Each comes from one ``np.vecdot(A, d)`` (``_row_dots``),
+which takes every row to its 1-D dot, so entry j has the bits of a_j @ d,
+which the scan reads. A plain A @ d does not: BLAS may sum a
+matrix-vector product in another order. A single row takes its 1-D dot
+directly, the same bits for less call overhead; every 1-D dot is
+``ndarray.dot``, the ddot ``@`` calls, for less still. A d of four zeros
+skips its norm, as d . d is +0.0 in any summation order. Only the
+selection, the first strictly smaller step and its tie rule, runs in
+Python, over the rows whose rate is not >= -1e-14 (nan included), in row
+order as before.
 
 The certificate. Every answer that leaves u_des is checked against its own
 KKT residual (stationarity, feasibility, complementarity): above
@@ -92,12 +92,13 @@ sums their products over rows.
 
 Validation. ``QpProblem(u_des, A, b, labels)``, the public constructor,
 copies u_des, A and b with the ``records`` array checks and then checks
-each row in order: its label (``records.check_label``), then the survey's
-own row checks, ``_check_gradient`` (||a|| > GRADIENT_MIN) before
-``_check_finite``. ``checked_problem`` takes arrays already checked where
-they were made (the rows by ``cone.barrier_row`` or ``cone.barrier_stack``,
-u_des by the tracking controller) and holds them without a copy or a
-second check (``records.prebuilt``), so ``solve`` checks nothing on entry.
+each row in order, its label (``records.check_label``), ||a|| >
+GRADIENT_MIN and ``_check_finite``, each a ``ConfigError``; a row that
+vanished in a run is the survey's ``DegenerateGradientError`` instead.
+``checked_problem`` takes arrays already checked where they were made (the
+rows by ``cone.barrier_row`` or ``cone.barrier_stack``, u_des by the
+tracking controller) and holds them without a copy or a second check
+(``records.prebuilt``), so ``solve`` checks nothing on entry.
 A problem holds u_des, the rows A (m, 4), the offsets b (m,) and the
 labels, read-only; its ``constraints`` are records rebuilt from those
 arrays when something reads them (the benchmark's tracer), never by a step.
@@ -172,9 +173,9 @@ class QpProblem:
 
     Raises:
         ConfigError: an argument is not numbers of its shape or not finite,
-            or labels is not a tuple or list of one label per row, each one
-            that ``records.check_label`` accepts.
-        DegenerateGradientError: a row with ||a|| <= GRADIENT_MIN.
+            labels is not a tuple or list of one label per row, each one
+            that ``records.check_label`` accepts, or a row has ||a|| <=
+            GRADIENT_MIN.
     """
 
     u_des: np.ndarray  # (4,), read-only
@@ -191,7 +192,8 @@ class QpProblem:
             raise ConfigError(f"{len(labels)} QP labels for {len(A)} rows, not one each")
         for row, offset, label in zip(A.tolist(), b.tolist(), labels):
             check_label(label)
-            _check_gradient(math.hypot(*row), label)  # hypot: a . a may overflow
+            if math.hypot(*row) <= GRADIENT_MIN:  # hypot: a . a may overflow
+                raise ConfigError(f"QP row {label!r}: ||a|| <= {GRADIENT_MIN:g}")
             _check_finite(row, offset)
         for name, value in zip(("u_des", "A", "b", "labels"), (u_des, A, b, labels)):
             object.__setattr__(self, name, value)
@@ -262,12 +264,12 @@ def _row_multiplier(g: float, r: float) -> float | None:
 
 
 def _row_dots(A: np.ndarray, x: np.ndarray) -> list[float]:
-    """[A[j] @ x for every row j], each with the 1-D dot's bits: one stacked
-    product (a plain A @ x may sum in another order), or for a single row
-    the dot itself, which costs less than the stacked call."""
+    """[A[j] @ x for every row j], each with the 1-D dot's bits: one
+    ``np.vecdot`` (a plain A @ x may sum in another order), or for a single
+    row the dot itself, which costs less than the vecdot call."""
     if len(A) == 1:
         return [float(A[0].dot(x))]
-    return np.matmul(A[:, None, :], x[:, None])[:, 0, 0].tolist()
+    return np.vecdot(A, x).tolist()
 
 
 def _min_slack(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:

@@ -566,8 +566,11 @@ _OPPOSED = ([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]], [-1.0, -1.
 @example(([1e300] * 4, [[1e300, 0.0, 0.0, 0.0]], [-1e300], ["c0"])).via(
     "solve warned on an overflowing product outside a run"
 )
+@example(([0.0] * 4, [[0.0] * 4], [-1.0], ["c0"])).via(
+    "a vanished row was refused as DegenerateGradientError, which is not a ValueError"
+)
 def test_qp_problem_is_checked_or_fails_as_one_typed_line(args):
-    """QpProblem(u_des, A, b, labels) raises a ConeguardError whose message
+    """QpProblem(u_des, A, b, labels) raises a ConfigError whose message
     is one line, or holds read-only finite float arrays of shapes (4,),
     (m, 4) and (m,), rows with ||a|| > GRADIENT_MIN, and a tuple of m labels
     that check_label accepts. solve on it returns a finite u*, or raises a
@@ -581,6 +584,7 @@ def _check_qp_problem(args):
     try:
         problem = QpProblem(*args)
     except ConeguardError as exc:
+        assert type(exc) is ConfigError, repr(exc)
         _assert_one_line(exc)
         return
     m = len(problem.labels)

@@ -621,13 +621,13 @@ def _wide(rng, shape):
 def test_batched_products_are_bit_equal_to_per_row_ones():
     """_phi_ratio and cone.barrier_stack rely on these: the projector as a
     broadcast matmul over (N, 3, 1) and one projector per row stacked, the
-    stacked dot of a row with itself and of two rows, R^T w and -M^T y with
-    the step's matrices broadcast over (N, 3, 1), w.a_d against one 3-vector,
-    and arccos over an array, each equal to the per-row call of the scalar
-    path. The operands keep the scalar path's layout (a contiguous
-    projector, a transposed R and -M^T, rows of p), since BLAS may sum in
-    another order for another layout: w @ a_d as an (N, 3) by (3,) product,
-    for one, does not give the per-row bits."""
+    np.vecdot of a row with itself and of two rows, R^T w and -M^T y with
+    the step's matrices broadcast over (N, 3, 1), w.a_d as the np.vecdot of
+    each row with one 3-vector, and arccos over an array, each equal to the
+    per-row call of the scalar path. The operands keep the scalar path's
+    layout (a contiguous projector, a transposed R and -M^T, rows of p),
+    since BLAS may sum in another order for another layout: w @ a_d as an
+    (N, 3) by (3,) matmul, for one, does not give the per-row bits."""
     rng = np.random.default_rng(12)
     n = 4000
     p = _wide(rng, (n, 3))
@@ -641,7 +641,7 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         projected = np.matmul(P, p[:, :, None])[:, :, 0]
         assert_same_bits(projected, np.array([P @ row for row in p]))
         for q in (p, projected):
-            dots = np.matmul(q[:, None, :], q[:, :, None])[:, 0, 0]
+            dots = np.vecdot(q, q)
             assert_same_bits(dots, np.array([float(row @ row) for row in q]))
     cos_phi = np.concatenate(
         [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
@@ -655,7 +655,7 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         np.array([P @ row for P, row in zip(stacked, p)]),
     )
     for a, b in ((p, v), (rows, rows)):
-        dots = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+        dots = np.vecdot(a, b)
         assert_same_bits(dots, np.array([float(x @ y) for x, y in zip(a, b)]))
     for _ in range(5):
         frame = BodyFrame(random_state(rng, att_max=1.4, rate=50.0), QuadrotorParams())
@@ -663,7 +663,7 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(y[:, :, 0], np.array([frame.R.T @ w for w in v]))
         input_rows = np.matmul(frame.input_map, y)[:, :, 0]
         assert_same_bits(input_rows, np.array([frame.input_map @ x for x in y[:, :, 0]]))
-        drifts = np.matmul(v[:, None, :], frame.a_d[:, None])[:, 0, 0]
+        drifts = np.vecdot(v, frame.a_d)
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
 
 

@@ -1,6 +1,8 @@
 """Every small product of the control step is ``ndarray.dot``, which must
 give the bits of the ``@`` it replaced for each operand layout the step
-passes. Both reach the same BLAS routine (ddot or dgemv, dgemm for a Gram
+passes, and every row-wise dot of the stacked survey and the QP's blocking
+scan is one ``np.vecdot``, which must give each row the bits of its 1-D
+dot. All reach the same BLAS routine (ddot or dgemv, dgemm for a Gram
 matrix); a numpy or BLAS upgrade that splits them fails here first, before
 the trace digests do."""
 
@@ -115,3 +117,38 @@ def test_qp_rows_dot_as_matmul(m):
                 _assert_dot_is_matmul(W, x, (name, "W u", W, x))
                 lam = _operands(rng, k)
                 _assert_dot_is_matmul(W.T, lam, (name, "W^T lambda", W, lam))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_dots_by_vecdot(n):
+    """np.vecdot over n rows as the step passes them, each row against the
+    1-D dot and against the (n, 1, k) by (n, k, 1) matmul it replaced:
+    p . v, v . v and p . p on the two halves of one (2n, 3) array (the
+    stacked survey's p and v), w . v on separate arrays, the norms of
+    barrier_stack's input rows, w . a_d against one 3-vector, and the
+    blocking scan's (n, 4) rows, fresh or input rows, against a 4-vector."""
+    rng = np.random.default_rng(2600 + n)
+    neg_mt = input_map(QuadrotorParams())
+    for _ in range(DRAWS // 5):
+        pv = _operands(rng, (2 * n, 3))
+        p, v, w = pv[:n], pv[n:], _operands(rng, (n, 3))
+        with np.errstate(all="ignore"):
+            input_rows = np.matmul(neg_mt, _operands(rng, (n, 3, 1)))[:, :, 0]
+        a_d, x = _operands(rng, 3), _operands(rng, 4)
+        for name, a, b in (
+            ("p.v", p, v),
+            ("v.v", v, v),
+            ("p.p", p, p),
+            ("w.v", w, v),
+            ("input row norms", input_rows, input_rows),
+            ("w.a_d", w, a_d),
+            ("rows.x", _operands(rng, (n, 4)), x),
+            ("input rows.x", input_rows, x),
+        ):
+            with np.errstate(all="ignore"):
+                got = np.vecdot(a, b)
+                others = np.broadcast_to(b, a.shape)
+                rows = [row.dot(other) for row, other in zip(a, others)]
+                stacked = np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+            assert_same_bits(got, np.array(rows), (name, "1-D dots", a, b))
+            assert_same_bits(got, stacked, (name, "stacked matmul", a, b))

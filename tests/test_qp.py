@@ -16,7 +16,6 @@ from coneguard.dynamics import QuadrotorParams, rotation_matrix
 from coneguard import qp
 from coneguard.errors import (
     ConfigError,
-    DegenerateGradientError,
     InfeasibleQpError,
     IterationLimitError,
     UncertifiedSolutionError,
@@ -170,8 +169,12 @@ def test_infeasible_reports_blocking_labels():
 
 
 def test_degenerate_row_rejected():
-    with pytest.raises(DegenerateGradientError):
-        solve(QpProblem(np.zeros(4), [np.zeros(4)], [-1.0], ("null",)))
+    """A row passed in with ||a|| <= GRADIENT_MIN is a bad value, so a
+    ConfigError that an ``except ValueError`` catches."""
+    with pytest.raises(ConfigError) as exc_info:
+        QpProblem(np.zeros(4), [np.zeros(4)], [-1.0], ("null",))
+    assert isinstance(exc_info.value, ValueError)
+    assert str(exc_info.value) == "QP row 'null': ||a|| <= 1e-10"
 
 
 @settings(max_examples=150, deadline=None)
