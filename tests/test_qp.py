@@ -614,8 +614,9 @@ def _scaled_rows(rng, shape):
 
 
 def test_stacked_row_dots_are_the_per_row_dots():
-    """The blocking scan's stacked product has, row by row, the bits of the
-    1-D dot A[j] @ x, on rows and vectors of any scale and signed zeros."""
+    """The blocking scan's row dots, one np.vecdot (or for one row its 1-D
+    dot), have row by row the bits of the 1-D dot A[j] @ x, on rows and
+    vectors of any scale and signed zeros."""
     rng = np.random.default_rng(16)
     for trial in range(4000):
         m = (1, 2, 3, 5, 8, 9)[trial % 6]
