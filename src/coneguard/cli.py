@@ -106,19 +106,18 @@ def _cmd_run(args) -> int:
     if args.hocbf_gamma is not None:
         config = replace(config, hocbf_gamma=args.hocbf_gamma)
     out = _out_dir(args.out)
-    if config.partner is not None:
-        trace, partner_trace = run_pair(config)
-        write_trace(out / "trace_partner.csv", partner_trace)
-        ok = compute_metrics(partner_trace).success
-    else:
-        trace = run(config)
-        ok = True
-    metrics = compute_metrics(trace)
-    write_trace(out / "trace.csv", trace)
-    text = metrics_text(config.name, config.filter_kind, metrics)
+    traces = run_pair(config) if config.partner is not None else (run(config),)
+    # the scenario's trace and metrics block, then a partner's (<name>-partner)
+    metrics = [compute_metrics(trace) for trace in traces]
+    for name, trace in zip(("trace.csv", "trace_partner.csv"), traces):
+        write_trace(out / name, trace)
+    text = "\n".join(
+        metrics_text(trace.name, config.filter_kind, m)
+        for trace, m in zip(traces, metrics)
+    )
     (out / "metrics.txt").write_text(text, newline="\n")
     sys.stdout.write(text)
-    return 0 if (metrics.success and ok) else 2
+    return 0 if all(m.success for m in metrics) else 2
 
 
 def _cmd_compare(args) -> int:

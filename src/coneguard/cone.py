@@ -42,24 +42,27 @@ gamma, so dh/dv = p. Its effective half angle phi' has cos(phi') =
 (gamma/||v||) cos(phi): above a closing speed of gamma its cone is wider than
 the true one, and gamma = ||v|| pointwise recovers the cone barrier. It sees
 each obstacle as its encompassing sphere, so it misjudges elongated shapes.
-All three adapters return the cone terms, which carry h and phi, and the row.
+All three adapters return the cone terms, which carry h, the clearance
+||p|| - r and phi, and the row.
 
 ``barrier_stack`` is the same collision cone for all N obstacles of a step
-at once: (N, 3) relative states, cylinder rows already projected, and (N,)
-inflated radii in; h, clearance, phi, the (N, 4) input rows and the (N,)
-offsets out. It keeps the scalar path's operation order, and each value
-the bits ``barrier_3d`` and ``barrier_projection`` give it: every row-wise
-dot, w . a_d included, is one ``np.vecdot``, the 1-D dot of each row, and
-R^T w and -M^T y are the per-step matrices broadcast over (N, 3, 1), the
-matrix-vector product of each row (w @ R may flip the sign of a zero).
-``cone_angles``, its p -> ||p||, s, phi steps, is shared with the
-harness's phi'/phi replay. The kernel checks every row in one array test:
-min ||input_row|| > GRADIENT_MIN, and a finite sum of all entries and
-offsets (a nan or an inf makes it non-finite). Only when that fails does it
-check row by row, with the ``qp`` checks ``contract`` and ``barrier_row`` call,
-and raise the first bad row's error in obstacle order, the vanished
-gradient before the finite check. The harness takes it for C3BF steps with
-at least ``harness.STACK_MIN_ROWS`` rows and the scalar adapters below that.
+at once: (N, 3) relative states and (N,) inflated radii in, as
+``ObstacleStack`` builds them, cylinder rows projected; h, clearance, phi,
+the (N, 4) input rows and the (N,) offsets out. It keeps the scalar path's
+operation order, and each value the bits ``barrier_3d`` and
+``barrier_projection`` give it: every row-wise dot, w . a_d included, is
+one ``np.vecdot``, the 1-D dot of each row, and R^T w and -M^T y are the
+per-step matrices broadcast over (N, 3, 1), the matrix-vector product of
+each row (w @ R may flip the sign of a zero). ``ObstacleStack`` and
+``cone_angles``, the kernel's p -> ||p||, s, phi steps, also run the
+harness's phi'/phi replay, over all its recorded rows at once. The kernel
+checks every row in one array test: min ||input_row|| > GRADIENT_MIN, and
+a finite sum of all entries and offsets (a nan or an inf makes it
+non-finite). Only when that fails does it check row by row, with the
+``qp`` checks ``contract`` and ``barrier_row`` call, and raise the first
+bad row's error in obstacle order, the vanished gradient before the finite
+check. The harness takes it for C3BF steps with at least
+``harness.STACK_MIN_ROWS`` rows and the scalar adapters below that.
 
 The gradient check rests on a lemma. M's rows are orthogonal, M M^T =
 diag(2 b^2, 2 a^2, 4/m^2) with a = l L/Ixx and b = l L/Iyy, so with y = R^T w
@@ -232,7 +235,7 @@ class ConeTerms(NamedTuple):
     """The barrier formula evaluated on one (p, v, r, weight)."""
 
     h: float  # <p, v> + weight s, s = sqrt(max(||p||^2 - r^2, 0))
-    p_norm: float  # ||p||; ||p|| - r is the clearance
+    clearance: float  # ||p|| - r
     w: np.ndarray  # dh/dv
     phi: float  # half angle of the cone h >= 0 keeps v out of (rad)
     rate: float  # dh/dt at zero relative acceleration
@@ -269,7 +272,7 @@ def cone_terms(
         cos_phi = gamma * (s / max(p_norm, EPS_SQRT)) / max(norm_v, EPS_V)
     return ConeTerms(
         h=pv + weight * s,
-        p_norm=p_norm,
+        clearance=p_norm - r,
         w=w,
         phi=float(np.arccos(min(max(cos_phi, 0.0), 1.0))),
         rate=norm_v * norm_v + weight * pv / max(s, floor),
@@ -316,6 +319,35 @@ def cone_angles(p: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.sqrt(np.maximum(p_norm * p_norm - r * r, 0.0))
     cos_phi = s / np.maximum(p_norm, EPS_SQRT)
     return p_norm, s, np.arccos(np.minimum(np.maximum(cos_phi, 0.0), 1.0))
+
+
+class ObstacleStack:
+    """N obstacles as arrays, built once: centers, velocities and inflated
+    radii, one row each, and the cylinders' projectors; N may be 0. They are
+    the inputs of ``barrier_stack`` and of the phi'/phi replay."""
+
+    def __init__(self, obstacles: tuple[Obstacle, ...], body_width: float):
+        self.centers = np.reshape([o.center for o in obstacles], (-1, 3))
+        self.velocities = np.reshape([o.velocity for o in obstacles], (-1, 3))
+        self.radii = np.array([inflated_radius(o, body_width) for o in obstacles])
+        # the cylinder rows of p, then of v, in the (2N, 3) array of both
+        twice = obstacles * 2
+        self.cylinders = np.flatnonzero([o.kind == "cylinder" for o in twice])
+        self.projectors = np.array([twice[i]._projector for i in self.cylinders])
+
+    def relative(self, position, velocity, t) -> tuple[np.ndarray, np.ndarray]:
+        """(p, v) of every obstacle as ``cone_geometry`` gives them, from a
+        body center at position moving at velocity: (N, 3) each at one step,
+        or (n, N, 3) from n recorded rows, for (n, 1, 3) position and velocity
+        and (n, 1, 1) times t. They are the halves of one array, so that one
+        matmul projects the cylinder rows of both."""
+        p = self.centers + self.velocities * t - position
+        pv = np.concatenate((p, self.velocities - velocity), axis=-2)
+        if self.cylinders.size:
+            rows = self.cylinders
+            pv[..., rows, :] = np.matmul(self.projectors, pv[..., rows, :, None])[..., 0]
+        n = len(self.radii)
+        return pv[..., :n, :], pv[..., n:, :]
 
 
 class ConeStack(NamedTuple):

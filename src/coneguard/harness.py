@@ -12,13 +12,14 @@ receding-horizon style. ``run`` returns the first vehicle's trace and
 ``run_pair`` both. The survey builds QP rows only when a filter reads them.
 It takes one of two paths. A solo C3BF run with at least STACK_MIN_ROWS
 rows surveys every obstacle of a step at once in ``cone.barrier_stack``, on
-arrays of its obstacles built once per run (``_Stack``); every other run,
-a pair's included, goes obstacle by obstacle through ``barrier_3d``,
-``barrier_projection`` or ``barrier_ho``. Both paths give each trace cell,
-phi and QP row the same bits, so the choice is speed only:
-STACK_MIN_ROWS = 4 is the measured crossover, where the stacked survey
-turns from a loss (3 rows) into a win. The built-ins (1-2 rows) stay on
-the per-obstacle path.
+arrays of its obstacles built once per run (``cone.ObstacleStack``); every
+other run, a pair's included, goes obstacle by obstacle through
+``barrier_3d``, ``barrier_projection`` or ``barrier_ho``. Both paths give
+each trace cell, phi and QP row the same bits, so the choice is speed
+only: STACK_MIN_ROWS = 4 is the measured crossover, where the stacked
+survey turns from a loss (3 rows) into a win. The built-ins (1-2 rows)
+stay on the per-obstacle path. Either way ``cone`` computes the geometry:
+each clearance cell is the barrier terms' own ||p|| - r.
 A trace's table is filled raw and rounded once per run to the trace
 format (``traceio._quantize``).
 
@@ -52,6 +53,7 @@ import numpy as np
 from .cone import (
     BodyFrame,
     Obstacle,
+    ObstacleStack,
     barrier_3d,
     barrier_ho,
     barrier_projection,
@@ -59,7 +61,6 @@ from .cone import (
     cone_angles,
     cone_geometry,
     cone_terms,
-    inflated_radius,
 )
 from .dynamics import (
     QuadrotorParams,
@@ -197,13 +198,10 @@ class ComparisonReport:
 def separation_distance(
     frame: BodyFrame, obstacle: Obstacle, params: QuadrotorParams, t: float
 ) -> float:
-    """Geometric clearance to the inflated surface (filter-independent).
-
-    Spheres: ||p_rel|| - r. Cylinders: distance to the axis in the
-    perpendicular plane minus r (infinite-cylinder model).
-    """
-    p, _, r = cone_geometry(frame, obstacle, params, t)
-    return math.sqrt(float(p.dot(p))) - r
+    """Geometric clearance to the inflated surface, filter-independent: the
+    collision cone's ``ConeTerms.clearance``, ||p_rel|| - r for a sphere and
+    the distance to a cylinder's axis minus r (infinite-cylinder model)."""
+    return cone_terms(*cone_geometry(frame, obstacle, params, t)).clearance
 
 
 def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
@@ -212,42 +210,13 @@ def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
     return labels + ("partner",) if config.partner is not None else labels
 
 
-class _Stack:
-    """A solo run's obstacles as arrays, for the stacked survey of C3BF steps.
-
-    Centers, velocities and inflated radii, one row per obstacle, and the
-    cylinders' projectors are built once per run. A pair never stacks, so
-    its partner has one spelling, the sphere ``_as_obstacle`` makes of it.
-    """
-
-    def __init__(self, config: ScenarioConfig):
-        obstacles, width = config.obstacles, config.params.body_width
-        self.centers = np.array([o.center for o in obstacles])
-        self.velocities = np.array([o.velocity for o in obstacles])
-        self.radii = np.array([inflated_radius(o, width) for o in obstacles])
-        # the cylinder rows of p, then of v, in the (2N, 3) array of both
-        twice = obstacles * 2
-        self.cylinders = np.flatnonzero([o.kind == "cylinder" for o in twice])
-        self.projectors = np.array([twice[i]._projector for i in self.cylinders])
-
-    def relative(self, frame: BodyFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(p, v) of every row as ``cone_geometry`` gives them, stacked as the
-        halves of one array, so that one matmul projects the cylinder rows."""
-        p = self.centers + self.velocities * t - frame.position
-        pv = np.concatenate((p, self.velocities - frame.velocity))
-        if self.cylinders.size:
-            rows = self.cylinders
-            pv[rows] = np.matmul(self.projectors, pv[rows, :, None])[:, :, 0]
-        return pv[: len(p)], pv[len(p) :]
-
-
 def _survey(
     state: QuadrotorState,
     other: QuadrotorState | None,
     labels: tuple[str, ...],
     config: ScenarioConfig,
     t: float,
-    stack: _Stack | None = None,
+    stack: ObstacleStack | None = None,
 ) -> tuple[
     Sequence[float], Sequence[float], tuple[np.ndarray, np.ndarray, tuple[str, ...]]
 ]:
@@ -263,14 +232,14 @@ def _survey(
     and cells and angles are arrays; else each goes through its own barrier.
     Unfiltered runs record the collision-cone h and phi, so their traces are
     comparable with filtered ones, but build no rows. The clearance is the
-    terms' ||p|| minus the inflated radius wherever the terms were built on
-    the cone's geometry, which is every obstacle but an HO-CBF cylinder;
-    that one keeps separation_distance.
+    terms' own wherever they were built on the cone's geometry, which is
+    every obstacle but an HO-CBF cylinder, whose terms see the encompassing
+    sphere; that one keeps separation_distance.
     """
     frame = BodyFrame(state, config.params)
     params, kappa_gamma = config.params, config.kappa_gamma
     if stack is not None:
-        p, v = stack.relative(frame, t)
+        p, v = stack.relative(frame.position, frame.velocity, t)
         terms = barrier_stack(frame, p, v, stack.radii, kappa_gamma, labels)
         cells = np.empty(2 * len(labels))
         cells[0::2], cells[1::2] = terms.h, terms.clearance
@@ -296,11 +265,10 @@ def _survey(
                 )
             input_rows.append(input_row)
             offsets.append(offset)
+        separation = terms.clearance
         if config.filter_kind == "hocbf" and obstacle.kind == "cylinder":
             # the baseline's terms see the unprojected p and the encompassing radius
             separation = separation_distance(frame, obstacle, params, t)
-        else:
-            separation = terms.p_norm - inflated_radius(obstacle, params.body_width)
         cells += (terms.h, separation)
         angles.append(terms.phi)
     if not input_rows:
@@ -386,8 +354,11 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
     labels = _obstacle_labels(config)
     n_steps = int(round(config.duration / config.dt))
     recorders = [_Recorder(n_steps + 1, labels) for _ in states]
+    # a pair never stacks, so its partner has one spelling, _as_obstacle's sphere
     solo_c3bf = config.filter_kind == "c3bf" and config.partner is None
-    stack = _Stack(config) if solo_c3bf and len(labels) >= STACK_MIN_ROWS else None
+    stack = None
+    if solo_c3bf and len(labels) >= STACK_MIN_ROWS:
+        stack = ObstacleStack(config.obstacles, config.params.body_width)
     for k in range(n_steps + 1):
         t = k * config.dt
         try:
@@ -475,25 +446,21 @@ def _phi_ratio(
     pair's partner has none, as its position is the other vehicle's state,
     which this trace does not hold.
 
-    All rows are evaluated at once, in the operation order of the survey's
-    scalar path (``BodyFrame``, ``cone_geometry``, ``cone_terms``), so each
-    cell has its bits. R e3 is ``rotation_matrix``'s third column, the
-    projector goes through matmul and the dot products through
-    ``np.vecdot``, one 3-vector per row, as in the scalar path.
+    Every row and obstacle is evaluated at once: ``cone.ObstacleStack``
+    gives p as the stacked survey does, over the recorded rows, and
+    ``cone.cone_angles`` takes it to phi. Each cell has the bits of the
+    survey's scalar path (``BodyFrame``, ``cone_geometry``, ``cone_terms``):
+    R e3 is ``rotation_matrix``'s third column, the projector goes through
+    matmul and each dot through ``np.vecdot``, one 3-vector per row.
     """
     labels = trace.obstacle_labels[: len(config.obstacles)]
-    params = config.params
-    t = trace.t[:, None]
-    r_e3 = thrust_axes(trace.states[:, 6:9])
-    body_center = trace.states[:, 0:3] + r_e3 * params.center_offset
-    ratio = np.empty((trace.t.shape[0], len(labels)))
-    for i, obstacle in enumerate(config.obstacles):
-        p = (obstacle.center + obstacle.velocity * t) - body_center
-        if obstacle.kind == "cylinder":
-            p = np.matmul(obstacle._projector, p[:, :, None])[:, :, 0]
-        _, _, phi = cone_angles(p, inflated_radius(obstacle, params.body_width))
-        ratio[:, i] = trace.half_angles[:, i] / np.maximum(phi, 1e-12)
-    return labels, ratio
+    stack = ObstacleStack(config.obstacles, config.params.body_width)
+    r_e3_l = thrust_axes(trace.states[:, 6:9]) * config.params.center_offset
+    body_centers = (trace.states[:, 0:3] + r_e3_l)[:, None]
+    at_rest = np.zeros_like(body_centers)  # phi reads p only
+    p, _ = stack.relative(body_centers, at_rest, trace.t[:, None, None])
+    _, _, phi = cone_angles(p, stack.radii)
+    return labels, trace.half_angles[:, : len(labels)] / np.maximum(phi, 1e-12)
 
 
 def compare(

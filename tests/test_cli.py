@@ -482,6 +482,51 @@ def test_run_pair_writes_partner_trace(tmp_path):
     assert (out / "trace_partner.csv").is_file()
 
 
+# a hover beside a partner that flies into a sphere, unfiltered: only the
+# partner collides
+PARTNER_CRASH_YAML = textwrap.dedent(
+    """\
+    name: cli-partner-crash
+    duration: 3.0
+    dt: 0.004166666666666667
+    initial_state:
+      position: [0.0, 0.0, 1.0]
+    reference:
+      type: hover
+      point: [0.0, 0.0, 1.0]
+    obstacles:
+      - kind: sphere
+        center: [2.0, 3.0, 1.0]
+        radius_raw: 0.3
+    partner:
+      initial_state:
+        position: [0.0, 3.0, 1.0]
+        velocity: [1.0, 0.0, 0.0]
+      reference:
+        type: line
+        start: [0.0, 3.0, 1.0]
+        velocity: [1.0, 0.0, 0.0]
+    filter: none
+    """
+)
+
+
+def test_run_pair_reports_the_partner(tmp_path, capsys):
+    """A pair whose partner alone collides exits 2, and metrics.txt and
+    stdout show why: the scenario's block, safe, then the partner's, unsafe."""
+    config = _write(tmp_path, PARTNER_CRASH_YAML)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    text = (out / "metrics.txt").read_text()
+    assert capsys.readouterr().out == text
+    first, partner = text.split("\n\n")
+    assert first.splitlines()[0] == "scenario: cli-partner-crash"
+    assert "success: true" in first.splitlines()
+    assert partner.splitlines()[0] == "scenario: cli-partner-crash-partner"
+    assert "success: false" in partner.splitlines()
+    assert parse_trace(out / "trace_partner.csv").separation.min() < -1e-3
+
+
 def test_compare_writes_reports(tmp_path, capsys):
     config = _write(tmp_path, COMPARE_YAML)
     out = tmp_path / "out"

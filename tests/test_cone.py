@@ -93,8 +93,9 @@ def test_h_cone_scales_quadratically(p, v, r, alpha):
     base = cone_terms(p, v, r)
     scaled = cone_terms(alpha * p, alpha * v, alpha * r).h
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    d = 16.0 * eps * base.p_norm**2
-    s = np.sqrt(max(base.p_norm**2 - r * r, 0.0))
+    p_norm = float(np.linalg.norm(p))
+    d = 16.0 * eps * p_norm**2
+    s = np.sqrt(max(p_norm**2 - r * r, 0.0))
     tangency = alpha**2 * np.linalg.norm(v) * d / max(s, np.sqrt(d), tiny)
     assert abs(scaled - alpha * alpha * base.h) <= 1e-9 * max(1.0, abs(base.h)) + tangency
 

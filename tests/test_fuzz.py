@@ -398,9 +398,34 @@ _METRICS_KEYS = ["scenario", "filter", *(f.name for f in fields(Metrics))]
 
 # ---- the command line -----------------------------------------------------
 
-# The sources: every built-in, and a hover file flown for FLIGHT_SECONDS.
+# The sources: every built-in, and two files flown for FLIGHT_SECONDS: a
+# hover, and a line past a sphere and a cylinder, so that compare writes
+# phi-ratio columns.
 _HOVER = (CONFIGS_DIR / "hover.yaml").read_text()
 _HOVER = _HOVER.replace("duration: 4.0", f"duration: {FLIGHT_SECONDS}")
+_OBSTACLES = f"""\
+name: fuzz-obstacles
+duration: {FLIGHT_SECONDS}
+dt: 0.004166666666666667
+initial_state:
+  position: [0.0, 0.0, 1.0]
+  velocity: [1.0, 0.0, 0.0]
+reference:
+  type: line
+  start: [0.0, 0.0, 1.0]
+  velocity: [1.0, 0.0, 0.0]
+obstacles:
+  - kind: sphere
+    center: [1.0, 0.05, 1.0]
+    radius_raw: 0.15
+    velocity: [-0.5, 0.0, 0.0]
+  - kind: cylinder
+    center: [1.5, -0.1, 1.0]
+    radius_raw: 0.15
+    axis: [0.0, 0.0, 1.0]
+    height: 2.0
+    label: post
+"""
 
 
 def _flags() -> dict[str, dict[str, argparse.Action]]:
@@ -416,17 +441,17 @@ def _flags() -> dict[str, dict[str, argparse.Action]]:
 
 
 _FLAGS = _flags()
-_SOURCES = st.just(("--config", "hover.yaml")) | st.sampled_from(
-    [("--scenario", name) for name in scenarios.scenario_names()]
-)
+_SOURCES = st.sampled_from(
+    [("--config", "hover.yaml"), ("--config", "obstacles.yaml")]
+) | st.sampled_from([("--scenario", name) for name in scenarios.scenario_names()])
 
-# Flag values. The test runs in a scratch directory that holds "hover.yaml"
-# and the plain file "file"; a drawn text has no "/", so that every path
-# stays inside that directory or its parent.
+# Flag values. The test runs in a scratch directory that holds "hover.yaml",
+# "obstacles.yaml" and the plain file "file"; a drawn text has no "/", so
+# that every path stays inside that directory or its parent.
 _ARG_VALUES = st.one_of(
     st.sampled_from(
-        [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "missing.yaml",
-         "file", "file/x", "out", "-", "--", "-1"]
+        [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "obstacles.yaml",
+         "missing.yaml", "file", "file/x", "out", "-", "--", "-1"]
     ),
     st.sampled_from(_SPELLINGS),
     st.floats().map(repr),
@@ -471,6 +496,9 @@ def argvs(draw) -> list[str]:
 @example(["run", "--config", "hover.yaml", "--out", "a\x00b"]).via(
     "a NUL in the output path: ValueError traceback"
 )
+@example(["compare", "--config", "obstacles.yaml", "--sweep-gamma"]).via(
+    "the phi-ratio columns of a sphere and a cylinder at every swept gamma"
+)
 @example(["validate-config", "--config", "a\x00b"]).via(
     "a NUL in the scenario path: ValueError traceback"
 )
@@ -481,26 +509,46 @@ def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
     """main returns 0 or 2 with nothing on stderr, or ends with code 1,
     returned or as SystemExit(1), and exactly one stderr line; --help may
     exit 0. harness.MAX_STEPS is cut to FLIGHT_STEPS, so that a long flight,
-    each built-in's included, is refused as one typed line, not flown."""
+    each built-in's included, is refused as one typed line, not flown. A
+    compare that returns 0 or 2 wrote phi-ratio tables that fit its traces."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         work = Path(tmp) / "work"
         work.mkdir()
         (work / "hover.yaml").write_text(_HOVER, encoding="utf-8")
+        (work / "obstacles.yaml").write_text(_OBSTACLES, encoding="utf-8")
         (work / "file").write_text("", encoding="utf-8")
         patch.chdir(work)
         patch.setattr(harness, "MAX_STEPS", FLIGHT_STEPS)
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
-                code = cli.main(argv)
+                code = returned = cli.main(argv)
             except SystemExit as exc:
-                code = exc.code
+                code, returned = exc.code, None
+        if argv[0] == "compare" and returned in (0, 2):
+            _check_phi_ratio_tables(Path(tmp))
     err = stderr.getvalue()
     if code == 1:
         assert err.endswith("\n") and len(err.splitlines()) == 1, repr(err)
     else:
         assert code in (0, 2), code
         assert err == "", repr(err)
+
+
+def _check_phi_ratio_tables(root: Path) -> None:
+    """Each phi_ratio_gamma*.csv below root has the header t and one
+    phi_ratio_<label> per config obstacle (a pair's partner has none), and
+    one row per row of the HO-CBF trace at its gamma, at that trace's t."""
+    tables = sorted(root.rglob("phi_ratio_gamma*.csv"))
+    assert tables
+    for path in tables:
+        trace = parse_trace(path.with_name(path.name.replace("phi_ratio", "trace_hocbf")))
+        labels = [label for label in trace.obstacle_labels if label != "partner"]
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert header.split(",") == ["t"] + [f"phi_ratio_{label}" for label in labels]
+        table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        assert table.shape == (len(trace.t), 1 + len(labels))
+        assert_same_bits(table[:, 0], trace.t)
 
 
 # ---- the QP constructor ---------------------------------------------------

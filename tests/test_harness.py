@@ -15,7 +15,7 @@ from helpers import (
     random_state,
 )
 from coneguard import cone, harness, qp, traceio
-from coneguard.cone import BodyFrame, Obstacle
+from coneguard.cone import BodyFrame, Obstacle, ObstacleStack
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import (
     AttitudeSingularError,
@@ -593,14 +593,21 @@ def test_quantize_edge_cases_match_the_string_rule(builtin_flights):
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize(
     "name, duration",
-    [("moving-head-on", 4.5), ("cylinder-side", 4.5), ("two-agent", 1.0)],
+    [
+        ("moving-head-on", 4.5),
+        ("cylinder-side", 4.5),
+        ("two-agent", 1.0),
+        ("field", 2.5),
+    ],
 )
 def test_phi_ratio_matches_the_per_row_oracle(name, duration, gamma):
     """The batched phi'/phi has the bits of the row-by-row scalar path, over
-    the closest approach of a sphere and of a cylinder (the projector), and
-    has no column for a pair's partner."""
+    the closest approach of a sphere and of a cylinder (the projector), on
+    the tests' field of static and head-on spheres and two cylinders, and
+    has no column for a pair's partner. The field ends before gamma = 0.5's
+    run aborts, at t = 2.604 s."""
     config = replace(
-        get_scenario(name),
+        field_scenario() if name == "field" else get_scenario(name),
         duration=duration,
         filter_kind="hocbf",
         hocbf_gamma=gamma,
@@ -620,7 +627,8 @@ def _wide(rng, shape):
 
 def test_batched_products_are_bit_equal_to_per_row_ones():
     """_phi_ratio and cone.barrier_stack rely on these: the projector as a
-    broadcast matmul over (N, 3, 1) and one projector per row stacked, the
+    broadcast matmul over (N, 3, 1), one projector per row stacked, and one
+    per column of an (n, k, 3, 1) grid, broadcast over its n rows, the
     np.vecdot of a row with itself and of two rows, R^T w and -M^T y with
     the step's matrices broadcast over (N, 3, 1), w.a_d as the np.vecdot of
     each row with one 3-vector, and arccos over an array, each equal to the
@@ -654,6 +662,11 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         np.matmul(stacked, p[:, :, None])[:, :, 0],
         np.array([P @ row for P, row in zip(stacked, p)]),
     )
+    grid = p.reshape(-1, 5, 3)
+    assert_same_bits(
+        np.matmul(np.array(projectors), grid[..., None])[..., 0],
+        np.array([[P @ row for P, row in zip(projectors, rows)] for rows in grid]),
+    )
     for a, b in ((p, v), (rows, rows)):
         dots = np.vecdot(a, b)
         assert_same_bits(dots, np.array([float(x @ y) for x, y in zip(a, b)]))
@@ -665,6 +678,11 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(input_rows, np.array([frame.input_map @ x for x in y[:, :, 0]]))
         drifts = np.vecdot(v, frame.a_d)
         assert_same_bits(drifts, np.array([float(w @ frame.a_d) for w in v]))
+
+
+def _stack(config):
+    """The arrays the stacked survey of a solo run takes."""
+    return ObstacleStack(config.obstacles, config.params.body_width)
 
 
 def _survey_outcome(state, config, t, stack=None):
@@ -734,7 +752,7 @@ def test_stacked_survey_is_bit_equal_to_the_per_row_one():
             t = float(rng.uniform(0.0, 5.0))
             want = _survey_outcome(state, config, t)
             assert len(want) == 5  # no row of these draws is refused
-            got = _survey_outcome(state, config, t, harness._Stack(config))
+            got = _survey_outcome(state, config, t, _stack(config))
             _assert_same_survey(got, want, (m, state, t))
 
 
@@ -799,7 +817,7 @@ def test_a_pair_surveys_row_by_row(monkeypatch):
     assert len(labels) == 9 > harness.STACK_MIN_ROWS and labels[-1] == "partner"
     built, stacked, problems = [], [], []
     solve = qp.solve  # not an earlier spy
-    monkeypatch.setattr(harness, "_Stack", lambda *args: built.append(args))
+    monkeypatch.setattr(harness, "ObstacleStack", lambda *args: built.append(args))
     monkeypatch.setattr(harness, "barrier_stack", lambda *args: stacked.append(args))
     monkeypatch.setattr(harness, "solve", lambda p: problems.append(p) or solve(p))
     run_pair(config)
@@ -839,5 +857,5 @@ def test_stacked_survey_raises_the_per_row_error(bad, want):
     assert expected[0] is want
     if want is DegenerateGradientError:
         assert expected[1] == f"obstacle {'abcd'[min(bad)]!r}: barrier gradient vanished"
-    got = _survey_outcome(state, config, 0.0, harness._Stack(config))
+    got = _survey_outcome(state, config, 0.0, _stack(config))
     _assert_same_survey(got, expected)
