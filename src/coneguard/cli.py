@@ -12,18 +12,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConeguardError, ConfigError
-from .harness import (
-    FILTER_KINDS,
-    ScenarioConfig,
-    compare,
-    compute_metrics,
-    run,
-    run_pair,
-)
+from .harness import FILTER_KINDS, ScenarioConfig, compare, compute_metrics, run_pair
 from .scenarios import builtin_scenarios, get_scenario, load_scenario
 from .traceio import comparison_text, metrics_text, write_phi_ratio, write_trace
 
 SWEEP_GAMMAS = (0.5, 1.0, 2.0)
+# the file-name suffix of each vehicle's outputs, in run_pair's order
+VEHICLE_SUFFIXES = ("", "_partner")
 
 
 def _print_error(text: str) -> None:
@@ -99,6 +94,15 @@ def _out_dir(name: str) -> Path:
     return out
 
 
+def _report(path: Path, blocks: list[str], metrics) -> int:
+    """The blocks, joined by a blank line, to path and stdout; exit code 0
+    when every vehicle's run is safe, else 2."""
+    text = "\n".join(blocks)
+    path.write_text(text, newline="\n")
+    sys.stdout.write(text)
+    return 0 if all(m.success for m in metrics) else 2
+
+
 def _cmd_run(args) -> int:
     config = _resolve_config(args)
     if args.filter is not None:
@@ -106,18 +110,12 @@ def _cmd_run(args) -> int:
     if args.hocbf_gamma is not None:
         config = replace(config, hocbf_gamma=args.hocbf_gamma)
     out = _out_dir(args.out)
-    traces = run_pair(config) if config.partner is not None else (run(config),)
-    # the scenario's trace and metrics block, then a partner's (<name>-partner)
+    traces = run_pair(config)
     metrics = [compute_metrics(trace) for trace in traces]
-    for name, trace in zip(("trace.csv", "trace_partner.csv"), traces):
-        write_trace(out / name, trace)
-    text = "\n".join(
-        metrics_text(trace.name, config.filter_kind, m)
-        for trace, m in zip(traces, metrics)
-    )
-    (out / "metrics.txt").write_text(text, newline="\n")
-    sys.stdout.write(text)
-    return 0 if all(m.success for m in metrics) else 2
+    for suffix, trace in zip(VEHICLE_SUFFIXES, traces):
+        write_trace(out / f"trace{suffix}.csv", trace)
+    blocks = [metrics_text(t.name, config.filter_kind, m) for t, m in zip(traces, metrics)]
+    return _report(out / "metrics.txt", blocks, metrics)
 
 
 def _cmd_compare(args) -> int:
@@ -125,16 +123,15 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args.out)
     gammas = SWEEP_GAMMAS if args.sweep_gamma else (args.hocbf_gamma,)
     sections = []
-    for gamma, report in zip(gammas, compare(config, gammas)):
+    for gamma, reports in zip(gammas, compare(config, gammas)):
         tag = f"{gamma:g}".replace(".", "p")
-        write_trace(out / f"trace_hocbf_gamma{tag}.csv", report.trace_b)
-        write_phi_ratio(out / f"phi_ratio_gamma{tag}.csv", report)
-        sections.append(comparison_text(report, gamma))
-    write_trace(out / "trace_c3bf.csv", report.trace_a)
-    text = "\n".join(sections)
-    (out / "compare.txt").write_text(text, newline="\n")
-    sys.stdout.write(text)
-    return 0 if report.metrics_a.success else 2
+        for suffix, report in zip(VEHICLE_SUFFIXES, reports):
+            write_trace(out / f"trace_hocbf_gamma{tag}{suffix}.csv", report.trace_b)
+            write_phi_ratio(out / f"phi_ratio_gamma{tag}{suffix}.csv", report)
+            sections.append(comparison_text(report, gamma))
+    for suffix, report in zip(VEHICLE_SUFFIXES, reports):
+        write_trace(out / f"trace_c3bf{suffix}.csv", report.trace_a)
+    return _report(out / "compare.txt", sections, [r.metrics_a for r in reports])
 
 
 def _cmd_list() -> int:

@@ -8,8 +8,9 @@ on the states at the start of the step; then RK4 advances every vehicle.
 A scenario with a ``partner`` flies two vehicles, and each sees the other
 as one more obstacle: a constant-velocity sphere at its position and
 velocity, which is how the constant-velocity obstacle assumption is applied
-receding-horizon style. ``run`` returns the first vehicle's trace and
-``run_pair`` both. The survey builds QP rows only when a filter reads them.
+receding-horizon style. ``run_pair`` flies any scenario and returns every
+vehicle's trace, the scenario's own first; ``run`` returns only that one.
+The survey builds QP rows only when a filter reads them.
 It takes one of two paths. A solo C3BF run with at least STACK_MIN_ROWS
 rows surveys every obstacle of a step at once in ``cone.barrier_stack``, on
 arrays of its obstacles built once per run (``cone.ObstacleStack``); every
@@ -180,7 +181,7 @@ class Metrics:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """The C3BF run (a) and one HO-CBF run (b) on the same geometry."""
+    """One vehicle's C3BF run (a) and one HO-CBF run (b) on the same geometry."""
 
     trace_a: SimTrace
     trace_b: SimTrace
@@ -389,7 +390,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
 
 
 def run(config: ScenarioConfig) -> SimTrace:
-    """Simulate one scenario; for paired scenarios, the first agent's trace.
+    """Simulate one scenario; the trace of its own vehicle, ``run_pair``'s first.
 
     Deterministic given the config. Solver or dynamics errors abort the run
     with the step index recorded on the raised SimulationAbort.
@@ -397,11 +398,10 @@ def run(config: ScenarioConfig) -> SimTrace:
     return _simulate(checked_type(config, ScenarioConfig, "config"))[0]
 
 
-def run_pair(config: ScenarioConfig) -> tuple[SimTrace, SimTrace]:
-    """Simulate both agents of a two-agent scenario synchronously."""
-    if checked_type(config, ScenarioConfig, "config").partner is None:
-        raise ConfigError("run_pair needs a partner agent")
-    return _simulate(config)
+def run_pair(config: ScenarioConfig) -> tuple[SimTrace, ...]:
+    """Simulate any scenario: every vehicle's trace, the scenario's own first,
+    then a partner's, flown synchronously; errors as ``run``'s."""
+    return _simulate(checked_type(config, ScenarioConfig, "config"))
 
 
 def compute_metrics(trace: SimTrace) -> Metrics:
@@ -441,10 +441,11 @@ def _phi_ratio(
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """(labels, phi'/phi) along an HO-CBF run: recorded phi' over the cone's phi.
 
-    The cone's phi is geometry only, evaluated at the recorded states. There
-    is one column per obstacle of the config, labelled as in the trace; a
-    pair's partner has none, as its position is the other vehicle's state,
-    which this trace does not hold.
+    The cone's phi is geometry only, evaluated at the recorded states, so
+    the trace may be either vehicle's of a pair. There is one column per
+    obstacle of the config, labelled as in the trace; the partner row has
+    none, as its position is the other vehicle's state, which this trace
+    does not hold.
 
     Every row and obstacle is evaluated at once: ``cone.ObstacleStack``
     gives p as the stacked survey does, over the recorded rows, and
@@ -465,13 +466,14 @@ def _phi_ratio(
 
 def compare(
     config: ScenarioConfig, gammas: Iterable[float]
-) -> Iterator[ComparisonReport]:
+) -> Iterator[tuple[ComparisonReport, ...]]:
     """C3BF against HO-CBF at each penalty gamma, on the config's geometry.
 
-    The C3BF side runs once and every report shares its trace; the HO-CBF
-    runs follow one per gamma, each report yielded before the next run.
-    The config and every gamma are checked here, in the call, so a bad one
-    fails before the iterator is returned and any flight.
+    Each gamma yields one report per vehicle, in ``run_pair``'s order. The
+    C3BF side flies once and every gamma's reports share its traces; the
+    HO-CBF runs follow one per gamma, each gamma's reports yielded before
+    the next run. The config and every gamma are checked here, in the call,
+    so a bad one fails before the iterator is returned and any flight.
     """
     checked_type(config, ScenarioConfig, "config")
     checked_type(gammas, Iterable, "gammas")
@@ -483,18 +485,21 @@ def compare(
 
 def _compare_runs(
     config: ScenarioConfig, ho_configs: list[ScenarioConfig]
-) -> Iterator[ComparisonReport]:
+) -> Iterator[tuple[ComparisonReport, ...]]:
     """compare's runs, on checked configs."""
-    trace_a = run(replace(config, filter_kind="c3bf"))
-    metrics_a = compute_metrics(trace_a)
+    traces_a = run_pair(replace(config, filter_kind="c3bf"))
+    metrics_a = [compute_metrics(trace) for trace in traces_a]
     for config_b in ho_configs:
-        trace_b = run(config_b)
-        labels, phi_ratio = _phi_ratio(trace_b, config_b)
-        yield ComparisonReport(
-            trace_a=trace_a,
-            trace_b=trace_b,
-            metrics_a=metrics_a,
-            metrics_b=compute_metrics(trace_b),
-            phi_ratio=phi_ratio,
-            phi_ratio_labels=labels,
-        )
+        reports = []
+        for trace_a, metrics, trace_b in zip(traces_a, metrics_a, run_pair(config_b)):
+            labels, phi_ratio = _phi_ratio(trace_b, config_b)
+            report = ComparisonReport(
+                trace_a=trace_a,
+                trace_b=trace_b,
+                metrics_a=metrics,
+                metrics_b=compute_metrics(trace_b),
+                phi_ratio=phi_ratio,
+                phi_ratio_labels=labels,
+            )
+            reports.append(report)
+        yield tuple(reports)

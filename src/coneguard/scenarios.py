@@ -45,7 +45,10 @@ def _state(position, velocity=(0.0, 0.0, 0.0)) -> QuadrotorState:
     return QuadrotorState(position, velocity, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def _line_config(name, description, obstacles, velocity=(1.0, 0.0, 0.0), **kwargs):
+def _line_config(
+    name, description, obstacles, velocity=(1.0, 0.0, 0.0), reference=None, **kwargs
+):
+    """A built-in flown from the origin; ``reference`` replaces its line."""
     start = (0.0, 0.0, ALTITUDE)
     return ScenarioConfig(
         name=name,
@@ -53,7 +56,7 @@ def _line_config(name, description, obstacles, velocity=(1.0, 0.0, 0.0), **kwarg
         duration=DURATION,
         dt=DT,
         initial_state=_state(start, velocity),
-        reference=LineReference(start, velocity),
+        reference=reference if reference is not None else LineReference(start, velocity),
         obstacles=tuple(obstacles),
         **kwargs,
     )
@@ -71,16 +74,13 @@ def builtin_scenarios() -> list[ScenarioConfig]:
             "fly through a static sphere's spot and swerve around it",
             [sphere((2.0, 0.05, ALTITUDE))],
         ),
-        ScenarioConfig(
-            name="static-brake",
-            description="reference parks short of a sphere dead ahead; filter brakes early",
-            duration=DURATION,
-            dt=DT,
-            initial_state=_state((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
+        _line_config(
+            "static-brake",
+            "reference parks short of a sphere dead ahead; filter brakes early",
+            [sphere((3.0, 0.0, ALTITUDE))],
             reference=WaypointReference(
                 ((0.0, 0.0, ALTITUDE), (2.5, 0.0, ALTITUDE)), speed=1.0
             ),
-            obstacles=(sphere((3.0, 0.0, ALTITUDE)),),
         ),
         _line_config(
             "moving-head-on",
@@ -128,13 +128,10 @@ def builtin_scenarios() -> list[ScenarioConfig]:
             "the first lines the vehicle up with the second",
             [sphere((2.2, 0.10, ALTITUDE)), sphere((3.2, -0.12, ALTITUDE))],
         ),
-        ScenarioConfig(
-            name="two-agent",
-            description="two vehicles head-on, each filtering against the other",
-            duration=DURATION,
-            dt=DT,
-            initial_state=_state((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
-            reference=LineReference((0.0, 0.0, ALTITUDE), (1.0, 0.0, 0.0)),
+        _line_config(
+            "two-agent",
+            "two vehicles head-on, each filtering against the other",
+            [],
             partner=AgentSpec(
                 initial_state=_state((4.0, 0.06, ALTITUDE), (-1.0, 0.0, 0.0)),
                 reference=LineReference((4.0, 0.06, ALTITUDE), (-1.0, 0.0, 0.0)),

@@ -44,10 +44,7 @@ def builtin_flights():
         patch.setattr(harness, "_quantize", capture)
         for config in builtin_scenarios():
             start = time.perf_counter()
-            if config.partner is not None:
-                traces = harness.run_pair(config)
-            else:
-                traces = (harness.run(config),)
+            traces = harness.run_pair(config)
             runs[config.name] = (config, traces, time.perf_counter() - start)
     assert len(raw) == 9
     return BuiltinFlights(runs, raw)

@@ -564,9 +564,55 @@ def test_compare_pair_phi_ratio_rows_match_header(tmp_path):
     config = _write(tmp_path, PAIR_YAML + sphere)
     out = tmp_path / "out"
     assert main(["compare", "--config", config, "--out", str(out)]) == 0
-    header, *rows = (out / "phi_ratio_gamma1.csv").read_text().splitlines()
-    assert header.split(",") == ["t", "phi_ratio_sphere0"]
-    assert rows and all(len(row.split(",")) == 2 for row in rows)
+    for name in ("phi_ratio_gamma1.csv", "phi_ratio_gamma1_partner.csv"):
+        header, *rows = (out / name).read_text().splitlines()
+        assert header.split(",") == ["t", "phi_ratio_sphere0"]
+        assert rows and all(len(row.split(",")) == 2 for row in rows)
+
+
+# a hover, and a partner hovering 0.1 m from a sphere's centre: only the
+# partner is inside an obstacle, under either filter
+PARTNER_INSIDE_YAML = textwrap.dedent(
+    """\
+    name: cli-partner-inside
+    duration: 0.5
+    dt: 0.004166666666666667
+    initial_state:
+      position: [0.0, 0.0, 1.0]
+    reference:
+      type: hover
+      point: [0.0, 0.0, 1.0]
+    obstacles:
+      - kind: sphere
+        center: [0.1, 3.0, 1.0]
+        radius_raw: 0.3
+    partner:
+      initial_state:
+        position: [0.0, 3.0, 1.0]
+      reference:
+        type: hover
+        point: [0.0, 3.0, 1.0]
+    filter: c3bf
+    """
+)
+
+
+def test_compare_pair_reports_the_partner(tmp_path, capsys):
+    """compare on a pair reports and gates both vehicles: the partner's C3BF
+    run is unsafe, so it exits 2, with a partner section and partner files."""
+    config = _write(tmp_path, PARTNER_INSIDE_YAML)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config, "--out", str(out)]) == 2
+    text = (out / "compare.txt").read_text()
+    assert capsys.readouterr().out == text
+    first, partner = text.split("\n\n")
+    assert first.splitlines()[0] == "scenario: cli-partner-inside"
+    assert "[a] success: true" in first.splitlines()
+    assert partner.splitlines()[0] == "scenario: cli-partner-inside-partner"
+    assert "[a] success: false" in partner.splitlines()
+    for name in ("trace_hocbf_gamma1_partner.csv", "phi_ratio_gamma1_partner.csv"):
+        assert (out / name).is_file(), name
+    assert parse_trace(out / "trace_c3bf_partner.csv").separation.min() < -1e-3
 
 
 @pytest.mark.parametrize(

@@ -52,7 +52,6 @@ from coneguard.harness import (
     Metrics,
     ScenarioConfig,
     compute_metrics,
-    run,
     run_pair,
 )
 from coneguard.qp import GRADIENT_MIN, QpProblem, QpSolution, solve
@@ -375,10 +374,7 @@ def test_scenario_files_load_or_fail_as_one_typed_line(text):
         duration = min(config.duration, FLIGHT_SECONDS, FLIGHT_STEPS * config.dt)
         config = replace(config, duration=duration)
         try:
-            if config.partner is not None:
-                traces = run_pair(config)
-            else:
-                traces = (run(config),)
+            traces = run_pair(config)
         except ConeguardError as exc:
             _assert_one_line(exc)
             return

@@ -515,7 +515,7 @@ def test_compare_reports_both_sides():
         kind="sphere", center=(2.0, 0.05, 0.90), radius_raw=0.2, velocity=(-0.3, 0, 0)
     )
     config = line_config(duration=2.0, obstacles=(obs,))
-    (report,) = compare(config, (1.0,))
+    ((report,),) = compare(config, (1.0,))
     assert report.trace_a.filter_kind == "c3bf"
     assert report.trace_b.filter_kind == "hocbf"
     assert report.trace_a.h.shape == report.trace_b.h.shape
@@ -535,14 +535,14 @@ def test_compare_runs_the_c3bf_side_once(monkeypatch):
     )
     config = line_config(duration=0.5, obstacles=(obs,))
     flown = []
-    fly = harness.run
+    fly = harness.run_pair
 
     def spy(config):
         flown.append(config)
         return fly(config)
 
-    monkeypatch.setattr(harness, "run", spy)
-    reports = list(compare(config, (0.5, 1.0, 2.0)))
+    monkeypatch.setattr(harness, "run_pair", spy)
+    reports = [report for (report,) in compare(config, (0.5, 1.0, 2.0))]
     assert [c.filter_kind for c in flown] == ["c3bf"] + ["hocbf"] * 3
     assert [c.hocbf_gamma for c in flown[1:]] == [0.5, 1.0, 2.0]
     assert all(report.trace_a is reports[0].trace_a for report in reports)

@@ -285,7 +285,7 @@ def test_comparison_text_and_phi_ratio(tmp_path):
         obstacles=(obs,),
     )
 
-    (report,) = compare(config, (1.0,))
+    ((report,),) = compare(config, (1.0,))
     text = comparison_text(report, 1.0)
     assert "[a]" in text and "[b]" in text
     assert "separation_gap" in text
