@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import ConeguardError, ConfigError
 from .harness import FILTER_KINDS, ScenarioConfig, compare, compute_metrics, run_pair
+from .records import file_access
 from .scenarios import builtin_scenarios, get_scenario, load_scenario
 from .traceio import comparison_text, metrics_text, write_phi_ratio, write_trace
 
@@ -86,19 +87,17 @@ def _resolve_config(args) -> ScenarioConfig:
 
 def _out_dir(name: str) -> Path:
     """The output directory, made with its parents where they are missing."""
-    out = Path(name)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
-        raise ConfigError(f"{name}: {getattr(exc, 'strerror', None) or exc}") from exc
-    return out
+    with file_access(name):
+        Path(name).mkdir(parents=True, exist_ok=True)
+    return Path(name)
 
 
 def _report(path: Path, blocks: list[str], metrics) -> int:
     """The blocks, joined by a blank line, to path and stdout; exit code 0
     when every vehicle's run is safe, else 2."""
     text = "\n".join(blocks)
-    path.write_text(text, newline="\n")
+    with file_access(path):
+        path.write_text(text, encoding="utf-8", newline="\n")
     sys.stdout.write(text)
     return 0 if all(m.success for m in metrics) else 2
 

@@ -9,7 +9,8 @@ read-only), ``checked_records`` and ``checked_types`` for the records it
 holds and ``check_label`` for a label. A value of the wrong type is a bad
 value, and a boolean is not a number, alone or in a list. The scenario
 loader has no value checks of its own: each value it reads is checked
-here, by the record it builds.
+here, by the record it builds. A file that cannot be opened, read, written
+or made fails the same way, as one line from ``file_access``.
 
 Where a value was checked where it was made, the class's ``prebuilt``
 builder stores it in the record as it is, without running ``__init__`` or
@@ -20,6 +21,7 @@ record's layout is spelled only once, in its class.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -131,6 +133,17 @@ def shown_path(path) -> str:
     (a line break, a NUL), so that the message stays one line."""
     text = str(path)
     return text if text.isprintable() else repr(text)
+
+
+@contextmanager
+def file_access(path):
+    """The block's OSError or ValueError as the ConfigError "<shown path>:
+    <strerror or message>"; wrap only the I/O call, as ConfigError is a ValueError."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, a NUL, a lone surrogate
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{shown_path(path)}: {reason}") from exc
 
 
 def checked_records(values, cls: type, what: str) -> tuple:

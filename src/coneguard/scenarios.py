@@ -31,7 +31,7 @@ from .cone import Obstacle
 from .dynamics import QuadrotorParams, QuadrotorState
 from .errors import ConeguardError, ConfigError
 from .harness import AgentSpec, ScenarioConfig
-from .records import checked_array, shown_path
+from .records import checked_array, file_access, shown_path
 from .reference import HoverReference, LineReference, WaypointReference
 from .tracking import ControllerGains
 
@@ -308,10 +308,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     path = Path(path)
     shown = shown_path(path)
-    try:
+    with file_access(path):
         text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
-        raise ConfigError(f"{shown}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:  # PyYAML's own message spans several lines

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .records import check_label, shown_path
+from .records import check_label, file_access, shown_path
 
 FLOAT_FORMAT = ".8e"  # 9 significant digits, in the trace and in the file
 STATE_COLUMNS = (
@@ -169,7 +169,7 @@ def _csv_rows(block: np.ndarray) -> bytes:
 
 def _write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
     """The header line, then one line per row, in blocks of _QUANTIZE_ROWS."""
-    with open(path, "wb") as out:
+    with file_access(path), open(path, "wb") as out:
         out.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, table.shape[0], _QUANTIZE_ROWS):
             out.write(_csv_rows(table[start : start + _QUANTIZE_ROWS]))
@@ -190,10 +190,8 @@ def parse_trace(path: str | Path) -> SimTrace:
     """
     path = Path(path)
     shown = shown_path(path)
-    try:
+    with file_access(path):
         lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in path
-        raise ConfigError(f"{shown}: {exc}") from exc
     if not lines:
         raise ConfigError(f"{shown}: empty trace file")
     header = lines[0].split(",")

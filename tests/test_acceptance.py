@@ -193,17 +193,13 @@ def test_c04_input_row_never_vanishes():
         sphere = random_sphere(rng)
         cylinder = random_cylinder(rng)
         t = float(rng.uniform(0, 2))
-        p_s, _ = oracles.relative_state(
-            state.as_vector(), sphere.center, sphere.velocity, t
-        )
+        frame = BodyFrame(state, PARAMS)
+        p_s, _ = frame.relative(sphere, t)
         r_s = inflated_radius(sphere, PARAMS.body_width)
-        p_c, _ = oracles.relative_state(
-            state.as_vector(), cylinder.center, cylinder.velocity, t
-        )
+        p_c, _ = frame.relative(cylinder, t)
         r_c = inflated_radius(cylinder, PARAMS.body_width)
         if np.linalg.norm(p_s) < r_s + 0.01 or np.linalg.norm(p_c[:2]) < r_c + 0.01:
             continue
-        frame = BodyFrame(state, PARAMS)
         _, (row_s, _) = barrier_3d(frame, sphere, PARAMS, kappa, t)
         _, (row_c, _) = barrier_projection(frame, cylinder, PARAMS, kappa, t)
         mins["cone-sphere"] = min(

@@ -1,6 +1,10 @@
 """End-to-end CLI checks through main(argv) with short scenario files."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +137,9 @@ def test_validate_shipped_configs(capsys):
 
 def test_validate_missing_file_exits_1(capsys):
     assert main(["validate-config", "--config", "/no/such/file.yaml"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: /no/such/file.yaml: No such file or directory\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -407,6 +413,49 @@ def test_out_path_that_cannot_be_a_directory_exits_1(
     out = f"{tmp_path / 'file'}{below}"
     assert main([command, "--config", config, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {out}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "command, held", [("run", "trace.csv"), ("compare", "trace_hocbf_gamma1.csv")]
+)
+def test_output_file_held_by_a_directory_exits_1(tmp_path, capsys, command, held):
+    """An output file whose path a directory holds ends in one error line
+    after the flight, not in an IsADirectoryError traceback."""
+    config = _write(tmp_path, HOVER_YAML)
+    out = tmp_path / "out"
+    (out / held).mkdir(parents=True)
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out / held}: Is a directory\n"
+
+
+def test_reports_are_utf8_under_an_ascii_locale(tmp_path):
+    """metrics.txt and compare.txt are UTF-8 whatever the locale: under
+    LC_ALL=C, with neither UTF-8 mode nor locale coercion, run and compare
+    a scenario named héllo with exit 0. stdout's encoding is the
+    terminal's, so it is set to UTF-8 here."""
+    text = HOVER_YAML.replace("cli-hover", "héllo")
+    config = tmp_path / "scenario.yaml"
+    text = text.replace("duration: 0.5", "duration: 0.05")
+    config.write_text(text, encoding="utf-8")
+    tests = Path(__file__).resolve().parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(tests.parent / "src"),
+        "PYTHONIOENCODING": "utf-8",
+        "PYTHONCOERCECLOCALE": "0",
+        "LC_ALL": "C",
+    }
+    for command, report in (("run", "metrics.txt"), ("compare", "compare.txt")):
+        out = tmp_path / command
+        argv = [command, "--config", str(config), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "coneguard.cli", *argv],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "scenario: héllo\n" in (out / report).read_text(encoding="utf-8")
 
 
 def test_run_dt_override_changes_grid(tmp_path):

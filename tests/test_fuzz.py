@@ -442,12 +442,14 @@ _SOURCES = st.sampled_from(
 ) | st.sampled_from([("--scenario", name) for name in scenarios.scenario_names()])
 
 # Flag values. The test runs in a scratch directory that holds "hover.yaml",
-# "obstacles.yaml" and the plain file "file"; a drawn text has no "/", so
-# that every path stays inside that directory or its parent.
+# "obstacles.yaml", the plain file "file" and the directory "held", where
+# directories hold the output files "trace.csv" and "trace_hocbf_gamma1.csv";
+# a drawn text has no "/", so that every path stays inside that directory
+# or its parent.
 _ARG_VALUES = st.one_of(
     st.sampled_from(
         [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "obstacles.yaml",
-         "missing.yaml", "file", "file/x", "out", "-", "--", "-1"]
+         "missing.yaml", "file", "file/x", "held", "out", "-", "--", "-1"]
     ),
     st.sampled_from(_SPELLINGS),
     st.floats().map(repr),
@@ -489,6 +491,9 @@ def argvs(draw) -> list[str]:
 @example(["compare", "--config", "hover.yaml", "--out", "file/x"]).via(
     "an output directory below a file: NotADirectoryError traceback"
 )
+@example(["run", "--config", "hover.yaml", "--out", "held"]).via(
+    "an output file held by a directory: IsADirectoryError traceback"
+)
 @example(["run", "--config", "hover.yaml", "--out", "a\x00b"]).via(
     "a NUL in the output path: ValueError traceback"
 )
@@ -513,6 +518,8 @@ def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
         (work / "hover.yaml").write_text(_HOVER, encoding="utf-8")
         (work / "obstacles.yaml").write_text(_OBSTACLES, encoding="utf-8")
         (work / "file").write_text("", encoding="utf-8")
+        for held in ("trace.csv", "trace_hocbf_gamma1.csv"):
+            (work / "held" / held).mkdir(parents=True)
         patch.chdir(work)
         patch.setattr(harness, "MAX_STEPS", FLIGHT_STEPS)
         stdout, stderr = io.StringIO(), io.StringIO()

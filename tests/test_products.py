@@ -1,18 +1,19 @@
 """Every small product of the control step is ``ndarray.dot``, which must
 give the bits of the ``@`` it replaced for each operand layout the step
-passes, and every row-wise dot of the stacked survey and the QP's blocking
+passes, every row-wise dot of the stacked survey and the QP's blocking
 scan is one ``np.vecdot``, which must give each row the bits of its 1-D
-dot. All reach the same BLAS routine (ddot or dgemv, dgemm for a Gram
-matrix); a numpy or BLAS upgrade that splits them fails here first, before
-the trace digests do."""
+dot, and every broadcast matmul of the batched paths must give each row
+the bits of the scalar path's product. All reach the same BLAS routine
+(ddot or dgemv, dgemm for a Gram matrix); a numpy or BLAS upgrade that
+splits them fails here first, before the trace digests do."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from helpers import assert_same_bits
-from coneguard.cone import Obstacle, input_map
+from helpers import assert_same_bits, random_state
+from coneguard.cone import BodyFrame, Obstacle, input_map
 from coneguard.dynamics import MOMENT_MIX, QuadrotorParams, rotation_matrix
 from coneguard.tracking import ALLOCATION_INV
 
@@ -152,3 +153,51 @@ def test_row_dots_by_vecdot(n):
                 stacked = np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
             assert_same_bits(got, np.array(rows), (name, "1-D dots", a, b))
             assert_same_bits(got, stacked, (name, "stacked matmul", a, b))
+
+
+def _moderate(rng, shape):
+    """Signed draws whose magnitudes span 1e-8 to 1e8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+def test_batched_products_are_bit_equal_to_per_row_ones():
+    """_phi_ratio and cone.barrier_stack rely on these: the projector as a
+    broadcast matmul over (N, 3, 1), one projector per row stacked, and one
+    per column of an (n, k, 3, 1) grid, broadcast over its n rows, R^T w and
+    -M^T y with the step's matrices broadcast over (N, 3, 1), and arccos over
+    an array, each equal to the per-row call of the scalar path. The
+    operands keep the scalar path's layout (a contiguous projector, a
+    transposed R and -M^T, rows of p), since BLAS may sum in another order
+    for another layout."""
+    rng = np.random.default_rng(12)
+    n = 4000
+    p = _moderate(rng, (n, 3))
+    projectors = []
+    for _ in range(5):
+        P = _cylinder_projector(rng)
+        projectors.append(P)
+        projected = np.matmul(P, p[:, :, None])[:, :, 0]
+        assert_same_bits(projected, np.array([P @ row for row in p]))
+    cos_phi = np.concatenate(
+        [rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, 0.0, n), [0.0, 1.0]]
+    )
+    angles = np.arccos(cos_phi)
+    assert_same_bits(angles, np.array([float(np.arccos(c)) for c in cos_phi.tolist()]))
+    v = _moderate(rng, (n, 3))
+    _moderate(rng, (n, 4))  # unused, so that the states below keep their draws
+    stacked = np.array([projectors[i % 5] for i in range(n)])
+    assert_same_bits(
+        np.matmul(stacked, p[:, :, None])[:, :, 0],
+        np.array([P @ row for P, row in zip(stacked, p)]),
+    )
+    grid = p.reshape(-1, 5, 3)
+    assert_same_bits(
+        np.matmul(np.array(projectors), grid[..., None])[..., 0],
+        np.array([[P @ row for P, row in zip(projectors, rows)] for rows in grid]),
+    )
+    for _ in range(5):
+        frame = BodyFrame(random_state(rng, att_max=1.4, rate=50.0), QuadrotorParams())
+        y = np.matmul(frame.R.T, v[:, :, None])
+        assert_same_bits(y[:, :, 0], np.array([frame.R.T @ w for w in v]))
+        input_rows = np.matmul(frame.input_map, y)[:, :, 0]
+        assert_same_bits(input_rows, np.array([frame.input_map @ x for x in y[:, :, 0]]))

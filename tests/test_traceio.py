@@ -82,8 +82,8 @@ obstacles:
 """
 
 
-def short_trace():
-    config = ScenarioConfig(
+def short_config():
+    return ScenarioConfig(
         name="io-check",
         duration=0.25,
         dt=1 / 240,
@@ -100,7 +100,10 @@ def short_trace():
         ),
         filter_kind="c3bf",
     )
-    return run(config)
+
+
+def short_trace():
+    return run(short_config())
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -432,16 +435,30 @@ def test_load_scenario_from_file(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\x00b"], ids=["line-break", "nul"])
-def test_unprintable_paths_are_shown_as_their_repr(tmp_path, name):
-    """A path with a line break or a NUL is shown as its repr, so that the
-    error stays one line; the NUL's ValueError is a ConfigError too."""
-    for path in (name, tmp_path / name):
-        for read in (load_scenario, parse_trace):
+def test_unprintable_paths_are_shown_as_their_repr(tmp_path, monkeypatch, name):
+    """A path with a line break or a NUL is shown as its repr by the two
+    readers and the two writers, so that the error stays one line: a file
+    to read that is missing, one to write below a missing directory, and a
+    directory in the file's place; the NUL's ValueError is a ConfigError too."""
+    monkeypatch.chdir(tmp_path)
+    ((report,),) = compare(short_config(), (1.0,))
+    held = tmp_path / "held" / name
+    if "\x00" not in name:
+        held.mkdir(parents=True)
+    for use, below in (
+        (load_scenario, ""),
+        (parse_trace, ""),
+        (lambda path: write_trace(path, report.trace_a), "/x.csv"),
+        (lambda path: write_phi_ratio(path, report), "/x.csv"),
+    ):
+        for path in (name + below, Path(f"{tmp_path / name}{below}"), held):
             with pytest.raises(ConfigError) as exc_info:
-                read(path)
+                use(path)
             message = str(exc_info.value)
             assert message.startswith(f"{str(path)!r}: "), message
             assert message.splitlines() == [message]
+        if held.is_dir():
+            assert message == f"{str(held)!r}: Is a directory"
 
 
 def test_non_utf8_files_raise_one_line_config_errors(tmp_path):
