@@ -22,11 +22,17 @@ SWEEP_GAMMAS = (0.5, 1.0, 2.0)
 VEHICLE_SUFFIXES = ("", "_partner")
 
 
+def _show(text: str, stream) -> None:
+    """text on stream, escaping what its encoding (UTF-8 if none) cannot hold."""
+    enc = stream.encoding or "utf-8"
+    stream.write(text.encode(enc, "backslashreplace").decode(enc))
+
+
 def _print_error(text: str) -> None:
     """text on one stderr line: a character that is not printable (a line
     break, a NUL, a lone surrogate) is shown as its escape."""
     shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
-    print(shown, file=sys.stderr)
+    _show(shown + "\n", sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,22 +57,25 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     add_source(p_run)
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--filter", choices=FILTER_KINDS)
     p_run.add_argument("--hocbf-gamma", type=float, help="HO-CBF penalty gamma")
 
     p_cmp = sub.add_parser("compare", help="run c3bf vs hocbf on one scenario")
     add_source(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_compare)
     p_cmp.add_argument("--hocbf-gamma", type=float, default=1.0)
     p_cmp.add_argument(
-        "--sweep-gamma",
-        action="store_true",
+        "--sweep-gamma", action="store_true",
         help="compare at gamma in {0.5, 1, 2} instead of a single value",
     )
 
-    sub.add_parser("list-scenarios", help="print built-in scenario names")
+    p_list = sub.add_parser("list-scenarios", help="print built-in scenario names")
+    p_list.set_defaults(handler=_cmd_list)
 
     p_val = sub.add_parser("validate-config", help="check a scenario file")
     p_val.add_argument("--config", required=True)
+    p_val.set_defaults(handler=_cmd_validate)
     return parser
 
 
@@ -77,7 +86,7 @@ def _resolve_config(args) -> ScenarioConfig:
         try:
             config = get_scenario(args.scenario)
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
     else:
         config = load_scenario(args.config)
     if args.dt is not None:
@@ -98,7 +107,7 @@ def _report(path: Path, blocks: list[str], metrics) -> int:
     text = "\n".join(blocks)
     with file_access(path):
         path.write_text(text, encoding="utf-8", newline="\n")
-    sys.stdout.write(text)
+    _show(text, sys.stdout)
     return 0 if all(m.success for m in metrics) else 2
 
 
@@ -133,33 +142,24 @@ def _cmd_compare(args) -> int:
     return _report(out / "compare.txt", sections, [r.metrics_a for r in reports])
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for config in builtin_scenarios():
-        print(f"{config.name:<16} {config.description}")
+        _show(f"{config.name:<16} {config.description}\n", sys.stdout)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    config = load_scenario(args.config)
-    print(f"ok: {config.name}")
+    _show(f"ok: {load_scenario(args.config).name}\n", sys.stdout)
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "list-scenarios":
-            return _cmd_list()
-        if args.command == "validate-config":
-            return _cmd_validate(args)
+        return args.handler(args)
     except ConeguardError as exc:
         _print_error(f"error: {exc}")
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -111,12 +111,13 @@ _E3_FLOATS = (0.0, 0.0, 1.0)
 _E3 = np.array(_E3_FLOATS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Obstacle:
     """Spherical or cylindrical obstacle translating at constant velocity.
 
-    Cylinders are modeled as infinite along their axis: height is kept for
-    scenario bookkeeping but never enters the constraint.
+    Cylinders are modeled as infinite along their axis: height never enters
+    the cone constraint, and sizes only the HO-CBF baseline's encompassing
+    sphere (``encompassing_radius``).
     """
 
     kind: str  # "sphere" | "cylinder"
@@ -124,7 +125,7 @@ class Obstacle:
     radius_raw: float  # geometric radius before inflation (m)
     velocity: np.ndarray = (0.0, 0.0, 0.0)  # constant (m/s)
     axis: np.ndarray | None = None  # cylinder axis, unit vector
-    height: float | None = None  # cylinder height (m), bookkeeping only
+    height: float | None = None  # cylinder height (m), HO-CBF sphere only
     label: str = ""
 
     def __post_init__(self):

@@ -103,14 +103,15 @@ class QuadrotorParams:
 _PARTS = ("position", "velocity", "attitude", "body_rates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadrotorState:
-    """Value-semantic 12-dimensional state, held as one read-only vector.
+    """12-dimensional state, held as one read-only vector.
 
-    position, velocity, attitude and body_rates are read-only views of that
-    vector. The four-part constructor copies its arguments into it, and
-    ``from_vector`` copies its argument, so a state never shares memory
-    with its caller. Either refuses values that are not 12 finite numbers
+    A state's value is ``as_vector()``: states, like every record that holds
+    arrays, compare and hash by identity. position, velocity, attitude and
+    body_rates are read-only views of that vector. The four-part constructor
+    copies its arguments into it, and ``from_vector`` copies its argument,
+    so a state never shares memory with its caller. Either refuses values that are not 12 finite numbers
     (ConfigError).
     """
 
@@ -164,7 +165,7 @@ def _wrap(x: np.ndarray) -> QuadrotorState:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlInput:
     """Four rotor thrusts in newtons."""
 

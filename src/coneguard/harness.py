@@ -97,7 +97,7 @@ STACK_MIN_ROWS = 4
 Reference = HoverReference | LineReference | WaypointReference
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentSpec:
     """Initial state and reference for the second vehicle of a pair."""
 
@@ -108,7 +108,7 @@ class AgentSpec:
         checked_types(self, initial_state=QuadrotorState, reference=Reference)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """One scenario: timing, vehicle, reference, obstacles and filter.
 
@@ -179,7 +179,7 @@ class Metrics:
     success: bool  # min_separation >= -1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """One vehicle's C3BF run (a) and one HO-CBF run (b) on the same geometry."""
 

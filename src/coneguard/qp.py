@@ -153,7 +153,7 @@ def _check_finite(row: list[float], offset: float) -> None:
         raise ConfigError("constraint row must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSafetyConstraint:
     """One row a.u + b >= 0 of the safety QP, as QpProblem.constraints gives it."""
 
@@ -162,7 +162,7 @@ class AffineSafetyConstraint:
     label: str = ""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class QpProblem:
     """The QP of u_des and its rows a_i . u + b_i >= 0, held as arrays.
 
@@ -218,7 +218,7 @@ def checked_problem(
     return _problem(u_des, A, b, labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
     u_star: np.ndarray
     active_set: tuple[str, ...]

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .records import checked_array, checked_real, prebuilt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSample:
     position: np.ndarray
     velocity: np.ndarray

@@ -52,7 +52,7 @@ def trace_columns(labels: tuple[str, ...]) -> list[str]:
     return columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Per-step record of one closed-loop run (table floats 9-digit quantized).
 

@@ -431,10 +431,11 @@ def test_output_file_held_by_a_directory_exits_1(tmp_path, capsys, command, held
 
 
 def test_reports_are_utf8_under_an_ascii_locale(tmp_path):
-    """metrics.txt and compare.txt are UTF-8 whatever the locale: under
-    LC_ALL=C, with neither UTF-8 mode nor locale coercion, run and compare
-    a scenario named héllo with exit 0. stdout's encoding is the
-    terminal's, so it is set to UTF-8 here."""
+    """Under LC_ALL=C, with neither UTF-8 mode, locale coercion nor
+    PYTHONIOENCODING, validate-config, run and compare a scenario named
+    héllo with exit 0 and nothing on stderr: the ASCII stdout shows the
+    name as its escape, h\\xe9llo, and metrics.txt and compare.txt hold it
+    in UTF-8."""
     text = HOVER_YAML.replace("cli-hover", "héllo")
     config = tmp_path / "scenario.yaml"
     text = text.replace("duration: 0.5", "duration: 0.05")
@@ -443,19 +444,27 @@ def test_reports_are_utf8_under_an_ascii_locale(tmp_path):
     env = {
         **os.environ,
         "PYTHONPATH": str(tests.parent / "src"),
-        "PYTHONIOENCODING": "utf-8",
         "PYTHONCOERCECLOCALE": "0",
         "LC_ALL": "C",
     }
-    for command, report in (("run", "metrics.txt"), ("compare", "compare.txt")):
+    env.pop("PYTHONIOENCODING", None)
+    runs = [
+        ("validate-config", None, b"ok: h\\xe9llo\n"),
+        ("run", "metrics.txt", b"scenario: h\\xe9llo\n"),
+        ("compare", "compare.txt", b"scenario: h\\xe9llo\n"),
+    ]
+    for command, report, shown in runs:
         out = tmp_path / command
-        argv = [command, "--config", str(config), "--out", str(out)]
+        out_flag = ["--out", str(out)] if report else []
+        argv = [command, "--config", str(config), *out_flag]
         done = subprocess.run(
             [sys.executable, "-X", "utf8=0", "-m", "coneguard.cli", *argv],
             env=env, capture_output=True, timeout=60,
         )
-        assert done.returncode == 0, done.stderr
-        assert "scenario: héllo\n" in (out / report).read_text(encoding="utf-8")
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr
+        assert shown in done.stdout
+        if report:
+            assert "scenario: héllo\n" in (out / report).read_text(encoding="utf-8")
 
 
 def test_run_dt_override_changes_grid(tmp_path):
@@ -520,7 +529,10 @@ def test_run_requires_exactly_one_source(tmp_path, capsys):
 
 def test_run_unknown_scenario_exits_1(capsys):
     assert main(["run", "--scenario", "warp-drive"]) == 1
-    assert "unknown scenario" in capsys.readouterr().err
+    known = ", ".join(scenario_names())
+    assert capsys.readouterr().err == (
+        f"error: unknown scenario 'warp-drive'; known: {known}\n"
+    )
 
 
 def test_run_pair_writes_partner_trace(tmp_path):

@@ -394,11 +394,13 @@ _METRICS_KEYS = ["scenario", "filter", *(f.name for f in fields(Metrics))]
 
 # ---- the command line -----------------------------------------------------
 
-# The sources: every built-in, and two files flown for FLIGHT_SECONDS: a
-# hover, and a line past a sphere and a cylinder, so that compare writes
+# The sources: every built-in, and three files flown for FLIGHT_SECONDS: a
+# hover, the same hover named héllo, which an ASCII stdout cannot print as
+# it is, and a line past a sphere and a cylinder, so that compare writes
 # phi-ratio columns.
 _HOVER = (CONFIGS_DIR / "hover.yaml").read_text()
 _HOVER = _HOVER.replace("duration: 4.0", f"duration: {FLIGHT_SECONDS}")
+_HELLO = _HOVER.replace("name: hover", "name: héllo")
 _OBSTACLES = f"""\
 name: fuzz-obstacles
 duration: {FLIGHT_SECONDS}
@@ -438,18 +440,19 @@ def _flags() -> dict[str, dict[str, argparse.Action]]:
 
 _FLAGS = _flags()
 _SOURCES = st.sampled_from(
-    [("--config", "hover.yaml"), ("--config", "obstacles.yaml")]
+    [("--config", name) for name in ("hover.yaml", "hello.yaml", "obstacles.yaml")]
 ) | st.sampled_from([("--scenario", name) for name in scenarios.scenario_names()])
 
 # Flag values. The test runs in a scratch directory that holds "hover.yaml",
-# "obstacles.yaml", the plain file "file" and the directory "held", where
-# directories hold the output files "trace.csv" and "trace_hocbf_gamma1.csv";
-# a drawn text has no "/", so that every path stays inside that directory
-# or its parent.
+# "hello.yaml", "obstacles.yaml", the plain file "file" and the directory
+# "held", where directories hold the output files "trace.csv" and
+# "trace_hocbf_gamma1.csv"; a drawn text has no "/", so that every path
+# stays inside that directory or its parent.
 _ARG_VALUES = st.one_of(
     st.sampled_from(
-        [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "obstacles.yaml",
-         "missing.yaml", "file", "file/x", "held", "out", "-", "--", "-1"]
+        [*scenarios.scenario_names(), *FILTER_KINDS, "hover.yaml", "hello.yaml",
+         "obstacles.yaml", "missing.yaml", "file", "file/x", "held", "out", "-",
+         "--", "-1"]
     ),
     st.sampled_from(_SPELLINGS),
     st.floats().map(repr),
@@ -506,23 +509,29 @@ def argvs(draw) -> list[str]:
 @example(["validate-config", "--config", "a\u2028b"]).via(
     "a line break in a missing scenario path split the error line"
 )
+@example(["run", "--config", "hello.yaml"]).via(
+    "an ASCII stdout: UnicodeEncodeError traceback"
+)
 def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
     """main returns 0 or 2 with nothing on stderr, or ends with code 1,
     returned or as SystemExit(1), and exactly one stderr line; --help may
     exit 0. harness.MAX_STEPS is cut to FLIGHT_STEPS, so that a long flight,
     each built-in's included, is refused as one typed line, not flown. A
-    compare that returns 0 or 2 wrote phi-ratio tables that fit its traces."""
+    compare that returns 0 or 2 wrote phi-ratio tables that fit its traces.
+    stdout and stderr are strict ASCII, as under LC_ALL=C."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         work = Path(tmp) / "work"
         work.mkdir()
         (work / "hover.yaml").write_text(_HOVER, encoding="utf-8")
+        (work / "hello.yaml").write_text(_HELLO, encoding="utf-8")
         (work / "obstacles.yaml").write_text(_OBSTACLES, encoding="utf-8")
         (work / "file").write_text("", encoding="utf-8")
         for held in ("trace.csv", "trace_hocbf_gamma1.csv"):
             (work / "held" / held).mkdir(parents=True)
         patch.chdir(work)
         patch.setattr(harness, "MAX_STEPS", FLIGHT_STEPS)
-        stdout, stderr = io.StringIO(), io.StringIO()
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
                 code = returned = cli.main(argv)
@@ -530,7 +539,8 @@ def test_cli_returns_0_or_2_or_fails_as_one_line(argv):
                 code, returned = exc.code, None
         if argv[0] == "compare" and returned in (0, 2):
             _check_phi_ratio_tables(Path(tmp))
-    err = stderr.getvalue()
+        stderr.flush()
+        err = stderr.buffer.getvalue().decode("ascii")
     if code == 1:
         assert err.endswith("\n") and len(err.splitlines()) == 1, repr(err)
     else:

@@ -20,7 +20,7 @@ from coneguard.qp import (
 )
 from coneguard.records import prebuilt
 from coneguard.reference import HoverReference, ReferenceSample, WaypointReference
-from coneguard.scenarios import get_scenario
+from coneguard.scenarios import builtin_scenarios, get_scenario
 
 
 def _assert_same_record(built, constructed):
@@ -81,6 +81,21 @@ def test_prebuilt_takes_exactly_the_fields():
     row = build(gradient_row=a, offset=0.0, label="")
     assert row.gradient_row is a and (row.offset, row.label) == (0.0, "")
     assert vars(build(a, 0.0, "")) == vars(row)
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    """`==`, `in` and sets take a record that holds arrays as itself, not
+    raising on an array's truth value; a state's value is as_vector(), and
+    QuadrotorParams, which input_map's cache keys on, keeps value equality."""
+    config, again = get_scenario("static-overtake"), get_scenario("static-overtake")
+    assert config == config and config != again
+    assert config in [again, config] and config not in builtin_scenarios()
+    obstacle = config.obstacles[0]
+    assert len({obstacle, again.obstacles[0], obstacle}) == 2
+    assert config.initial_state != again.initial_state
+    assert_same_bits(config.initial_state.as_vector(), again.initial_state.as_vector())
+    assert QuadrotorParams() == QuadrotorParams()
+    assert hash(QuadrotorParams()) == hash(QuadrotorParams())
 
 
 LINE = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
