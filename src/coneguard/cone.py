@@ -46,9 +46,11 @@ All three adapters return the cone terms, which carry h, the clearance
 ||p|| - r and phi, and the row.
 
 ``barrier_stack`` is the same collision cone for all N obstacles of a step
-at once: (N, 3) relative states and (N,) inflated radii in, as
-``ObstacleStack`` builds them, cylinder rows projected; h, clearance, phi,
-the (N, 4) input rows and the (N,) offsets out. It keeps the scalar path's
+at once: the (2N, 3) relative states, p rows then v rows, cylinder rows
+projected, and the ``ObstacleStack`` that built them in; h, clearance, phi,
+the (N, 4) input rows and the (N,) offsets out. ||p|| and ||v|| come from
+one ``np.vecdot`` over both halves, floored in one ``np.maximum`` against
+the stack's floors, and r^2 is the stack's. It keeps the scalar path's
 operation order, and each value the bits ``barrier_3d`` and
 ``barrier_projection`` give it: every row-wise dot, w . a_d included, is
 one ``np.vecdot``, the 1-D dot of each row, and R^T w and -M^T y are the
@@ -317,9 +319,15 @@ def cone_angles(p: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||p||, s, phi) of each row of an (N, 3) p for the radius r, a float
     or (N,): ``cone_terms``'s collision-cone steps, rowwise, with its bits."""
     p_norm = np.sqrt(np.vecdot(p, p))
-    s = np.sqrt(np.maximum(p_norm * p_norm - r * r, 0.0))
-    cos_phi = s / np.maximum(p_norm, EPS_SQRT)
-    return p_norm, s, np.arccos(np.minimum(np.maximum(cos_phi, 0.0), 1.0))
+    return (p_norm, *_cone_steps(p_norm, np.maximum(p_norm, EPS_SQRT), r * r))
+
+
+def _cone_steps(
+    p_norm: np.ndarray, p_floor: np.ndarray, r2
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s, phi) from ||p||, max(||p||, EPS_SQRT) and r^2."""
+    s = np.sqrt(np.maximum(p_norm * p_norm - r2, 0.0))
+    return s, np.arccos(np.minimum(np.maximum(s / p_floor, 0.0), 1.0))
 
 
 class ObstacleStack:
@@ -331,24 +339,26 @@ class ObstacleStack:
         self.centers = np.reshape([o.center for o in obstacles], (-1, 3))
         self.velocities = np.reshape([o.velocity for o in obstacles], (-1, 3))
         self.radii = np.array([inflated_radius(o, body_width) for o in obstacles])
+        self._r2 = self.radii * self.radii
+        # the floors of ||p|| and ||v||, one per row of the (2N, 3) array
+        self._floors = np.repeat([EPS_SQRT, EPS_V], len(obstacles))
         # the cylinder rows of p, then of v, in the (2N, 3) array of both
         twice = obstacles * 2
         self.cylinders = np.flatnonzero([o.kind == "cylinder" for o in twice])
         self.projectors = np.array([twice[i]._projector for i in self.cylinders])
 
-    def relative(self, position, velocity, t) -> tuple[np.ndarray, np.ndarray]:
-        """(p, v) of every obstacle as ``cone_geometry`` gives them, from a
-        body center at position moving at velocity: (N, 3) each at one step,
-        or (n, N, 3) from n recorded rows, for (n, 1, 3) position and velocity
-        and (n, 1, 1) times t. They are the halves of one array, so that one
-        matmul projects the cylinder rows of both."""
+    def relative(self, position, velocity, t) -> np.ndarray:
+        """p then v of every obstacle as ``cone_geometry`` gives them, from a
+        body center at position moving at velocity: (2N, 3) at one step, or
+        (n, 2N, 3) from n recorded rows, for (n, 1, 3) position and velocity
+        and (n, 1, 1) times t. One array, so that one matmul projects the
+        cylinder rows of both halves and one vecdot takes both norms."""
         p = self.centers + self.velocities * t - position
         pv = np.concatenate((p, self.velocities - velocity), axis=-2)
         if self.cylinders.size:
             rows = self.cylinders
             pv[..., rows, :] = np.matmul(self.projectors, pv[..., rows, :, None])[..., 0]
-        n = len(self.radii)
-        return pv[..., :n, :], pv[..., n:, :]
+        return pv
 
 
 class ConeStack(NamedTuple):
@@ -363,45 +373,49 @@ class ConeStack(NamedTuple):
 
 def barrier_stack(
     frame: BodyFrame,
-    p: np.ndarray,
-    v: np.ndarray,
-    r: np.ndarray,
+    pv: np.ndarray,
+    stack: ObstacleStack,
     kappa_gamma: float,
     labels: tuple[str, ...],
 ) -> ConeStack:
     """The rows input_row . f + drift + kappa_gamma h >= 0 of N obstacles.
 
-    p and v are the (N, 3) relative states as ``cone_geometry`` gives them
-    (cylinder rows projected) and r the (N,) inflated radii. Each value has
-    the bits of ``cone_terms``, ``contract`` and ``barrier_row`` on its row.
-    numpy's floating-point warnings are off: a non-finite value fails its
-    row's finite check. Every row is checked in one array test (module
-    docstring); only when a row fails are the rows checked one by one, as
-    ``contract`` and ``barrier_row`` check them, for the first bad row's
-    error.
+    pv is the (2N, 3) p rows then v rows as ``stack.relative`` gives them
+    (cylinder rows projected), and the stack holds the inflated radii r, r^2
+    and the floors. Each value has the bits of ``cone_terms``, ``contract``
+    and ``barrier_row`` on its row. numpy's floating-point warnings are the
+    caller's: a run turns them off once (``harness._simulate``), and a call
+    outside one that may overflow sets ``np.errstate`` itself. A non-finite
+    value fails its row's finite check. Every row is checked in one array
+    test (module docstring); only when a row fails are the rows checked one
+    by one, as ``contract`` and ``barrier_row`` check them, for the first
+    bad row's error.
 
     Raises:
         DegenerateGradientError: a row with ||input_row|| <= 1e-10.
         ConfigError: a non-finite row entry or offset.
         The first bad row raises; one that fails both raises the gradient error.
     """
-    with np.errstate(all="ignore"):
-        pv = np.vecdot(p, v)
-        norm_v = np.sqrt(np.vecdot(v, v))
-        p_norm, s, phi = cone_angles(p, r)
-        w = p + v * (s / np.maximum(norm_v, EPS_V))[:, None]
-        rate = norm_v * norm_v + norm_v * pv / np.maximum(s, S_FLOOR)
-        y = np.matmul(frame.R.T, w[:, :, None])
-        input_rows = np.matmul(frame.input_map, y)[:, :, 0]
-        h = pv + norm_v * s
-        drift = rate + np.vecdot(w, frame.a_d)
-        offsets = drift + kappa_gamma * h
-        gradient = np.sqrt(np.vecdot(input_rows, input_rows))
-        # a nan or inf entry makes the sum non-finite (an overflowing sum of
-        # finite ones only sends the rows to the per-row checks)
-        checked = gradient.min(initial=np.inf) > GRADIENT_MIN and math.isfinite(
-            input_rows.sum() + offsets.sum()
-        )
+    n = len(stack.radii)
+    p, v = pv[:n], pv[n:]
+    norms = np.sqrt(np.vecdot(pv, pv))  # ||p|| then ||v||
+    floored = np.maximum(norms, stack._floors)
+    p_norm, norm_v = norms[:n], norms[n:]
+    s, phi = _cone_steps(p_norm, floored[:n], stack._r2)
+    dot = np.vecdot(p, v)
+    w = p + v * (s / floored[n:])[:, None]
+    rate = norm_v * norm_v + norm_v * dot / np.maximum(s, S_FLOOR)
+    y = np.matmul(frame.R.T, w[:, :, None])
+    input_rows = np.matmul(frame.input_map, y)[:, :, 0]
+    h = dot + norm_v * s
+    drift = rate + np.vecdot(w, frame.a_d)
+    offsets = drift + kappa_gamma * h
+    gradient = np.sqrt(np.vecdot(input_rows, input_rows))
+    # a nan or inf entry makes the sum non-finite (an overflowing sum of
+    # finite ones only sends the rows to the per-row checks)
+    checked = gradient.min(initial=np.inf) > GRADIENT_MIN and math.isfinite(
+        input_rows.sum() + offsets.sum()
+    )
     if not checked:
         checks = zip(labels, gradient.tolist(), input_rows.tolist(), offsets.tolist())
         for label, norm, row, offset in checks:
@@ -409,7 +423,7 @@ def barrier_stack(
             _check_finite(row, offset)
     input_rows.setflags(write=False)
     offsets.setflags(write=False)
-    return ConeStack(h, p_norm - r, phi, input_rows, offsets)
+    return ConeStack(h, p_norm - stack.radii, phi, input_rows, offsets)
 
 
 def cone_geometry(

@@ -211,6 +211,7 @@ def _obstacle_labels(config: ScenarioConfig) -> tuple[str, ...]:
     return labels + ("partner",) if config.partner is not None else labels
 
 
+@np.errstate(all="ignore")
 def _survey(
     state: QuadrotorState,
     other: QuadrotorState | None,
@@ -235,13 +236,15 @@ def _survey(
     comparable with filtered ones, but build no rows. The clearance is the
     terms' own wherever they were built on the cone's geometry, which is
     every obstacle but an HO-CBF cylinder, whose terms see the encompassing
-    sphere; that one keeps separation_distance.
+    sphere; that one keeps separation_distance. numpy's floating-point
+    warnings are off, as in a run; ``_simulate`` calls the undecorated
+    function, since its own ``np.errstate`` already holds for every step.
     """
     frame = BodyFrame(state, config.params)
     params, kappa_gamma = config.params, config.kappa_gamma
     if stack is not None:
-        p, v = stack.relative(frame.position, frame.velocity, t)
-        terms = barrier_stack(frame, p, v, stack.radii, kappa_gamma, labels)
+        pv = stack.relative(frame.position, frame.velocity, t)
+        terms = barrier_stack(frame, pv, stack, kappa_gamma, labels)
         cells = np.empty(2 * len(labels))
         cells[0::2], cells[1::2] = terms.h, terms.clearance
         return cells, terms.phi, (terms.input_rows, terms.offsets, labels)
@@ -360,6 +363,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
     stack = None
     if solo_c3bf and len(labels) >= STACK_MIN_ROWS:
         stack = ObstacleStack(config.obstacles, config.params.body_width)
+    survey = _survey.__wrapped__  # its np.errstate is this run's, set once
     for k in range(n_steps + 1):
         t = k * config.dt
         try:
@@ -370,7 +374,7 @@ def _simulate(config: ScenarioConfig) -> tuple[SimTrace, ...]:
                 ref = references[a].sample(t)
                 control = track(state, ref, config.gains, config.params)
                 u_des = control.thrusts
-                cells, angles, rows = _survey(state, other, labels, config, t, stack)
+                cells, angles, rows = survey(state, other, labels, config, t, stack)
                 u_star = solve(checked_problem(u_des, *rows)).u_star
                 recorders[a].add(
                     k, t, state, u_des, u_star, cells, angles, ref.position
@@ -459,8 +463,8 @@ def _phi_ratio(
     r_e3_l = thrust_axes(trace.states[:, 6:9]) * config.params.center_offset
     body_centers = (trace.states[:, 0:3] + r_e3_l)[:, None]
     at_rest = np.zeros_like(body_centers)  # phi reads p only
-    p, _ = stack.relative(body_centers, at_rest, trace.t[:, None, None])
-    _, _, phi = cone_angles(p, stack.radii)
+    pv = stack.relative(body_centers, at_rest, trace.t[:, None, None])
+    _, _, phi = cone_angles(pv[:, : len(labels)], stack.radii)
     return labels, trace.half_angles[:, : len(labels)] / np.maximum(phi, 1e-12)
 
 

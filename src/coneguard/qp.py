@@ -27,18 +27,27 @@ optimum, instead. If c fails the test, the start is the closest feasible
 candidate among the projections of u_des onto the affine sets
 {A_S u = -b_S}, one per subset S of at most 4 rows, each computed by
 ``lstsq`` on the Gram system and visited in ``itertools.combinations``
-order with a strict ``dist < best_dist`` rule. If the problem is
-feasible, the optimum's linearly independent active subset yields exactly
-the optimum under this projection, so the winner both certifies
-feasibility and starts the active-set loop at (or next to) the solution.
+order with a strict ``dist < best_dist`` rule. Each size of two or more
+rows with more than one subset is one stack: its Grams, right-hand sides,
+candidates, slacks and distances are broadcast products, each item with
+the bits of its own subset's, and its Grams go to LAPACK in one call of
+the gufunc ``lstsq`` itself calls. Its winner is the first feasible
+candidate of strictly smallest distance, the one the sequential rule
+picks. A lone subset, such as corridor's one 2-row pair, costs less
+unstacked and goes by itself, as do the single rows (closed forms below).
+If the problem is feasible, the optimum's linearly independent active
+subset yields exactly the optimum under this projection, so the winner
+both certifies feasibility and starts the active-set loop at (or next to)
+the solution.
 If no candidate is feasible the problem is infeasible and the violated
 labels are reported, most violated first and tied rows in row order.
 
 One ``solve`` projects each row tuple at most once. Every projection, of
 c, a search candidate or a working set of the loop, is kept under its row
-tuple, and the loop reuses one only for the same rows in the same order:
-the same ``lstsq`` input, so the same array. Most often the start is c,
-and its row is the loop's first working set.
+tuple, a stacked candidate as its row of the stack, and the loop reuses one
+only for the same rows in the same order: the same ``lstsq`` input, so the
+same bits. Most often the start is c, and its row is the loop's first
+working set.
 
 Single rows in closed form. The projection onto one row a is u_des + a mu
 with the 1x1 Gram system g mu = r, g = a . a and r = -(a . u_des + b), and
@@ -121,6 +130,8 @@ from .errors import (
     UncertifiedSolutionError,
 )
 from .records import check_label, checked_array, checked_type, prebuilt
+
+_gufunc_lstsq = np.linalg._umath_linalg.lstsq  # the solver of np.linalg.lstsq
 
 GRADIENT_MIN = 1e-10  # below this, a safety row contradicts the barrier theory
 FEAS_TOL = 1e-10  # feasibility slack used by the active-set bookkeeping
@@ -289,20 +300,48 @@ def _multipliers(W: np.ndarray, step: np.ndarray) -> list[float]:
     return _lstsq(W.T, step).tolist()
 
 
+def _svd_failed(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+@np.errstate(
+    call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
 def _lstsq(M: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """lstsq's solution of M x = y, or all nan where an overflowed product
-    put an inf or nan in M or y, which LAPACK refuses with a stderr line."""
-    if np.isfinite(M).all() and np.isfinite(y).all():
-        return np.linalg.lstsq(M, y, rcond=None)[0]
-    return np.full(M.shape[1], np.nan)
+    """lstsq's solution of M x = y for one system or a stack, M (..., r, c)
+    and y (..., r), by the gufunc ``np.linalg.lstsq`` calls, with its rcond
+    (eps max(r, c)) and its LinAlgError on a result LAPACK marks invalid. A
+    system that an overflowed product gave an inf or nan, which LAPACK
+    refuses with a stderr line, is solved as zeros and answered all nan."""
+    bad = not (np.isfinite(M).all() and np.isfinite(y).all())
+    if bad:
+        finite = np.isfinite(M).all(axis=(-2, -1)) & np.isfinite(y).all(axis=-1)
+        M = np.where(finite[..., None, None], M, 0.0)
+        y = np.where(finite[..., None], y, 0.0)
+    x = _gufunc_lstsq(M, y[..., None], EPS * max(M.shape[-2:]), signature="ddd->ddid")[0]
+    if bad:
+        x[~finite] = np.nan
+    return x[..., 0]
 
 
 @lru_cache(maxsize=None)
-def _subsets(m: int) -> tuple[tuple[int, ...], ...]:
-    """The subsets of at most MAX_SUBSET of m rows, in search order: by
-    size, then combinations order."""
-    sizes = range(1, min(MAX_SUBSET, m) + 1)
-    return tuple(itertools.chain(*(itertools.combinations(range(m), k) for k in sizes)))
+def _subsets(m: int) -> tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]:
+    """The subsets of at most MAX_SUBSET of m rows in search order, per
+    size: its row tuples in combinations order, and as an index array."""
+    sizes = [tuple(itertools.combinations(range(m), k)) for k in range(1, MAX_SUBSET + 1)]
+    return tuple((rows, np.array(rows, dtype=np.intp)) for rows in sizes if rows)
+
+
+def _project_stack(
+    u_des: np.ndarray, A: np.ndarray, b: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """``_project_equalities`` onto each subset of an (n, k) index array, k
+    >= 2, every row with the bits of its own: each product is the subset's
+    matmul broadcast over the stack, and the Grams are one ``_lstsq``."""
+    A_S = A[index]  # (n, k, 4), each subset contiguous, as A[list(rows)]
+    A_T = A_S.transpose(0, 2, 1)
+    mu = _lstsq(np.matmul(A_S, A_T), -(np.matmul(A_S, u_des) + b[index]))
+    return u_des + np.matmul(A_T, mu[..., None])[..., 0]
 
 
 def _feasible_start(
@@ -328,16 +367,30 @@ def _feasible_start(
     if _min_slack(A, b, c) >= -FEAS_TOL:
         return c
     best = None
-    best_dist = np.inf
-    for rows in _subsets(len(b)):
-        cand = projections.get(rows)
-        if cand is None:
-            cand = projections[rows] = _project_equalities(u_des, A, b, rows)
-        if _min_slack(A, b, cand) >= -FEAS_TOL:
-            step = cand - u_des
-            dist = math.sqrt(float(step.dot(step)))
-            if dist < best_dist:
-                best, best_dist = cand, dist
+    best_dist = math.inf
+    for subsets, index in _subsets(len(b)):
+        # the single rows' closed forms, and a lone subset, cheaper unstacked
+        if index.shape[1] == 1 or len(subsets) == 1:
+            for rows in subsets:
+                cand = projections.get(rows)
+                if cand is None:
+                    cand = projections[rows] = _project_equalities(u_des, A, b, rows)
+                if _min_slack(A, b, cand) >= -FEAS_TOL:
+                    step = cand - u_des
+                    dist = math.sqrt(float(step.dot(step)))
+                    if dist < best_dist:
+                        best, best_dist = cand, dist
+            continue
+        cands = _project_stack(u_des, A, b, index)
+        projections.update(zip(subsets, cands))
+        slacks = np.matmul(A, cands[..., None])[..., 0] + b  # each A.dot(cand) + b
+        steps = cands - u_des
+        dists = np.sqrt(np.vecdot(steps, steps))
+        # the first feasible candidate strictly closer than best; nan never is
+        closer = (slacks.min(axis=1) >= -FEAS_TOL) & (dists < best_dist)
+        if closer.any():
+            i = int(np.argmin(np.where(closer, dists, np.inf)))
+            best, best_dist = cands[i], float(dists[i])
     if best is None:
         order = np.argsort(resid, kind="stable")
         worst = [labels[i] for i in order if resid[i] < 0.0]

@@ -17,7 +17,8 @@ Quantizing and printing share one rule, ``_nine_digits``: where it finds a
 value's 9-digit significand n and exponent, those are the digits "%.8e"
 prints, so ``_quantize`` computes the value the string parses back and the
 writer spells the cell from them: its sign, n's first digit, ".", its other
-eight digits, "e" and the signed two-digit exponent. Every other value takes
+eight digits, "e" and the signed two-digit exponent; a zero, such as every
+built-in's wz column, is n = 0 at exponent 0. Every other value takes
 format(v, ".8e") itself. A table is printed in blocks of ``_QUANTIZE_ROWS``
 rows, as byte arrays, and the file has the bytes of one %-format per row on
 any table, quantized or not (the phi-ratio CSV).
@@ -90,21 +91,23 @@ def _nine_digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     rint(x). n is the significand the exact |v| rounds to, and e its
     exponent, wherever x in [1e8, 1e9 - 1) lies more than 1e-6 (far beyond
     x's rounding error, under 1e-7) from a half-integer; then the quotient
-    or product of n and that power is the correctly rounded n 10^-k. fast is
-    false elsewhere: zeros, non-finite values, subnormals, exponents outside
-    [-14, 30], near ties and carries into a tenth digit. Those entries take
-    the string rule itself, and their n and k are stand-ins.
+    or product of n and that power is the correctly rounded n 10^-k. A zero
+    is fast too, with n = 0 and k = 8, which spells its sign and
+    "0.00000000e+00" and parses back to itself. fast is false elsewhere:
+    non-finite values, subnormals, exponents outside [-14, 30], near ties
+    and carries into a tenth digit. Those entries take the string rule
+    itself, and their n and k are stand-ins.
     """
     a = np.abs(block)
-    with np.errstate(divide="ignore"):  # log10(0) = -inf takes the string rule
-        e = np.floor(np.log10(a))
+    zero = a == 0.0
+    e = np.floor(np.log10(np.where(zero, 1.0, a)))  # a zero at exponent 0
     fast = (e >= -14.0) & (e <= 30.0)  # false for nan and +-inf
     k = np.where(fast, 8.0 - e, 0.0).astype(np.intp)
     a = np.where(fast, a, 1e8)  # finite stand-ins, so no entry warns
     scale = _POW10[np.abs(k)]
     x = np.where(k >= 0, a * scale, a / scale)
     n = np.rint(x)
-    fast &= (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
+    fast &= zero | (x >= 1e8) & (x < 1e9 - 1.0) & (np.abs(x - np.floor(x) - 0.5) > 1e-6)
     return fast, n, k
 
 

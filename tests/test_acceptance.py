@@ -16,6 +16,7 @@ import pytest
 import oracles
 from helpers import (
     hover_scenario,
+    hover_thrust,
     line_tracking_scenario,
     random_cylinder,
     random_sphere,
@@ -97,6 +98,26 @@ def test_c01_builtins_safe_and_fast(builtin_flights):
         f"max_wall={max_wall:.1f}s (<=10s)"
     )
     _verdict("c01 builtin safety", ok, detail)
+
+
+@pytest.mark.parametrize("rate", [50, 100])
+def test_builtins_safe_at_coarser_control_rates(rate):
+    """Every built-in, both vehicles of two-agent included, flown under C3BF
+    at dt = 1/rate: no run aborts, every trace's separation stays >= -1e-3
+    (c01's gate), and every rotor's u* stays within [0.85, 1.15] x hover.
+    Measured: worst separation +2.42e-3 m at 1/50 and +4.26e-4 m at 1/100
+    (both moving-head-on), u* within [0.918, 1.097] and [0.924, 1.097] x
+    hover. c01 flies dt = 1/240; the CI sweep adds 1/500 and HO-CBF."""
+    worst_sep, low, high = np.inf, np.inf, -np.inf
+    for config in builtin_scenarios():
+        assert config.filter_kind == "c3bf", config.name
+        for trace in run_pair(replace(config, dt=1.0 / rate)):
+            worst_sep = min(worst_sep, float(trace.separation.min()))
+            u = trace.u_star / hover_thrust(config.params)
+            low, high = min(low, float(u.min())), max(high, float(u.max()))
+    ok = worst_sep >= -1e-3 and 0.85 <= low and high <= 1.15
+    detail = f"min_sep={worst_sep:+.3e} (>=-1e-3), u*/hover in [{low:.3f}, {high:.3f}]"
+    _verdict(f"builtins at dt=1/{rate}", ok, detail)
 
 
 def test_c02_unfiltered_baselines_collide():

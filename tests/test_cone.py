@@ -10,6 +10,7 @@ from helpers import random_cylinder, random_sphere, random_state, random_thrusts
 from coneguard.cone import (
     BodyFrame,
     Obstacle,
+    ObstacleStack,
     barrier_3d,
     barrier_projection,
     barrier_stack,
@@ -414,7 +415,11 @@ def test_stacked_row_norm_identity(rng):
         scale = np.choose(rng.integers(3, size=n), [clear, tangent, inside])
         p = direction * (r * scale)[:, None]
         v = rng.normal(size=(n, 3)) * np.where(rng.random(n) < 0.25, 1e-8, 1.0)[:, None]
-        rows = barrier_stack(frame, p, v, r, kappa, tuple("abcdefgh")).input_rows
+        # a stack of radius r exactly: the rows read its radii, r^2 and floors
+        spheres = [Obstacle(kind="sphere", center=(0, 0, 0), radius_raw=x) for x in r]
+        stack = ObstacleStack(tuple(spheres), 0.0)
+        pv = np.concatenate((p, v))
+        rows = barrier_stack(frame, pv, stack, kappa, tuple("abcdefgh")).input_rows
         # w and y = R^T w with barrier_stack's own bits, so that only the
         # product -M^T y and the identity itself round: each row entry is a
         # two-term sum, so to first order the two sides differ by at most

@@ -3,9 +3,10 @@ give the bits of the ``@`` it replaced for each operand layout the step
 passes, every row-wise dot of the stacked survey and the QP's blocking
 scan is one ``np.vecdot``, which must give each row the bits of its 1-D
 dot, and every broadcast matmul of the batched paths must give each row
-the bits of the scalar path's product. All reach the same BLAS routine
-(ddot or dgemv, dgemm for a Gram matrix); a numpy or BLAS upgrade that
-splits them fails here first, before the trace digests do."""
+the bits of the scalar path's product, as must each system of the QP
+search's stacked lstsq. All reach the same BLAS routine (ddot or dgemv,
+dgemm for a Gram matrix) or the same LAPACK call (dgelsd); a numpy or BLAS
+upgrade that splits them fails here first, before the trace digests do."""
 
 import itertools
 
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_bits, random_state
+from test_qp import FAMILIES
+from coneguard import qp
 from coneguard.cone import BodyFrame, Obstacle, input_map
 from coneguard.dynamics import MOMENT_MIX, QuadrotorParams, rotation_matrix
 from coneguard.tracking import ALLOCATION_INV
@@ -201,3 +204,57 @@ def test_batched_products_are_bit_equal_to_per_row_ones():
         assert_same_bits(y[:, :, 0], np.array([frame.R.T @ w for w in v]))
         input_rows = np.matmul(frame.input_map, y)[:, :, 0]
         assert_same_bits(input_rows, np.array([frame.input_map @ x for x in y[:, :, 0]]))
+
+
+def _lstsq_alone(M, y):
+    """lstsq's solution of one system, rcond=None, or all nan where an entry
+    is not finite, which LAPACK refuses."""
+    if np.isfinite(M).all() and np.isfinite(y).all():
+        return np.linalg.lstsq(M, y, rcond=None)[0]
+    return np.full(M.shape[1], np.nan)
+
+
+def _assert_stacks_are_per_subset(u_des, A, b, context):
+    """Each subset size 2-4 of the QP's feasible-start search as one stack,
+    against every subset on its own: the Gram A_S A_S^T, the right-hand side
+    -(A_S u_des + b_S), their lstsq solution mu, the candidate u_des +
+    A_S^T mu (``qp._project_stack``), its slacks A c + b and its squared
+    distance from u_des."""
+    for subsets, index in qp._subsets(len(b))[1:]:
+        A_S = A[index]
+        grams = np.matmul(A_S, A_S.transpose(0, 2, 1))
+        rhs = -(np.matmul(A_S, u_des) + b[index])
+        mu = qp._lstsq(grams, rhs)
+        cands = qp._project_stack(u_des, A, b, index)
+        slacks = np.matmul(A, cands[..., None])[..., 0] + b
+        steps = cands - u_des
+        squares = np.vecdot(steps, steps)
+        for i, rows in enumerate(subsets):
+            where = (context, rows)
+            A_s, b_s = A[list(rows)], b[list(rows)]
+            gram, r = A_s @ A_s.T, -(A_s @ u_des + b_s)
+            assert_same_bits(grams[i], gram, where)
+            assert_same_bits(rhs[i], r, where)
+            solution = _lstsq_alone(gram, r)
+            assert_same_bits(mu[i], solution, where)
+            assert_same_bits(cands[i], u_des + A_s.T @ solution, where)
+            assert_same_bits(slacks[i], A.dot(cands[i]) + b, where)
+            assert_same_bits(squares[i], steps[i].dot(steps[i]), where)
+
+
+def test_stacked_subset_projections_are_the_per_subset_ones():
+    """The feasible-start search solves each subset size as one stack; each
+    item has the bits of its subset solved alone, on the QP test families
+    (3 to 8 rows) and on wide draws (2 to 8 rows, zeros of either sign,
+    infs, nans and overflowing Grams)."""
+    rng = np.random.default_rng(32)
+    with np.errstate(all="ignore"):
+        for family in FAMILIES:
+            for _ in range(20):
+                m = int(rng.integers(3, 9))  # near_singular_triple needs 3
+                u_des, A, b = family(rng, m)
+                _assert_stacks_are_per_subset(u_des, A, b, family.__name__)
+        for _ in range(150):
+            m = int(rng.integers(2, 9))
+            u_des, A, b = _wide(rng, 4), _wide(rng, (m, 4)), _wide(rng, m)
+            _assert_stacks_are_per_subset(u_des, A, b, "wide")

@@ -521,20 +521,26 @@ def _intervening_problem(rng, family):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_solve_projects_each_row_subset_once(monkeypatch, family):
     """The feasible start and the active-set loop share one projection per
-    row tuple. Every answer is certified or raises; only the third
-    near_planar draw raises (see test_near_planar_draw_is_uncertified)."""
+    row tuple, whether projected alone or as an item of the search's stack.
+    Every answer is certified or raises; only the third near_planar draw
+    raises (see test_near_planar_draw_is_uncertified)."""
     rng = np.random.default_rng(7)
     uncertified = []
     for draw in range(20):
         problem = _intervening_problem(rng, family)
         projected = []
-        project = qp._project_equalities
+        project, project_stack = qp._project_equalities, qp._project_stack
 
         def spy(u_des, A, b, rows):
             projected.append(rows)
             return project(u_des, A, b, rows)
 
+        def spy_stack(u_des, A, b, index):
+            projected.extend(map(tuple, index.tolist()))
+            return project_stack(u_des, A, b, index)
+
         monkeypatch.setattr(qp, "_project_equalities", spy)
+        monkeypatch.setattr(qp, "_project_stack", spy_stack)
         try:
             solution = solve(problem)
         except UncertifiedSolutionError:
@@ -544,6 +550,33 @@ def test_solve_projects_each_row_subset_once(monkeypatch, family):
         monkeypatch.undo()
         assert projected and len(projected) == len(set(projected)), family.__name__
     assert uncertified == ([2] if family is near_planar else []), family.__name__
+
+
+def test_an_8_row_search_solves_each_subset_size_in_one_lstsq_call(monkeypatch):
+    """Once the most violated row's projection fails, an 8-row search makes
+    one ``_lstsq`` call per subset size 2-4, on the stack of all 28, 56 and
+    70 Gram systems of that size; the single rows take their closed form."""
+    rng = np.random.default_rng(32)
+    while True:
+        u_des, A, b = generic(rng, 8)
+        resid = A @ u_des + b
+        w = int(np.argmin(resid / np.sqrt((A * A).sum(axis=1))))  # as qp picks it
+        c = qp._project_equalities(u_des, A, b, (w,))
+        if np.min(A @ c + b) < -FEAS_TOL:
+            break
+    grams = []
+    lstsq = qp._lstsq
+
+    def spy(M, y):
+        grams.append(M.shape)
+        return lstsq(M, y)
+
+    monkeypatch.setattr(qp, "_lstsq", spy)
+    try:
+        _feasible_start(u_des, A, b, _labels(8), resid, {})
+    except InfeasibleQpError:
+        pass
+    assert grams == [(28, 2, 2), (56, 3, 3), (70, 4, 4)]
 
 
 def _kkt_bound(problem):
