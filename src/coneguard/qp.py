@@ -25,16 +25,17 @@ point that violates w within that band and is closer to u_des than c, by
 at most FEAS_TOL / ||a_w|| plus rounding; the start is c, the exact
 optimum, instead. If c fails the test, the start is the closest feasible
 candidate among the projections of u_des onto the affine sets
-{A_S u = -b_S}, one per subset S of at most 4 rows, each computed by
-``lstsq`` on the Gram system and visited in ``itertools.combinations``
-order with a strict ``dist < best_dist`` rule. Each size of two or more
-rows with more than one subset is one stack: its Grams, right-hand sides,
-candidates, slacks and distances are broadcast products, each item with
-the bits of its own subset's, and its Grams go to LAPACK in one call of
-the gufunc ``lstsq`` itself calls. Its winner is the first feasible
-candidate of strictly smallest distance, the one the sequential rule
-picks. A lone subset, such as corridor's one 2-row pair, costs less
-unstacked and goes by itself, as do the single rows (closed forms below).
+{A_S u = -b_S}, one per subset S of at most 4 rows, each the solution of
+the Gram system. The search builds every candidate into one array in
+``itertools.combinations`` order, size by size: the single rows in closed
+form (below), c reused, then one ``_project_stack`` per size of two or
+more rows, whose Grams go to LAPACK in one call of the gufunc ``lstsq``
+itself calls. The slacks and distances of all candidates are broadcast
+products, each with the bits of its own candidate's, and one rule picks
+the winner: the first feasible candidate of strictly smallest distance,
+the one a sequential strict ``dist < best_dist`` scan picks. Every other
+projection, of two or more rows or of one outside the closed form's range,
+is ``_project_stack``: an item of a size's stack, or a stack of one.
 If the problem is feasible, the optimum's linearly independent active
 subset yields exactly the optimum under this projection, so the winner
 both certifies feasibility and starts the active-set loop at (or next to)
@@ -243,24 +244,18 @@ _solution = prebuilt(QpSolution)
 def _project_equalities(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, rows: tuple[int, ...]
 ) -> np.ndarray:
-    """Closest point to u_des on {u : A_S u = -b_S}, S = rows (least-squares
-    if inconsistent)."""
-    # u = u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S)
+    """``_project_stack`` onto S = rows: one row in closed form where LAPACK
+    leaves its 1x1 system unscaled (module docstring), else a stack of one."""
     if len(rows) == 1:
-        # contiguous, as the lstsq path's copy A_S[0]: a strided row's dot
-        # may sum in another order
+        # contiguous, as the stack's copy A[index]: a strided row's dot may
+        # sum in another order
         a = np.ascontiguousarray(A[rows[0]])
         mu = _row_multiplier(float(a.dot(a)), -(float(a.dot(u_des)) + float(b[rows[0]])))
         if mu is not None:
             # + 0.0: the one-term sum A_S^T mu starts from +0.0, so a zero
             # product adds as +0.0 (module docstring)
             return u_des + (a * mu + 0.0)
-    A_S, b_S = A[list(rows)], b[list(rows)]
-    # @, not ndarray.dot: with one row, A_S^T mu by dot is a plain product,
-    # which keeps a -0.0 that matmul's sum from +0.0 turns into +0.0
-    gram = A_S @ A_S.T
-    rhs = -(A_S @ u_des + b_S)
-    return u_des + A_S.T @ _lstsq(gram, rhs)
+    return _project_stack(u_des, A, b, np.array([rows], dtype=np.intp))[0]
 
 
 def _row_multiplier(g: float, r: float) -> float | None:
@@ -335,10 +330,14 @@ def _subsets(m: int) -> tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ..
 def _project_stack(
     u_des: np.ndarray, A: np.ndarray, b: np.ndarray, index: np.ndarray
 ) -> np.ndarray:
-    """``_project_equalities`` onto each subset of an (n, k) index array, k
-    >= 2, every row with the bits of its own: each product is the subset's
-    matmul broadcast over the stack, and the Grams are one ``_lstsq``."""
-    A_S = A[index]  # (n, k, 4), each subset contiguous, as A[list(rows)]
+    """The closest point to u_des on {u : A_S u = -b_S} (least-squares if
+    inconsistent), u_des + A_S^T mu with A_S A_S^T mu = -(A_S u_des + b_S),
+    for each row tuple S of an (n, k) index array, k >= 1. Each product is
+    the subset's matmul broadcast over the stack, so every row has the bits
+    of its subset projected alone, and the Grams are one ``_lstsq``. Not
+    ndarray.dot: with one row, A_S^T mu by dot is a plain product, which
+    keeps a -0.0 that matmul's sum from +0.0 turns into +0.0."""
+    A_S = A[index]  # (n, k, 4), each subset contiguous
     A_T = A_S.transpose(0, 2, 1)
     mu = _lstsq(np.matmul(A_S, A_T), -(np.matmul(A_S, u_des) + b[index]))
     return u_des + np.matmul(A_T, mu[..., None])[..., 0]
@@ -366,39 +365,28 @@ def _feasible_start(
     c = projections[(w,)] = _project_equalities(u_des, A, b, (w,))
     if _min_slack(A, b, c) >= -FEAS_TOL:
         return c
-    best = None
-    best_dist = math.inf
-    for subsets, index in _subsets(len(b)):
-        # the single rows' closed forms, and a lone subset, cheaper unstacked
-        if index.shape[1] == 1 or len(subsets) == 1:
-            for rows in subsets:
-                cand = projections.get(rows)
-                if cand is None:
-                    cand = projections[rows] = _project_equalities(u_des, A, b, rows)
-                if _min_slack(A, b, cand) >= -FEAS_TOL:
-                    step = cand - u_des
-                    dist = math.sqrt(float(step.dot(step)))
-                    if dist < best_dist:
-                        best, best_dist = cand, dist
-            continue
-        cands = _project_stack(u_des, A, b, index)
-        projections.update(zip(subsets, cands))
-        slacks = np.matmul(A, cands[..., None])[..., 0] + b  # each A.dot(cand) + b
-        steps = cands - u_des
-        dists = np.sqrt(np.vecdot(steps, steps))
-        # the first feasible candidate strictly closer than best; nan never is
-        closer = (slacks.min(axis=1) >= -FEAS_TOL) & (dists < best_dist)
-        if closer.any():
-            i = int(np.argmin(np.where(closer, dists, np.inf)))
-            best, best_dist = cands[i], float(dists[i])
-    if best is None:
+    (singles, _), *sizes = _subsets(len(b))
+    # the single rows' closed forms (c among them), then one stack per size
+    cands = np.concatenate(
+        [[c if rows == (w,) else _project_equalities(u_des, A, b, rows) for rows in singles]]
+        + [_project_stack(u_des, A, b, index) for _, index in sizes]
+    )
+    projections.update(zip(itertools.chain(singles, *(s for s, _ in sizes)), cands))
+    slacks = np.matmul(A, cands[..., None])[..., 0] + b  # each A.dot(cand) + b
+    steps = cands - u_des
+    dists = np.sqrt(np.vecdot(steps, steps))
+    # the first feasible candidate of strictly smallest finite distance, as a
+    # strict dist < best_dist from inf; a nan entry would make a slack nan
+    dists = np.where(slacks.min(axis=1) >= -FEAS_TOL, dists, np.inf)
+    best = int(np.argmin(dists))
+    if not dists[best] < math.inf:
         order = np.argsort(resid, kind="stable")
         worst = [labels[i] for i in order if resid[i] < 0.0]
         raise InfeasibleQpError(
             "safety QP infeasible; blocking constraints: " + ", ".join(worst),
             blocking_labels=worst,
         )
-    return best
+    return cands[best]
 
 
 @np.errstate(all="ignore")

@@ -214,36 +214,57 @@ def _lstsq_alone(M, y):
     return np.full(M.shape[1], np.nan)
 
 
+def _alone(u_des, A, b, rows):
+    """(Gram, right-hand side, mu, candidate) of the projection onto the
+    subset rows in that order, solved on its own."""
+    A_s, b_s = A[list(rows)], b[list(rows)]
+    gram, r = A_s @ A_s.T, -(A_s @ u_des + b_s)
+    mu = _lstsq_alone(gram, r)
+    return gram, r, mu, u_des + A_s.T @ mu
+
+
 def _assert_stacks_are_per_subset(u_des, A, b, context):
-    """Each subset size 2-4 of the QP's feasible-start search as one stack,
-    against every subset on its own: the Gram A_S A_S^T, the right-hand side
-    -(A_S u_des + b_S), their lstsq solution mu, the candidate u_des +
-    A_S^T mu (``qp._project_stack``), its slacks A c + b and its squared
-    distance from u_des."""
-    for subsets, index in qp._subsets(len(b))[1:]:
-        A_S = A[index]
-        grams = np.matmul(A_S, A_S.transpose(0, 2, 1))
-        rhs = -(np.matmul(A_S, u_des) + b[index])
-        mu = qp._lstsq(grams, rhs)
-        cands = qp._project_stack(u_des, A, b, index)
+    """The QP's feasible-start candidates, size by size as it stacks them,
+    against every subset on its own: the single rows' closed forms (size 1)
+    and each size of 2-4 rows as one ``qp._project_stack``, its Grams A_S
+    A_S^T, right-hand sides -(A_S u_des + b_S) and lstsq solutions mu. Each
+    candidate u_des + A_S^T mu, its slacks A c + b and its squared distance
+    from u_des; the first subset of each size as a stack of one; and each
+    subset of 2 or more rows in reverse, as a working set of the active-set
+    loop may order it, through ``qp._project_equalities``."""
+    singles = [qp._project_equalities(u_des, A, b, (i,)) for i in range(len(b))]
+    for subsets, index in qp._subsets(len(b)):
+        if index.shape[1] == 1:
+            cands = np.array(singles)
+        else:
+            A_S = A[index]
+            grams = np.matmul(A_S, A_S.transpose(0, 2, 1))
+            rhs = -(np.matmul(A_S, u_des) + b[index])
+            mu = qp._lstsq(grams, rhs)
+            cands = qp._project_stack(u_des, A, b, index)
         slacks = np.matmul(A, cands[..., None])[..., 0] + b
         steps = cands - u_des
         squares = np.vecdot(steps, steps)
         for i, rows in enumerate(subsets):
             where = (context, rows)
-            A_s, b_s = A[list(rows)], b[list(rows)]
-            gram, r = A_s @ A_s.T, -(A_s @ u_des + b_s)
-            assert_same_bits(grams[i], gram, where)
-            assert_same_bits(rhs[i], r, where)
-            solution = _lstsq_alone(gram, r)
-            assert_same_bits(mu[i], solution, where)
-            assert_same_bits(cands[i], u_des + A_s.T @ solution, where)
+            gram, r, solution, alone = _alone(u_des, A, b, rows)
+            if len(rows) > 1:
+                assert_same_bits(grams[i], gram, where)
+                assert_same_bits(rhs[i], r, where)
+                assert_same_bits(mu[i], solution, where)
+                turned = rows[::-1]  # such as (3, 1)
+                got = qp._project_equalities(u_des, A, b, turned)
+                assert_same_bits(got, _alone(u_des, A, b, turned)[3], (context, turned))
+            assert_same_bits(cands[i], alone, where)
+            if i == 0:
+                one = qp._project_stack(u_des, A, b, index[:1])
+                assert_same_bits(one, alone[None], where)
             assert_same_bits(slacks[i], A.dot(cands[i]) + b, where)
             assert_same_bits(squares[i], steps[i].dot(steps[i]), where)
 
 
 def test_stacked_subset_projections_are_the_per_subset_ones():
-    """The feasible-start search solves each subset size as one stack; each
+    """The feasible-start search stacks its candidates size by size; each
     item has the bits of its subset solved alone, on the QP test families
     (3 to 8 rows) and on wide draws (2 to 8 rows, zeros of either sign,
     infs, nans and overflowing Grams)."""

@@ -518,6 +518,32 @@ def _intervening_problem(rng, family):
         return QpProblem(u_des, A, b, labels)
 
 
+def _projections_made(monkeypatch, problem):
+    """(row tuples projected, solve's outcome): each projection counted once,
+    where it is made, a 1-row closed form at ``_project_equalities`` and
+    every other row tuple at ``_project_stack``, which the former hands it
+    to as a stack of one."""
+    projected, stacks = [], []
+    project, project_stack = qp._project_equalities, qp._project_stack
+
+    def spy(u_des, A, b, rows):
+        made = len(stacks)
+        point = project(u_des, A, b, rows)
+        if len(stacks) == made:  # the closed form
+            projected.append(rows)
+        return point
+
+    def spy_stack(u_des, A, b, index):
+        stacks.append(index.shape)
+        projected.extend(map(tuple, index.tolist()))
+        return project_stack(u_des, A, b, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qp, "_project_equalities", spy)
+        patch.setattr(qp, "_project_stack", spy_stack)
+        return projected, _outcome(problem)
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_solve_projects_each_row_subset_once(monkeypatch, family):
     """The feasible start and the active-set loop share one projection per
@@ -528,28 +554,53 @@ def test_solve_projects_each_row_subset_once(monkeypatch, family):
     uncertified = []
     for draw in range(20):
         problem = _intervening_problem(rng, family)
-        projected = []
-        project, project_stack = qp._project_equalities, qp._project_stack
-
-        def spy(u_des, A, b, rows):
-            projected.append(rows)
-            return project(u_des, A, b, rows)
-
-        def spy_stack(u_des, A, b, index):
-            projected.extend(map(tuple, index.tolist()))
-            return project_stack(u_des, A, b, index)
-
-        monkeypatch.setattr(qp, "_project_equalities", spy)
-        monkeypatch.setattr(qp, "_project_stack", spy_stack)
-        try:
-            solution = solve(problem)
-        except UncertifiedSolutionError:
+        projected, got = _projections_made(monkeypatch, problem)
+        if isinstance(got, UncertifiedSolutionError):
             uncertified.append(draw)
         else:
-            assert solution.kkt_residual <= _kkt_bound(problem), family.__name__
-        monkeypatch.undo()
+            assert got.kkt_residual <= _kkt_bound(problem), family.__name__
         assert projected and len(projected) == len(set(projected)), family.__name__
     assert uncertified == ([2] if family is near_planar else []), family.__name__
+
+
+def _corridor_fallback():
+    """u_1 >= 1 and u_2 >= 1 from u_des = 0, a 2-row problem shaped like
+    corridor's whose most violated row's projection (1, 0, 0, 0) fails the
+    other row: the search's winner is the pair's projection (1, 1, 0, 0)."""
+    A = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    return np.zeros(4), A, np.array([-1.0, -1.0])
+
+
+def test_an_out_of_range_single_row_is_projected_once(monkeypatch):
+    """A third row whose slack at u_des, 1e-300, is below LAPACK's
+    no-rescale range goes to ``_project_stack`` as a stack of one, and is
+    still projected once with every other row tuple."""
+    u_des, A, b = _corridor_fallback()
+    A = np.vstack([A, [0.0, 0.0, 1.0, 0.0]])
+    b = np.append(b, 1e-300)
+    assert qp._row_multiplier(1.0, -1e-300) is None
+    projected, got = _projections_made(monkeypatch, QpProblem(u_des, A, b, _labels(3)))
+    assert_same_bits(got.u_star, np.array([1.0, 1.0, 0.0, 0.0]))
+    assert projected.count((2,)) == 1
+    assert len(projected) == len(set(projected)), projected
+
+
+def test_a_2_row_search_solves_its_pair_as_a_stack_of_one(monkeypatch):
+    """Corridor's fallback: the lone pair is one ``_lstsq`` call on a (1, 2,
+    2) stack, the one k-row projection; the single rows take their closed
+    form."""
+    u_des, A, b = _corridor_fallback()
+    grams = []
+    lstsq = qp._lstsq
+
+    def spy(M, y):
+        grams.append(M.shape)
+        return lstsq(M, y)
+
+    monkeypatch.setattr(qp, "_lstsq", spy)
+    start = _feasible_start(u_des, A, b, _labels(2), A @ u_des + b, {})
+    assert_same_bits(start, np.array([1.0, 1.0, 0.0, 0.0]))
+    assert grams == [(1, 2, 2)]
 
 
 def test_an_8_row_search_solves_each_subset_size_in_one_lstsq_call(monkeypatch):

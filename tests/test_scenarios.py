@@ -1,4 +1,4 @@
-"""Built-in scenario registry checks (geometry, not full runs)."""
+"""Built-in scenario registry checks (geometry, and 0.1 s flights of the YAML twins)."""
 
 from dataclasses import replace
 
@@ -12,7 +12,7 @@ from helpers import (
     line_tracking_scenario,
 )
 from coneguard.cone import BodyFrame
-from coneguard.harness import separation_distance
+from coneguard.harness import run_pair, separation_distance
 from coneguard.scenarios import get_scenario, load_scenario, scenario_names
 
 EXPECTED = (
@@ -104,7 +104,16 @@ def _assert_same(got, want, path):
     ],
 )
 def test_yaml_equivalents_match_the_builtins(file, name):
-    """Every field but the prose description, the partner's included."""
+    """Every field but the prose description, the partner's included, and
+    so the same flight: 0.1 s of both, every vehicle's table bit-equal (the
+    full 10 s flights are too)."""
     builtin = get_scenario(name)
     loaded = load_scenario(CONFIGS_DIR / file)
     _assert_same(replace(loaded, description=builtin.description), builtin, name)
+    got = run_pair(replace(loaded, duration=0.1))
+    want = run_pair(replace(builtin, duration=0.1))
+    assert len(got) == len(want), name
+    for g, w in zip(got, want):
+        assert g.table.shape[0] > 1, name
+        assert_same_bits(g.table, w.table, (name, w.name))
+
