@@ -33,8 +33,9 @@ commutes with d/dt and w lies in its range, so cylinders contract with the
 same unprojected maps. Constant-velocity obstacles enter through p and v
 only.
 
-``barrier_3d`` and ``barrier_projection`` are the collision-cone adapters:
-the inflated radius, no projector or the axis projector, and weight ||v||.
+``barrier_3d`` is the collision-cone adapter for spheres and cylinders
+alike (``barrier_projection``, the paper's cylinder name, is the same
+function): the inflated radius, a cylinder's axis projector, weight ||v||.
 ``barrier_ho`` is the higher-order baseline (Xiao & Belta, CDC 2019): from
 b = ||p||^2 - r^2, one derivative chain with a square-root class-K function
 collapses to h = <p, v> + gamma s, no projector and the constant weight
@@ -42,8 +43,8 @@ gamma, so dh/dv = p. Its effective half angle phi' has cos(phi') =
 (gamma/||v||) cos(phi): above a closing speed of gamma its cone is wider than
 the true one, and gamma = ||v|| pointwise recovers the cone barrier. It sees
 each obstacle as its encompassing sphere, so it misjudges elongated shapes.
-All three adapters return the cone terms, which carry h, the clearance
-||p|| - r and phi, and the row.
+Both adapters return the cone terms, which carry h, the clearance ||p|| - r
+and phi, and the row.
 
 ``barrier_stack`` is the same collision cone for all N obstacles of a step
 at once: the (2N, 3) relative states, p rows then v rows, cylinder rows
@@ -51,11 +52,11 @@ projected, and the ``ObstacleStack`` that built them in; h, clearance, phi,
 the (N, 4) input rows and the (N,) offsets out. ||p|| and ||v|| come from
 one ``np.vecdot`` over both halves, floored in one ``np.maximum`` against
 the stack's floors, and r^2 is the stack's. It keeps the scalar path's
-operation order, and each value the bits ``barrier_3d`` and
-``barrier_projection`` give it: every row-wise dot, w . a_d included, is
-one ``np.vecdot``, the 1-D dot of each row, and R^T w and -M^T y are the
-per-step matrices broadcast over (N, 3, 1), the matrix-vector product of
-each row (w @ R may flip the sign of a zero). ``ObstacleStack`` and
+operation order, and each value the bits ``barrier_3d`` gives it: every
+row-wise dot, w . a_d included, is one ``np.vecdot``, the 1-D dot of each
+row, and R^T w and -M^T y are the per-step matrices broadcast over
+(N, 3, 1), the matrix-vector product of each row (w @ R may flip the sign
+of a zero). ``ObstacleStack`` and
 ``cone_angles``, the kernel's p -> ||p||, s, phi steps, also run the
 harness's phi'/phi replay, over all its recorded rows at once. The kernel
 checks every row in one array test: min ||input_row|| > GRADIENT_MIN, and
@@ -88,7 +89,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import QuadrotorParams, QuadrotorState, _cross, rotation_matrix
+from .dynamics import MOMENT_MIX, QuadrotorParams, QuadrotorState
+from .dynamics import _cross, rotation_matrix
 from .errors import ConfigError
 from .qp import GRADIENT_MIN, _check_finite, _check_gradient
 from .records import check_label, checked_array, checked_real
@@ -176,20 +178,18 @@ def input_map(params: QuadrotorParams) -> np.ndarray:
 
     Column k of M is m_k = e3/m + l (gk x e3), gk being rotor k's angular
     acceleration column; the lever term comes from differentiating R e3 l
-    twice and keeping the f-dependent part of omega_dot. Built once per
-    parameter set (the 16 latest are kept) and returned read-only, in the
-    column-major layout of -M.T, so every product with it keeps its bits.
+    twice and keeping the f-dependent part of omega_dot. So M's rows are b
+    times the pitch row of ``dynamics.MOMENT_MIX`` (the rotor layout's one
+    spelling), -a times its roll row, a = l L/Ixx and b = l L/Iyy, and 1/m.
+    Built once per parameter set (the 16 latest are kept) and returned
+    read-only, in the column-major layout of -M.T, so every product with it
+    keeps its bits.
     """
     m, L, l = params.mass, params.arm_span, params.center_offset
     ixx, iyy, _ = params.inertia_diag
     a, b = l * L / ixx, l * L / iyy
-    M = np.array(
-        [
-            [0.0, b, 0.0, -b],
-            [-a, 0.0, a, 0.0],
-            [1.0 / m, 1.0 / m, 1.0 / m, 1.0 / m],
-        ]
-    )
+    # 0.0 - x, not -x: the roll row's zeros stay +0.0
+    M = np.array([b * MOMENT_MIX[1], 0.0 - a * MOMENT_MIX[0], np.full(4, 1.0 / m)])
     neg_mt = -M.T
     neg_mt.setflags(write=False)
     return neg_mt
@@ -451,11 +451,17 @@ def barrier_3d(
     t: float,
     label: str = "",
 ) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
-    """Spherical-obstacle barrier row for the safety QP.
+    """Collision-cone barrier row for the safety QP, sphere or cylinder.
+
+    A cylinder's row is the cone in the plane ⊥ to its axis. The projector
+    P = I - n n^T is constant, so the projected relative state
+    differentiates componentwise and <w_proj, P a> = <w_proj, a> for any
+    w_proj in the projection plane: the drift and input contractions use
+    the unprojected acceleration maps.
 
     Args:
         frame: the vehicle terms of this control step.
-        obstacle: sphere (cylinders go through barrier_projection).
+        obstacle: a sphere or a cylinder (``cone_geometry`` projects).
         params: vehicle parameters (the body width inflates the radius).
         kappa_gamma: gain of the linear class-K term; the row offset is
             drift + kappa_gamma h.
@@ -468,38 +474,14 @@ def barrier_3d(
         offset = drift + kappa_gamma h.
 
     Raises:
-        ConfigError: called with a cylinder.
         DegenerateGradientError: ||input_row|| <= 1e-10.
     """
-    if obstacle.kind != "sphere":
-        raise ConfigError("barrier_3d expects a sphere")
     terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
     return terms, barrier_row(frame, terms, kappa_gamma, label)
 
 
-def barrier_projection(
-    frame: BodyFrame,
-    obstacle: Obstacle,
-    params: QuadrotorParams,
-    kappa_gamma: float,
-    t: float,
-    label: str = "",
-) -> tuple[ConeTerms, tuple[np.ndarray, float]]:
-    """Cylindrical-obstacle barrier row: the cone in the plane ⊥ to the axis.
-
-    The projector P = I - n n^T is constant, so the projected relative state
-    differentiates componentwise and <w_proj, P a> = <w_proj, a> for any w_proj
-    in the projection plane. The drift and input contractions therefore use
-    the unprojected acceleration maps. Arguments as for barrier_3d.
-
-    Raises:
-        ConfigError: called with a sphere.
-        DegenerateGradientError: ||input_row|| <= 1e-10.
-    """
-    if obstacle.kind != "cylinder":
-        raise ConfigError("barrier_projection expects a cylinder")
-    terms = cone_terms(*cone_geometry(frame, obstacle, params, t))
-    return terms, barrier_row(frame, terms, kappa_gamma, label)
+# the paper's name for the cylinder row, the same adapter
+barrier_projection = barrier_3d
 
 
 def encompassing_radius(obstacle: Obstacle) -> float:

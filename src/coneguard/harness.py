@@ -15,7 +15,7 @@ It takes one of two paths. A solo C3BF run with at least STACK_MIN_ROWS
 rows surveys every obstacle of a step at once in ``cone.barrier_stack``, on
 arrays of its obstacles built once per run (``cone.ObstacleStack``); every
 other run, a pair's included, goes obstacle by obstacle through
-``barrier_3d``, ``barrier_projection`` or ``barrier_ho``. Both paths give
+``barrier_3d`` (spheres and cylinders) or ``barrier_ho``. Both paths give
 each trace cell, phi and QP row the same bits, so the choice is speed
 only: STACK_MIN_ROWS = 4 is the measured crossover, where the stacked
 survey turns from a loss (3 rows) into a win. The built-ins (1-2 rows)
@@ -57,7 +57,7 @@ from .cone import (
     ObstacleStack,
     barrier_3d,
     barrier_ho,
-    barrier_projection,
+    barrier_projection,  # unused here: perfbench's tracer wraps this module's name
     barrier_stack,
     cone_angles,
     cone_geometry,
@@ -261,10 +261,7 @@ def _survey(
                     frame, obstacle, params, kappa_gamma, config.hocbf_gamma, t, label
                 )
             else:
-                barrier = (
-                    barrier_3d if obstacle.kind == "sphere" else barrier_projection
-                )
-                terms, (input_row, offset) = barrier(
+                terms, (input_row, offset) = barrier_3d(
                     frame, obstacle, params, kappa_gamma, t, label
                 )
             input_rows.append(input_row)

@@ -305,10 +305,10 @@ def _svd_failed(err: str, flag: int) -> None:
 def _lstsq(M: np.ndarray, y: np.ndarray) -> np.ndarray:
     """lstsq's solution of M x = y for one system or a stack, M (..., r, c)
     and y (..., r), by the gufunc ``np.linalg.lstsq`` calls, with its rcond
-    (eps max(r, c)) and its LinAlgError on a result LAPACK marks invalid. A
-    system that an overflowed product gave an inf or nan, which LAPACK
-    refuses with a stderr line, is solved as zeros and answered all nan."""
-    bad = not (np.isfinite(M).all() and np.isfinite(y).all())
+    (eps max(r, c)) and its LinAlgError on a result LAPACK marks invalid.
+    LAPACK refuses an inf or nan with a stderr line, so a system holding one
+    (a sum of squares finds it, free of inf - inf) is answered all nan."""
+    bad = not math.isfinite(np.vdot(M, M) + np.vdot(y, y))
     if bad:
         finite = np.isfinite(M).all(axis=(-2, -1)) & np.isfinite(y).all(axis=-1)
         M = np.where(finite[..., None, None], M, 0.0)

@@ -8,12 +8,10 @@ Pipeline (track):
   4. mixer:                  thrusts = M^-1 (T, Iyy*pitch_acc/L, Ixx*roll_acc/L, 0)
                              T = m sqrt(ax^2 + ay^2 + (g+az)^2)
 
-with the allocation matrix
-
-  M = [[1, 1, 1, 1],
-       [0, 1, 0, -1],
-       [1, 0, -1, 0],
-       [1, -1, 1, -1]]
+with the allocation matrix M: a row of ones (total thrust) over the moment
+rows of ``dynamics.MOMENT_MIX`` (the rotor layout's one spelling) in the
+order pitch (f2 - f4), roll (f1 - f3), yaw. M's rows are orthogonal, with
+squared norms 4, 2, 2, 4, so M^-1 = M^T diag(1/4, 1/2, 1/2, 1/4) exactly.
 
 The right-hand side is ordered so that the commanded roll acceleration lands
 on the f1 - f3 channel and pitch on f2 - f4, matching the dynamics' moment
@@ -32,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    MOMENT_MIX,
     ControlInput,
     QuadrotorParams,
     QuadrotorState,
@@ -46,15 +45,12 @@ from .reference import ReferenceSample
 # are rejected, not clamped, to surface controller misuse.
 DENOM_MIN = 0.1
 
-# Exact inverse of the allocation matrix M of the module docstring; entries
-# are dyadic so the hover allocation is exact.
-ALLOCATION_INV = np.array(
-    [
-        [0.25, 0.0, 0.5, 0.25],
-        [0.25, 0.5, 0.0, -0.25],
-        [0.25, 0.0, -0.5, 0.25],
-        [0.25, -0.5, 0.0, -0.25],
-    ]
+# The allocation matrix M of the module docstring and its exact inverse;
+# entries are dyadic so the hover allocation is exact. C order: dgemv's
+# rounding depends on the layout, and the mixer's bits are C order's.
+_ALLOCATION = np.array([np.ones(4), MOMENT_MIX[1], MOMENT_MIX[0], MOMENT_MIX[2]])
+ALLOCATION_INV = np.divide(
+    _ALLOCATION.T, (_ALLOCATION * _ALLOCATION).sum(axis=1), order="C"
 )
 
 

@@ -204,8 +204,15 @@ def test_c03_barrier_derivatives_match_finite_differences():
 def test_c04_input_row_never_vanishes():
     """1e5 random states per cone variant with |roll|, |pitch| < 1 rad and
     at least 0.01 m of clearance: the QP input row always has norm > 1e-8,
-    so the filter never loses authority over the barrier."""
+    so the filter never loses authority over the barrier. Each row also
+    meets the per-state bound of ``cone``'s lemma, ||input_row|| >=
+    sigma_min ||w|| with sigma_min = min(sqrt(2) a, sqrt(2) b, 2/m), to
+    the 8 eps that test_cone's norm-bound property allows."""
     rng = np.random.default_rng(304)
+    lever = PARAMS.center_offset * PARAMS.arm_span
+    ixx, iyy, _ = PARAMS.inertia_diag
+    sigma_min = min(np.sqrt(2) * lever / ixx, np.sqrt(2) * lever / iyy, 2 / PARAMS.mass)
+    floor = 1.0 - 8.0 * float(np.finfo(float).eps)
     mins = {"cone-sphere": np.inf, "cone-cylinder": np.inf}
     n = 100_000
     checked = 0
@@ -221,14 +228,15 @@ def test_c04_input_row_never_vanishes():
         r_c = inflated_radius(cylinder, PARAMS.body_width)
         if np.linalg.norm(p_s) < r_s + 0.01 or np.linalg.norm(p_c[:2]) < r_c + 0.01:
             continue
-        _, (row_s, _) = barrier_3d(frame, sphere, PARAMS, kappa, t)
-        _, (row_c, _) = barrier_projection(frame, cylinder, PARAMS, kappa, t)
-        mins["cone-sphere"] = min(
-            mins["cone-sphere"], np.linalg.norm(row_s)
-        )
-        mins["cone-cylinder"] = min(
-            mins["cone-cylinder"], np.linalg.norm(row_c)
-        )
+        rows = {
+            "cone-sphere": barrier_3d(frame, sphere, PARAMS, kappa, t),
+            "cone-cylinder": barrier_projection(frame, cylinder, PARAMS, kappa, t),
+        }
+        for name, (terms, (row, _)) in rows.items():
+            norm = np.linalg.norm(row)
+            mins[name] = min(mins[name], norm)
+            ratio = norm / (sigma_min * np.linalg.norm(terms.w))
+            assert ratio >= floor, (name, ratio, state, t)
         checked += 1
     ok = all(v > 1e-8 for v in mins.values())
     detail = ", ".join(f"{k}: min_row_norm={v:.2e} (>1e-8)" for k, v in mins.items())

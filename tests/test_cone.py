@@ -355,18 +355,6 @@ def test_projection_operator_idempotent():
     assert np.allclose(P @ n, 0.0, atol=1e-15)
 
 
-def test_barrier_kind_cross_checks(params):
-    state = QuadrotorState.from_vector(np.zeros(12))
-    sphere = Obstacle(kind="sphere", center=(2, 0, 0), radius_raw=0.2)
-    cyl = Obstacle(
-        kind="cylinder", center=(2, 0, 0), radius_raw=0.2, axis=(0, 0, 1.0)
-    )
-    with pytest.raises(ConfigError):
-        barrier_3d(BodyFrame(state, params), cyl, params, kappa, 0.0)
-    with pytest.raises(ConfigError):
-        barrier_projection(BodyFrame(state, params), sphere, params, kappa, 0.0)
-
-
 def test_half_angle_hand_value(params):
     # ||p_rel|| = 2 and inflated r = 1: cos(phi) = sqrt(3)/2, phi = pi/6.
     # The body center sits at l*e3 for the zero state, so the obstacle is

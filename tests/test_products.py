@@ -52,13 +52,29 @@ def _cylinder_projector(rng):
     )._projector
 
 
+def _written_out_neg_mt(params):
+    """-M^T with M written out from a = l L/Ixx, b = l L/Iyy and m."""
+    m, lever = params.mass, params.center_offset * params.arm_span
+    a, b = lever / params.inertia_diag[0], lever / params.inertia_diag[1]
+    return -np.array([[0.0, b, 0.0, -b], [-a, 0.0, a, 0.0], [1.0 / m] * 4]).T
+
+
 def test_vehicle_matrices_dot_as_matmul():
     """R (C-contiguous) and its transposed view R.T, the cached -M^T, the
     allocation and moment-mixing matrices, a cylinder projector, each on a
-    fresh 3- or 4-vector and on a view into a 12-vector."""
+    fresh 3- or 4-vector and on a view into a 12-vector. -M^T, built from
+    ``dynamics.MOMENT_MIX``, is M written out, bit for bit and in its
+    column-major layout, at the default and at other parameters, and is
+    read-only."""
     rng = np.random.default_rng(2301)
+    other = QuadrotorParams(
+        mass=0.7, arm_span=0.3, center_offset=0.05, inertia_diag=(3e-3, 5e-3, 7e-3)
+    )
+    for params in (QuadrotorParams(), other):
+        neg_mt = input_map(params)
+        assert neg_mt.flags.f_contiguous and not neg_mt.flags.writeable
+        assert_same_bits(neg_mt, _written_out_neg_mt(params), params)
     neg_mt = input_map(QuadrotorParams())
-    assert neg_mt.flags.f_contiguous and not neg_mt.flags.writeable
     for i in range(DRAWS):
         if i % 2:
             R = rotation_matrix(rng.uniform(-3.0, 3.0, 3))

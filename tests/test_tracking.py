@@ -1,11 +1,13 @@
 """Cascaded PD tracking controller tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ALLOCATION, hover_thrust, random_state
+from helpers import ALLOCATION, assert_same_bits, hover_thrust, random_state
 from coneguard.dynamics import ControlInput, QuadrotorParams, QuadrotorState, step
 from coneguard.errors import ConfigError, DegenerateThrustError
 from coneguard.reference import HoverReference, ReferenceSample
@@ -27,9 +29,32 @@ def hover_ref(point=(0.0, 0.0, 1.0)):
     )
 
 
+def _exact_inverse(matrix):
+    """Gauss-Jordan elimination in rationals, each entry rounded once to a
+    float (so every zero is +0.0)."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix.tolist())
+    ]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    return np.array([[float(x) for x in row[n:]] for row in rows])
+
+
 def test_allocation_inverse_is_exact():
     # both matrices are quarter-integer, so the product is exact in floats
     assert np.array_equal(ALLOCATION @ ALLOCATION_INV, np.eye(4))
+    # the inverse tracking derives from dynamics.MOMENT_MIX is the exact
+    # inverse of the tests' own spelling of the layout, zero signs included,
+    # in the C order whose dgemv bits the mixer has
+    assert_same_bits(ALLOCATION_INV, _exact_inverse(ALLOCATION))
+    assert ALLOCATION_INV.flags.c_contiguous
 
 
 def test_hover_at_reference_gives_hover_thrust(params):
